@@ -157,6 +157,31 @@ class Dataset:
         codes = self.columns[name]
         return [spec.categories[c] if c >= 0 else None for c in codes]
 
+    def encode(self, name: str, mapping: dict[str, float]) -> np.ndarray:
+        """Float values of one categorical column, each label mapped through
+        ``mapping`` by a lookup table over the category codes.
+
+        The first row (in row order) that is missing or whose label has no
+        value in ``mapping`` raises DataError.
+        """
+        spec = self.spec(name)
+        if not spec.is_categorical:
+            raise DataError(f"variable {name!r} is numeric, not categorical")
+        codes = self.columns[name]
+        # trailing False: the missing code -1 indexes it
+        known = np.array([label in mapping for label in spec.categories] + [False])
+        bad = ~known[codes]
+        if bad.any():
+            code = int(codes[np.argmax(bad)])
+            if code < 0:
+                raise DataError(f"missing value in categorical variable {name!r}")
+            raise DataError(
+                f"no quantification value for category {spec.categories[code]!r} "
+                f"of {name!r}"
+            )
+        lookup = np.array([float(mapping.get(label, np.nan)) for label in spec.categories])
+        return lookup[codes]
+
     def take(self, indices) -> "Dataset":
         """Row subset (or reorder) preserving schema and category order."""
         idx = np.asarray(indices, dtype=np.int64)

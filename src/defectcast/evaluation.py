@@ -27,15 +27,14 @@ from .numerics import RandomStream
 from .recalibration import (
     Nfa,
     RecalibrationConfig,
-    init_nfa,
-    recalibrated_predict,
+    predict,
     train_recalibration,
+    units_for,
 )
 from .regression import (
     LinearModel,
     Quantification,
     back_transform_value,
-    model_predict,
     ols_fit,
     stepwise_fit,
 )
@@ -53,6 +52,7 @@ __all__ = [
     "GeneratorConfig",
     "mmre",
     "pred_at",
+    "raw_counts",
     "kfold_plan",
     "cross_validate",
     "random_split_experiment",
@@ -297,36 +297,12 @@ def _fit_plan_model(plan: ModelingPlan, ds: Dataset) -> LinearModel:
     )
 
 
-def _units_for(model: LinearModel, plan: ModelingPlan) -> list[Nfa]:
-    """One identity-initialized unit per categorical term of the model."""
-    quants = plan.quantification_map()
-    units = []
-    for variable, coding in model.codings.items():
-        quant = quants.get(variable)
-        if quant is None:
-            quant = Quantification(variable, dict(coding), source="initial")
-        units.append(init_nfa(quant))
-    return units
-
-
-def _raw(value: float, transform: str) -> float:
+def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
+    """Model-scale response values back on the count scale, element by
+    element through ``back_transform_value`` like the predictions."""
     if transform == "none":
-        return value
-    return back_transform_value(value, transform)
-
-
-def _row_inputs(data: Dataset, model: LinearModel, index: int) -> dict:
-    row = {}
-    for term in model.terms:
-        spec = data.spec(term.variable)
-        if spec.is_categorical:
-            label = data.labels(term.variable)[index]
-            if label is None:
-                raise DataError(f"missing value in {term.variable!r}")
-            row[term.variable] = label
-        else:
-            row[term.variable] = float(data.columns[term.variable][index])
-    return row
+        return values
+    return np.array([back_transform_value(v, transform) for v in values.tolist()])
 
 
 def _evaluate(
@@ -337,20 +313,12 @@ def _evaluate(
     indices: np.ndarray,
     plan: ModelingPlan,
 ) -> ExperimentRow:
-    transform = plan.response_transform
-    back = transform != "none"
-    y = data.columns[plan.response].astype(float)
-    actuals, base_preds, recal_preds = [], [], []
+    back = plan.response_transform != "none"
+    test = data.take(indices)
     quants = plan.quantification_map()
-    for i in indices:
-        row = _row_inputs(data, model, int(i))
-        actuals.append(_raw(float(y[i]), transform))
-        base_preds.append(model_predict(model, quants, row, back_transform=back))
-        recal_preds.append(
-            recalibrated_predict(
-                model, trained, row, back_transform=back, quantifications=quants
-            )
-        )
+    actuals = raw_counts(test.columns[plan.response], plan.response_transform)
+    base_preds = predict(model, test, quants, back_transform=back)
+    recal_preds = predict(model, test, quants, units=trained, back_transform=back)
     include_pred = len(indices) >= plan.min_test_for_pred
     base = _metrics(actuals, base_preds, plan.pred_thresholds, include_pred)
     recal = _metrics(actuals, recal_preds, plan.pred_thresholds, include_pred)
@@ -409,7 +377,7 @@ def _fit_and_recalibrate(
 ) -> tuple[LinearModel, list[Nfa]]:
     try:
         model = fixed_model if fixed_model is not None else _fit_plan_model(plan, train_ds)
-        units = _units_for(model, plan)
+        units = units_for(model, plan.quantification_map())
         if plan.recalibrate:
             trained, _ = train_recalibration(model, units, train_ds, plan.recalibration)
         else:

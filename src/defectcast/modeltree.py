@@ -230,7 +230,7 @@ def fit_model_tree(
         if spec.kind == "numeric":
             numeric_like[name] = data.columns[name].astype(float)
         elif name in quantifications:
-            numeric_like[name] = quantifications[name].values_for(data.labels(name))
+            numeric_like[name] = data.encode(name, quantifications[name].mapping)
         else:
             subset_only[name] = data.columns[name].astype(np.int64)
     leaf_predictors = [v for v in predictors if v in numeric_like]

@@ -43,23 +43,23 @@ from .evaluation import (
     ReferenceCoefficients,
     cross_validate,
     generate_synthetic,
+    mmre,
+    quantification_from_labels,
     random_split_experiment,
+    raw_counts,
     resubstitution_experiment,
 )
 from .modeltree import fit_model_tree
 from .recalibration import (
-    Nfa,
     RecalibrationConfig,
-    init_nfa,
-    recalibrated_predict,
+    predict,
     train_recalibration,
+    units_for,
 )
 from .regression import (
     LinearModel,
     Quantification,
-    back_transform_value,
     catreg_fit,
-    model_predict,
     ols_fit,
     stepwise_fit,
 )
@@ -483,15 +483,14 @@ def _initial_quantifications(
         if not spec.is_categorical:
             continue
         try:
-            mapping = {label: float(label) for label in spec.categories}
-        except ValueError:
+            quants[name] = quantification_from_labels(ds, name)
+        except DataError:
             if len(spec.categories) == 2 or name in scaling:
                 continue  # binary auto-coding, or optimal scaling will fill it
             raise ConfigError(
                 f"categorical candidate {name!r} has non-numeric labels; "
                 f"declare a scaling level for it"
             ) from None
-        quants[name] = Quantification(name, mapping, source="initial")
     return quants
 
 
@@ -722,39 +721,12 @@ def _load_fitted(cfg: PipelineConfig, out_dir: Path):
     return selected, quants
 
 
-def _units_for_model(model: LinearModel, quants: dict[str, Quantification]):
-    units = []
-    for variable, coding in model.codings.items():
-        quant = quants.get(variable)
-        if quant is None:
-            quant = Quantification(variable, dict(coding), source="initial")
-        units.append(init_nfa(quant))
-    return units
-
-
 def _resubstitution_mmre(model, units, quants, data, response_transform):
-    y = data.columns[model.response].astype(float)
     back = response_transform != "none"
-    base, recal, actual = [], [], []
-    for i in range(data.row_count):
-        row = {}
-        for term in model.terms:
-            spec = data.spec(term.variable)
-            if spec.is_categorical:
-                row[term.variable] = data.labels(term.variable)[i]
-            else:
-                row[term.variable] = float(data.columns[term.variable][i])
-        value = float(y[i])
-        actual.append(back_transform_value(value, response_transform) if back else value)
-        base.append(model_predict(model, quants, row, back_transform=back))
-        recal.append(
-            recalibrated_predict(model, units, row, back_transform=back, quantifications=quants)
-        )
-    a = np.array(actual)
-    return (
-        float(np.mean(np.abs(a - np.array(base)) / a)),
-        float(np.mean(np.abs(a - np.array(recal)) / a)),
-    )
+    actual = raw_counts(data.columns[model.response], response_transform)
+    base = predict(model, data, quants, back_transform=back)
+    recal = predict(model, data, quants, units=units, back_transform=back)
+    return mmre(actual, base), mmre(actual, recal)
 
 
 def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
@@ -764,7 +736,7 @@ def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
     selected, quants = _load_fitted(cfg, out_dir)
     transform = _response_transform(cfg, out_dir)
     fit_rows = listwise_complete(data, [cfg.response, *selected.variables])
-    units = _units_for_model(selected, quants)
+    units = units_for(selected, quants)
     trained, trace = train_recalibration(selected, units, fit_rows, cfg.recalibration)
     before, after = _resubstitution_mmre(selected, trained, quants, fit_rows, transform)
 

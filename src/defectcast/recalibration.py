@@ -12,6 +12,10 @@ model-scale predictions.  Membership (premise) parameters stay frozen;
 only consequents move.  With frozen premises the prediction is linear in
 the consequents, so the loss is a convex quadratic and the trained unit
 can be checked against a closed-form least-squares solve.
+
+``predict`` scores every row of a dataset in one array pass, with units
+(recalibrated) or without (baseline); ``model_predict`` and
+``recalibrated_predict`` are the one-row forms.
 """
 
 from __future__ import annotations
@@ -22,15 +26,17 @@ import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
-from .regression import LinearModel, Quantification, back_transform_value
+from .regression import LinearModel, Quantification, back_transform_value, row_value
 
 __all__ = [
     "Nfa",
     "RecalibrationConfig",
     "TrainingTrace",
     "init_nfa",
+    "units_for",
     "nfa_eval",
     "train_recalibration",
+    "predict",
     "recalibrated_predict",
     "trained_quantification",
 ]
@@ -175,19 +181,16 @@ def _categorical_terms(model: LinearModel) -> list[str]:
     return [t.variable for t in model.terms if t.variable in model.codings]
 
 
-def _term_inputs(model: LinearModel, ds: Dataset, variable: str) -> np.ndarray:
-    """Quantification values fed to a unit: fit-time coding of each label."""
-    mapping = model.codings[variable]
-    out = np.empty(ds.row_count)
-    for i, label in enumerate(ds.labels(variable)):
-        if label is None:
-            raise DataError(f"missing value in categorical variable {variable!r}")
-        if label not in mapping:
-            raise DataError(
-                f"no quantification value for category {label!r} of {variable!r}"
-            )
-        out[i] = mapping[label]
-    return out
+def units_for(model: LinearModel, quantifications: dict[str, Quantification]) -> list[Nfa]:
+    """One identity-initialized unit per categorical term of the model,
+    anchored at the supplied quantification or else the fit-time coding."""
+    units = []
+    for variable, coding in model.codings.items():
+        quant = quantifications.get(variable)
+        if quant is None:
+            quant = Quantification(variable, dict(coding), source="initial")
+        units.append(init_nfa(quant))
+    return units
 
 
 def train_recalibration(
@@ -236,7 +239,8 @@ def train_recalibration(
     sizes: dict[str, int] = {}
     for var in cat_terms:
         nfa = by_var[var]
-        strengths[var] = firing_strengths(nfa, _term_inputs(model, data, var))
+        # units see the fit-time coding of each label
+        strengths[var] = firing_strengths(nfa, data.encode(var, model.codings[var]))
         coeffs[var] = model.term(var).coefficient
         sizes[var] = len(nfa.input_anchors)
 
@@ -250,18 +254,18 @@ def train_recalibration(
     else:
         q = np.zeros(0)
 
-    def predict(params: np.ndarray) -> np.ndarray:
+    def fitted(params: np.ndarray) -> np.ndarray:
         out = base.copy()
         for var in cat_terms:
             out += coeffs[var] * (strengths[var] @ params[offsets[var]])
         return out
 
     def mse(params: np.ndarray) -> float:
-        r = predict(params) - y
+        r = fitted(params) - y
         return float(r @ r) / n
 
     def gradient(params: np.ndarray) -> np.ndarray:
-        r = predict(params) - y
+        r = fitted(params) - y
         g = np.empty_like(params)
         for var in cat_terms:
             g[offsets[var]] = (2.0 / n) * coeffs[var] * (strengths[var].T @ r)
@@ -333,24 +337,9 @@ def recalibrated_predict(
     then the model's fit-time codings.
     """
     by_var = {nfa.variable: nfa for nfa in nfas}
-    quantifications = quantifications or {}
     total = model.intercept
     for term in model.terms:
-        if term.variable not in row:
-            raise DataError(f"row is missing model variable {term.variable!r}")
-        raw = row[term.variable]
-        if isinstance(raw, str):
-            quant = quantifications.get(term.variable)
-            mapping = (
-                quant.mapping if quant is not None else model.codings.get(term.variable)
-            )
-            if mapping is None or raw not in mapping:
-                raise DataError(
-                    f"no quantification value for category {raw!r} of {term.variable!r}"
-                )
-            value = float(mapping[raw])
-        else:
-            value = float(raw)
+        value = row_value(model, quantifications, row, term.variable)
         if term.variable in model.codings:
             nfa = by_var.get(term.variable)
             if nfa is None:
@@ -361,6 +350,49 @@ def recalibrated_predict(
         total += term.coefficient * value
     if back_transform:
         return back_transform_value(total, model.response_transform)
+    return total
+
+
+def predict(
+    model: LinearModel,
+    ds: Dataset,
+    quantifications: dict[str, Quantification] | None = None,
+    units: list[Nfa] | None = None,
+    back_transform: bool = False,
+) -> np.ndarray:
+    """Predictions for every row of ``ds``, one array pass per model term.
+
+    Without ``units`` each element equals ``model_predict`` on that row;
+    with them, ``recalibrated_predict``.  The sum keeps the one-row order
+    (intercept, then each term in model order) and the back-transform runs
+    per element through ``back_transform_value``, so the two agree to the
+    bit.  Labels resolve through ``quantifications`` first, then the
+    model's fit-time codings.
+    """
+    quantifications = quantifications or {}
+    by_var = None if units is None else {nfa.variable: nfa for nfa in units}
+    total = np.full(ds.row_count, model.intercept)
+    for term in model.terms:
+        if ds.spec(term.variable).is_categorical:
+            quant = quantifications.get(term.variable)
+            mapping = (
+                quant.mapping if quant is not None else model.codings.get(term.variable, {})
+            )
+            values = ds.encode(term.variable, mapping)
+        else:
+            values = ds.columns[term.variable]
+        if by_var is not None and term.variable in model.codings:
+            nfa = by_var.get(term.variable)
+            if nfa is None:
+                raise DataError(
+                    f"missing recalibration unit for categorical term {term.variable!r}"
+                )
+            values = firing_strengths(nfa, values) @ np.array(nfa.consequents)
+        total = total + term.coefficient * values
+    if back_transform:
+        return np.array(
+            [back_transform_value(v, model.response_transform) for v in total.tolist()]
+        )
     return total
 
 

@@ -52,21 +52,6 @@ class Quantification:
             raise ConfigError(f"empty quantification for {self.variable!r}")
         object.__setattr__(self, "mapping", dict(self.mapping))
 
-    def values_for(self, labels: Sequence[str | None]) -> np.ndarray:
-        out = np.empty(len(labels))
-        for i, label in enumerate(labels):
-            if label is None:
-                out[i] = np.nan
-            else:
-                try:
-                    out[i] = self.mapping[label]
-                except KeyError:
-                    raise DataError(
-                        f"no quantification value for category {label!r} "
-                        f"of {self.variable!r}"
-                    ) from None
-        return out
-
 
 @dataclass(frozen=True)
 class ModelTerm:
@@ -197,17 +182,7 @@ def design_columns(
                 f"categories and no quantification"
             )
         codings[name] = mapping
-        labels = ds.labels(name)
-        vals = np.empty(ds.row_count)
-        for i, label in enumerate(labels):
-            if label is None:
-                raise DataError(f"missing value in categorical predictor {name!r}")
-            if label not in mapping:
-                raise DataError(
-                    f"no quantification value for category {label!r} of {name!r}"
-                )
-            vals[i] = mapping[label]
-        cols.append(vals)
+        cols.append(ds.encode(name, mapping))
     matrix = np.column_stack(cols) if cols else np.empty((ds.row_count, 0))
     return matrix, codings
 
@@ -598,6 +573,26 @@ def back_transform_value(value: float, transform: str) -> float:
     )
 
 
+def row_value(
+    model: LinearModel,
+    quantifications: dict[str, Quantification] | None,
+    row: dict,
+    variable: str,
+) -> float:
+    """Model-scale value of one term on one row: a number as given, a label
+    through ``quantifications`` first, then the model's fit-time codings."""
+    if variable not in row:
+        raise DataError(f"row is missing model variable {variable!r}")
+    raw = row[variable]
+    if not isinstance(raw, str):
+        return float(raw)
+    quant = (quantifications or {}).get(variable)
+    mapping = quant.mapping if quant is not None else model.codings.get(variable)
+    if mapping is None or raw not in mapping:
+        raise DataError(f"no quantification value for category {raw!r} of {variable!r}")
+    return float(mapping[raw])
+
+
 def model_predict(
     model: LinearModel,
     quantifications: dict[str, Quantification] | None,
@@ -612,23 +607,9 @@ def model_predict(
     ``back_transform`` the ln-scale prediction is exponentiated back to a
     raw count, which requires a log-transformed response.
     """
-    quantifications = quantifications or {}
     total = model.intercept
     for term in model.terms:
-        if term.variable not in row:
-            raise DataError(f"row is missing model variable {term.variable!r}")
-        raw = row[term.variable]
-        if isinstance(raw, str):
-            quant = quantifications.get(term.variable)
-            mapping = quant.mapping if quant is not None else model.codings.get(term.variable)
-            if mapping is None or raw not in mapping:
-                raise DataError(
-                    f"no quantification value for category {raw!r} of {term.variable!r}"
-                )
-            value = float(mapping[raw])
-        else:
-            value = float(raw)
-        total += term.coefficient * value
+        total += term.coefficient * row_value(model, quantifications, row, term.variable)
     if back_transform:
         return back_transform_value(total, model.response_transform)
     return total

@@ -537,3 +537,23 @@ class TestPlanValidation:
     def test_rejects_bad_pred_minimum(self):
         with pytest.raises(ConfigError):
             ModelingPlan(response="y", predictors=("x",), min_test_for_pred=0)
+
+
+class TestColumnarScoring:
+    def test_label_decoding_does_not_grow_with_rows(self, monkeypatch):
+        # scoring one row at a time decoded a whole column per row (O(n^2))
+        calls = []
+        original = Dataset.labels
+
+        def counting(self, name):
+            calls.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(Dataset, "labels", counting)
+        per_size = []
+        for n in (64, 500):
+            ds = generate_synthetic(GeneratorConfig(n=n), 7)
+            del calls[:]
+            cross_validate(ds, standard_plan(ds), 4, 11)
+            per_size.append(len(calls))
+        assert per_size[0] == per_size[1]

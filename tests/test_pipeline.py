@@ -1,8 +1,10 @@
 """Config loading, stage orchestration, CLI exit codes, report invariants."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from defectcast._errors import ConfigError, DataError
@@ -257,6 +259,34 @@ class TestPipelineRun:
         assert (tmp_path / "mono" / "model.json").read_bytes() == (
             tmp_path / "staged" / "model.json"
         ).read_bytes()
+
+    def test_recalibration_resubstitution_matches_evaluate(self, tmp_path):
+        report = run_pipeline(load_config(REPO_FIXTURE, out_override=str(tmp_path / "out")))
+        recal = report["recalibration"]["resubstitution_mmre"]
+        resub = report["resubstitution"]["averages"]
+        assert recal["baseline"] == resub["baseline_mmre"]
+        assert recal["recalibrated"] == resub["recalibrated_mmre"]
+        assert recal["improvement_pct"] == resub["improvement_pct"]
+
+    def test_zero_count_under_ln1p_is_a_data_error(self, tmp_path):
+        # ln1p admits zero counts, but relative error against a zero actual
+        # is undefined; recalibrate used to report Infinity/NaN here
+        rng = np.random.default_rng(120)
+        lines = ["defects,fp,dev_type"]
+        for i in range(120):
+            fp = round(math.exp(rng.normal(5.0, 0.8)), 1)
+            kind = "Enhancement" if i % 3 == 0 else "New Development"
+            mean = 0.05 * fp * (0.4 if kind == "Enhancement" else 1.0)
+            defects = 0 if i in (17, 90) else max(1, round(mean * math.exp(rng.normal(0, 0.3))))
+            lines.append(f"{defects},{fp},{kind}")
+        data = tmp_path / "proj.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = csv_config(data)
+        config["schema"][0]["transform"] = "ln1p"
+        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        with pytest.raises(DataError, match="^step 'recalibrate': nonpositive actual value"):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "recalibration.json").exists()
 
     def test_synth_then_fit_reproduces_model_file(self, tmp_path):
         run_pipeline(load_small(tmp_path, out="mono"))

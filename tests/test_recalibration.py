@@ -15,9 +15,11 @@ from defectcast.recalibration import (
     firing_strengths,
     init_nfa,
     nfa_eval,
+    predict,
     recalibrated_predict,
     train_recalibration,
     trained_quantification,
+    units_for,
 )
 from defectcast.regression import Quantification, model_predict, ols_fit
 
@@ -341,6 +343,96 @@ class TestRecalibratedPredict:
         via_label = recalibrated_predict(model, trained, {"x": 0.0, "vaf": "1.00"})
         via_value = recalibrated_predict(model, trained, {"x": 0.0, "vaf": 1.00})
         assert via_label == via_value
+
+
+def _mixed_setup(transform, seed=53, n=80):
+    """Numeric, binary (0/1 coded) and quantified categorical terms on a
+    positive count response; returns (model, quants, trained units, ds)."""
+    rng = np.random.default_rng(seed)
+    vaf_labels = ["0.65", "1.00", "1.35"]
+    kinds = ["base", "extra"]
+    vaf_codes = rng.integers(0, 3, n)
+    kind_codes = rng.integers(0, 2, n)
+    x = rng.normal(0.0, 1.0, n)
+    vaf = np.array([float(vaf_labels[c]) for c in vaf_codes])
+    shift = np.where(vaf_codes == 1, 0.4, 0.0)  # gives the units something to learn
+    ln_y = 0.5 + 0.6 * x + 1.5 * vaf + shift - 0.7 * kind_codes + rng.normal(0, 0.2, n)
+    counts = np.rint(np.exp(ln_y)) + 1.0
+    y = np.log(counts) if transform == "ln" else np.log1p(counts)
+    schema = [
+        VariableSpec("y", "response", "numeric"),
+        VariableSpec("x", "predictor", "numeric"),
+        VariableSpec("kind", "predictor", "binary", categories=tuple(kinds)),
+        VariableSpec("vaf", "predictor", "categorical", categories=tuple(vaf_labels)),
+    ]
+    cols = {
+        "y": y.tolist(),
+        "x": x.tolist(),
+        "kind": [kinds[c] for c in kind_codes],
+        "vaf": [vaf_labels[c] for c in vaf_codes],
+    }
+    ds = make_dataset(cols, schema)
+    quants = {"vaf": Quantification("vaf", {lab: float(lab) for lab in vaf_labels})}
+    model = ols_fit(ds, "y", ["x", "kind", "vaf"], quants, response_transform=transform)
+    trained, _ = train_recalibration(model, units_for(model, quants), ds)
+    return model, quants, trained, ds
+
+
+class TestBatchPredict:
+    @pytest.mark.parametrize("transform", ["ln", "ln1p"])
+    @pytest.mark.parametrize("back", [False, True])
+    def test_equals_one_row_wrappers_exactly(self, transform, back):
+        model, quants, trained, ds = _mixed_setup(transform)
+        assert [u.variable for u in trained] == ["kind", "vaf"]
+        assert any(u.consequents != u.input_anchors for u in trained)
+        base = predict(model, ds, quants, back_transform=back)
+        recal = predict(model, ds, quants, units=trained, back_transform=back)
+        kind, vaf = ds.labels("kind"), ds.labels("vaf")
+        for i in range(ds.row_count):
+            row = {"x": float(ds.columns["x"][i]), "kind": kind[i], "vaf": vaf[i]}
+            assert base[i] == model_predict(model, quants, row, back_transform=back)
+            assert recal[i] == recalibrated_predict(
+                model, trained, row, back_transform=back, quantifications=quants
+            )
+        assert not np.array_equal(base, recal)
+
+    def test_untrained_units_equal_baseline(self):
+        model, quants, _, ds = _mixed_setup("ln")
+        base = predict(model, ds, quants)
+        assert np.array_equal(predict(model, ds, quants, units=units_for(model, quants)), base)
+
+    def test_missing_unit_raises(self):
+        model, quants, trained, ds = _mixed_setup("ln")
+        with pytest.raises(DataError, match="missing recalibration unit.*'vaf'"):
+            predict(model, ds, quants, units=trained[:1])
+
+    def test_unmapped_category_message_matches_one_row_path(self):
+        model, _, _, ds = _mixed_setup("ln")
+        partial = {"vaf": Quantification("vaf", {"0.65": 0.65, "1.35": 1.35})}
+        with pytest.raises(DataError) as one_row:
+            model_predict(model, partial, {"x": 0.0, "kind": "base", "vaf": "1.00"})
+        with pytest.raises(DataError) as batch:
+            predict(model, ds, partial)
+        assert str(batch.value) == str(one_row.value)
+        assert str(batch.value) == "no quantification value for category '1.00' of 'vaf'"
+
+    def test_missing_category_raises(self):
+        model, quants, _, ds = _mixed_setup("ln")
+        vaf = ds.labels("vaf")
+        vaf[3] = ""
+        holed = make_dataset(
+            {
+                "y": ds.columns["y"].tolist(),
+                "x": ds.columns["x"].tolist(),
+                "kind": ds.labels("kind"),
+                "vaf": vaf,
+            },
+            ds.schema,
+        )
+        with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
+            predict(model, holed, quants)
+        with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
+            holed.encode("vaf", quants["vaf"].mapping)
 
 
 class TestTrainedQuantification:
