@@ -11,6 +11,23 @@ time until the fit succeeds.
 
 Node spread is the population standard deviation, which makes the
 reduction score of every candidate split nonnegative.
+
+Split search runs in two steps per node.  ``_split_scan`` scores every
+candidate of one predictor in a single pass: it stable-sorts the rows by a
+split key (the predictor's value, or a category's rank in the mean-response
+order, so a subset prefix is a threshold on the rank), takes prefix sums of
+the mean-centered response and its square, and reads each child's variance
+off the sums at the boundary ``np.searchsorted(sorted_key, bound, "left")``,
+which counts ``key < bound`` exactly.  With each score it returns a rounding
+bound ``err`` that covers both the prefix-sum arithmetic and the two-pass
+``_pop_sd`` arithmetic of scoring that split on its row masks.  Only
+candidates that can reach the node's best lower bound ``max(score - err)``
+are then rescored exactly, by ``_pop_sd`` on masks, in the exhaustive
+order (predictors as given, thresholds ascending, prefixes shortest first)
+with a strict ``>`` against 0.0.  Every split that attains the exhaustive
+maximum survives the shortlist, so the chosen split and its
+``sd_reduction`` are bit-identical to scoring every candidate on masks,
+while the exact work per node no longer grows with its row count.
 """
 
 from __future__ import annotations
@@ -28,6 +45,7 @@ from .regression import (
     back_transform_value,
     model_predict,
     ols_fit,
+    row_value,
 )
 
 __all__ = ["TreeNode", "ModelTree", "fit_model_tree", "predict_tree"]
@@ -139,10 +157,66 @@ class ModelTree:
         return "\n".join(lines) + "\n"
 
 
-def _split_candidates_numeric(values: np.ndarray):
-    """Midpoints between consecutive distinct values, ascending."""
-    distinct = np.unique(values)
-    return [(distinct[i] + distinct[i + 1]) / 2.0 for i in range(distinct.size - 1)]
+_U = np.finfo(float).eps / 2.0  # unit roundoff of float64
+
+
+def _split_scan(key, bounds, y, node_sd, min_leaf_size):
+    """Score every split ``key < bound`` of one node from one sorted scan.
+
+    Returns ``(cand, nl, score, err)`` for the bounds that leave at least
+    ``min_leaf_size`` rows on each side: their positions in ``bounds``, left
+    counts, sd reductions from prefix sums, and bounds with
+    ``|score - exact| <= err``, where ``exact`` is the reduction that
+    ``_pop_sd`` on the split's row masks computes.  A NaN bound is dropped,
+    as ``key < nan`` leaves no row on the left.
+
+    The bound is first order in the unit roundoff u with gamma = (n+3)u /
+    (1 - (n+3)u) covering any summation over the node, doubled to cover
+    the second-order terms while n*u is small.  For a child of k rows with
+    q = sum(c^2)/k over the node's centered responses c, P = sum|c| and
+    ymax = max|y|, the prefix-sum variance is off the true one by at most
+    dva = (3 gamma + 7u) q + e1 (2 sqrt(q) + e1), e1 = 3 gamma P/k + u sqrt(q)
+    (centering, sums, the mean and its square, the subtraction), and the
+    two-pass variance by at most dve = b^2 + gamma (v + dva + b^2) with
+    b = gamma ymax the error of its uncentered mean.  The two variances
+    then differ by d <= dva + dve, so their square roots differ by at most
+    d / sqrt(max(v, d)): the usual d / sqrt(v), and sqrt(d) from
+    |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) when a child is nearly constant.
+    """
+    n = key.size
+    order = np.argsort(key, kind="stable")
+    nl = np.searchsorted(key[order], bounds, side="left")
+    cand = np.flatnonzero(
+        (nl >= min_leaf_size) & (n - nl >= min_leaf_size) & ~np.isnan(bounds)
+    )
+    nl = nl[cand]
+    nr = n - nl
+    c = (y - y.mean())[order]
+    s1 = np.concatenate(([0.0], np.cumsum(c)))
+    s2 = np.concatenate(([0.0], np.cumsum(c * c)))
+
+    gamma = (n + 3) * _U / (1.0 - (n + 3) * _U)
+    spread, abs_sum = s2[-1], float(np.abs(c).sum())
+    b = gamma * float(np.abs(y).max())
+
+    def child(k, sum1, sum2):
+        mean = sum1 / k
+        v = np.maximum(sum2 / k - mean * mean, 0.0)
+        q = spread / k
+        e1 = 3.0 * gamma * abs_sum / k + _U * np.sqrt(q)
+        dva = (3.0 * gamma + 7.0 * _U) * q + e1 * (2.0 * np.sqrt(q) + e1)
+        d = dva + b * b + gamma * (v + dva + b * b)
+        sd = np.sqrt(v)
+        return sd, d / np.sqrt(np.maximum(v, d)) + _U * (2.0 * sd + np.sqrt(d))
+
+    sd_l, err_l = child(nl, s1[nl], s2[nl])
+    sd_r, err_r = child(nr, s1[-1] - s1[nl], s2[-1] - s2[nl])
+    wl, wr = nl / n, nr / n
+    score = node_sd - (wl * sd_l + wr * sd_r)
+    err = 2.0 * (
+        wl * err_l + wr * err_r + 8.0 * _U * (node_sd + wl * sd_l + wr * sd_r)
+    )
+    return cand, nl, score, err
 
 
 def _category_order(codes: np.ndarray, y: np.ndarray) -> list[int]:
@@ -253,48 +327,53 @@ def fit_model_tree(
             )
             return TreeNode(n=node_n, sd=node_sd, model=model)
 
-        if node_sd < sd_floor or node_n < 2 * min_leaf_size:
+        # node_sd == 0 admits no positive reduction (child sds are >= 0)
+        if node_sd < sd_floor or node_sd == 0.0 or node_n < 2 * min_leaf_size:
             return leaf()
 
-        best_sdr = 0.0
-        best = None  # (variable, threshold, left_labels, right_labels, mask)
+        scans = []  # (name, key, bounds, category order, cand, nl, score + err)
+        floor = -np.inf  # the best lower bound max(score - err) over predictors
         for name in predictors:
             if name in numeric_like:
-                vals = numeric_like[name][indices]
-                for threshold in _split_candidates_numeric(vals):
-                    mask = vals < threshold
-                    nl = int(mask.sum())
-                    nr = node_n - nl
-                    if nl < min_leaf_size or nr < min_leaf_size:
-                        continue
-                    sdr = node_sd - (
-                        nl / node_n * _pop_sd(y_node[mask])
-                        + nr / node_n * _pop_sd(y_node[~mask])
-                    )
-                    if sdr > best_sdr:
-                        best_sdr = sdr
-                        best = (name, float(threshold), None, None, mask)
+                key = numeric_like[name][indices]
+                distinct = np.unique(key)
+                bounds = (distinct[:-1] + distinct[1:]) / 2.0
+                order = None
             else:
                 codes = subset_only[name][indices]
                 order = _category_order(codes, y_node)
-                spec = data.spec(name)
-                for j in range(1, len(order)):
-                    left_codes = order[:j]
-                    mask = np.isin(codes, left_codes)
-                    nl = int(mask.sum())
-                    nr = node_n - nl
-                    if nl < min_leaf_size or nr < min_leaf_size:
-                        continue
-                    sdr = node_sd - (
-                        nl / node_n * _pop_sd(y_node[mask])
-                        + nr / node_n * _pop_sd(y_node[~mask])
-                    )
-                    if sdr > best_sdr:
-                        left_labels = tuple(spec.categories[c] for c in sorted(left_codes))
-                        right_labels = tuple(
-                            spec.categories[c] for c in sorted(set(order) - set(left_codes))
-                        )
-                        best_sdr = sdr
+                rank = np.zeros(len(data.spec(name).categories), dtype=np.int64)
+                rank[order] = np.arange(len(order))
+                key = rank[codes]
+                bounds = np.arange(1, len(order))
+            cand, nls, score, err = _split_scan(key, bounds, y_node, node_sd, min_leaf_size)
+            high, low = score + err, score - err
+            # keep only what can reach this predictor's best lower bound; a NaN
+            # score (non-finite responses) compares False and is kept
+            best_low = low.max(initial=-np.inf)
+            near = ~(high < best_low)
+            scans.append((name, key, bounds, order, cand[near], nls[near], high[near]))
+            floor = np.maximum(floor, best_low)  # NaN propagates
+
+        best_sdr = 0.0
+        best = None  # (variable, threshold, left_labels, right_labels, mask)
+        for name, key, bounds, order, cand, nls, high in scans:
+            keep = ~((high < floor) | (high <= 0.0))
+            for i, nl in zip(cand[keep].tolist(), nls[keep].tolist()):
+                mask = key < bounds[i]
+                nr = node_n - nl
+                sdr = node_sd - (
+                    nl / node_n * _pop_sd(y_node[mask])
+                    + nr / node_n * _pop_sd(y_node[~mask])
+                )
+                if sdr > best_sdr:
+                    best_sdr = sdr
+                    if order is None:
+                        best = (name, float(bounds[i]), None, None, mask)
+                    else:
+                        categories = data.spec(name).categories
+                        left_labels = tuple(categories[c] for c in sorted(order[: bounds[i]]))
+                        right_labels = tuple(categories[c] for c in sorted(order[bounds[i] :]))
                         best = (name, None, left_labels, right_labels, mask)
 
         if best is None:
@@ -333,39 +412,30 @@ def predict_tree(
 
     Split variables are read from ``row`` as numeric values (numeric or
     quantified columns) or labels (subset splits).  Labels unseen at a
-    subset split raise DataError.
+    subset split and missing values (None or NaN) raise DataError.
     """
     quantifications = quantifications or {}
     node = tree.root
     while not node.is_leaf:
         if node.variable not in row:
             raise DataError(f"row is missing split variable {node.variable!r}")
-        raw = row[node.variable]
         if node.threshold is not None:
-            if isinstance(raw, str):
-                quant = quantifications.get(node.variable)
-                if quant is None or raw not in quant.mapping:
-                    raise DataError(
-                        f"no quantification value for category {raw!r} "
-                        f"of {node.variable!r}"
-                    )
-                value = float(quant.mapping[raw])
-            else:
-                value = float(raw)
+            value = row_value({}, quantifications, row, node.variable)
             node = node.left if value < node.threshold else node.right
+            continue
+        raw = row[node.variable]
+        if not isinstance(raw, str):
+            raise DataError(
+                f"split on {node.variable!r} needs a category label, got {raw!r}"
+            )
+        if raw in node.left_labels:
+            node = node.left
+        elif raw in node.right_labels:
+            node = node.right
         else:
-            if not isinstance(raw, str):
-                raise DataError(
-                    f"split on {node.variable!r} needs a category label, got {raw!r}"
-                )
-            if raw in node.left_labels:
-                node = node.left
-            elif raw in node.right_labels:
-                node = node.right
-            else:
-                raise DataError(
-                    f"category {raw!r} of {node.variable!r} was not seen at this split"
-                )
+            raise DataError(
+                f"category {raw!r} of {node.variable!r} was not seen at this split"
+            )
     value = model_predict(node.model, quantifications, row, back_transform=False)
     if back_transform:
         return back_transform_value(value, tree.response_transform)

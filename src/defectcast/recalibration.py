@@ -339,7 +339,7 @@ def recalibrated_predict(
     by_var = {nfa.variable: nfa for nfa in nfas}
     total = model.intercept
     for term in model.terms:
-        value = row_value(model, quantifications, row, term.variable)
+        value = row_value(model.codings, quantifications, row, term.variable)
         if term.variable in model.codings:
             nfa = by_var.get(term.variable)
             if nfa is None:

@@ -574,20 +574,23 @@ def back_transform_value(value: float, transform: str) -> float:
 
 
 def row_value(
-    model: LinearModel,
+    codings: dict[str, dict[str, float]],
     quantifications: dict[str, Quantification] | None,
     row: dict,
     variable: str,
 ) -> float:
-    """Model-scale value of one term on one row: a number as given, a label
-    through ``quantifications`` first, then the model's fit-time codings."""
+    """Model-scale value of one variable on one row: a number as given, a
+    label through ``quantifications`` first, then ``codings`` (a model's
+    fit-time codings).  A missing value, None or NaN, raises DataError."""
     if variable not in row:
         raise DataError(f"row is missing model variable {variable!r}")
     raw = row[variable]
     if not isinstance(raw, str):
+        if raw is None or math.isnan(raw):
+            raise DataError(f"missing value for variable {variable!r}")
         return float(raw)
     quant = (quantifications or {}).get(variable)
-    mapping = quant.mapping if quant is not None else model.codings.get(variable)
+    mapping = quant.mapping if quant is not None else codings.get(variable)
     if mapping is None or raw not in mapping:
         raise DataError(f"no quantification value for category {raw!r} of {variable!r}")
     return float(mapping[raw])
@@ -609,7 +612,9 @@ def model_predict(
     """
     total = model.intercept
     for term in model.terms:
-        total += term.coefficient * row_value(model, quantifications, row, term.variable)
+        total += term.coefficient * row_value(
+            model.codings, quantifications, row, term.variable
+        )
     if back_transform:
         return back_transform_value(total, model.response_transform)
     return total

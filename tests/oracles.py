@@ -220,3 +220,110 @@ def best_split_brute_force(columns, kinds, y, min_leaf):
                 if sdr > best[2]:
                     best = (name, tuple(sorted(left_codes)), sdr)
     return best
+
+
+def model_tree_by_mask_loop(
+    ds, response, predictors, quantifications=None, min_leaf_size=None,
+    sd_fraction=0.05, response_transform="none",
+):
+    """Model tree grown by scoring every candidate split on its row masks.
+
+    The split search of ``defectcast.modeltree.fit_model_tree`` before it
+    moved to a sorted prefix-sum scan: every midpoint and every category
+    prefix builds a boolean mask and scores both children with a two-pass
+    population sd, O(n^2) per node.  Leaves are fitted with the package's
+    own ``_leaf_fit``, so the trees compare with ``==``.
+    """
+    from defectcast.dataset import listwise_complete
+    from defectcast.modeltree import ModelTree, TreeNode, _leaf_fit
+
+    def pop_sd(values):
+        return float(np.sqrt(np.mean((values - values.mean()) ** 2)))
+
+    def category_order(codes, y):
+        present = np.unique(codes)
+        means = sorted((float(y[codes == c].mean()), int(c)) for c in present)
+        return [c for _, c in means]
+
+    quantifications = quantifications or {}
+    data = listwise_complete(ds, [response] + list(predictors))
+    n = data.row_count
+    if min_leaf_size is None:
+        min_leaf_size = max(4, math.ceil(0.1 * n))
+    y = data.columns[response].astype(float)
+    numeric_like, subset_only = {}, {}
+    for name in predictors:
+        if data.spec(name).kind == "numeric":
+            numeric_like[name] = data.columns[name].astype(float)
+        elif name in quantifications:
+            numeric_like[name] = data.encode(name, quantifications[name].mapping)
+        else:
+            subset_only[name] = data.columns[name].astype(np.int64)
+    leaf_predictors = [v for v in predictors if v in numeric_like]
+    sd_floor = sd_fraction * pop_sd(y)
+
+    def grow(indices):
+        y_node = y[indices]
+        node_n = indices.size
+        node_sd = pop_sd(y_node)
+
+        def leaf():
+            model = _leaf_fit(
+                data.take(indices),
+                response,
+                {v: numeric_like[v][indices] for v in leaf_predictors},
+                quantifications,
+                response_transform,
+            )
+            return TreeNode(n=node_n, sd=node_sd, model=model)
+
+        if node_sd < sd_floor or node_n < 2 * min_leaf_size:
+            return leaf()
+        best_sdr, best = 0.0, None
+        for name in predictors:
+            if name in numeric_like:
+                vals = numeric_like[name][indices]
+                distinct = np.unique(vals)
+                splits = [
+                    (vals < t, (float(t), None, None))
+                    for t in [(distinct[i] + distinct[i + 1]) / 2.0
+                              for i in range(distinct.size - 1)]
+                ]
+            else:
+                codes = subset_only[name][indices]
+                order = category_order(codes, y_node)
+                cats = data.spec(name).categories
+                splits = [
+                    (np.isin(codes, order[:j]), (
+                        None,
+                        tuple(cats[c] for c in sorted(order[:j])),
+                        tuple(cats[c] for c in sorted(order[j:])),
+                    ))
+                    for j in range(1, len(order))
+                ]
+            for mask, split in splits:
+                nl = int(mask.sum())
+                nr = node_n - nl
+                if nl < min_leaf_size or nr < min_leaf_size:
+                    continue
+                sdr = node_sd - (
+                    nl / node_n * pop_sd(y_node[mask])
+                    + nr / node_n * pop_sd(y_node[~mask])
+                )
+                if sdr > best_sdr:
+                    best_sdr, best = sdr, (name, split, mask)
+        if best is None:
+            return leaf()
+        name, (threshold, left_labels, right_labels), mask = best
+        return TreeNode(
+            n=node_n, sd=node_sd, variable=name, threshold=threshold,
+            left_labels=left_labels, right_labels=right_labels,
+            sd_reduction=best_sdr,
+            left=grow(indices[mask]), right=grow(indices[~mask]),
+        )
+
+    return ModelTree(
+        response=response, response_transform=response_transform,
+        predictors=tuple(predictors), root=grow(np.arange(n)),
+        min_leaf_size=min_leaf_size, sd_floor=sd_floor,
+    )

@@ -1,12 +1,16 @@
 """Model-tree growth against a brute-force split oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectcast._errors import ConfigError, DataError
 from defectcast.dataset import VariableSpec
+from defectcast import modeltree
 from defectcast.modeltree import fit_model_tree, predict_tree
 from defectcast.regression import Quantification, ols_fit
 
@@ -264,6 +268,14 @@ class TestTreeApi:
         with pytest.raises(DataError, match="missing split variable"):
             predict_tree(tree, {"g": "a"})
 
+    @pytest.mark.parametrize("missing", [None, math.nan])
+    def test_missing_value_at_threshold_split(self, missing):
+        # None raised TypeError from float(); NaN routed right and predicted NaN
+        tree = self._tree()
+        assert tree.root.variable == "x" and tree.root.threshold is not None
+        with pytest.raises(DataError, match="missing value for variable 'x'"):
+            predict_tree(tree, {"x": missing, "g": "a"})
+
     def test_unseen_category_at_subset_split(self):
         rng = np.random.default_rng(23)
         n = 60
@@ -308,3 +320,166 @@ class TestTreeApi:
                             numeric_schema("y", "x"))]
         with pytest.raises(ConfigError, match="sd_fraction"):
             fit_model_tree(ds, "y", ["x"], sd_fraction=1.5)
+
+
+def _x_column(rng, kind, n):
+    if kind == "ties":
+        return rng.integers(0, 6, n).astype(float)
+    if kind == "adjacent":
+        # adjacent floats: every midpoint rounds onto one of its two ends
+        ladder = [1.0]
+        for _ in range(7):
+            ladder.append(float(np.nextafter(ladder[-1], 2.0)))
+        return np.array(ladder)[rng.integers(0, len(ladder), n)]
+    return rng.uniform(0.0, 10.0, n)
+
+
+def _y_column(rng, kind, x):
+    step = np.where(x < np.median(x), 0.0, 3.0)
+    if kind == "offset":
+        return 1e6 + step + rng.normal(0.0, 1e-3, x.size)
+    if kind == "flat":
+        # children with zero or nearly zero variance
+        return step + rng.choice([0.0, 1e-13], x.size)
+    return step + 0.5 * x + rng.normal(0.0, 1.0, x.size)
+
+
+@st.composite
+def tree_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 90))
+    x_kind = draw(st.sampled_from(["uniform", "ties", "adjacent"]))
+    y_kind = draw(st.sampled_from(["noise", "offset", "flat"]))
+    x1 = _x_column(rng, x_kind, n)
+    # x2 duplicates x1 now and then, so equal scores tie across predictors
+    x2 = x1.copy() if draw(st.booleans()) else _x_column(rng, x_kind, n)
+    y = _y_column(rng, y_kind, x1)
+    labels = ["a", "b", "c", "d"]
+    g = rng.integers(0, 4, n)
+    h = rng.integers(0, 3, n)
+    y = y + np.array([0.0, 0.0, 1.0, 2.0])[g]
+    columns = {
+        "y": y.tolist(), "x1": x1.tolist(), "x2": x2.tolist(),
+        "g": [labels[c] for c in g], "h": [labels[c] for c in h],
+    }
+    schema = [
+        VariableSpec("y", "response", "numeric"),
+        VariableSpec("x1", "predictor", "numeric"),
+        VariableSpec("x2", "predictor", "numeric"),
+        VariableSpec("g", "predictor", "categorical", categories=tuple(labels)),
+        VariableSpec("h", "predictor", "categorical", categories=tuple(labels[:3])),
+    ]
+    predictors = draw(st.permutations(["x1", "x2", "g", "h"]))
+    # h is quantified (threshold splits), g is subset-only
+    quant = {"h": Quantification("h", {"a": 0.5, "b": 1.0, "c": 1.0})}
+    # min_leaf_size at the boundary: n // 2 leaves exactly one legal size
+    leaf = draw(st.sampled_from([None, 2, 3, max(2, n // 2), max(2, (n + 1) // 2)]))
+    return make_dataset(columns, schema), list(predictors), quant, leaf
+
+
+class TestScanMatchesMaskLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(tree_cases())
+    def test_tree_identical_to_mask_loop(self, case):
+        ds, predictors, quant, leaf = case
+        got = fit_model_tree(ds, "y", predictors, quant, min_leaf_size=leaf)
+        want = oracles.model_tree_by_mask_loop(
+            ds, "y", predictors, quant, min_leaf_size=leaf
+        )
+        assert got.to_dict() == want.to_dict()
+
+    def test_adjacent_float_midpoints_land_on_endpoints(self):
+        a = 1.0
+        b = float(np.nextafter(a, 2.0))
+        c = float(np.nextafter(b, 2.0))
+        # ties round to even: the first midpoint falls on a, the second on c
+        assert ((a + b) / 2.0, (b + c) / 2.0) == (a, c)
+        x = [a] * 6 + [b] * 6 + [c] * 8
+        y = [0.0] * 6 + [0.1] * 6 + [5.0] * 8
+        ds = make_dataset({"y": y, "x": x}, numeric_schema("y", "x"))
+        tree = fit_model_tree(ds, "y", ["x"], min_leaf_size=2)
+        want = oracles.model_tree_by_mask_loop(ds, "y", ["x"], min_leaf_size=2)
+        assert tree.to_dict() == want.to_dict()
+        # "x < c" puts a and b left; "x < a" (the other midpoint) is empty
+        assert tree.root.threshold == c
+        assert (tree.root.left.n, tree.root.right.n) == (12, 8)
+
+    def test_nan_predictor_values_route_right(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        x = rng.uniform(0.0, 10.0, n)
+        x[::7] = math.nan
+        # x < nan is False, so no split can put the NaN rows alone on the left
+        # even though they differ most from the rest
+        y = np.where(np.isnan(x), 9.0, np.where(x < 5.0, 0.0, 1.0))
+        y = y + rng.normal(0.0, 0.1, n)
+        ds = make_dataset({"y": y.tolist(), "x": x.tolist()}, numeric_schema("y", "x"))
+        tree = fit_model_tree(ds, "y", ["x"], min_leaf_size=4)
+        want = oracles.model_tree_by_mask_loop(ds, "y", ["x"], min_leaf_size=4)
+        assert tree.to_dict() == want.to_dict()
+
+
+class TestScanErrorBound:
+    @pytest.mark.parametrize("kind", ["offset", "flat", "huge", "skewed"])
+    def test_err_bounds_every_candidate(self, kind):
+        # |scan score - mask score| <= err is what makes the shortlist exact
+        rng = np.random.default_rng(37)
+        for n in (12, 300, 2500):
+            x = rng.integers(0, 40, n).astype(float) if kind == "flat" else rng.uniform(0, 10, n)
+            step = np.where(x < 5.0, 0.0, 3.0)
+            y = {
+                "offset": 1e6 + step + rng.normal(0.0, 1e-3, n),
+                "flat": step + rng.choice([0.0, 1e-13], n),
+                "huge": 1e12 + 1e8 * rng.normal(size=n),
+                "skewed": np.exp(rng.normal(0.0, 3.0, n)),
+            }[kind]
+            distinct = np.unique(x)
+            bounds = (distinct[:-1] + distinct[1:]) / 2.0
+            node_sd = modeltree._pop_sd(y)
+            cand, nls, score, err = modeltree._split_scan(x, bounds, y, node_sd, 2)
+            assert cand.size > 0
+            for i, nl, approx, bound in zip(cand, nls, score, err):
+                mask = x < bounds[i]
+                exact = node_sd - (
+                    nl / n * modeltree._pop_sd(y[mask])
+                    + (n - nl) / n * modeltree._pop_sd(y[~mask])
+                )
+                assert abs(approx - exact) <= bound
+
+
+class TestSplitSearchCost:
+    def test_exact_rechecks_per_node_do_not_grow_with_rows(self, monkeypatch):
+        # scoring every midpoint on masks ran two _pop_sd per candidate (O(n^2))
+        calls = []
+        original = modeltree._pop_sd
+
+        def counting(values):
+            calls.append(values.size)
+            return original(values)
+
+        monkeypatch.setattr(modeltree, "_pop_sd", counting)
+        per_node = []
+        for n in (500, 4000):
+            rng = np.random.default_rng(29)
+            x1 = rng.uniform(0.0, 10.0, n)
+            x2 = rng.uniform(0.0, 10.0, n)
+            g = rng.integers(0, 4, n)
+            y = (np.where(x1 < 5.0, 0.0, 4.0) + 0.3 * x2
+                 + np.array([0.0, 0.5, 1.0, 2.0])[g] + rng.normal(0.0, 0.5, n))
+            ds = make_dataset(
+                {"y": y.tolist(), "x1": x1.tolist(), "x2": x2.tolist(),
+                 "g": ["abcd"[c] for c in g]},
+                [
+                    VariableSpec("y", "response", "numeric"),
+                    VariableSpec("x1", "predictor", "numeric"),
+                    VariableSpec("x2", "predictor", "numeric"),
+                    VariableSpec("g", "predictor", "categorical", categories=tuple("abcd")),
+                ],
+            )
+            del calls[:]
+            tree = fit_model_tree(ds, "y", ["x1", "x2", "g"])
+            nodes = collect_nodes(tree.root)
+            # one _pop_sd for the root sd, one per node for its own sd
+            rechecks = len(calls) - 1 - len(nodes)
+            per_node.append(rechecks / len(nodes))
+        assert per_node[1] <= per_node[0] <= 4.0

@@ -337,6 +337,14 @@ class TestRecalibratedPredict:
         with pytest.raises(DataError, match="missing recalibration unit"):
             recalibrated_predict(model, [], {"x": 0.0, "vaf": "1.00"})
 
+    @pytest.mark.parametrize("missing", [None, math.nan])
+    @pytest.mark.parametrize("variable", ["x", "vaf"])
+    def test_missing_value_names_variable(self, variable, missing):
+        model, nfas, _, _ = _training_setup()
+        row = {"x": 0.0, "vaf": "1.00", variable: missing}
+        with pytest.raises(DataError, match=f"missing value for variable '{variable}'"):
+            recalibrated_predict(model, nfas, row)
+
     def test_numeric_input_routed_through_unit(self):
         model, nfas, _, quant = _training_setup()
         trained = [nfas[0].with_consequents([0.1, 0.2, 0.3])]

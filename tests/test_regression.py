@@ -279,6 +279,14 @@ class TestModelPredict:
         with pytest.raises(DataError, match="no quantification value"):
             model_predict(self._model(), None, {"size": 1.0, "kind": "other"})
 
+    @pytest.mark.parametrize("missing", [None, math.nan])
+    @pytest.mark.parametrize("variable", ["size", "kind"])
+    def test_missing_value_names_variable(self, variable, missing):
+        # None raised TypeError from float(); NaN came back as a NaN prediction
+        row = {"size": 1.0, "kind": "base", variable: missing}
+        with pytest.raises(DataError, match=f"missing value for variable '{variable}'"):
+            model_predict(self._model(), None, row)
+
     def test_back_transform_needs_log_response(self):
         rng = np.random.default_rng(33)
         x = rng.normal(size=12)
