@@ -218,10 +218,11 @@ class Dataset:
 def load_csv(source, schema: Sequence[VariableSpec]) -> Dataset:
     """Read an RFC 4180 CSV (UTF-8, header row required) against a schema.
 
-    Empty fields are missing.  Categorical labels must come from the declared
-    category list; a variable declared with an empty list accepts labels in
-    first-seen order instead.  Columns present in the file but absent from
-    the schema are ignored.
+    Empty fields are missing; numeric cells must parse to finite floats
+    (``nan`` and ``inf`` are rejected, not read as values).  Categorical
+    labels must come from the declared category list; a variable declared
+    with an empty list accepts labels in first-seen order instead.  Columns
+    present in the file but absent from the schema are ignored.
     """
     specs = _check_schema(schema)
     if isinstance(source, (str, Path)):
@@ -273,12 +274,18 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
             miss[spec.name].append(False)
             if spec.kind == "numeric":
                 try:
-                    raw[spec.name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"non-numeric value {cell!r} for {spec.name!r} "
                         f"at data row {row_number}"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"non-finite value {cell!r} for {spec.name!r} "
+                        f"at data row {row_number}"
+                    )
+                raw[spec.name].append(value)
             else:
                 codes = code_of[spec.name]
                 if cell not in codes:

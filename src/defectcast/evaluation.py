@@ -26,7 +26,6 @@ from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
 from .recalibration import (
     Nfa,
-    RecalibrationConfig,
     predict,
     train_recalibration,
     units_for,
@@ -170,7 +169,6 @@ class ModelingPlan:
     quantifications: tuple[Quantification, ...] = ()
     response_transform: str = "ln"
     recalibrate: bool = True
-    recalibration: RecalibrationConfig = field(default_factory=RecalibrationConfig)
     stepwise: bool = False
     p_enter: float = 0.05
     p_remove: float = 0.10
@@ -379,7 +377,7 @@ def _fit_and_recalibrate(
         model = fixed_model if fixed_model is not None else _fit_plan_model(plan, train_ds)
         units = units_for(model, plan.quantification_map())
         if plan.recalibrate:
-            trained, _ = train_recalibration(model, units, train_ds, plan.recalibration)
+            trained, _ = train_recalibration(model, units, train_ds)
         else:
             trained = units
         return model, trained

@@ -27,6 +27,7 @@ __all__ = [
     "LeastSquaresSolution",
     "RandomStream",
     "solve_least_squares",
+    "min_norm_least_squares",
     "unscaled_covariance",
     "incomplete_beta_regularized",
     "normal_cdf",
@@ -201,6 +202,29 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
     coef[piv] = b_perm
     residual = y - x @ coef
     return LeastSquaresSolution(coef, float(residual @ residual), rank)
+
+
+def min_norm_least_squares(design, target) -> np.ndarray:
+    """The minimum-norm minimizer of ``||design @ b - target||``, any rank.
+
+    Numerical rank comes from the same column-pivoted QR and cutoff as
+    ``solve_least_squares``.  The kept rows of R are factored once more (a
+    complete orthogonal decomposition), so directions the data leave
+    undetermined get exactly zero weight instead of rounding noise.
+    """
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericalError("non-finite values in least-squares inputs")
+    q, r, piv, rank = _pivoted_qr(x)
+    # x[:, piv] = q @ r, so the least-squares solutions u solve
+    # r[:rank] @ u = q[:, :rank].T @ y; with r[:rank].T[:, piv2] = z @ t the
+    # smallest is u = z @ w where t.T @ w = (q[:, :rank].T @ y)[piv2]
+    z, t, piv2, _ = _pivoted_qr(r[:rank].T)
+    w = _solve_triangular(t, (q[:, :rank].T @ y)[piv2], trans="T")
+    coef = np.empty(x.shape[1])
+    coef[piv] = z @ w
+    return coef
 
 
 def unscaled_covariance(design) -> np.ndarray:

@@ -50,12 +50,7 @@ from .evaluation import (
     resubstitution_experiment,
 )
 from .modeltree import fit_model_tree
-from .recalibration import (
-    RecalibrationConfig,
-    predict,
-    train_recalibration,
-    units_for,
-)
+from .recalibration import predict, train_recalibration, units_for
 from .regression import (
     LinearModel,
     Quantification,
@@ -116,7 +111,6 @@ class PipelineConfig:
     p_remove: float
     scaling: dict[str, str]
     recalibrate_enabled: bool
-    recalibration: RecalibrationConfig
     k_values: tuple[int, ...]
     train_fractions: tuple[float, ...]
     repetitions: int
@@ -294,12 +288,6 @@ def load_config(
 
     tree = raw.get("tree", {})
     recal = raw.get("recalibration", {})
-    recal_cfg = RecalibrationConfig(
-        learning_rate=recal.get("learning_rate", 0.01),
-        max_epochs=recal.get("max_epochs", 1000),
-        tolerance=recal.get("tolerance", 1e-6),
-        rate_halving=recal.get("rate_halving", True),
-    )
     evaluation = raw.get("evaluation", {})
     k_values = tuple(evaluation.get("k_values", ()))
     fractions = tuple(evaluation.get("train_fractions", ()))
@@ -329,7 +317,6 @@ def load_config(
         p_remove=regression.get("p_remove", 0.10),
         scaling=scaling,
         recalibrate_enabled=recal.get("enabled", True),
-        recalibration=recal_cfg,
         k_values=k_values,
         train_fractions=fractions,
         repetitions=evaluation.get("repetitions", 10),
@@ -737,7 +724,7 @@ def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
     transform = _response_transform(cfg, out_dir)
     fit_rows = listwise_complete(data, [cfg.response, *selected.variables])
     units = units_for(selected, quants)
-    trained, trace = train_recalibration(selected, units, fit_rows, cfg.recalibration)
+    trained, trace = train_recalibration(selected, units, fit_rows)
     before, after = _resubstitution_mmre(selected, trained, quants, fit_rows, transform)
 
     unit_payload = [u.to_dict() for u in trained]
@@ -754,9 +741,9 @@ def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
                 "epochs": trace.epochs,
                 "converged": trace.converged,
                 "initial_gradient_norm": trace.initial_gradient_norm,
-                "initial_mse": trace.mse_path[0] if trace.mse_path else None,
-                "final_mse": trace.mse_path[-1] if trace.mse_path else None,
-                "final_learning_rate": trace.final_learning_rate,
+                "initial_mse": trace.mse_path[0],
+                "final_mse": trace.mse_path[-1],
+                "final_gradient_norm": trace.final_gradient_norm,
             },
             "resubstitution_mmre": {
                 "baseline": before,
@@ -779,7 +766,6 @@ def _evaluation_plan(cfg: PipelineConfig, selected, quants, transform) -> Modeli
         ),
         response_transform=transform,
         recalibrate=cfg.recalibrate_enabled,
-        recalibration=cfg.recalibration,
         stepwise=False,
         pred_thresholds=cfg.pred_thresholds,
         min_test_for_pred=cfg.min_test_for_pred,

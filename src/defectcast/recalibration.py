@@ -7,11 +7,12 @@ anchor.  Consequents start as the anchors themselves, so an untrained unit
 is the identity map on anchor values and recalibrated predictions coincide
 with plain model predictions.
 
-Training is batch gradient descent on the mean squared error of the
-model-scale predictions.  Membership (premise) parameters stay frozen;
-only consequents move.  With frozen premises the prediction is linear in
-the consequents, so the loss is a convex quadratic and the trained unit
-can be checked against a closed-form least-squares solve.
+Training minimizes the mean squared error of the model-scale predictions
+over the consequents; membership (premise) parameters stay frozen.  With
+frozen premises the prediction is linear in the consequents, so training
+is one exact linear least-squares solve: the minimum-norm correction from
+the identity start, which is where gradient descent from that start would
+converge.
 
 ``predict`` scores every row of a dataset in one array pass, with units
 (recalibrated) or without (baseline); ``model_predict`` and
@@ -26,11 +27,11 @@ import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
+from .numerics import min_norm_least_squares
 from .regression import LinearModel, Quantification, back_transform_value, row_value
 
 __all__ = [
     "Nfa",
-    "RecalibrationConfig",
     "TrainingTrace",
     "init_nfa",
     "units_for",
@@ -103,28 +104,16 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class RecalibrationConfig:
-    learning_rate: float = 0.01
-    max_epochs: int = 1000
-    tolerance: float = 1e-6
-    rate_halving: bool = True
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.max_epochs <= 0:
-            raise ConfigError(f"max_epochs must be positive, got {self.max_epochs}")
-        if self.tolerance <= 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
-
-
-@dataclass(frozen=True)
 class TrainingTrace:
+    """What one training did: ``epochs`` counts solves (0 when the identity
+    start is already optimal, else 1), ``mse_path`` is (initial, final)
+    MSE, and ``final_gradient_norm`` is the optimality gap left."""
+
     epochs: int
     mse_path: tuple[float, ...]
     initial_gradient_norm: float
     converged: bool
-    final_learning_rate: float
+    final_gradient_norm: float
 
 
 def init_nfa(quantification: Quantification) -> Nfa:
@@ -197,16 +186,19 @@ def train_recalibration(
     model: LinearModel,
     nfas: list[Nfa],
     ds: Dataset,
-    cfg: RecalibrationConfig = RecalibrationConfig(),
 ) -> tuple[list[Nfa], TrainingTrace]:
-    """Batch gradient descent on the consequents of every unit.
+    """Least-squares consequents of every unit, solved exactly.
 
     The prediction for a row is the model's linear form with each
-    categorical term's value routed through its unit; the gradient of the
-    batch MSE in a consequent q_k is (2/n) * B_v * sum of that anchor's
-    firing strengths times the residuals.  With ``rate_halving`` a step
-    that increases the MSE is rejected and retried at half the rate, so
-    the recorded epoch MSE path is nonincreasing.
+    categorical term's value routed through its unit.  Premises are
+    frozen, so it is ``base + A @ q`` with ``A = [B_v * S_v ...]``: each
+    categorical term's coefficient times its firing strengths, in term
+    order.  This is the consequent step of ANFIS hybrid learning (Jang
+    1993).  The solution is the minimum-norm correction from the identity
+    start ``q0``, the point gradient descent from ``q0`` converges to:
+    every step moves along the row space of ``A``, so consequents the data
+    cannot identify (a constant shift across units, an anchor no row
+    fires) keep their starting values.
     """
     by_var = {nfa.variable: nfa for nfa in nfas}
     cat_terms = _categorical_terms(model)
@@ -233,91 +225,42 @@ def train_recalibration(
             continue
         base = base + term.coefficient * data.columns[term.variable].astype(float)
 
-    # frozen firing strengths and coefficient per unit, in cat_terms order
-    strengths: dict[str, np.ndarray] = {}
-    coeffs: dict[str, float] = {}
-    sizes: dict[str, int] = {}
-    for var in cat_terms:
-        nfa = by_var[var]
-        # units see the fit-time coding of each label
-        strengths[var] = firing_strengths(nfa, data.encode(var, model.codings[var]))
-        coeffs[var] = model.term(var).coefficient
-        sizes[var] = len(nfa.input_anchors)
+    # units see the fit-time coding of each label
+    blocks = [
+        model.term(var).coefficient
+        * firing_strengths(by_var[var], data.encode(var, model.codings[var]))
+        for var in cat_terms
+    ]
+    a = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    q0 = np.array([q for var in cat_terms for q in by_var[var].consequents])
 
-    offsets: dict[str, slice] = {}
-    pos = 0
-    for var in cat_terms:
-        offsets[var] = slice(pos, pos + sizes[var])
-        pos += sizes[var]
-    if cat_terms:
-        q = np.concatenate([np.array(by_var[var].consequents) for var in cat_terms])
-    else:
-        q = np.zeros(0)
+    def residual(params: np.ndarray) -> np.ndarray:
+        return base + a @ params - y
 
-    def fitted(params: np.ndarray) -> np.ndarray:
-        out = base.copy()
-        for var in cat_terms:
-            out += coeffs[var] * (strengths[var] @ params[offsets[var]])
-        return out
+    def gradient_norm(r: np.ndarray) -> float:
+        g = (2.0 / n) * (a.T @ r)
+        return float(np.sqrt(g @ g))
 
-    def mse(params: np.ndarray) -> float:
-        r = fitted(params) - y
-        return float(r @ r) / n
-
-    def gradient(params: np.ndarray) -> np.ndarray:
-        r = fitted(params) - y
-        g = np.empty_like(params)
-        for var in cat_terms:
-            g[offsets[var]] = (2.0 / n) * coeffs[var] * (strengths[var].T @ r)
-        return g
-
-    current_mse = mse(q)
-    mse_path = [current_mse]
-    grad = gradient(q)
-    grad_norm0 = float(np.sqrt(grad @ grad))
-    rate = cfg.learning_rate
-    converged = False
-    epochs = 0
-
+    r0 = residual(q0)
+    grad_norm0 = gradient_norm(r0)
     if grad_norm0 < 1e-10:
-        converged = True
-    else:
-        for _ in range(cfg.max_epochs):
-            if cfg.rate_halving:
-                while True:
-                    trial = q - rate * grad
-                    trial_mse = mse(trial)
-                    if trial_mse <= current_mse:
-                        break
-                    rate /= 2.0
-                    if rate < 1e-18:
-                        break
-                if rate < 1e-18:
-                    converged = True  # no descent possible at any usable rate
-                    break
-            else:
-                trial = q - rate * grad
-                trial_mse = mse(trial)
-            q = trial
-            epochs += 1
-            mse_path.append(trial_mse)
-            change = abs(current_mse - trial_mse)
-            scale = max(current_mse, np.finfo(float).tiny)
-            current_mse = trial_mse
-            if change / scale < cfg.tolerance:
-                converged = True
-                break
-            grad = gradient(q)
-            if cfg.rate_halving:
-                rate *= 1.1
+        q, r, solves = q0, r0, 0
+    else:  # also for a NaN gradient, so non-finite inputs raise NumericalError
+        q = q0 + min_norm_least_squares(a, -r0)
+        r = residual(q)
+        solves = 1
 
-    trained = [by_var[var].with_consequents(q[offsets[var]]) for var in cat_terms]
+    trained, pos = [], 0
+    for var in cat_terms:
+        k = len(by_var[var].consequents)
+        trained.append(by_var[var].with_consequents(q[pos : pos + k]))
+        pos += k
     trace = TrainingTrace(
-        epochs=epochs,
-        mse_path=tuple(mse_path),
+        epochs=solves,
+        mse_path=(float(r0 @ r0) / n, float(r @ r) / n),
         initial_gradient_norm=grad_norm0,
-        converged=converged,
-        final_learning_rate=rate,
+        converged=True,
+        final_gradient_norm=gradient_norm(r),
     )
     return trained, trace
 

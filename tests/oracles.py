@@ -160,6 +160,13 @@ def finite_difference_gradient(loss, params: np.ndarray, step: float = 1e-6) -> 
     return grad
 
 
+def min_norm_consequents(design: np.ndarray, target: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Least-squares consequents nearest to ``start``: start plus the
+    pseudoinverse solution for the residual target, the limit of gradient
+    descent on ||design @ q - target||^2 from ``start``."""
+    return start + np.linalg.pinv(design) @ (target - design @ start)
+
+
 def _pop_sd_plain(values) -> float:
     n = len(values)
     mean = sum(values) / n

@@ -97,6 +97,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="'oops'.*row 2"):
             load_csv(io.StringIO(text), [VariableSpec("a", "predictor", "numeric")])
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_reports_location(self, cell):
+        # float() accepts these texts; a row carrying one must not load as
+        # complete and fail later in the fit or the tree
+        text = f"y,x\n1,0.5\n2,1.5\n3,2.5\n4,{cell}\n5,4.5\n6,5.5\n"
+        schema = [VariableSpec("y", "response", "numeric"),
+                  VariableSpec("x", "predictor", "numeric")]
+        with pytest.raises(DataError, match=f"^non-finite value '{cell}' for 'x' at data row 4$"):
+            load_csv(io.StringIO(text), schema)
+
     def test_quoted_fields_with_commas(self):
         text = 'a,b\n"1,5 stars",2\n"2,0 stars",3\n'
         schema = [VariableSpec("a", "predictor", "categorical"),

@@ -1,6 +1,8 @@
 """Kernel tests: PRNG, least squares, and the distribution functions."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from defectcast.numerics import (
     RandomStream,
     f_cdf,
     incomplete_beta_regularized,
+    min_norm_least_squares,
     normal_cdf,
     normal_quantile,
     solve_least_squares,
@@ -124,12 +127,46 @@ class TestLeastSquares:
         with pytest.raises(NumericalError, match="under-determined"):
             solve_least_squares(np.ones((3, 5)), np.ones(3))
 
+    def test_min_norm_matches_pseudoinverse_at_any_rank(self):
+        rng = np.random.default_rng(29)
+        for n, p, k in [(30, 6, 6), (30, 6, 4), (3, 5, 3), (8, 4, 0), (12, 5, 2)]:
+            design = rng.normal(size=(n, k)) @ rng.normal(size=(k, p))
+            design[:, p - 1] = 0.0
+            target = rng.normal(size=n)
+            want = oracles.min_norm_consequents(design, target, np.zeros(p))
+            got = min_norm_least_squares(design, target)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got[p - 1] == 0.0
+
+    def test_min_norm_rejects_non_finite(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            min_norm_least_squares(np.array([[1.0], [math.nan]]), np.ones(2))
+
     def test_covariance_matches_inverse(self):
         rng = np.random.default_rng(17)
         design = rng.normal(size=(40, 4))
         cov = unscaled_covariance(design)
         direct = np.linalg.inv(design.T @ design)
         np.testing.assert_allclose(cov, direct, atol=1e-10)
+
+
+def test_package_uses_no_numpy_linalg():
+    """All linear algebra in the package goes through scipy.linalg.
+
+    numpy's wheel bundles its own OpenBLAS, separate from scipy's, so a
+    numpy.linalg call loads a second LAPACK with a second BLAS thread pool
+    into the process, and its rank cutoffs differ from the one that
+    ``numerics`` applies to every least-squares solve.
+    """
+    package = Path(__file__).resolve().parent.parent / "src" / "defectcast"
+    pattern = re.compile(r"\b(numpy|np)\.linalg\b|from\s+numpy\s+import\b.*\blinalg\b")
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 class TestNormalCdf:

@@ -114,6 +114,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", 0.01), ("max_epochs", 1000), ("tolerance", 1e-6),
+         ("rate_halving", True)],
+    )
+    def test_rejects_gradient_descent_recalibration_keys(self, tmp_path, key, value):
+        # recalibration is an exact solve; it takes no optimiser settings
+        config = small_config(recalibration={"enabled": True, key: value})
+        with pytest.raises(ConfigError, match=f"recalibration.*'{key}'"):
+            load_config(write_config(tmp_path, config))
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from defectcast._errors import ConfigError, DataError
+from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec
 from defectcast.numerics import solve_least_squares
 from defectcast.recalibration import (
     Nfa,
-    RecalibrationConfig,
     TrainingTrace,
     firing_strengths,
     init_nfa,
@@ -163,17 +162,15 @@ class TestTraining:
                          categories=("0.65", "1.00", "1.35")),
         ]
         ds2 = make_dataset({"y": y2.tolist(), "x": x.tolist(), "vaf": labels}, schema)
-        cfg = RecalibrationConfig(learning_rate=0.05, max_epochs=20000, tolerance=1e-14)
-        trained, _ = train_recalibration(model, nfas, ds2, cfg)
+        trained, _ = train_recalibration(model, nfas, ds2)
         final = {lab: nfa_eval(trained[0], quant.mapping[lab]) for lab in quant.mapping}
-        assert final["1.00"] == pytest.approx(1.20, abs=1e-3)
-        assert final["0.65"] == pytest.approx(0.65, abs=1e-3)
-        assert final["1.35"] == pytest.approx(1.35, abs=1e-3)
+        assert final["1.00"] == pytest.approx(1.20, abs=1e-12)
+        assert final["0.65"] == pytest.approx(0.65, abs=1e-12)
+        assert final["1.35"] == pytest.approx(1.35, abs=1e-12)
 
     def test_matches_closed_form_solution(self):
         model, nfas, ds, quant = _training_setup(seed=11, shift={"0.65": -0.15, "1.35": 0.1})
-        cfg = RecalibrationConfig(learning_rate=0.05, max_epochs=50000, tolerance=1e-15)
-        trained, trace = train_recalibration(model, nfas, ds, cfg)
+        trained, trace = train_recalibration(model, nfas, ds)
         # closed form: prediction is linear in consequents
         y = ds.columns["y"].astype(float)
         x = ds.columns["x"].astype(float)
@@ -184,7 +181,7 @@ class TestTraining:
         w = firing_strengths(nfas[0], inputs)
         sol = solve_least_squares(b_v * w, y - base)
         got = np.array(trained[0].consequents)
-        np.testing.assert_allclose(got, sol.coefficients, atol=1e-6)
+        np.testing.assert_allclose(got, sol.coefficients, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -216,14 +213,6 @@ class TestTraining:
             checked += 1
         assert checked == 100
 
-    def test_epoch_mse_nonincreasing_with_rate_halving(self):
-        model, nfas, ds, _ = _training_setup(seed=17, shift={"1.35": 0.25})
-        cfg = RecalibrationConfig(learning_rate=0.5, max_epochs=500, tolerance=1e-12)
-        _, trace = train_recalibration(model, nfas, ds, cfg)
-        path = trace.mse_path
-        assert len(path) >= 2
-        assert all(b <= a + 1e-15 for a, b in zip(path, path[1:]))
-
     def test_final_mse_below_initial(self):
         model, nfas, ds, _ = _training_setup(seed=19, shift={"1.00": 0.2})
         _, trace = train_recalibration(model, nfas, ds)
@@ -239,14 +228,6 @@ class TestTraining:
         stray = init_nfa(Quantification("other", {"a": 0.0, "b": 1.0}))
         with pytest.raises(DataError, match="not categorical terms"):
             train_recalibration(model, nfas + [stray], ds)
-
-    def test_bad_config(self):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            RecalibrationConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError, match="tolerance"):
-            RecalibrationConfig(tolerance=-1.0)
-        with pytest.raises(ConfigError, match="max_epochs"):
-            RecalibrationConfig(max_epochs=0)
 
     def test_no_categorical_terms_is_noop(self):
         rng = np.random.default_rng(23)
@@ -285,10 +266,109 @@ class TestTraining:
         )
         one_row = ds.take([0])
         nfas = [init_nfa(quant)]
-        cfg = RecalibrationConfig(learning_rate=0.2, max_epochs=5000, tolerance=1e-16)
-        trained, _ = train_recalibration(model, nfas, one_row, cfg)
+        trained, _ = train_recalibration(model, nfas, one_row)
         got = recalibrated_predict(model, trained, {"vaf": "lo"})
-        assert got == pytest.approx(5.0, abs=1e-6)
+        assert got == pytest.approx(5.0, abs=1e-12)
+
+
+def _two_unit_setup(seed=61, n=300):
+    """Noisy data with two quantified categorical terms, so the unit
+    columns are rank-deficient: each unit's firing strengths sum to one,
+    and a constant shift between the units is not identified.
+    Returns (model, units, ds, design, target) with the design and the
+    target built independently of the trainer."""
+    rng = np.random.default_rng(seed)
+    vaf_labels = list(VAF_LEVELS)
+    dev_values = {"new": 0.0, "redev": 0.4, "enh": 1.0}
+    dev_labels = list(dev_values)
+    vaf_codes = rng.integers(0, len(vaf_labels), n)
+    dev_codes = rng.integers(0, len(dev_labels), n)
+    x = rng.normal(0.0, 1.0, n)
+    vaf = np.array([VAF_LEVELS[vaf_labels[c]] for c in vaf_codes])
+    dev = np.array([dev_values[dev_labels[c]] for c in dev_codes])
+    bump = np.where(vaf_codes == 2, 0.3, 0.0) - np.where(dev_codes == 1, 0.2, 0.0)
+    y = 0.5 + 0.8 * x + 1.2 * vaf - 0.6 * dev + bump + rng.normal(0.0, 0.1, n)
+    schema = [
+        VariableSpec("y", "response", "numeric"),
+        VariableSpec("x", "predictor", "numeric"),
+        VariableSpec("vaf", "predictor", "categorical", categories=tuple(vaf_labels)),
+        VariableSpec("dev", "predictor", "categorical", categories=tuple(dev_labels)),
+    ]
+    cols = {
+        "y": y.tolist(),
+        "x": x.tolist(),
+        "vaf": [vaf_labels[c] for c in vaf_codes],
+        "dev": [dev_labels[c] for c in dev_codes],
+    }
+    ds = make_dataset(cols, schema)
+    quants = {
+        "vaf": Quantification("vaf", dict(VAF_LEVELS)),
+        "dev": Quantification("dev", dev_values),
+    }
+    model = ols_fit(ds, "y", ["x", "vaf", "dev"], quants)
+    units = units_for(model, quants)
+    design = np.hstack([
+        model.term(u.variable).coefficient
+        * firing_strengths(u, [quants[u.variable].mapping[l] for l in ds.labels(u.variable)])
+        for u in units
+    ])
+    target = y - model.intercept - model.term("x").coefficient * x
+    return model, units, ds, design, target
+
+
+class TestExactSolve:
+    def test_two_units_reach_min_norm_optimum(self):
+        model, units, ds, design, target = _two_unit_setup()
+        assert design.shape[1] == 8
+        assert np.linalg.matrix_rank(design) == 7
+        trained, trace = train_recalibration(model, units, ds)
+        start = np.concatenate([u.consequents for u in units])
+        want = oracles.min_norm_consequents(design, target, start)
+        got = np.concatenate([u.consequents for u in trained])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert trace.epochs == 1 and trace.converged
+        assert trace.initial_gradient_norm > 1e-3
+        assert trace.final_gradient_norm < 1e-13
+        assert trace.mse_path[-1] < trace.mse_path[0]
+
+    def test_category_absent_from_training_keeps_its_anchor(self):
+        # a fold without 'redev' rows: that anchor fires nowhere, so the
+        # design has a zero column on top of the unidentified shift, and the
+        # rank cutoff must drop both directions, not fit rounding noise
+        model, units, ds, design, target = _two_unit_setup()
+        seen = [i for i, lab in enumerate(ds.labels("dev")) if lab != "redev"]
+        trained, trace = train_recalibration(model, units, ds.take(seen))
+        dev = next(u for u in trained if u.variable == "dev")
+        assert dev.consequents[dev.input_anchors.index(0.4)] == 0.4
+        start = np.concatenate([u.consequents for u in units])
+        want = oracles.min_norm_consequents(design[seen], target[seen], start)
+        got = np.concatenate([u.consequents for u in trained])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert trace.final_gradient_norm < 1e-13
+
+    def test_non_finite_coefficient_is_a_numerical_error(self):
+        from defectcast.regression import LinearModel, ModelTerm
+
+        quant = Quantification("vaf", {"lo": 0.0, "hi": 1.0})
+        ds = make_dataset(
+            {"y": [1.0, 2.0, 3.0], "vaf": ["lo", "hi", "lo"]},
+            [
+                VariableSpec("y", "response", "numeric"),
+                VariableSpec("vaf", "predictor", "categorical", categories=("lo", "hi")),
+            ],
+        )
+        model = LinearModel(
+            response="y",
+            response_transform="none",
+            intercept=1.0,
+            intercept_p=0.0,
+            terms=(ModelTerm("vaf", math.nan, 0.0, 0.0, 0.0, 0.0),),
+            r_squared=0.0,
+            n=3,
+            codings={"vaf": quant.mapping},
+        )
+        with pytest.raises(NumericalError, match="non-finite"):
+            train_recalibration(model, [init_nfa(quant)], ds)
 
 
 class TestRecalibratedPredict:
