@@ -189,6 +189,16 @@ class Dataset:
         miss = {name: arr[idx] for name, arr in self.missing.items()}
         return Dataset(self.schema, cols, miss, metadata=self.metadata)
 
+    def select(self, names: Sequence[str]) -> "Dataset":
+        """Column subset in schema order; an unknown name raises DataError."""
+        for name in names:
+            self.spec(name)
+        wanted = set(names)
+        schema = [s for s in self.schema if s.name in wanted]
+        cols = {s.name: self.columns[s.name] for s in schema}
+        miss = {s.name: self.missing[s.name] for s in schema}
+        return Dataset(schema, cols, miss, metadata=self.metadata)
+
     def with_schema(self, schema: Sequence[VariableSpec]) -> "Dataset":
         return Dataset(schema, dict(self.columns), dict(self.missing), self.metadata)
 
@@ -439,11 +449,17 @@ def apply_filters(ds: Dataset, rules: Sequence[FilterRule]) -> Dataset:
 
 
 def listwise_complete(ds: Dataset, variables: Sequence[str]) -> Dataset:
-    """Rows with no missing value in any of the given variables."""
+    """Rows with no missing value in any of the given variables.
+
+    A dataset with no such row is returned itself: its arrays are frozen,
+    so sharing it is as safe as a copy.
+    """
     mask = np.ones(ds.row_count, dtype=bool)
     for name in variables:
         ds.spec(name)
         mask &= ~ds.missing[name]
+    if mask.all():
+        return ds
     return ds.take(np.flatnonzero(mask))
 
 

@@ -354,11 +354,14 @@ def _averages(rows: list[ExperimentRow]) -> ExperimentRow:
 
 
 def _prepare_data(ds: Dataset, plan: ModelingPlan) -> Dataset:
-    """Materialize declared column transforms, then reduce to complete rows.
+    """Materialize declared column transforms, then narrow to the response
+    and the plan's predictors and reduce to complete rows.
 
-    A response column that declares its own transform must agree with the
-    plan; a response already on the model scale declares 'none' and the
-    plan alone records how to get back to counts.
+    Narrowing once here means every per-split row subset copies only the
+    columns a fit or a prediction reads.  A response column that declares
+    its own transform must agree with the plan; a response already on the
+    model scale declares 'none' and the plan alone records how to get back
+    to counts.
     """
     declared = ds.spec(plan.response).transform
     if declared != "none" and declared != plan.response_transform:
@@ -367,7 +370,8 @@ def _prepare_data(ds: Dataset, plan: ModelingPlan) -> Dataset:
             f"but the plan expects {plan.response_transform!r}"
         )
     data, _ = apply_schema_transforms(ds)
-    return listwise_complete(data, [plan.response, *plan.predictors])
+    used = [plan.response, *plan.predictors]
+    return listwise_complete(data.select(used), used)
 
 
 def _fit_and_recalibrate(

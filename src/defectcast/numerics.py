@@ -131,15 +131,16 @@ class RandomStream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
         if n < 2:
-            return perm
+            return np.arange(n)
         # one uniform per swap position, consumed high index first
-        u = self.uniforms(n - 1)
-        for pos, i in enumerate(range(n - 1, 0, -1)):
-            j = min(int(u[pos] * (i + 1)), i)
+        positions = np.arange(n - 1, 0, -1)
+        scaled = self.uniforms(n - 1) * (positions + 1)
+        swaps = np.minimum(scaled.astype(np.int64), positions)
+        perm = list(range(n))
+        for i, j in zip(positions.tolist(), swaps.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm)
 
     def split(self, index: int) -> "RandomStream":
         """Independent child stream for the given nonnegative index."""
@@ -156,9 +157,13 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
+    """A full-rank fit and its factor: ``design[:, piv] = Q @ r``."""
+
     coefficients: np.ndarray
     residual_sum_squares: float
     rank: int
+    r: np.ndarray
+    piv: np.ndarray
 
 
 def _pivoted_qr(design: np.ndarray):
@@ -201,7 +206,7 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
     coef = np.empty(p)
     coef[piv] = b_perm
     residual = y - x @ coef
-    return LeastSquaresSolution(coef, float(residual @ residual), rank)
+    return LeastSquaresSolution(coef, float(residual @ residual), rank, r, piv)
 
 
 def min_norm_least_squares(design, target) -> np.ndarray:
@@ -227,24 +232,14 @@ def min_norm_least_squares(design, target) -> np.ndarray:
     return coef
 
 
-def unscaled_covariance(design) -> np.ndarray:
-    """(X'X)^-1 computed from the pivoted QR of X, for coefficient SEs."""
-    x = np.asarray(design, dtype=float)
-    if x.ndim != 2:
-        raise NumericalError("design must be 2-d")
-    n, p = x.shape
-    if n < p:
-        raise NumericalError(f"under-determined system: {n} rows for {p} columns")
-    q, r, piv, rank = _pivoted_qr(x)
-    if rank < p:
-        raise NumericalError(
-            f"design is rank deficient (rank {rank} of {p}): "
-            f"column {piv[rank]} is linearly dependent on the others"
-        )
-    rinv = _solve_triangular(r, np.eye(p))
+def unscaled_covariance(solution: LeastSquaresSolution) -> np.ndarray:
+    """(X'X)^-1 for the design ``solution`` was fitted on, for coefficient
+    SEs, from the pivoted QR factor the fit already computed."""
+    p = solution.r.shape[1]
+    rinv = _solve_triangular(solution.r, np.eye(p))
     m = rinv @ rinv.T
     cov = np.empty((p, p))
-    cov[np.ix_(piv, piv)] = m
+    cov[np.ix_(solution.piv, solution.piv)] = m
     return cov
 
 

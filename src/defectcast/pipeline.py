@@ -355,15 +355,30 @@ def _jsonable(obj):
     return obj
 
 
+def _atomic_write(path: Path, write) -> None:
+    """Call ``write(handle)`` on a new temp file in ``path``'s directory,
+    then rename it over ``path``.  The temp name is unique to the call, so
+    runs that share an output directory never write to one temp file."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+            write(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload, compact: bool = False) -> None:
+    """Sorted-key JSON; ``compact`` drops the indentation, which lets the
+    json module use its C encoder."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
     _atomic_write_text(
-        path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        path, json.dumps(_jsonable(payload), sort_keys=True, **layout) + "\n"
     )
 
 
@@ -372,7 +387,7 @@ def _read_json(path: Path) -> dict:
 
 
 def _write_sections(out_dir: Path, stage: str, sections: dict) -> None:
-    _write_json(out_dir / f"stage_{stage}.json", sections)
+    _write_json(out_dir / f"stage_{stage}.json", sections, compact=True)
 
 
 def _merge_report(out_dir: Path, cfg: PipelineConfig) -> dict:
@@ -490,8 +505,7 @@ def _stage_synth(cfg: PipelineConfig, out_dir: Path) -> dict:
     if cfg.synthetic is None:
         raise ConfigError("stage 'synth' needs a data.synthetic section")
     ds = generate_synthetic(cfg.synthetic, cfg.seed)
-    serialize_csv(ds, out_dir / "synthetic.csv.tmp")
-    os.replace(out_dir / "synthetic.csv.tmp", out_dir / "synthetic.csv")
+    _atomic_write(out_dir / "synthetic.csv", lambda handle: serialize_csv(ds, handle))
     _write_json(
         out_dir / "synthetic.schema.json", [_spec_to_dict(s) for s in ds.schema]
     )
@@ -509,8 +523,9 @@ def _stage_synth(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 def _stage_prepare(cfg: PipelineConfig, out_dir: Path) -> dict:
     source, filtered, prepared, applied = _prepare_in_memory(cfg, out_dir)
-    serialize_csv(prepared, out_dir / "prepared.csv.tmp")
-    os.replace(out_dir / "prepared.csv.tmp", out_dir / "prepared.csv")
+    _atomic_write(
+        out_dir / "prepared.csv", lambda handle: serialize_csv(prepared, handle)
+    )
     _write_json(
         out_dir / "prepared.schema.json", [_spec_to_dict(s) for s in prepared.schema]
     )

@@ -240,7 +240,7 @@ def ols_fit(
 
     df = n - p - 1
     sigma2 = rss / df
-    cov = sigma2 * unscaled_covariance(design)
+    cov = sigma2 * unscaled_covariance(sol)
     ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     def _p_of(b: float, se: float) -> float:

@@ -334,3 +334,30 @@ def model_tree_by_mask_loop(
         predictors=tuple(predictors), root=grow(np.arange(n)),
         min_leaf_size=min_leaf_size, sd_floor=sd_floor,
     )
+
+
+def permutation_by_swap_loop(stream, n: int) -> np.ndarray:
+    """Fisher-Yates on an array, one swap index computed per step: the
+    reference ``RandomStream.permutation`` must match, draw for draw."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    # one uniform per swap position, consumed high index first
+    u = stream.uniforms(n - 1)
+    for pos, i in enumerate(range(n - 1, 0, -1)):
+        j = min(int(u[pos] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def unscaled_covariance_by_refactoring(design: np.ndarray) -> np.ndarray:
+    """(X'X)^-1 from a fresh column-pivoted QR of the design, the same
+    factorization the least-squares solve runs, computed a second time."""
+    import scipy.linalg
+
+    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    p = design.shape[1]
+    rinv = scipy.linalg.solve_triangular(r, np.eye(p))
+    cov = np.empty((p, p))
+    cov[np.ix_(piv, piv)] = rinv @ rinv.T
+    return cov

@@ -209,6 +209,20 @@ class TestFilters:
         assert out.spec("dev_type").categories == ds.spec("dev_type").categories
 
 
+class TestSelect:
+    def test_keeps_schema_order_and_values(self):
+        ds = _load()
+        out = ds.select(["dev_type", "defects"])
+        assert out.variable_names == ("defects", "dev_type")
+        np.testing.assert_array_equal(out.columns["dev_type"], ds.columns["dev_type"])
+        np.testing.assert_array_equal(out.missing["defects"], ds.missing["defects"])
+        assert out.spec("dev_type") == ds.spec("dev_type")
+
+    def test_unknown_variable(self):
+        with pytest.raises(DataError, match="unknown variable 'nope'"):
+            _load().select(["defects", "nope"])
+
+
 class TestListwise:
     def test_drops_any_missing(self):
         ds = _load()
@@ -221,6 +235,20 @@ class TestListwise:
         ds = _load()
         out = listwise_complete(ds, ["dev_type"])
         assert out.row_count == 5
+
+    def test_complete_data_returned_itself(self):
+        ds = _load()
+        assert listwise_complete(ds, ["dev_type", "quality"]) is ds
+
+    def test_subset_arrays_are_frozen(self):
+        ds = _load()
+        out = listwise_complete(ds, ["fp"])
+        assert out is not ds
+        assert out.row_count == 4
+        for arr in [*out.columns.values(), *out.missing.values()]:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            out.columns["fp"][0] = 1.0
 
 
 class TestSummaries:

@@ -484,6 +484,29 @@ class TestRandomSplit:
         with pytest.raises(ConfigError):
             random_split_experiment(ds, plan, 0.5, repetitions=0, seed=1)
 
+    @pytest.mark.parametrize("repetitions", [5, 10])
+    def test_two_narrow_row_subsets_per_repetition(self, monkeypatch, repetitions):
+        """Each repetition copies rows twice (train and test), and only the
+        response and the plan's predictors, never the whole table."""
+        ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
+        plan = standard_plan(ds)
+        widths = []
+        take = Dataset.take
+
+        def counting_take(self, indices):
+            widths.append(len(self.schema))
+            return take(self, indices)
+
+        monkeypatch.setattr(Dataset, "take", counting_take)
+        random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
+        assert widths == [4] * (2 * repetitions)
+
+    def test_unknown_plan_variable_named(self):
+        ds = generate_synthetic(GeneratorConfig(n=20), seed=1)
+        plan = standard_plan(ds, predictors=("fp", "nope"))
+        with pytest.raises(DataError, match="unknown variable 'nope'"):
+            random_split_experiment(ds, plan, 0.5, repetitions=1, seed=1)
+
     def test_degenerate_split_rejected(self):
         ds = generate_synthetic(GeneratorConfig(n=10), seed=1)
         with pytest.raises(DataError):

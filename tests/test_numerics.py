@@ -68,6 +68,22 @@ class TestRandomStream:
         perm = RandomStream(13).permutation(64)
         assert sorted(perm) == list(range(64))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 500])
+    def test_permutation_matches_swap_loop(self, n):
+        for seed in (0, 13, 20260822, 2**64 - 1):
+            for child in (None, 0, 7):
+                def stream():
+                    root = RandomStream(seed)
+                    return root if child is None else root.split(child)
+
+                ours, reference = stream(), stream()
+                for _ in range(2):  # the second call starts mid-stream
+                    got = ours.permutation(n)
+                    want = oracles.permutation_by_swap_loop(reference, n)
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+                    assert ours.draws_consumed == reference.draws_consumed
+
     def test_split_streams_are_distinct(self):
         parent = RandomStream(77)
         childs = [parent.split(i).uniforms(50) for i in range(4)]
@@ -145,7 +161,7 @@ class TestLeastSquares:
     def test_covariance_matches_inverse(self):
         rng = np.random.default_rng(17)
         design = rng.normal(size=(40, 4))
-        cov = unscaled_covariance(design)
+        cov = unscaled_covariance(solve_least_squares(design, rng.normal(size=40)))
         direct = np.linalg.inv(design.T @ design)
         np.testing.assert_allclose(cov, direct, atol=1e-10)
 

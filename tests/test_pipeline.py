@@ -11,6 +11,7 @@ from defectcast._errors import ConfigError, DataError
 from defectcast.cli import main
 from defectcast.pipeline import (
     STAGES,
+    _atomic_write,
     load_config,
     render_summary,
     run_pipeline,
@@ -313,6 +314,38 @@ class TestPipelineRun:
         run_stage("screen", cfg)
         sections = json.loads((tmp_path / "out" / "stage_screen.json").read_text())
         assert sorted(sections) == ["group_screening", "rank_correlations"]
+
+    def test_stage_files_compact_report_indented(self, tmp_path):
+        cfg = load_small(tmp_path)
+        run_stage("screen", cfg)
+        out = tmp_path / "out"
+        stage_text = (out / "stage_screen.json").read_text()
+        assert stage_text.count("\n") == 1 and stage_text.endswith("}\n")
+        report_text = (out / "report.json").read_text()
+        sections = json.loads(stage_text)
+        assert report_text == json.dumps(
+            {"provenance": cfg.provenance(), **sections}, indent=2, sort_keys=True
+        ) + "\n"
+
+    def test_temp_names_unique_per_write(self, tmp_path):
+        # whatever already sits at '<name>.tmp' must not block the write
+        cfg = load_small(tmp_path)
+        blocker = tmp_path / "out" / "report.json.tmp"
+        blocker.mkdir(parents=True)
+        run_stage("screen", cfg)
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["rank_correlations"]
+        assert [p.name for p in out.glob("*.tmp")] == ["report.json.tmp"]
+        assert blocker.is_dir()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        def fail(handle):
+            handle.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(tmp_path / "report.json", fail)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_stage_lists_valid_names(self, tmp_path):
         cfg = load_small(tmp_path)

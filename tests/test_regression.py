@@ -10,6 +10,7 @@ import scipy.stats
 
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec, load_csv, sample_sd
+from defectcast.numerics import solve_least_squares, t_cdf
 from defectcast.regression import (
     LinearModel,
     Quantification,
@@ -86,6 +87,25 @@ class TestOlsFit:
         ses = np.sqrt(np.diag(cov))
         for j, term in enumerate(model.terms, start=1):
             assert abs(term.std_error - ses[j]) < 1e-8 * max(1.0, ses[j])
+
+    def test_inference_identical_to_refactored_design(self):
+        """Standard errors and p-values from the fit's own QR factor equal,
+        bit for bit, those from factoring the design a second time."""
+        for seed in (7, 11, 23):
+            ds, predictors, x, y = self._random_case(seed, n=25, p=4)
+            model = ols_fit(ds, "y", predictors)
+            design = np.column_stack([np.ones(len(y)), x])
+            sol = solve_least_squares(design, y)
+            df = len(y) - design.shape[1]
+            unscaled = oracles.unscaled_covariance_by_refactoring(design)
+            cov = sol.residual_sum_squares / df * unscaled
+            ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+            coef = sol.coefficients
+            p_values = [2.0 * (1.0 - t_cdf(abs(b / se), df)) for b, se in zip(coef, ses)]
+            assert model.intercept_p == p_values[0]
+            for j, term in enumerate(model.terms, start=1):
+                assert term.std_error == ses[j]
+                assert term.p_value == p_values[j]
 
     def test_p_values_match_t_distribution(self):
         ds, predictors, x, y = self._random_case(11)
