@@ -145,10 +145,6 @@ class Dataset:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.schema)
 
-    def values(self, name: str) -> np.ndarray:
-        self.spec(name)
-        return self.columns[name]
-
     def labels(self, name: str) -> list[str | None]:
         """Decoded category labels for one categorical column (None = missing)."""
         spec = self.spec(name)
@@ -198,9 +194,6 @@ class Dataset:
         cols = {s.name: self.columns[s.name] for s in schema}
         miss = {s.name: self.missing[s.name] for s in schema}
         return Dataset(schema, cols, miss, metadata=self.metadata)
-
-    def with_schema(self, schema: Sequence[VariableSpec]) -> "Dataset":
-        return Dataset(schema, dict(self.columns), dict(self.missing), self.metadata)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -30,13 +30,7 @@ from .recalibration import (
     train_recalibration,
     units_for,
 )
-from .regression import (
-    LinearModel,
-    Quantification,
-    back_transform_value,
-    ols_fit,
-    stepwise_fit,
-)
+from .regression import LinearModel, Quantification, back_transform_array, ols_fit
 from .screening import spearman
 from .transform import apply_schema_transforms, compute_vaf
 
@@ -158,10 +152,11 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
 class ModelingPlan:
     """What to fit and how to judge it inside an evaluation protocol.
 
-    ``refit_regression`` controls whether each fold refits the regression
-    (True) or reuses one model fit on all rows with only the recalibration
-    retrained per fold (False).  ``stepwise`` selects predictors from
-    ``predictors`` per fit instead of using them all.
+    Every fit is plain OLS on all of ``predictors``: selection happens
+    before the plan is made (the pipeline passes the stepwise-selected
+    variables).  ``refit_regression`` controls whether each fold refits
+    the regression (True) or reuses one model fit on all rows with only
+    the recalibration retrained per fold (False).
     """
 
     response: str
@@ -169,9 +164,6 @@ class ModelingPlan:
     quantifications: tuple[Quantification, ...] = ()
     response_transform: str = "ln"
     recalibrate: bool = True
-    stepwise: bool = False
-    p_enter: float = 0.05
-    p_remove: float = 0.10
     pred_thresholds: tuple[float, ...] = (0.25,)
     min_test_for_pred: int = 10
     refit_regression: bool = True
@@ -274,33 +266,17 @@ def _improvement(baseline: float, recalibrated: float) -> float:
 
 
 def _fit_plan_model(plan: ModelingPlan, ds: Dataset) -> LinearModel:
-    quants = plan.quantification_map()
-    if plan.stepwise:
-        trace = stepwise_fit(
-            ds,
-            plan.response,
-            list(plan.predictors),
-            p_enter=plan.p_enter,
-            p_remove=plan.p_remove,
-            quantifications=quants,
-            response_transform=plan.response_transform,
-        )
-        return trace.final_model
     return ols_fit(
-        ds,
-        plan.response,
-        list(plan.predictors),
-        quants,
-        response_transform=plan.response_transform,
+        ds, plan.response, plan.predictors, plan.quantification_map(), plan.response_transform
     )
 
 
 def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
-    """Model-scale response values back on the count scale, element by
-    element through ``back_transform_value`` like the predictions."""
+    """Model-scale response values back on the count scale, through
+    ``back_transform_array`` like the predictions."""
     if transform == "none":
         return values
-    return np.array([back_transform_value(v, transform) for v in values.tolist()])
+    return back_transform_array(values, transform)
 
 
 def _evaluate(

@@ -732,6 +732,15 @@ def _resubstitution_mmre(model, units, quants, data, response_transform):
 
 
 def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
+    """Train units for the selected model and report its resubstitution MMRE.
+
+    This stays apart from evaluate's ``resubstitution_experiment`` on
+    purpose.  Here the scored model is the fit stage's selected model, fit
+    on rows complete over every candidate; evaluate refits plain OLS on
+    rows complete over the selected predictors only.  The two agree to the
+    bit when those row sets match, and differ when stepwise drops a
+    candidate that has empty cells.
+    """
     if not cfg.recalibrate_enabled:
         return {"recalibration": {"enabled": False}}
     data = _prepared_dataset(cfg, out_dir)
@@ -781,7 +790,6 @@ def _evaluation_plan(cfg: PipelineConfig, selected, quants, transform) -> Modeli
         ),
         response_transform=transform,
         recalibrate=cfg.recalibrate_enabled,
-        stepwise=False,
         pred_thresholds=cfg.pred_thresholds,
         min_test_for_pred=cfg.min_test_for_pred,
         refit_regression=cfg.refit_regression,

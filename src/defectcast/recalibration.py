@@ -14,9 +14,11 @@ is one exact linear least-squares solve: the minimum-norm correction from
 the identity start, which is where gradient descent from that start would
 converge.
 
-``predict`` scores every row of a dataset in one array pass, with units
-(recalibrated) or without (baseline); ``model_predict`` and
-``recalibrated_predict`` are the one-row forms.
+``predict`` is the one place a prediction is computed: it scores every
+row of a dataset in one array pass, with units (recalibrated) or without
+(baseline).  ``recalibrated_predict`` and ``regression.model_predict`` are
+its one-row forms: they resolve a row dict into a one-row table and score
+it here.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import numpy as np
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
 from .numerics import min_norm_least_squares
-from .regression import LinearModel, Quantification, back_transform_value, row_value
+from .regression import LinearModel, Quantification, back_transform_array, row_table
 
 __all__ = [
     "Nfa",
     "TrainingTrace",
     "init_nfa",
     "units_for",
-    "nfa_eval",
     "train_recalibration",
     "predict",
     "recalibrated_predict",
@@ -160,16 +161,6 @@ def firing_strengths(nfa: Nfa, values) -> np.ndarray:
     return mu / total[:, None]
 
 
-def nfa_eval(nfa: Nfa, value: float) -> float:
-    """Defuzzified output: firing-strength-weighted sum of consequents."""
-    strengths = firing_strengths(nfa, [value])[0]
-    return float(strengths @ np.array(nfa.consequents))
-
-
-def _categorical_terms(model: LinearModel) -> list[str]:
-    return [t.variable for t in model.terms if t.variable in model.codings]
-
-
 def units_for(model: LinearModel, quantifications: dict[str, Quantification]) -> list[Nfa]:
     """One identity-initialized unit per categorical term of the model,
     anchored at the supplied quantification or else the fit-time coding."""
@@ -201,7 +192,7 @@ def train_recalibration(
     fires) keep their starting values.
     """
     by_var = {nfa.variable: nfa for nfa in nfas}
-    cat_terms = _categorical_terms(model)
+    cat_terms = [t.variable for t in model.terms if t.variable in model.codings]
     missing = [v for v in cat_terms if v not in by_var]
     if missing:
         raise DataError(f"missing recalibration unit for categorical terms: {missing}")
@@ -265,37 +256,6 @@ def train_recalibration(
     return trained, trace
 
 
-def recalibrated_predict(
-    model: LinearModel,
-    nfas: list[Nfa],
-    row: dict,
-    back_transform: bool = False,
-    quantifications: dict[str, Quantification] | None = None,
-) -> float:
-    """Model prediction with categorical values routed through their units.
-
-    Identical to ``model_predict`` except that every categorical term's
-    quantification value passes through its unit first; untrained units
-    change nothing.  Labels resolve through ``quantifications`` first,
-    then the model's fit-time codings.
-    """
-    by_var = {nfa.variable: nfa for nfa in nfas}
-    total = model.intercept
-    for term in model.terms:
-        value = row_value(model.codings, quantifications, row, term.variable)
-        if term.variable in model.codings:
-            nfa = by_var.get(term.variable)
-            if nfa is None:
-                raise DataError(
-                    f"missing recalibration unit for categorical term {term.variable!r}"
-                )
-            value = nfa_eval(nfa, value)
-        total += term.coefficient * value
-    if back_transform:
-        return back_transform_value(total, model.response_transform)
-    return total
-
-
 def predict(
     model: LinearModel,
     ds: Dataset,
@@ -305,12 +265,11 @@ def predict(
 ) -> np.ndarray:
     """Predictions for every row of ``ds``, one array pass per model term.
 
-    Without ``units`` each element equals ``model_predict`` on that row;
-    with them, ``recalibrated_predict``.  The sum keeps the one-row order
-    (intercept, then each term in model order) and the back-transform runs
-    per element through ``back_transform_value``, so the two agree to the
-    bit.  Labels resolve through ``quantifications`` first, then the
-    model's fit-time codings.
+    The sum runs intercept first, then each term in model order.  With
+    ``units`` every categorical term's value passes through its unit
+    first; untrained units change nothing.  Labels resolve through
+    ``quantifications`` first, then the model's fit-time codings.  The
+    back-transform runs per element through ``back_transform_array``.
     """
     quantifications = quantifications or {}
     by_var = None if units is None else {nfa.variable: nfa for nfa in units}
@@ -333,10 +292,23 @@ def predict(
             values = firing_strengths(nfa, values) @ np.array(nfa.consequents)
         total = total + term.coefficient * values
     if back_transform:
-        return np.array(
-            [back_transform_value(v, model.response_transform) for v in total.tolist()]
-        )
+        return back_transform_array(total, model.response_transform)
     return total
+
+
+def recalibrated_predict(
+    model: LinearModel,
+    nfas: list[Nfa],
+    row: dict,
+    back_transform: bool = False,
+    quantifications: dict[str, Quantification] | None = None,
+) -> float:
+    """Model prediction on one row with categorical values routed through
+    their units: ``predict`` with ``nfas`` on the row's ``row_table``.
+    Labels resolve through ``quantifications`` first, then the model's
+    fit-time codings."""
+    table = row_table(model, quantifications, row)
+    return float(predict(model, table, units=nfas, back_transform=back_transform)[0])
 
 
 def trained_quantification(nfa: Nfa, quantification: Quantification) -> Quantification:
@@ -350,9 +322,9 @@ def trained_quantification(nfa: Nfa, quantification: Quantification) -> Quantifi
             f"unit is for {nfa.variable!r}, quantification for "
             f"{quantification.variable!r}"
         )
-    mapping = {
-        label: nfa_eval(nfa, value) for label, value in quantification.mapping.items()
-    }
+    strengths = firing_strengths(nfa, list(quantification.mapping.values()))
+    outputs = strengths @ np.array(nfa.consequents)
+    mapping = dict(zip(quantification.mapping, outputs.tolist()))
     return Quantification(
         variable=nfa.variable, mapping=mapping, source="recalibrated"
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._errors import ConfigError, ConvergenceError, DataError, NumericalError
-from .dataset import Dataset, listwise_complete, sample_sd
+from .dataset import Dataset, VariableSpec, listwise_complete, sample_sd
 from .numerics import solve_least_squares, t_cdf, unscaled_covariance
 
 __all__ = [
@@ -573,6 +573,12 @@ def back_transform_value(value: float, transform: str) -> float:
     )
 
 
+def back_transform_array(values: np.ndarray, transform: str) -> np.ndarray:
+    """``back_transform_value`` element by element, for predictions and
+    actuals alike, so every count on the report comes from one formula."""
+    return np.array([back_transform_value(v, transform) for v in values.tolist()])
+
+
 def row_value(
     codings: dict[str, dict[str, float]],
     quantifications: dict[str, Quantification] | None,
@@ -596,13 +602,25 @@ def row_value(
     return float(mapping[raw])
 
 
+def row_table(model: LinearModel, quantifications, row: dict) -> Dataset:
+    """One-row table with a numeric column per model term holding its
+    ``row_value``.  Its response column is missing, and keeps the row
+    count at one when the model has no terms."""
+    values = [row_value(model.codings, quantifications, row, v) for v in model.variables]
+    schema = [VariableSpec(model.response, "response", "numeric")]
+    schema += [VariableSpec(v, "predictor", "numeric") for v in model.variables]
+    columns = {s.name: np.array([v]) for s, v in zip(schema, [math.nan, *values])}
+    return Dataset(schema, columns, {n: np.isnan(c) for n, c in columns.items()})
+
+
 def model_predict(
     model: LinearModel,
     quantifications: dict[str, Quantification] | None,
     row: dict,
     back_transform: bool = False,
 ) -> float:
-    """Evaluate the linear predictor on one row.
+    """Evaluate the linear predictor on one row: ``recalibration.predict``
+    without units on the row's ``row_table``.
 
     ``row`` maps variable names to numeric values (modeling scale) or, for
     categorical terms, category labels.  Labels are resolved through the
@@ -610,11 +628,7 @@ def model_predict(
     ``back_transform`` the ln-scale prediction is exponentiated back to a
     raw count, which requires a log-transformed response.
     """
-    total = model.intercept
-    for term in model.terms:
-        total += term.coefficient * row_value(
-            model.codings, quantifications, row, term.variable
-        )
-    if back_transform:
-        return back_transform_value(total, model.response_transform)
-    return total
+    from .recalibration import predict  # recalibration imports this module
+
+    table = row_table(model, quantifications, row)
+    return float(predict(model, table, back_transform=back_transform)[0])

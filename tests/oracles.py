@@ -361,3 +361,31 @@ def unscaled_covariance_by_refactoring(design: np.ndarray) -> np.ndarray:
     cov = np.empty((p, p))
     cov[np.ix_(piv, piv)] = rinv @ rinv.T
     return cov
+
+
+def nfa_eval(nfa, value: float) -> float:
+    """One unit's defuzzified output at one input: the firing-strength-
+    weighted sum of its consequents."""
+    from defectcast.recalibration import firing_strengths
+
+    strengths = firing_strengths(nfa, [value])[0]
+    return float(strengths @ np.array(nfa.consequents))
+
+
+def one_row_prediction(model, row, quantifications=None, nfas=None, back_transform=False):
+    """The linear predictor summed on one row dict in plain Python floats:
+    intercept, then each term in model order, with each categorical value
+    routed through its unit when ``nfas`` is given.  The reference that
+    ``recalibration.predict`` and its one-row forms must equal with ``==``."""
+    from defectcast.regression import back_transform_value, row_value
+
+    by_var = None if nfas is None else {nfa.variable: nfa for nfa in nfas}
+    total = model.intercept
+    for term in model.terms:
+        value = row_value(model.codings, quantifications, row, term.variable)
+        if by_var is not None and term.variable in model.codings:
+            value = nfa_eval(by_var[term.variable], value)
+        total += term.coefficient * value
+    if back_transform:
+        return back_transform_value(total, model.response_transform)
+    return total

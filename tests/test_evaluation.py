@@ -414,16 +414,6 @@ class TestCrossValidate:
         assert refit.parameters["refit_regression"] is True
         assert fixed.to_dict() != refit.to_dict()
 
-    def test_stepwise_plan_completes(self):
-        ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=29)
-        plan = standard_plan(
-            ds,
-            predictors=("fp", "vaf", "dev_type", "efforts", "max_team_size"),
-            stepwise=True,
-        )
-        report = cross_validate(ds, plan, k=4, seed=3)
-        assert len(report.rows) == 4
-
     def test_transform_mismatch_rejected(self):
         ds = generate_synthetic(GeneratorConfig(n=64), seed=1)
         with pytest.raises(ConfigError, match="transform"):

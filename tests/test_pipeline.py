@@ -280,6 +280,37 @@ class TestPipelineRun:
         assert recal["recalibrated"] == resub["recalibrated_mmre"]
         assert recal["improvement_pct"] == resub["improvement_pct"]
 
+    def test_recalibration_resubstitution_differs_when_stepwise_drops_holed_candidate(
+        self, tmp_path
+    ):
+        # the selected model is fit on the 102 rows complete over every
+        # candidate; evaluate refits it on the 120 rows complete over the
+        # selected predictors, so the two resubstitution MMREs part
+        rng = np.random.default_rng(120)
+        empty = set(rng.choice(120, 18, replace=False).tolist())
+        lines = ["defects,fp,dev_type,noise"]
+        for i in range(120):
+            fp = round(math.exp(rng.normal(5.0, 0.8)), 1)
+            kind = "Enhancement" if i % 3 == 0 else "New Development"
+            mean = 0.05 * fp * (0.4 if kind == "Enhancement" else 1.0)
+            defects = max(1, round(mean * math.exp(rng.normal(0, 0.3))))
+            noise = "" if i in empty else round(rng.normal(0, 1), 3)
+            lines.append(f"{defects},{fp},{kind},{noise}")
+        data = tmp_path / "proj.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = csv_config(data)
+        config["schema"].append({"name": "noise", "role": "predictor", "kind": "numeric"})
+        config["regression"].update(candidates=["fp", "dev_type", "noise"], stepwise=True)
+        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        report = run_pipeline(cfg)
+        assert report["stepwise"]["included"] == ["fp", "dev_type"]
+        assert report["regression"]["selected_model"]["n"] == 102
+        assert report["resubstitution"]["parameters"]["n"] == 120
+        recal = report["recalibration"]["resubstitution_mmre"]["baseline"]
+        resub = report["resubstitution"]["averages"]["baseline_mmre"]
+        assert recal == pytest.approx(0.278623, abs=1e-6)
+        assert resub == pytest.approx(0.280808, abs=1e-6)
+
     def test_zero_count_under_ln1p_is_a_data_error(self, tmp_path):
         # ln1p admits zero counts, but relative error against a zero actual
         # is undefined; recalibrate used to report Infinity/NaN here
@@ -507,3 +538,23 @@ class TestCli:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["data_preparation"]["rows_loaded"] == 8
         assert report["cross_validation"] == []
+
+
+def test_traced_names_resolve():
+    # perfbench traces these functions by name; a rename must fail here,
+    # not only in the traced benchmark run
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"defectcast.{module_name}")
+        for qualname in names:
+            owner = module
+            for attr in qualname.split("."):
+                assert hasattr(owner, attr), f"defectcast.{module_name}.{qualname}"
+                owner = getattr(owner, attr)
+            assert callable(owner)

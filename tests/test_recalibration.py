@@ -13,7 +13,6 @@ from defectcast.recalibration import (
     TrainingTrace,
     firing_strengths,
     init_nfa,
-    nfa_eval,
     predict,
     recalibrated_predict,
     train_recalibration,
@@ -41,7 +40,7 @@ class TestInitNfa:
         nfa = init_nfa(Quantification("v", {"only": 3.5}))
         assert nfa.widths == (1.0,)
         for x in (-100.0, 0.0, 3.5, 7.0, 1e6):
-            assert nfa_eval(nfa, x) == 3.5
+            assert oracles.nfa_eval(nfa, x) == 3.5
 
     def test_five_level_widths(self):
         nfa = init_nfa(Quantification("vaf", dict(VAF_LEVELS)))
@@ -85,12 +84,12 @@ class TestFiringStrengths:
 
     def test_midpoint_of_two_anchor_unit(self):
         nfa = init_nfa(Quantification("dev", {"A": 0.0, "B": 1.0}))
-        assert nfa_eval(nfa, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert oracles.nfa_eval(nfa, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_far_outside_clamps_to_nearest(self):
         nfa = self._vaf_nfa()
-        assert nfa_eval(nfa, -50.0) == 0.65
-        assert nfa_eval(nfa, 50.0) == 1.35
+        assert oracles.nfa_eval(nfa, -50.0) == 0.65
+        assert oracles.nfa_eval(nfa, 50.0) == 1.35
 
     def test_dead_zone_tie_prefers_lower_index(self):
         # anchors far apart relative to their widths leave a dead middle
@@ -101,11 +100,11 @@ class TestFiringStrengths:
     def test_untrained_identity_at_anchors(self):
         nfa = self._vaf_nfa()
         for a in nfa.input_anchors:
-            assert abs(nfa_eval(nfa, a) - a) < 1e-9
+            assert abs(oracles.nfa_eval(nfa, a) - a) < 1e-9
 
     def test_interpolation_between_anchors(self):
         nfa = self._vaf_nfa().with_consequents([0.6, 0.95, 1.1, 1.2, 1.3])
-        got = nfa_eval(nfa, 0.95)
+        got = oracles.nfa_eval(nfa, 0.95)
         lo, hi = sorted((0.95, 1.1))
         assert lo < got < hi
 
@@ -163,7 +162,7 @@ class TestTraining:
         ]
         ds2 = make_dataset({"y": y2.tolist(), "x": x.tolist(), "vaf": labels}, schema)
         trained, _ = train_recalibration(model, nfas, ds2)
-        final = {lab: nfa_eval(trained[0], quant.mapping[lab]) for lab in quant.mapping}
+        final = {lab: oracles.nfa_eval(trained[0], quant.mapping[lab]) for lab in quant.mapping}
         assert final["1.00"] == pytest.approx(1.20, abs=1e-12)
         assert final["0.65"] == pytest.approx(0.65, abs=1e-12)
         assert final["1.35"] == pytest.approx(1.35, abs=1e-12)
@@ -476,13 +475,46 @@ class TestBatchPredict:
         base = predict(model, ds, quants, back_transform=back)
         recal = predict(model, ds, quants, units=trained, back_transform=back)
         kind, vaf = ds.labels("kind"), ds.labels("vaf")
-        for i in range(ds.row_count):
-            row = {"x": float(ds.columns["x"][i]), "kind": kind[i], "vaf": vaf[i]}
-            assert base[i] == model_predict(model, quants, row, back_transform=back)
-            assert recal[i] == recalibrated_predict(
+        rows = [
+            {"x": float(ds.columns["x"][i]), "kind": kind[i], "vaf": vaf[i]}
+            for i in range(ds.row_count)
+        ]
+        # numbers for the categorical terms, between and beyond the anchors
+        rng = np.random.default_rng(59)
+        rows += [
+            {"x": float(x), "kind": float(k), "vaf": float(v)}
+            for x, k, v in zip(
+                rng.normal(size=40), rng.uniform(-0.5, 1.5, 40), rng.uniform(0.3, 1.7, 40)
+            )
+        ]
+        for i, row in enumerate(rows):
+            want = oracles.one_row_prediction(model, row, quants, back_transform=back)
+            want_recal = oracles.one_row_prediction(
+                model, row, quants, nfas=trained, back_transform=back
+            )
+            assert model_predict(model, quants, row, back_transform=back) == want
+            assert want_recal == recalibrated_predict(
                 model, trained, row, back_transform=back, quantifications=quants
             )
+            if i < ds.row_count:
+                assert base[i] == want and recal[i] == want_recal
         assert not np.array_equal(base, recal)
+
+    @pytest.mark.parametrize("back", [False, True])
+    def test_intercept_only_model(self, back):
+        from defectcast.regression import LinearModel
+
+        model = LinearModel(
+            response="y", response_transform="ln", intercept=1.25, intercept_p=0.0,
+            terms=(), r_squared=0.0, n=10,
+        )
+        want = oracles.one_row_prediction(model, {}, back_transform=back)
+        assert want == (math.exp(1.25) if back else 1.25)
+        assert model_predict(model, None, {}, back_transform=back) == want
+        assert recalibrated_predict(model, [], {}, back_transform=back) == want
+        _, _, _, ds = _mixed_setup("ln")
+        batch = predict(model, ds, back_transform=back)
+        assert batch.tolist() == [want] * ds.row_count
 
     def test_untrained_units_equal_baseline(self):
         model, quants, _, ds = _mixed_setup("ln")
