@@ -1,14 +1,17 @@
 """Shared numerical kernels.
 
 Least squares on a pivoted QR, the distribution functions needed by the
-screening and regression layers (normal, Student t, F, studentized range),
-and a small deterministic PRNG used for every stochastic step in the package.
+screening and regression layers (normal quantile, Student t, F, studentized
+range), and a small deterministic PRNG used for every stochastic step in the
+package.
 
-The t and F CDFs are built on a regularized incomplete beta evaluated by
-Lentz's continued fraction with the usual symmetry switch at
-x > (a + 1) / (a + b + 2).  The studentized range CDF evaluates the classical
-double integral with Gauss-Legendre rules whose node counts double until two
-successive estimates agree to 1e-7.
+The t and F CDFs are scipy.special's ``stdtr`` and ``fdtr``, the Cephes
+routines (Moshier, *Methods and Programs for Mathematical Functions*, 1989).
+Callers form a p-value as a tail through them -- ``2 * t_cdf(-|t|, df)`` and
+``P(F(d1, d2) > f) = f_cdf(1 / f, d2, d1)`` -- so small p-values keep their
+digits instead of rounding to 0 in ``1 - cdf``.  The studentized range CDF
+evaluates the classical double integral with Gauss-Legendre rules whose node
+counts double until two successive estimates agree to 1e-7.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import qr as _qr, solve_triangular as _solve_triangular
-from scipy.special import ndtr as _ndtr, ndtri as _ndtri
+from scipy.special import (
+    fdtr as _fdtr,
+    ndtr as _ndtr,
+    ndtri as _ndtri,
+    stdtr as _stdtr,
+)
 
 from ._errors import ConvergenceError, NumericalError
 
@@ -29,8 +37,6 @@ __all__ = [
     "solve_least_squares",
     "min_norm_least_squares",
     "unscaled_covariance",
-    "incomplete_beta_regularized",
-    "normal_cdf",
     "normal_quantile",
     "t_cdf",
     "f_cdf",
@@ -247,13 +253,6 @@ def unscaled_covariance(solution: LeastSquaresSolution) -> np.ndarray:
 # distribution functions
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, defined for 0 < p < 1."""
@@ -262,81 +261,13 @@ def normal_quantile(p: float) -> float:
     return float(_ndtri(p))
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz evaluation of the continued fraction for the incomplete beta."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 301):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
-    )
-
-
-def incomplete_beta_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
-    if a <= 0.0 or b <= 0.0:
-        raise NumericalError(f"incomplete beta needs a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise NumericalError(f"incomplete beta needs 0 <= x <= 1, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with df degrees of freedom."""
     if df <= 0:
         raise NumericalError(f"t_cdf needs df > 0, got {df}")
     if math.isnan(x):
         raise NumericalError("t_cdf got NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    if x == 0.0:
-        return 0.5
-    tail = incomplete_beta_regularized(df / 2.0, 0.5, df / (df + x * x))
-    return 1.0 - 0.5 * tail if x > 0 else 0.5 * tail
+    return float(_stdtr(df, x))
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
@@ -347,9 +278,7 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
         raise NumericalError("f_cdf got NaN")
     if x <= 0.0:
         return 0.0
-    if math.isinf(x):
-        return 1.0
-    return incomplete_beta_regularized(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2))
+    return float(_fdtr(df1, df2, x))
 
 
 # ---------------------------------------------------------------------------

@@ -710,9 +710,11 @@ def _stage_fit(cfg: PipelineConfig, out_dir: Path) -> dict:
 
 
 def _load_fitted(cfg: PipelineConfig, out_dir: Path):
+    """The fit stage's selected model and quantifications: from
+    ``model.json`` when a run of this same config wrote it, else refit."""
     model_path = out_dir / "model.json"
-    if model_path.is_file():
-        doc = _read_json(model_path)
+    doc = _read_json(model_path) if model_path.is_file() else {}
+    if doc.get("provenance", {}).get("config_hash") == cfg.config_hash():
         selected = LinearModel.from_dict(doc["model"])
         quants = {
             name: Quantification(name, dict(entry["mapping"]), source=entry["source"])

@@ -12,6 +12,7 @@ violators inside each pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -246,7 +247,7 @@ def ols_fit(
     def _p_of(b: float, se: float) -> float:
         if se == 0.0:
             return 1.0 if b == 0.0 else 0.0
-        return 2.0 * (1.0 - t_cdf(abs(b / se), df))
+        return 2.0 * t_cdf(-abs(b / se), df)
 
     terms = []
     for j, name in enumerate(predictors, start=1):
@@ -307,8 +308,10 @@ def stepwise_fit(
     """Forward-entry stepwise regression with backward removal.
 
     Each pass enters the excluded candidate with the smallest p below
-    ``p_enter`` (ties break on candidate order), then removes included
-    variables whose p exceeds ``p_remove`` (largest first) until none does.
+    ``p_enter``, then removes included variables whose p exceeds
+    ``p_remove`` (largest first) until none does.  Ties in p break on |t|
+    (the larger enters, the smaller leaves), and only then on candidate
+    order, so p-values that both underflow to 0 still rank by signal.
     Rows are fixed up front: listwise complete over the response and every
     candidate, so all fits see the same data.  The procedure stops when a
     full pass changes nothing or after 2 * len(candidates) actions.
@@ -333,7 +336,7 @@ def stepwise_fit(
     while len(steps) < max_actions:
         changed = False
         # entry
-        best_var, best_p = None, None
+        best_var, best_key = None, None
         for var in candidates:
             if var in included:
                 continue
@@ -341,17 +344,18 @@ def stepwise_fit(
                 trial = _fit(included + [var])
             except NumericalError:
                 continue  # collinear with current model, ineligible
-            p = trial.term(var).p_value
-            if p < p_enter and (best_p is None or p < best_p):
-                best_var, best_p = var, p
+            term = trial.term(var)
+            key = (term.p_value, -abs(term.t_value))
+            if term.p_value < p_enter and (best_key is None or key < best_key):
+                best_var, best_key = var, key
         if best_var is not None:
             included.append(best_var)
-            steps.append(StepwiseStep("enter", best_var, best_p))
+            steps.append(StepwiseStep("enter", best_var, best_key[0]))
             changed = True
         # removal sweep
         while included and len(steps) < max_actions:
             model = _fit(included)
-            worst = max(model.terms, key=lambda t: t.p_value)
+            worst = max(model.terms, key=lambda t: (t.p_value, -abs(t.t_value)))
             if worst.p_value > p_remove:
                 included.remove(worst.variable)
                 steps.append(StepwiseStep("remove", worst.variable, worst.p_value))
@@ -587,11 +591,16 @@ def row_value(
 ) -> float:
     """Model-scale value of one variable on one row: a number as given, a
     label through ``quantifications`` first, then ``codings`` (a model's
-    fit-time codings).  A missing value, None or NaN, raises DataError."""
+    fit-time codings).  A missing value, None or NaN, raises DataError, and
+    so does a value that is neither a label nor a real number."""
     if variable not in row:
         raise DataError(f"row is missing model variable {variable!r}")
     raw = row[variable]
     if not isinstance(raw, str):
+        if raw is not None and not isinstance(raw, numbers.Real):
+            raise DataError(
+                f"value {raw!r} of {variable!r} is neither a label nor a number"
+            )
         if raw is None or math.isnan(raw):
             raise DataError(f"missing value for variable {variable!r}")
         return float(raw)

@@ -74,7 +74,7 @@ def spearman(x, y, missing_x=None, missing_y=None) -> SpearmanResult:
         p = 0.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = 2.0 * (1.0 - t_cdf(abs(t), n - 2))
+        p = 2.0 * t_cdf(-abs(t), n - 2)
     return SpearmanResult(rho=rho, p_value=p, n=n)
 
 
@@ -129,7 +129,8 @@ def anova_oneway(
         p = 0.0 if ssb > 0.0 else 1.0
     else:
         f = (ssb / df_b) / (ssw / df_w)
-        p = 1.0 - f_cdf(f, df_b, df_w)
+        # upper tail P(F(df_b, df_w) > f) as the lower tail of F(df_w, df_b)
+        p = f_cdf(1.0 / f, df_w, df_b) if f > 0.0 else 1.0
     return AnovaResult(
         variable=variable,
         f_value=f,

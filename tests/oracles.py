@@ -63,6 +63,46 @@ def f_cdf_by_integration(x: float, df1: float, df2: float) -> float:
     return _integrate(dens_u, 0.0, math.sqrt(x))
 
 
+def t_tail_by_integration(x: float, df: float) -> float:
+    """P(T > x) for x > 0: the t density integrated over the tail itself, so
+    a tiny tail keeps its relative accuracy."""
+    ln_c = (
+        math.lgamma((df + 1) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+    )
+
+    # substitute s = x / w, mapping the tail (x, inf) onto (0, 1]
+    def dens_w(w):
+        s = x / w
+        return np.exp(ln_c - (df + 1) / 2.0 * np.log1p(s * s / df)) * x / (w * w)
+
+    return _integrate(dens_w, 0.0, 1.0)
+
+
+def f_tail_by_integration(x: float, df1: float, df2: float) -> float:
+    """P(F > x) for x > 0: the F density integrated over the tail itself."""
+    ln_c = (
+        (df1 / 2.0) * math.log(df1 / df2)
+        - math.lgamma(df1 / 2.0)
+        - math.lgamma(df2 / 2.0)
+        + math.lgamma((df1 + df2) / 2.0)
+    )
+
+    # substitute t = x / u^2, mapping (x, inf) onto (0, 1] with an integrand
+    # that behaves like u^(df2 - 1) at u = 0
+    def dens_u(u):
+        t = x / (u * u)
+        ln_dens = (
+            ln_c
+            + (df1 / 2.0 - 1.0) * np.log(t)
+            - (df1 + df2) / 2.0 * np.log1p(df1 * t / df2)
+        )
+        return np.exp(ln_dens) * 2.0 * x / u**3
+
+    return _integrate(dens_u, 0.0, 1.0)
+
+
 def studentized_range_by_simulation(
     q: float, k: int, df: int, replicates: int, seed: int, chunk: int = 1_000_000
 ) -> float:

@@ -276,6 +276,14 @@ class TestTreeApi:
         with pytest.raises(DataError, match="missing value for variable 'x'"):
             predict_tree(tree, {"x": missing, "g": "a"})
 
+    @pytest.mark.parametrize("value", [b"7", [7.0]], ids=["bytes", "list"])
+    def test_value_neither_label_nor_number_at_threshold_split(self, value):
+        # bytes and lists raised TypeError from math.isnan
+        tree = self._tree()
+        assert tree.root.variable == "x" and tree.root.threshold is not None
+        with pytest.raises(DataError, match="of 'x' is neither a label nor a number"):
+            predict_tree(tree, {"x": value, "g": "a"})
+
     def test_unseen_category_at_subset_split(self):
         rng = np.random.default_rng(23)
         n = 60

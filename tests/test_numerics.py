@@ -11,9 +11,7 @@ from defectcast._errors import NumericalError
 from defectcast.numerics import (
     RandomStream,
     f_cdf,
-    incomplete_beta_regularized,
     min_norm_least_squares,
-    normal_cdf,
     normal_quantile,
     solve_least_squares,
     studentized_range_cdf,
@@ -186,47 +184,15 @@ def test_package_uses_no_numpy_linalg():
 
 
 class TestNormalCdf:
-    def test_center_and_symmetry(self):
-        assert normal_cdf(0.0) == 0.5
-        for x in [0.1, 0.7, 1.5, 2.9, 4.4]:
-            assert abs(normal_cdf(-x) - (1.0 - normal_cdf(x))) < 1e-14
-
-    def test_against_integration(self):
-        for x in [-3.2, -1.1, -0.2, 0.4, 1.7, 3.0]:
-            assert abs(normal_cdf(x) - oracles.normal_cdf_by_integration(x)) < 1e-9
-
     def test_quantile_round_trip(self):
         for p in [0.001, 0.2, 0.5, 0.8, 0.999]:
-            assert abs(normal_cdf(normal_quantile(p)) - p) < 1e-12
+            assert abs(oracles.normal_cdf_by_integration(normal_quantile(p)) - p) < 1e-12
 
     def test_quantile_domain(self):
         with pytest.raises(NumericalError):
             normal_quantile(0.0)
         with pytest.raises(NumericalError):
             normal_quantile(1.0)
-
-
-class TestIncompleteBeta:
-    def test_endpoints(self):
-        assert incomplete_beta_regularized(2.0, 3.0, 0.0) == 0.0
-        assert incomplete_beta_regularized(2.0, 3.0, 1.0) == 1.0
-
-    def test_symmetry(self):
-        for a, b, x in [(2.0, 5.0, 0.3), (0.5, 0.5, 0.7), (8.0, 1.5, 0.45)]:
-            lhs = incomplete_beta_regularized(a, b, x)
-            rhs = 1.0 - incomplete_beta_regularized(b, a, 1.0 - x)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_uniform_special_case(self):
-        # I_x(1, 1) is the identity
-        for x in [0.12, 0.5, 0.987]:
-            assert abs(incomplete_beta_regularized(1.0, 1.0, x) - x) < 1e-14
-
-    def test_domain_errors(self):
-        with pytest.raises(NumericalError):
-            incomplete_beta_regularized(-1.0, 2.0, 0.5)
-        with pytest.raises(NumericalError):
-            incomplete_beta_regularized(1.0, 2.0, 1.5)
 
 
 class TestTCdf:
@@ -251,6 +217,19 @@ class TestTCdf:
         assert t_cdf(math.inf, 4) == 1.0
         assert t_cdf(-math.inf, 4) == 0.0
 
+    def test_two_sided_tail_against_tail_integration(self):
+        # at the larger df, 1 - t_cdf(t) rounds these tails to 0 or loses digits
+        for df in [1, 5, 30, 58, 120, 1998]:
+            for t in [9.0, 12.0, 20.0]:
+                want = 2.0 * oracles.t_tail_by_integration(t, df)
+                assert abs(2.0 * t_cdf(-t, df) / want - 1.0) < 1e-9, (t, df)
+
+    def test_nan_and_df_rejected(self):
+        with pytest.raises(NumericalError):
+            t_cdf(math.nan, 4)
+        with pytest.raises(NumericalError):
+            t_cdf(1.0, 0)
+
 
 class TestFCdf:
     def test_against_integration(self):
@@ -271,6 +250,19 @@ class TestFCdf:
     def test_nonpositive_is_zero(self):
         assert f_cdf(0.0, 3, 8) == 0.0
         assert f_cdf(-2.0, 3, 8) == 0.0
+
+    def test_upper_tail_against_tail_integration(self):
+        # P(F(d1, d2) > f) = P(F(d2, d1) < 1 / f)
+        for d1, d2 in [(1, 10), (2, 57), (3, 1990), (4, 60), (7, 3)]:
+            for f in [50.0, 200.0]:
+                want = oracles.f_tail_by_integration(f, d1, d2)
+                assert abs(f_cdf(1.0 / f, d2, d1) / want - 1.0) < 1e-9, (f, d1, d2)
+
+    def test_nan_and_df_rejected(self):
+        with pytest.raises(NumericalError):
+            f_cdf(math.nan, 3, 8)
+        with pytest.raises(NumericalError):
+            f_cdf(1.0, 0, 8)
 
 
 class TestStudentizedRange:

@@ -10,6 +10,7 @@ import pytest
 from defectcast._errors import ConfigError, DataError
 from defectcast.cli import main
 from defectcast.pipeline import (
+    STAGE_SECTIONS,
     STAGES,
     _atomic_write,
     load_config,
@@ -339,6 +340,29 @@ class TestPipelineRun:
         assert (tmp_path / "mono" / "model.json").read_bytes() == (
             tmp_path / "partial" / "model.json"
         ).read_bytes()
+
+    def test_evaluate_refits_model_file_of_another_config(self, tmp_path, capsys):
+        # model.json from config B used to be evaluated under config C
+        config_c = small_config()
+        config_c["regression"] = {
+            "response": "defects",
+            "candidates": ["fp", "dev_type"],
+            "stepwise": False,
+            "scaling": {"dev_type": "nominal"},
+        }
+        path_b = write_config(tmp_path, small_config(), "b.json")
+        path_c = write_config(tmp_path, config_c, "c.json")
+        mixed = tmp_path / "mixed"
+        for stage in ("synth", "prepare", "fit"):
+            run_stage(stage, load_config(path_b, out_override=str(mixed)))
+        code = main(["--config", str(path_c), "--out", str(mixed), "--stage", "evaluate"])
+        assert code == 0
+        mono = run_pipeline(load_config(path_c, out_override=str(tmp_path / "mono")))
+        fitted_b = json.loads((mixed / "model.json").read_text())["model"]
+        assert fitted_b["terms"] != mono["regression"]["selected_model"]["terms"]
+        staged = json.loads((mixed / "report.json").read_text())
+        for section in STAGE_SECTIONS["evaluate"]:
+            assert staged[section] == mono[section], section
 
     def test_screen_stage_emits_only_its_sections(self, tmp_path):
         cfg = load_small(tmp_path)

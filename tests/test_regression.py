@@ -101,11 +101,21 @@ class TestOlsFit:
             cov = sol.residual_sum_squares / df * unscaled
             ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
             coef = sol.coefficients
-            p_values = [2.0 * (1.0 - t_cdf(abs(b / se), df)) for b, se in zip(coef, ses)]
+            p_values = [2.0 * t_cdf(-abs(b / se), df) for b, se in zip(coef, ses)]
             assert model.intercept_p == p_values[0]
             for j, term in enumerate(model.terms, start=1):
                 assert term.std_error == ses[j]
                 assert term.p_value == p_values[j]
+
+    def test_strong_term_p_values_are_tails(self):
+        # |t| of 26.7 and 30.2 on 56 df: 1 - t_cdf rounds both p to 0
+        ds, predictors, x, y = self._random_case(11, n=60)
+        model = ols_fit(ds, "y", predictors)
+        for term in model.terms:
+            want = 2.0 * oracles.t_tail_by_integration(abs(term.t_value), 56)
+            assert abs(term.p_value / want - 1.0) < 1e-9
+        assert all(0.0 < t.p_value < 1e-16 for t in model.terms[1:])
+        assert 0.0 < model.intercept_p < 1e-16
 
     def test_p_values_match_t_distribution(self):
         ds, predictors, x, y = self._random_case(11)
@@ -307,6 +317,14 @@ class TestModelPredict:
         with pytest.raises(DataError, match=f"missing value for variable '{variable}'"):
             model_predict(self._model(), None, row)
 
+    @pytest.mark.parametrize("value", [b"extra", ["extra"]], ids=["bytes", "list"])
+    @pytest.mark.parametrize("variable", ["size", "kind"])
+    def test_value_neither_label_nor_number(self, variable, value):
+        # bytes and lists raised TypeError from math.isnan
+        row = {"size": 1.0, "kind": "base", variable: value}
+        with pytest.raises(DataError, match=f"of '{variable}' is neither a label"):
+            model_predict(self._model(), None, row)
+
     def test_back_transform_needs_log_response(self):
         rng = np.random.default_rng(33)
         x = rng.normal(size=12)
@@ -373,6 +391,31 @@ class TestStepwise:
         assert ("enter", "xs") == actions[0]
         assert ("remove", "xs") in actions
         assert set(trace.included) == {"x1", "x2"}
+
+    def test_entry_order_free_of_candidate_order_when_p_underflows(self):
+        # x2 proxies x1; alone, x1 has |t| near 363 and x2 near 205 on 1998
+        # df, so both p are 0.0 even as tails and only |t| can rank them
+        rng = np.random.default_rng(2000)
+        n = 2000
+        x1 = rng.normal(size=n)
+        x2 = x1 + rng.normal(0, 0.3, n)
+        x3 = rng.normal(size=n)
+        y = x1 + 0.5 * x2 + rng.normal(0, 0.1, n)
+        cols = {"y": y.tolist(), "x1": x1.tolist(), "x2": x2.tolist(), "x3": x3.tolist()}
+        ds = make_dataset(cols, numeric_schema("y", "x1", "x2", "x3"))
+        alone = [ols_fit(ds, "y", [v]).terms[0] for v in ("x1", "x2")]
+        assert [t.p_value for t in alone] == [0.0, 0.0]
+        assert abs(alone[0].t_value) > abs(alone[1].t_value) > 39.0
+        traces = [
+            stepwise_fit(ds, "y", order)
+            for order in (["x1", "x2", "x3"], ["x2", "x1", "x3"], ["x3", "x2", "x1"])
+        ]
+        for trace in traces:
+            assert trace.steps == traces[0].steps
+        assert [(s.action, s.variable) for s in traces[0].steps] == [
+            ("enter", "x1"),
+            ("enter", "x2"),
+        ]
 
     def test_nothing_significant(self):
         rng = np.random.default_rng(53)

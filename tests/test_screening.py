@@ -58,7 +58,7 @@ class TestSpearman:
         y = np.array([2.0, 1.0, 4.0, 3.0, 6.0, 5.0])
         result = spearman(x, y)
         t = result.rho * math.sqrt((6 - 2) / (1 - result.rho**2))
-        want = 2.0 * (1.0 - t_cdf(abs(t), 4))
+        want = 2.0 * t_cdf(-abs(t), 4)
         assert abs(result.p_value - want) < 1e-12
 
     def test_drops_missing_pairs(self):
@@ -73,6 +73,17 @@ class TestSpearman:
     def test_constant_column(self):
         with pytest.raises(DataError, match="zero variance"):
             spearman([1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0])
+
+
+    def test_strong_correlation_p_is_a_tail(self):
+        # t = 22.4 on 58 df: 1 - t_cdf rounds this p to 0
+        rng = np.random.default_rng(60)
+        x = np.arange(60.0)
+        result = spearman(x, x + rng.normal(0.0, 6.0, 60))
+        t = result.rho * math.sqrt(58 / (1.0 - result.rho**2))
+        want = 2.0 * oracles.t_tail_by_integration(abs(t), 58)
+        assert 0.0 < result.p_value < 1e-16
+        assert abs(result.p_value / want - 1.0) < 1e-9
 
 
 class TestAnova:
@@ -97,6 +108,15 @@ class TestAnova:
         got = anova_oneway(values, labels)
         assert abs(got.f_value - want_f) < 1e-10
         assert (got.df_between, got.df_within) == (want_dfb, want_dfw)
+
+    def test_large_f_p_is_a_tail(self):
+        # F = 203.5 on (2, 57) df: 1 - f_cdf rounds this p to 0
+        rng = np.random.default_rng(57)
+        values = np.concatenate([rng.normal(m, 1.0, 20) for m in (0.0, 3.0, 6.0)])
+        result = anova_oneway(values, ["a"] * 20 + ["b"] * 20 + ["c"] * 20)
+        want = oracles.f_tail_by_integration(result.f_value, 2, 57)
+        assert 0.0 < result.p_value < 1e-16
+        assert abs(result.p_value / want - 1.0) < 1e-9
 
     def test_zero_within_variance(self):
         result = anova_oneway([1.0, 1.0, 2.0, 2.0], ["a", "a", "b", "b"])
@@ -148,7 +168,7 @@ class TestTukey:
             vi, vj = groups[pair.group_i], groups[pair.group_j]
             se = math.sqrt(msw * (1.0 / vi.size + 1.0 / vj.size))
             t = abs(pair.mean_difference) / se
-            p_plain = 2.0 * (1.0 - t_cdf(t, n - 3))
+            p_plain = 2.0 * t_cdf(-t, n - 3)
             assert pair.p_adjusted >= p_plain - 1e-9
 
     def test_two_groups_match_t_test(self):
@@ -160,7 +180,7 @@ class TestTukey:
         ssw = sum(float(((v - v.mean()) ** 2).sum()) for v in groups.values())
         msw = ssw / 4
         t = abs(pair.mean_difference) / math.sqrt(msw * (1 / 3 + 1 / 3))
-        want = 2.0 * (1.0 - t_cdf(t, 4))
+        want = 2.0 * t_cdf(-t, 4)
         assert abs(pair.p_adjusted - want) < 1e-6
 
     def test_pair_count(self):
