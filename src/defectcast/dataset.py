@@ -333,25 +333,25 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
 
 
 def serialize_csv(ds: Dataset, destination) -> None:
-    """Write a dataset back to CSV; floats use repr so reloads are lossless."""
+    """Write a dataset back to CSV; floats use repr so reloads are lossless.
+
+    Each column is formatted whole, then the rows go out in one
+    ``writerows``; missing cells are empty fields.
+    """
 
     def _write(handle):
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ds.variable_names)
-        decoded = {}
+        columns = []
         for spec in ds.schema:
             if spec.is_categorical:
-                decoded[spec.name] = ds.labels(spec.name)
-        for i in range(ds.row_count):
-            row = []
-            for spec in ds.schema:
-                if ds.missing[spec.name][i]:
-                    row.append("")
-                elif spec.is_categorical:
-                    row.append(decoded[spec.name][i])
-                else:
-                    row.append(repr(float(ds.columns[spec.name][i])))
-            writer.writerow(row)
+                cells = ds.labels(spec.name)
+            else:
+                cells = [repr(v) for v in ds.columns[spec.name].tolist()]
+            for i in np.flatnonzero(ds.missing[spec.name]).tolist():
+                cells[i] = ""
+            columns.append(cells)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(ds.variable_names)
+        writer.writerows(zip(*columns))
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:

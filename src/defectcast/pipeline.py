@@ -1,10 +1,19 @@
 """Batch pipeline: configuration, stages, and report assembly.
 
 A JSON config drives six stages (prepare, screen, tree, fit, recalibrate,
-evaluate) plus a `synth` stage that persists generated data.  Stages are
-file-mediated: each one reads the artifacts earlier stages wrote into the
-output directory (falling back to recomputing them in memory when absent),
-so running stages one at a time composes to exactly the monolithic run.
+evaluate) plus a `synth` stage that persists generated data.  Within one
+`run_pipeline` call the stages hand their artifacts over in memory: the
+source data, the prepared data and the fitted model go from the stage that
+made them to the stages that use them, no file the run wrote is read back,
+and `report.json` is written once at the end.
+
+Every stage still writes its files, so a standalone `run_stage` call can
+pick up where another run left off.  It reads an earlier artifact only
+when the file records the current config hash (`provenance.config_hash`
+in the file, or in the schema sidecar of a CSV); otherwise it recomputes
+the artifact in memory.  Its report merges only the stage files of this
+config, so running stages one at a time composes to exactly the
+monolithic run.
 
 Every output file is written atomically (temp + rename) and depends only
 on (config bytes, data bytes, seed): no timestamps, no environment leaks.
@@ -26,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._errors import ConfigError, DataError, DefectcastError
+from ._errors import ConfigError, DataError, DefectcastError, NumericalError
 from .dataset import (
     Dataset,
     FilterRule,
@@ -340,8 +349,11 @@ def _synthetic_names(config: GeneratorConfig) -> list[str]:
 
 
 def _jsonable(obj):
+    """``obj`` as ``json.loads`` reads it back from its file: plain numbers,
+    lists for tuples and arrays, and every dict in sorted key order."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
+        return {k: _jsonable(v) for k, v in items}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -373,37 +385,105 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda handle: handle.write(text))
 
 
-def _write_json(path: Path, payload, compact: bool = False) -> None:
+def _write_json(path: Path, payload, compact: bool = False) -> dict:
     """Sorted-key JSON; ``compact`` drops the indentation, which lets the
-    json module use its C encoder."""
+    json module use its C encoder.  Returns the document as written.
+
+    JSON has no NaN or infinity: such a value raises NumericalError before
+    anything is written."""
+    doc = _jsonable(payload)
     layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    _atomic_write_text(
-        path, json.dumps(_jsonable(payload), sort_keys=True, **layout) + "\n"
-    )
+    try:
+        text = json.dumps(doc, allow_nan=False, **layout)
+    except ValueError as err:
+        raise NumericalError(f"cannot write {path.name}: {err}") from None
+    _atomic_write_text(path, text + "\n")
+    return doc
 
 
 def _read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _write_sections(out_dir: Path, stage: str, sections: dict) -> None:
-    _write_json(out_dir / f"stage_{stage}.json", sections, compact=True)
-
-
-def _merge_report(out_dir: Path, cfg: PipelineConfig) -> dict:
-    report = {"provenance": cfg.provenance()}
-    for stage in STAGES:
-        stage_file = out_dir / f"stage_{stage}.json"
-        if stage_file.is_file():
-            for key, value in _read_json(stage_file).items():
-                report[key] = value
-    _write_json(out_dir / "report.json", report)
-    return report
+def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
+    """The JSON document at ``path`` if a run of this same config wrote it:
+    its ``provenance.config_hash`` is the current config's.  Else None."""
+    if not path.is_file():
+        return None
+    doc = _read_json(path)
+    # a bare list is a schema sidecar from before sidecars carried provenance
+    if not isinstance(doc, dict):
+        return None
+    if doc.get("provenance", {}).get("config_hash") != cfg.config_hash():
+        return None
+    return doc
 
 
 # ---------------------------------------------------------------------------
-# data resolution (file-mediated with in-memory fallback)
+# artifact handoff: in memory within a run, through checked files across runs
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Run:
+    """One run's config and the artifacts its stages have made so far.
+
+    ``run_pipeline`` keeps one for the whole chain, so each stage takes the
+    source, prepared and fitted artifacts from the stage that made them.
+    A standalone ``run_stage`` starts from an empty one: an artifact this
+    run lacks is read from its file when that file carries the current
+    config hash, and recomputed in memory otherwise.
+    """
+
+    cfg: PipelineConfig
+    source: Dataset | None = None
+    prepared: Dataset | None = None
+    fitted: tuple[LinearModel, dict[str, Quantification]] | None = None
+    report: dict = field(default_factory=dict)
+
+    @property
+    def out_dir(self) -> Path:
+        return Path(self.cfg.output_dir)
+
+
+def _applicable_stages(cfg: PipelineConfig) -> tuple[str, ...]:
+    return tuple(s for s in STAGES if s != "synth" or cfg.synthetic is not None)
+
+
+def _write_table(run: _Run, name: str, ds: Dataset) -> None:
+    """``<name>.csv`` plus its ``<name>.schema.json`` sidecar, which holds
+    the schema and the provenance.  The old sidecar is removed first, so a
+    sidecar never vouches for a CSV another run wrote."""
+    sidecar = run.out_dir / f"{name}.schema.json"
+    sidecar.unlink(missing_ok=True)
+    _atomic_write(run.out_dir / f"{name}.csv", lambda handle: serialize_csv(ds, handle))
+    _write_json(
+        sidecar,
+        {
+            "provenance": run.cfg.provenance(),
+            "schema": [_spec_to_dict(s) for s in ds.schema],
+        },
+    )
+
+
+def _read_table(run: _Run, name: str) -> Dataset | None:
+    """``<name>.csv`` if its sidecar carries the current config hash."""
+    doc = _read_current(run.out_dir / f"{name}.schema.json", run.cfg)
+    path = run.out_dir / f"{name}.csv"
+    if doc is None or not path.is_file():
+        return None
+    return load_csv(path, tuple(_spec_from_dict(e) for e in doc["schema"]))
+
+
+def _merge_report(run: _Run) -> dict:
+    """Write report.json from the stage files of the stages that apply to
+    the current config and carry its hash; returns the report."""
+    report = {"provenance": run.cfg.provenance()}
+    for stage in _applicable_stages(run.cfg):
+        doc = _read_current(run.out_dir / f"stage_{stage}.json", run.cfg)
+        if doc is not None:
+            report.update((k, v) for k, v in doc.items() if k != "provenance")
+    return _write_json(run.out_dir / "report.json", report)
 
 
 def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
@@ -422,51 +502,50 @@ def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
             )
 
 
-def _source_dataset(cfg: PipelineConfig, out_dir: Path) -> Dataset:
+def _source_dataset(run: _Run) -> Dataset:
+    if run.source is not None:
+        return run.source
+    cfg = run.cfg
     if cfg.data_path is not None:
         path = Path(cfg.data_path)
         if not path.is_file():
             raise DataError(f"data file not found: {path}")
         _check_header(path, cfg.schema)
-        return load_csv(path, cfg.schema)
-    synth_csv = out_dir / "synthetic.csv"
-    synth_schema = out_dir / "synthetic.schema.json"
-    if synth_csv.is_file() and synth_schema.is_file():
-        schema = tuple(_spec_from_dict(e) for e in _read_json(synth_schema))
-        return load_csv(synth_csv, schema)
-    return generate_synthetic(cfg.synthetic, cfg.seed)
+        run.source = load_csv(path, cfg.schema)
+    else:
+        run.source = _read_table(run, "synthetic")
+        if run.source is None:
+            run.source = generate_synthetic(cfg.synthetic, cfg.seed)
+    return run.source
 
 
-def _prepare_in_memory(cfg: PipelineConfig, out_dir: Path):
-    source = _source_dataset(cfg, out_dir)
-    filtered = apply_filters(source, cfg.filters)
-    for variable, pairs in cfg.merges:
+def _prepare_in_memory(run: _Run):
+    source = _source_dataset(run)
+    filtered = apply_filters(source, run.cfg.filters)
+    for variable, pairs in run.cfg.merges:
         filtered = apply_category_merge(filtered, variable, pairs)
     prepared, applied = apply_schema_transforms(filtered)
+    run.prepared = prepared
     return source, filtered, prepared, applied
 
 
-def _prepared_dataset(cfg: PipelineConfig, out_dir: Path) -> Dataset:
-    csv_path = out_dir / "prepared.csv"
-    schema_path = out_dir / "prepared.schema.json"
-    if csv_path.is_file() and schema_path.is_file():
-        schema = tuple(_spec_from_dict(e) for e in _read_json(schema_path))
-        return load_csv(csv_path, schema)
-    return _prepare_in_memory(cfg, out_dir)[2]
+def _prepared_dataset(run: _Run) -> Dataset:
+    if run.prepared is None:
+        run.prepared = _read_table(run, "prepared")
+    if run.prepared is None:
+        _prepare_in_memory(run)
+    return run.prepared
 
 
-def _response_transform(cfg: PipelineConfig, out_dir: Path) -> str:
+def _response_transform(run: _Run) -> str:
     """The declared transform of the response is the model scale."""
+    cfg = run.cfg
     if cfg.schema is not None:
         schema = cfg.schema
+    elif run.source is not None:
+        schema = run.source.schema
     else:
-        schema_path = out_dir / "synthetic.schema.json"
-        if schema_path.is_file():
-            schema = tuple(_spec_from_dict(e) for e in _read_json(schema_path))
-        else:
-            schema = generate_synthetic(
-                replace(cfg.synthetic, n=1), cfg.seed
-            ).schema
+        schema = generate_synthetic(replace(cfg.synthetic, n=1), cfg.seed).schema
     for spec in schema:
         if spec.name == cfg.response:
             return spec.transform
@@ -501,14 +580,13 @@ def _initial_quantifications(
 # ---------------------------------------------------------------------------
 
 
-def _stage_synth(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_synth(run: _Run) -> dict:
+    cfg = run.cfg
     if cfg.synthetic is None:
         raise ConfigError("stage 'synth' needs a data.synthetic section")
     ds = generate_synthetic(cfg.synthetic, cfg.seed)
-    _atomic_write(out_dir / "synthetic.csv", lambda handle: serialize_csv(ds, handle))
-    _write_json(
-        out_dir / "synthetic.schema.json", [_spec_to_dict(s) for s in ds.schema]
-    )
+    run.source = ds
+    _write_table(run, "synthetic", ds)
     meta = ds.metadata["generator"]
     return {
         "synthetic_data": {
@@ -521,14 +599,10 @@ def _stage_synth(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_prepare(cfg: PipelineConfig, out_dir: Path) -> dict:
-    source, filtered, prepared, applied = _prepare_in_memory(cfg, out_dir)
-    _atomic_write(
-        out_dir / "prepared.csv", lambda handle: serialize_csv(prepared, handle)
-    )
-    _write_json(
-        out_dir / "prepared.schema.json", [_spec_to_dict(s) for s in prepared.schema]
-    )
+def _stage_prepare(run: _Run) -> dict:
+    cfg = run.cfg
+    source, filtered, prepared, applied = _prepare_in_memory(run)
+    _write_table(run, "prepared", prepared)
 
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
     raw_response = filtered.columns[cfg.response]
@@ -538,7 +612,7 @@ def _stage_prepare(cfg: PipelineConfig, out_dir: Path) -> dict:
     lines = ["theoretical,ordered"]
     for t, o in zip(qq_model.theoretical, qq_model.ordered):
         lines.append(f"{float(t)!r},{float(o)!r}")
-    _atomic_write_text(out_dir / "qq.csv", "\n".join(lines) + "\n")
+    _atomic_write_text(run.out_dir / "qq.csv", "\n".join(lines) + "\n")
 
     return {
         "data_preparation": {
@@ -571,8 +645,9 @@ def _stage_prepare(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_screen(cfg: PipelineConfig, out_dir: Path) -> dict:
-    data = _prepared_dataset(cfg, out_dir)
+def _stage_screen(run: _Run) -> dict:
+    cfg = run.cfg
+    data = _prepared_dataset(run)
     quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
     report = screen_dataset(
         data,
@@ -597,12 +672,12 @@ def _stage_screen(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_tree(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_tree(run: _Run) -> dict:
+    cfg = run.cfg
     if not cfg.tree_enabled:
         return {"model_tree": {"enabled": False}}
-    data = _prepared_dataset(cfg, out_dir)
+    data = _prepared_dataset(run)
     quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
-    transform = _response_transform(cfg, out_dir)
     tree = fit_model_tree(
         data,
         cfg.response,
@@ -610,10 +685,10 @@ def _stage_tree(cfg: PipelineConfig, out_dir: Path) -> dict:
         quantifications=quants,
         min_leaf_size=cfg.tree_min_leaf,
         sd_fraction=cfg.tree_sd_fraction,
-        response_transform=transform,
+        response_transform=_response_transform(run),
     )
     text = tree.to_text()
-    _atomic_write_text(out_dir / "tree.txt", text)
+    _atomic_write_text(run.out_dir / "tree.txt", text)
     return {
         "model_tree": {
             "enabled": True,
@@ -625,9 +700,12 @@ def _stage_tree(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _fit_models(cfg: PipelineConfig, out_dir: Path):
-    data = _prepared_dataset(cfg, out_dir)
-    transform = _response_transform(cfg, out_dir)
+def _fit_models(run: _Run):
+    """Optimal scaling, the full model and stepwise selection.  Returns the
+    ``model.json`` document and the report's scaling and stepwise sections."""
+    cfg = run.cfg
+    data = _prepared_dataset(run)
+    transform = _response_transform(run)
     quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
 
     scaling_section = {"enabled": bool(cfg.scaling)}
@@ -685,44 +763,57 @@ def _fit_models(cfg: PipelineConfig, out_dir: Path):
                 "model": selected.to_dict(),
             }
         )
-    return data, quants, full, selected, scaling_section, stepwise_section
-
-
-def _stage_fit(cfg: PipelineConfig, out_dir: Path) -> dict:
-    _, quants, full, selected, scaling_section, stepwise_section = _fit_models(
-        cfg, out_dir
+    model_doc = _jsonable(
+        {
+            "provenance": cfg.provenance(),
+            "model": selected.to_dict(),
+            "full_model": full.to_dict(),
+            "quantifications": {
+                name: {"mapping": dict(q.mapping), "source": q.source}
+                for name, q in quants.items()
+            },
+        }
     )
-    model_doc = {
-        "provenance": cfg.provenance(),
-        "model": selected.to_dict(),
-        "full_model": full.to_dict(),
-        "quantifications": {
-            name: {"mapping": dict(q.mapping), "source": q.source}
-            for name, q in quants.items()
-        },
+    return model_doc, scaling_section, stepwise_section
+
+
+def _fitted_from_doc(doc: dict) -> tuple[LinearModel, dict[str, Quantification]]:
+    """The selected model and quantifications of a ``model.json`` document.
+
+    Both the file and the in-memory handoff come through here, so their
+    dicts share one key order, and with it the order of the units."""
+    selected = LinearModel.from_dict(doc["model"])
+    quants = {
+        name: Quantification(name, dict(entry["mapping"]), source=entry["source"])
+        for name, entry in doc["quantifications"].items()
     }
-    _write_json(out_dir / "model.json", model_doc)
+    return selected, quants
+
+
+def _stage_fit(run: _Run) -> dict:
+    model_doc, scaling_section, stepwise_section = _fit_models(run)
+    _write_json(run.out_dir / "model.json", model_doc)
+    run.fitted = _fitted_from_doc(model_doc)
     return {
         "optimal_scaling": scaling_section,
-        "regression": {"full_model": full.to_dict(), "selected_model": selected.to_dict()},
+        "regression": {
+            "full_model": model_doc["full_model"],
+            "selected_model": model_doc["model"],
+        },
         "stepwise": stepwise_section,
     }
 
 
-def _load_fitted(cfg: PipelineConfig, out_dir: Path):
-    """The fit stage's selected model and quantifications: from
-    ``model.json`` when a run of this same config wrote it, else refit."""
-    model_path = out_dir / "model.json"
-    doc = _read_json(model_path) if model_path.is_file() else {}
-    if doc.get("provenance", {}).get("config_hash") == cfg.config_hash():
-        selected = LinearModel.from_dict(doc["model"])
-        quants = {
-            name: Quantification(name, dict(entry["mapping"]), source=entry["source"])
-            for name, entry in doc["quantifications"].items()
-        }
-        return selected, quants
-    _, quants, _, selected, _, _ = _fit_models(cfg, out_dir)
-    return selected, quants
+def _load_fitted(run: _Run) -> tuple[LinearModel, dict[str, Quantification]]:
+    """The fit stage's selected model and quantifications: from this run,
+    else from ``model.json`` when a run of this same config wrote it, else
+    refit."""
+    if run.fitted is None:
+        doc = _read_current(run.out_dir / "model.json", run.cfg)
+        if doc is None:
+            doc = _fit_models(run)[0]
+        run.fitted = _fitted_from_doc(doc)
+    return run.fitted
 
 
 def _resubstitution_mmre(model, units, quants, data, response_transform):
@@ -733,7 +824,7 @@ def _resubstitution_mmre(model, units, quants, data, response_transform):
     return mmre(actual, base), mmre(actual, recal)
 
 
-def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_recalibrate(run: _Run) -> dict:
     """Train units for the selected model and report its resubstitution MMRE.
 
     This stays apart from evaluate's ``resubstitution_experiment`` on
@@ -743,11 +834,12 @@ def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
     bit when those row sets match, and differ when stepwise drops a
     candidate that has empty cells.
     """
+    cfg = run.cfg
     if not cfg.recalibrate_enabled:
         return {"recalibration": {"enabled": False}}
-    data = _prepared_dataset(cfg, out_dir)
-    selected, quants = _load_fitted(cfg, out_dir)
-    transform = _response_transform(cfg, out_dir)
+    data = _prepared_dataset(run)
+    selected, quants = _load_fitted(run)
+    transform = _response_transform(run)
     fit_rows = listwise_complete(data, [cfg.response, *selected.variables])
     units = units_for(selected, quants)
     trained, trace = train_recalibration(selected, units, fit_rows)
@@ -755,7 +847,7 @@ def _stage_recalibrate(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     unit_payload = [u.to_dict() for u in trained]
     _write_json(
-        out_dir / "recalibration.json",
+        run.out_dir / "recalibration.json",
         {"provenance": cfg.provenance(), "units": unit_payload},
     )
     improvement = 0.0 if before == 0.0 else (before - after) / before * 100.0
@@ -798,11 +890,11 @@ def _evaluation_plan(cfg: PipelineConfig, selected, quants, transform) -> Modeli
     )
 
 
-def _stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> dict:
-    data = _prepared_dataset(cfg, out_dir)
-    selected, quants = _load_fitted(cfg, out_dir)
-    transform = _response_transform(cfg, out_dir)
-    plan = _evaluation_plan(cfg, selected, quants, transform)
+def _stage_evaluate(run: _Run) -> dict:
+    cfg = run.cfg
+    data = _prepared_dataset(run)
+    selected, quants = _load_fitted(run)
+    plan = _evaluation_plan(cfg, selected, quants, _response_transform(run))
     resub = resubstitution_experiment(data, plan)
     cross = [
         cross_validate(data, plan, k, cfg.seed).to_dict() for k in cfg.k_values
@@ -831,31 +923,50 @@ _STAGE_FUNCS = {
 }
 
 
-def run_stage(stage: str, cfg: PipelineConfig) -> dict:
-    """Run one stage against the config's output directory; returns the
-    merged report after folding in this stage's sections."""
+def run_stage(stage: str, cfg: PipelineConfig, _run: _Run | None = None) -> dict:
+    """Run one stage against the config's output directory.
+
+    Called on its own, the stage reads what earlier stages left in the
+    output directory under the current config hash, then merges this
+    config's stage files into ``report.json`` and returns that report.
+    ``run_pipeline`` passes its ``_Run`` instead: the stage takes earlier
+    artifacts from it in memory and adds its sections to the run's report,
+    which is returned unwritten.
+    """
     if stage not in STAGES:
         raise ConfigError(
             f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}"
         )
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    func = _STAGE_FUNCS[stage]
+    run = _Run(cfg) if _run is None else _run
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        sections = func(cfg, out_dir)
+        sections = _STAGE_FUNCS[stage](run)
+        # the stage file carries the provenance a later standalone merge checks
+        _write_json(
+            run.out_dir / f"stage_{stage}.json",
+            {"provenance": cfg.provenance(), **sections},
+            compact=True,
+        )
     except DefectcastError as err:
         raise type(err)(f"step {stage!r}: {err}") from None
-    _write_sections(out_dir, stage, sections)
-    return _merge_report(out_dir, cfg)
+    if _run is None:
+        return _merge_report(run)
+    run.report.update(sections)
+    return run.report
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Run every applicable stage in order and return the merged report."""
-    report = {}
-    for stage in STAGES:
-        if stage == "synth" and cfg.synthetic is None:
-            continue
-        report = run_stage(stage, cfg)
+    """Run every applicable stage in order, handing artifacts over in
+    memory, then write ``report.json`` once; returns the report.
+
+    A failed stage still leaves a report of the stages before it, so
+    ``report.json`` never shows an earlier run in place of this one."""
+    run = _Run(cfg, report={"provenance": cfg.provenance()})
+    try:
+        for stage in _applicable_stages(cfg):
+            run_stage(stage, cfg, run)
+    finally:
+        report = _write_json(run.out_dir / "report.json", run.report)
     return report
 
 

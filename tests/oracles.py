@@ -429,3 +429,23 @@ def one_row_prediction(model, row, quantifications=None, nfas=None, back_transfo
     if back_transform:
         return back_transform_value(total, model.response_transform)
     return total
+
+
+def serialize_csv_by_rows(ds, handle) -> None:
+    """A dataset written as CSV one cell at a time: the row loop that
+    ``dataset.serialize_csv`` must match byte for byte."""
+    import csv
+
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(ds.variable_names)
+    decoded = {s.name: ds.labels(s.name) for s in ds.schema if s.is_categorical}
+    for i in range(ds.row_count):
+        row = []
+        for spec in ds.schema:
+            if ds.missing[spec.name][i]:
+                row.append("")
+            elif spec.is_categorical:
+                row.append(decoded[spec.name][i])
+            else:
+                row.append(repr(float(ds.columns[spec.name][i])))
+        writer.writerow(row)

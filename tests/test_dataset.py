@@ -19,6 +19,8 @@ from defectcast.dataset import (
     summarize,
 )
 
+from oracles import serialize_csv_by_rows
+
 SCHEMA = [
     VariableSpec("defects", "response", "numeric", transform="ln"),
     VariableSpec("fp", "predictor", "numeric", transform="ln"),
@@ -292,3 +294,78 @@ def test_numeric_round_trip_property(values):
     serialize_csv(ds, buffer)
     again = load_csv(io.StringIO(buffer.getvalue()), schema)
     assert again == ds
+
+
+def _written(ds, write) -> str:
+    buffer = io.StringIO()
+    write(ds, buffer)
+    return buffer.getvalue()
+
+
+class TestSerializeCsv:
+    def test_matches_row_loop_on_edge_cells(self):
+        # missing numeric and categorical cells, signed zero, the smallest
+        # subnormal, a huge value, a one-field row, and open-coded labels
+        # (one with a comma and a quote) in first-seen order
+        text = (
+            'a,b,c,d\n'
+            '-0.0,x,,1\n'
+            '5e-324,,"y, ""z"""," "\n'
+            '1e300,u,w,\n'
+            ',,,\n'
+        )
+        schema = [
+            VariableSpec("a", "predictor", "numeric"),
+            VariableSpec("b", "predictor", "categorical"),
+            VariableSpec("c", "predictor", "categorical"),
+            VariableSpec("d", "predictor", "categorical"),
+        ]
+        ds = load_csv(io.StringIO(text), schema)
+        assert ds.spec("c").categories == ('y, "z"', "w")
+        written = _written(ds, serialize_csv)
+        assert written == _written(ds, serialize_csv_by_rows)
+        assert written.splitlines()[1:3] == ["-0.0,x,,1", '5e-324,,"y, ""z""", ']
+        assert load_csv(io.StringIO(written), ds.schema) == ds
+
+    def test_single_column_with_a_missing_cell(self):
+        # a row of one empty field is written quoted, so it reloads as missing
+        ds = Dataset(
+            [VariableSpec("v", "predictor", "numeric")],
+            {"v": np.array([1.5, np.nan, 2.5])},
+            {"v": np.array([False, True, False])},
+        )
+        written = _written(ds, serialize_csv)
+        assert written == _written(ds, serialize_csv_by_rows) == 'v\n1.5\n""\n2.5\n'
+        assert load_csv(io.StringIO(written), ds.schema) == ds
+
+    def test_matches_row_loop_on_loaded_fixture(self):
+        ds = _load()
+        assert _written(ds, serialize_csv) == _written(ds, serialize_csv_by_rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+            st.one_of(st.none(), st.sampled_from(["p", "q", "r, s"])),
+        ),
+        min_size=2,
+        max_size=30,
+    )
+)
+def test_serialize_matches_row_loop_property(rows):
+    schema = [
+        VariableSpec("v", "predictor", "numeric"),
+        VariableSpec("k", "predictor", "categorical", categories=("p", "q", "r, s")),
+    ]
+    columns = {
+        "v": np.array([np.nan if v is None else v for v, _ in rows]),
+        "k": np.array([-1 if k is None else schema[1].categories.index(k) for _, k in rows]),
+    }
+    missing = {
+        "v": np.array([v is None for v, _ in rows]),
+        "k": np.array([k is None for _, k in rows]),
+    }
+    ds = Dataset(schema, columns, missing)
+    assert _written(ds, serialize_csv) == _written(ds, serialize_csv_by_rows)

@@ -2,17 +2,22 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectcast._errors import ConfigError, DataError
+from defectcast import pipeline
+from defectcast._errors import ConfigError, DataError, DefectcastError, NumericalError
 from defectcast.cli import main
 from defectcast.pipeline import (
     STAGE_SECTIONS,
     STAGES,
     _atomic_write,
+    _write_json,
     load_config,
     render_summary,
     run_pipeline,
@@ -367,8 +372,9 @@ class TestPipelineRun:
     def test_screen_stage_emits_only_its_sections(self, tmp_path):
         cfg = load_small(tmp_path)
         run_stage("screen", cfg)
-        sections = json.loads((tmp_path / "out" / "stage_screen.json").read_text())
-        assert sorted(sections) == ["group_screening", "rank_correlations"]
+        doc = json.loads((tmp_path / "out" / "stage_screen.json").read_text())
+        assert doc.pop("provenance") == cfg.provenance()
+        assert sorted(doc) == ["group_screening", "rank_correlations"]
 
     def test_stage_files_compact_report_indented(self, tmp_path):
         cfg = load_small(tmp_path)
@@ -466,8 +472,9 @@ class TestPipelineRun:
         path = write_config(tmp_path, config)
         cfg = load_config(path, out_override=str(tmp_path / "out"))
         run_stage("prepare", cfg)
-        schema = json.loads((tmp_path / "out" / "prepared.schema.json").read_text())
-        dev = next(e for e in schema if e["name"] == "dev_type")
+        sidecar = json.loads((tmp_path / "out" / "prepared.schema.json").read_text())
+        assert sidecar["provenance"] == cfg.provenance()
+        dev = next(e for e in sidecar["schema"] if e["name"] == "dev_type")
         assert dev["kind"] == "binary"
         assert dev["categories"] == [
             "New Development+Re-development",
@@ -582,3 +589,180 @@ def test_traced_names_resolve():
                 assert hasattr(owner, attr), f"defectcast.{module_name}.{qualname}"
                 owner = getattr(owner, attr)
             assert callable(owner)
+
+
+# ---------------------------------------------------------------------------
+# in-memory handoff and file provenance
+# ---------------------------------------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Replace ``pipeline.<name>`` with a wrapper; returns the list of the
+    positional arguments of each call."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
+
+
+def _csv_cfg(tmp_path, out="out"):
+    data = tmp_path / "proj.csv"
+    data.write_text(CSV_TEXT, encoding="utf-8")
+    path = write_config(tmp_path, csv_config(data), "csv.json")
+    return load_config(path, out_override=str(tmp_path / out))
+
+
+class TestArtifactHandoff:
+    def test_synthetic_run_parses_no_csv(self, tmp_path, monkeypatch):
+        loads = _counting(monkeypatch, "load_csv")
+        run_pipeline(load_small(tmp_path))
+        assert loads == []
+
+    def test_csv_run_parses_its_data_file_once(self, tmp_path, monkeypatch):
+        cfg = _csv_cfg(tmp_path)
+        loads = _counting(monkeypatch, "load_csv")
+        run_pipeline(cfg)
+        assert [Path(args[0]).name for args in loads] == ["proj.csv"]
+
+    def test_report_written_once_per_run(self, tmp_path, monkeypatch):
+        writes = _counting(monkeypatch, "_atomic_write")
+        report = run_pipeline(load_small(tmp_path))
+        names = [args[0].name for args in writes]
+        assert names.count("report.json") == 1
+        assert names[-1] == "report.json"
+        assert report == json.loads((tmp_path / "out" / "report.json").read_text())
+
+    def test_failed_run_reports_its_finished_stages(self, tmp_path):
+        # six rows are too few to fit; the report of an earlier run in the
+        # same directory must not survive as this run's
+        run_pipeline(load_small(tmp_path))
+        cfg = load_small(tmp_path, data={"synthetic": {"n": 6, "noise_sd": 0.5}})
+        with pytest.raises(DataError, match="^step 'fit'"):
+            run_pipeline(cfg)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["provenance"] == cfg.provenance()
+        assert report["synthetic_data"]["rows"] == 6
+        assert "model_tree" in report and "regression" not in report
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_each_stage_goes_through_module_run_stage(self, tmp_path, monkeypatch, source):
+        # perfbench times each stage by rebinding pipeline.run_stage
+        cfg = load_small(tmp_path) if source == "synthetic" else _csv_cfg(tmp_path)
+        calls = _counting(monkeypatch, "run_stage")
+        run_pipeline(cfg)
+        expected = STAGES if source == "synthetic" else STAGES[1:]
+        assert [args[0] for args in calls] == list(expected)
+
+    def test_stage_files_of_another_source_left_out(self, tmp_path):
+        run_pipeline(load_small(tmp_path))
+        cfg = _csv_cfg(tmp_path)
+        run_stage("prepare", cfg)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["provenance"]["data_source"]["kind"] == "csv"
+        assert sorted(report) == ["data_preparation", "normality", "provenance"]
+
+    def test_prepared_csv_of_another_config_recomputed(self, tmp_path):
+        filtered = small_config(filters=[{"kind": "range", "variable": "fp", "low": 100}])
+        path_a = write_config(tmp_path, filtered, "a.json")
+        path_b = write_config(tmp_path, small_config(), "b.json")
+        mixed = str(tmp_path / "mixed")
+        prep = run_stage("prepare", load_config(path_a, out_override=mixed))
+        assert prep["data_preparation"]["rows_after_filters"] < 64
+        staged = run_stage("screen", load_config(path_b, out_override=mixed))
+        mono = run_pipeline(load_config(path_b, out_override=str(tmp_path / "mono")))
+        for section in STAGE_SECTIONS["screen"]:
+            assert staged[section] == mono[section], section
+
+    def test_synthetic_csv_of_another_seed_regenerated(self, tmp_path):
+        path = write_config(tmp_path, small_config())
+        mixed = str(tmp_path / "mixed")
+        run_stage("synth", load_config(path, out_override=mixed, seed_override=1))
+        code = main(["--config", str(path), "--out", mixed, "--stage", "prepare", "--seed", "2"])
+        assert code == 0
+        staged = json.loads((tmp_path / "mixed" / "report.json").read_text())
+        mono = run_pipeline(
+            load_config(path, out_override=str(tmp_path / "mono"), seed_override=2)
+        )
+        for section in STAGE_SECTIONS["prepare"]:
+            assert staged[section] == mono[section], section
+
+    def test_nan_raises_and_writes_nothing(self, tmp_path):
+        with pytest.raises(NumericalError, match="report.json"):
+            _write_json(tmp_path / "report.json", {"section": {"value": float("nan")}})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_section_fails_its_stage(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(
+            pipeline._STAGE_FUNCS, "screen", lambda run: {"rank_correlations": math.inf}
+        )
+        with pytest.raises(NumericalError, match="^step 'screen': .*stage_screen.json"):
+            run_stage("screen", load_small(tmp_path))
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+_FILTERS = [
+    [],
+    [{"kind": "range", "variable": "fp", "low": 60}],
+    [{"kind": "in_set", "variable": "vaf", "labels": ["0.65", "0.90", "1.00", "1.10"]}],
+    [{"kind": "non_missing", "variable": "efforts"}],
+]
+
+
+def _outcome(action, out_dir: Path):
+    """``report.json`` and ``model.json`` bytes after ``action``, or the error."""
+    try:
+        action()
+    except DefectcastError as err:
+        return type(err).__name__, str(err)
+    return tuple(
+        (out_dir / name).read_bytes() if (out_dir / name).is_file() else None
+        for name in ("report.json", "model.json")
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.integers(40, 64),
+    seed=st.integers(0, 2**31 - 1),
+    stepwise=st.booleans(),
+    scale_vaf=st.booleans(),
+    tree=st.booleans(),
+    recalibrate=st.booleans(),
+    filters=st.sampled_from(_FILTERS),
+    merge=st.booleans(),
+)
+def test_staged_report_equals_monolithic(
+    n, seed, stepwise, scale_vaf, tree, recalibrate, filters, merge
+):
+    config = small_config(
+        data={"synthetic": {"n": n, "noise_sd": 0.5}},
+        tree={"enabled": tree},
+        recalibration={"enabled": recalibrate},
+        filters=filters,
+        seed=seed,
+    )
+    config["regression"].update(
+        stepwise=stepwise,
+        scaling={"dev_type": "nominal", **({"vaf": "ordinal"} if scale_vaf else {})},
+    )
+    if merge:
+        config["merges"] = [
+            {"variable": "dev_type", "pairs": [["New Development", "Re-development"]]}
+        ]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write_config(tmp, config)
+        mono = load_config(path, out_override=str(tmp / "mono"))
+        staged = load_config(path, out_override=str(tmp / "staged"))
+
+        def each_stage():
+            for stage in STAGES:
+                run_stage(stage, staged)
+
+        expected = _outcome(lambda: run_pipeline(mono), tmp / "mono")
+        assert _outcome(each_stage, tmp / "staged") == expected
