@@ -6,6 +6,16 @@ shape: k-fold cross-validation, repeated random splits, and resubstitution
 (fit and evaluate on all rows, clearly labeled).  Every protocol is a pure
 function of (data, plan, seed): reports are byte-identical across runs.
 
+Each protocol encodes its prepared table once: the design matrix with its
+intercept column, the response on the model and count scales, and each
+categorical predictor's firing strengths under its identity-started unit.
+None of these depend on the split.  A split then only gathers rows of
+those arrays: it solves plain OLS coefficients (no inference), fits the
+consequents, and scores its test rows through ``recalibration.score``, the
+arithmetic ``recalibration.predict`` runs on an encoded table.  Rows are
+gathered before any product, so each split computes on the same arrays a
+table of its own rows would have given, and the report bytes match.
+
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic
 ratings condensed into an adjustment factor, a three-level development
@@ -24,13 +34,14 @@ import numpy as np
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
-from .recalibration import (
-    Nfa,
-    predict,
-    train_recalibration,
-    units_for,
+from .recalibration import Routes, fit_consequents, routes_for, score, units_for
+from .regression import (
+    Quantification,
+    back_transform_array,
+    design_columns,
+    ols_coefficients,
+    response_values,
 )
-from .regression import LinearModel, Quantification, back_transform_array, ols_fit
 from .screening import spearman
 from .transform import apply_schema_transforms, compute_vaf
 
@@ -97,13 +108,17 @@ class EvalMetrics:
 
 
 def _metrics(actuals, predictions, thresholds, include_pred) -> EvalMetrics:
-    value = mmre(actuals, predictions)
-    pred = (
-        {m: pred_at(actuals, predictions, m) for m in thresholds}
-        if include_pred
-        else {}
-    )
-    return EvalMetrics(mmre=value, pred=pred, n=len(actuals))
+    """``mmre`` and ``pred_at`` at each threshold, from one input check and
+    one relative-error vector."""
+    a, p = _check_metric_inputs(actuals, predictions)
+    errors = np.abs(a - p) / a
+    pred = {}
+    if include_pred:
+        for m in thresholds:
+            if m < 0:
+                raise ConfigError(f"threshold must be nonnegative, got {m}")
+            pred[m] = float(np.mean(errors <= m))
+    return EvalMetrics(mmre=float(np.mean(errors)), pred=pred, n=len(actuals))
 
 
 # ---------------------------------------------------------------------------
@@ -265,46 +280,12 @@ def _improvement(baseline: float, recalibrated: float) -> float:
     return (baseline - recalibrated) / baseline * 100.0
 
 
-def _fit_plan_model(plan: ModelingPlan, ds: Dataset) -> LinearModel:
-    return ols_fit(
-        ds, plan.response, plan.predictors, plan.quantification_map(), plan.response_transform
-    )
-
-
 def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
     """Model-scale response values back on the count scale, through
     ``back_transform_array`` like the predictions."""
     if transform == "none":
         return values
     return back_transform_array(values, transform)
-
-
-def _evaluate(
-    label: str,
-    model: LinearModel,
-    trained: list[Nfa],
-    data: Dataset,
-    indices: np.ndarray,
-    plan: ModelingPlan,
-) -> ExperimentRow:
-    back = plan.response_transform != "none"
-    test = data.take(indices)
-    quants = plan.quantification_map()
-    actuals = raw_counts(test.columns[plan.response], plan.response_transform)
-    base_preds = predict(model, test, quants, back_transform=back)
-    recal_preds = predict(model, test, quants, units=trained, back_transform=back)
-    include_pred = len(indices) >= plan.min_test_for_pred
-    base = _metrics(actuals, base_preds, plan.pred_thresholds, include_pred)
-    recal = _metrics(actuals, recal_preds, plan.pred_thresholds, include_pred)
-    return ExperimentRow(
-        label=label,
-        n_test=len(indices),
-        baseline_mmre=base.mmre,
-        recalibrated_mmre=recal.mmre,
-        improvement_pct=_improvement(base.mmre, recal.mmre),
-        baseline_pred=base.pred if include_pred else None,
-        recalibrated_pred=recal.pred if include_pred else None,
-    )
 
 
 def _averages(rows: list[ExperimentRow]) -> ExperimentRow:
@@ -333,11 +314,9 @@ def _prepare_data(ds: Dataset, plan: ModelingPlan) -> Dataset:
     """Materialize declared column transforms, then narrow to the response
     and the plan's predictors and reduce to complete rows.
 
-    Narrowing once here means every per-split row subset copies only the
-    columns a fit or a prediction reads.  A response column that declares
-    its own transform must agree with the plan; a response already on the
-    model scale declares 'none' and the plan alone records how to get back
-    to counts.
+    A response column that declares its own transform must agree with the
+    plan; a response already on the model scale declares 'none' and the
+    plan alone records how to get back to counts.
     """
     declared = ds.spec(plan.response).transform
     if declared != "none" and declared != plan.response_transform:
@@ -350,19 +329,80 @@ def _prepare_data(ds: Dataset, plan: ModelingPlan) -> Dataset:
     return listwise_complete(data.select(used), used)
 
 
-def _fit_and_recalibrate(
-    plan: ModelingPlan, train_ds: Dataset, context: str, fixed_model: LinearModel | None
-) -> tuple[LinearModel, list[Nfa]]:
+@dataclass(frozen=True)
+class _Encoded:
+    """What no split changes, for every row of a prepared table: the design
+    (a column of ones, then each predictor on the model scale), the
+    response on the model scale and on the count scale, and a route per
+    categorical predictor through its identity-started unit."""
+
+    design: np.ndarray
+    y: np.ndarray
+    actuals: np.ndarray
+    routes: Routes
+
+
+def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
+    quants = plan.quantification_map()
+    design, codings = design_columns(data, plan.predictors, quants)
+    return _Encoded(
+        design=design,
+        y=response_values(data, plan.response),
+        actuals=raw_counts(data.columns[plan.response], plan.response_transform),
+        routes=routes_for(design, plan.predictors, codings, units_for(codings, quants)),
+    )
+
+
+def _coefficients(enc: _Encoded, rows: np.ndarray | slice, plan: ModelingPlan) -> np.ndarray:
+    sol, _ = ols_coefficients(enc.design[rows], enc.y[rows], plan.predictors, plan.response)
+    return sol.coefficients
+
+
+def _split_row(
+    label: str,
+    context: str,
+    enc: _Encoded,
+    plan: ModelingPlan,
+    train: np.ndarray,
+    test: np.ndarray,
+    fixed: np.ndarray | None,
+) -> ExperimentRow:
+    """Fit on the ``train`` rows (unless ``fixed`` coefficients are given),
+    recalibrate on them, and score the ``test`` rows with and without the
+    units.  Each array is gathered by row before any arithmetic, so every
+    product sees the arrays a per-split table would have produced."""
+    consequents = [q for _, q in enc.routes.values()]
     try:
-        model = fixed_model if fixed_model is not None else _fit_plan_model(plan, train_ds)
-        units = units_for(model, plan.quantification_map())
+        coef = fixed if fixed is not None else _coefficients(enc, train, plan)
         if plan.recalibrate:
-            trained, _ = train_recalibration(model, units, train_ds)
-        else:
-            trained = units
-        return model, trained
+            train_routes = {j: (s[train], q) for j, (s, q) in enc.routes.items()}
+            consequents, _ = fit_consequents(
+                coef, enc.design[train], enc.y[train], train_routes
+            )
     except (DataError, NumericalError) as err:
         raise DataError(f"{context}: {err}") from None
+    design = enc.design[test]
+    test_routes = {
+        j: (s[test], q) for (j, (s, _)), q in zip(enc.routes.items(), consequents)
+    }
+    base_preds = score(coef, design)
+    recal_preds = score(coef, design, test_routes)
+    if plan.response_transform != "none":
+        base_preds = back_transform_array(base_preds, plan.response_transform)
+        recal_preds = back_transform_array(recal_preds, plan.response_transform)
+    actuals = enc.actuals[test]
+    include_pred = len(test) >= plan.min_test_for_pred
+    base = _metrics(actuals, base_preds, plan.pred_thresholds, include_pred)
+    recal = _metrics(actuals, recal_preds, plan.pred_thresholds, include_pred)
+    return ExperimentRow(
+        label=label,
+        n_test=len(test),
+        baseline_mmre=base.mmre,
+        recalibrated_mmre=recal.mmre,
+        improvement_pct=_improvement(base.mmre, recal.mmre),
+        baseline_pred=base.pred if include_pred else None,
+        recalibrated_pred=recal.pred if include_pred else None,
+    )
 
 
 def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> ExperimentReport:
@@ -373,13 +413,15 @@ def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> Experi
     """
     data = _prepare_data(ds, plan)
     fold_plan = kfold_plan(data.row_count, k, seed)
-    fixed = None if plan.refit_regression else _fit_plan_model(plan, data)
-    rows = []
-    for i in range(k):
-        model, trained = _fit_and_recalibrate(
-            plan, data.take(fold_plan.train(i)), f"fold {i + 1}", fixed
+    enc = _encode(data, plan)
+    fixed = None if plan.refit_regression else _coefficients(enc, slice(None), plan)
+    rows = [
+        _split_row(
+            f"fold {i + 1}", f"fold {i + 1}", enc, plan,
+            fold_plan.train(i), fold_plan.fold(i), fixed,
         )
-        rows.append(_evaluate(f"fold {i + 1}", model, trained, data, fold_plan.fold(i), plan))
+        for i in range(k)
+    ]
     return ExperimentReport(
         protocol="cross_validation",
         parameters={"k": k, "seed": seed, "n": data.row_count,
@@ -405,16 +447,16 @@ def random_split_experiment(
             f"train_fraction {train_fraction} leaves no usable split of {n} rows"
         )
     master = RandomStream(seed)
-    fixed = None if plan.refit_regression else _fit_plan_model(plan, data)
+    enc = _encode(data, plan)
+    fixed = None if plan.refit_regression else _coefficients(enc, slice(None), plan)
     rows = []
     for r in range(repetitions):
         perm = master.split(r).permutation(n)
         train_idx = np.sort(perm[:train_size])
         test_idx = np.sort(perm[train_size:])
-        model, trained = _fit_and_recalibrate(
-            plan, data.take(train_idx), f"repetition {r + 1}", fixed
+        rows.append(
+            _split_row(f"rep {r + 1}", f"repetition {r + 1}", enc, plan, train_idx, test_idx, fixed)
         )
-        rows.append(_evaluate(f"rep {r + 1}", model, trained, data, test_idx, plan))
     return ExperimentReport(
         protocol="random_split",
         parameters={
@@ -433,8 +475,8 @@ def random_split_experiment(
 def resubstitution_experiment(ds: Dataset, plan: ModelingPlan) -> ExperimentReport:
     """Fit, recalibrate, and evaluate on all rows (optimistic by design)."""
     data = _prepare_data(ds, plan)
-    model, trained = _fit_and_recalibrate(plan, data, "all data", None)
-    row = _evaluate("all data", model, trained, data, np.arange(data.row_count), plan)
+    every = np.arange(data.row_count)
+    row = _split_row("all data", "all data", _encode(data, plan), plan, every, every, None)
     return ExperimentReport(
         protocol="resubstitution",
         parameters={"n": data.row_count},

@@ -841,7 +841,7 @@ def _stage_recalibrate(run: _Run) -> dict:
     selected, quants = _load_fitted(run)
     transform = _response_transform(run)
     fit_rows = listwise_complete(data, [cfg.response, *selected.variables])
-    units = units_for(selected, quants)
+    units = units_for(selected.codings, quants)
     trained, trace = train_recalibration(selected, units, fit_rows)
     before, after = _resubstitution_mmre(selected, trained, quants, fit_rows, transform)
 

@@ -14,23 +14,35 @@ is one exact linear least-squares solve: the minimum-norm correction from
 the identity start, which is where gradient descent from that start would
 converge.
 
-``predict`` is the one place a prediction is computed: it scores every
-row of a dataset in one array pass, with units (recalibrated) or without
+Prediction and training each run in two steps: ``encode`` turns a table
+into a design matrix and, with units, each categorical term's firing
+strengths; ``score`` and ``fit_consequents`` do the arithmetic on those
+arrays.  ``predict`` (``encode`` then ``score``) is the one place a
+prediction is computed from a table, with units (recalibrated) or without
 (baseline).  ``recalibrated_predict`` and ``regression.model_predict`` are
 its one-row forms: they resolve a row dict into a one-row table and score
-it here.
+it here.  Resampling experiments encode their table once and hand row
+subsets of the arrays to ``score`` and ``fit_consequents`` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
 from .numerics import min_norm_least_squares
-from .regression import LinearModel, Quantification, back_transform_array, row_table
+from .regression import (
+    LinearModel,
+    Quantification,
+    back_transform_array,
+    design_columns,
+    response_values,
+    row_table,
+)
 
 __all__ = [
     "Nfa",
@@ -161,11 +173,14 @@ def firing_strengths(nfa: Nfa, values) -> np.ndarray:
     return mu / total[:, None]
 
 
-def units_for(model: LinearModel, quantifications: dict[str, Quantification]) -> list[Nfa]:
-    """One identity-initialized unit per categorical term of the model,
-    anchored at the supplied quantification or else the fit-time coding."""
+def units_for(
+    codings: dict[str, dict[str, float]], quantifications: dict[str, Quantification]
+) -> list[Nfa]:
+    """One identity-initialized unit per variable of ``codings`` (a model's
+    fit-time codings), in their order, anchored at the supplied
+    quantification or else the coding."""
     units = []
-    for variable, coding in model.codings.items():
+    for variable, coding in codings.items():
         quant = quantifications.get(variable)
         if quant is None:
             quant = Quantification(variable, dict(coding), source="initial")
@@ -173,12 +188,128 @@ def units_for(model: LinearModel, quantifications: dict[str, Quantification]) ->
     return units
 
 
+# A route sends one design column through a unit: it maps the column's
+# index to the unit's firing strengths on the design's rows and the
+# consequents that weigh them.
+Routes = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def routes_for(
+    design: np.ndarray,
+    variables: Sequence[str],
+    codings: dict[str, dict[str, float]],
+    units: list[Nfa],
+) -> Routes:
+    """A route for each coded variable's design column (``variables[j]``
+    in column ``j + 1``), in column order, through the unit of its
+    variable."""
+    by_var = {nfa.variable: nfa for nfa in units}
+    routes: Routes = {}
+    for j, variable in enumerate(variables, start=1):
+        if variable not in codings:
+            continue
+        nfa = by_var.get(variable)
+        if nfa is None:
+            raise DataError(f"missing recalibration unit for categorical term {variable!r}")
+        routes[j] = (firing_strengths(nfa, design[:, j]), np.array(nfa.consequents))
+    return routes
+
+
+def encode(
+    model: LinearModel,
+    ds: Dataset,
+    quantifications: dict[str, Quantification] | None = None,
+    units: list[Nfa] | None = None,
+) -> tuple[np.ndarray, Routes]:
+    """The encode step of ``predict`` and ``train_recalibration``: the
+    ``design_columns`` design of the model's terms and, with ``units``,
+    their routes.  Labels resolve through ``quantifications`` first, then
+    the model's fit-time codings."""
+    quantifications = quantifications or {}
+    quants = {
+        variable: quantifications.get(variable) or Quantification(variable, coding)
+        for variable, coding in model.codings.items()
+    }
+    design, _ = design_columns(ds, model.variables, quants)
+    if units is None:
+        return design, {}
+    return design, routes_for(design, model.variables, model.codings, units)
+
+
+def score(coefficients, design: np.ndarray, routes: Routes | None = None) -> np.ndarray:
+    """The linear predictor on an encoded design: ``coefficients[0]``,
+    then each term's coefficient times its column, in column order.  A
+    routed column is replaced by its unit's output, ``strengths @
+    consequents``."""
+    routes = routes or {}
+    total = np.full(design.shape[0], coefficients[0])
+    for j in range(1, design.shape[1]):
+        route = routes.get(j)
+        values = design[:, j] if route is None else route[0] @ route[1]
+        total = total + coefficients[j] * values
+    return total
+
+
+def fit_consequents(
+    coefficients, design: np.ndarray, y: np.ndarray, routes: Routes
+) -> tuple[list[np.ndarray], TrainingTrace]:
+    """The arithmetic of ``train_recalibration`` on an encoded design:
+    least-squares consequents of every route, in route order, from the
+    routes' consequents as the start."""
+    n = design.shape[0]
+    if n == 0:
+        raise DataError("no complete rows to train on")
+    # fixed part of the prediction: intercept plus all numeric terms
+    base = np.full(n, coefficients[0])
+    for j in range(1, design.shape[1]):
+        if j not in routes:
+            base = base + coefficients[j] * design[:, j]
+    blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
+    a = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    q0 = np.concatenate([q for _, q in routes.values()]) if routes else np.zeros(0)
+
+    def residual(params: np.ndarray) -> np.ndarray:
+        return base + a @ params - y
+
+    def gradient_norm(r: np.ndarray) -> float:
+        g = (2.0 / n) * (a.T @ r)
+        return float(np.sqrt(g @ g))
+
+    r0 = residual(q0)
+    grad_norm0 = gradient_norm(r0)
+    if grad_norm0 < 1e-10:
+        q, r, solves = q0, r0, 0
+    else:  # also for a NaN gradient, so non-finite inputs raise NumericalError
+        q = q0 + min_norm_least_squares(a, -r0)
+        r = residual(q)
+        solves = 1
+
+    trained, pos = [], 0
+    for _, start in routes.values():
+        trained.append(q[pos : pos + start.size])
+        pos += start.size
+    trace = TrainingTrace(
+        epochs=solves,
+        mse_path=(float(r0 @ r0) / n, float(r @ r) / n),
+        initial_gradient_norm=grad_norm0,
+        converged=True,
+        final_gradient_norm=gradient_norm(r),
+    )
+    return trained, trace
+
+
+def _coefficients(model: LinearModel) -> list[float]:
+    return [model.intercept, *(t.coefficient for t in model.terms)]
+
+
 def train_recalibration(
     model: LinearModel,
     nfas: list[Nfa],
     ds: Dataset,
 ) -> tuple[list[Nfa], TrainingTrace]:
-    """Least-squares consequents of every unit, solved exactly.
+    """Least-squares consequents of every unit, solved exactly: ``encode``
+    on the complete rows with the fit-time codings, then
+    ``fit_consequents``.
 
     The prediction for a row is the model's linear form with each
     categorical term's value routed through its unit.  Premises are
@@ -200,59 +331,11 @@ def train_recalibration(
     if extra:
         raise DataError(f"units for variables that are not categorical terms: {extra}")
 
-    needed = [model.response] + [t.variable for t in model.terms]
-    data = listwise_complete(ds, needed)
-    n = data.row_count
-    if n == 0:
-        raise DataError("no complete rows to train on")
-    if data.spec(model.response).is_categorical:
-        raise DataError(f"response {model.response!r} must be numeric")
-    y = data.columns[model.response].astype(float)
-
-    # fixed part of the prediction: intercept plus all numeric terms
-    base = np.full(n, model.intercept)
-    for term in model.terms:
-        if term.variable in model.codings:
-            continue
-        base = base + term.coefficient * data.columns[term.variable].astype(float)
-
-    # units see the fit-time coding of each label
-    blocks = [
-        model.term(var).coefficient
-        * firing_strengths(by_var[var], data.encode(var, model.codings[var]))
-        for var in cat_terms
-    ]
-    a = np.hstack(blocks) if blocks else np.zeros((n, 0))
-    q0 = np.array([q for var in cat_terms for q in by_var[var].consequents])
-
-    def residual(params: np.ndarray) -> np.ndarray:
-        return base + a @ params - y
-
-    def gradient_norm(r: np.ndarray) -> float:
-        g = (2.0 / n) * (a.T @ r)
-        return float(np.sqrt(g @ g))
-
-    r0 = residual(q0)
-    grad_norm0 = gradient_norm(r0)
-    if grad_norm0 < 1e-10:
-        q, r, solves = q0, r0, 0
-    else:  # also for a NaN gradient, so non-finite inputs raise NumericalError
-        q = q0 + min_norm_least_squares(a, -r0)
-        r = residual(q)
-        solves = 1
-
-    trained, pos = [], 0
-    for var in cat_terms:
-        k = len(by_var[var].consequents)
-        trained.append(by_var[var].with_consequents(q[pos : pos + k]))
-        pos += k
-    trace = TrainingTrace(
-        epochs=solves,
-        mse_path=(float(r0 @ r0) / n, float(r @ r) / n),
-        initial_gradient_norm=grad_norm0,
-        converged=True,
-        final_gradient_norm=gradient_norm(r),
-    )
+    data = listwise_complete(ds, [model.response, *model.variables])
+    y = response_values(data, model.response)
+    design, routes = encode(model, data, units=nfas)
+    consequents, trace = fit_consequents(_coefficients(model), design, y, routes)
+    trained = [by_var[v].with_consequents(q) for v, q in zip(cat_terms, consequents)]
     return trained, trace
 
 
@@ -263,7 +346,7 @@ def predict(
     units: list[Nfa] | None = None,
     back_transform: bool = False,
 ) -> np.ndarray:
-    """Predictions for every row of ``ds``, one array pass per model term.
+    """Predictions for every row of ``ds``: ``encode``, then ``score``.
 
     The sum runs intercept first, then each term in model order.  With
     ``units`` every categorical term's value passes through its unit
@@ -271,26 +354,8 @@ def predict(
     ``quantifications`` first, then the model's fit-time codings.  The
     back-transform runs per element through ``back_transform_array``.
     """
-    quantifications = quantifications or {}
-    by_var = None if units is None else {nfa.variable: nfa for nfa in units}
-    total = np.full(ds.row_count, model.intercept)
-    for term in model.terms:
-        if ds.spec(term.variable).is_categorical:
-            quant = quantifications.get(term.variable)
-            mapping = (
-                quant.mapping if quant is not None else model.codings.get(term.variable, {})
-            )
-            values = ds.encode(term.variable, mapping)
-        else:
-            values = ds.columns[term.variable]
-        if by_var is not None and term.variable in model.codings:
-            nfa = by_var.get(term.variable)
-            if nfa is None:
-                raise DataError(
-                    f"missing recalibration unit for categorical term {term.variable!r}"
-                )
-            values = firing_strengths(nfa, values) @ np.array(nfa.consequents)
-        total = total + term.coefficient * values
+    design, routes = encode(model, ds, quantifications, units)
+    total = score(_coefficients(model), design, routes)
     if back_transform:
         return back_transform_array(total, model.response_transform)
     return total

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete, sample_sd
-from .numerics import solve_least_squares, t_cdf, unscaled_covariance
+from .numerics import LeastSquaresSolution, solve_least_squares, t_cdf, unscaled_covariance
 
 __all__ = [
     "Quantification",
@@ -158,19 +158,20 @@ def design_columns(
     predictors: Sequence[str],
     quantifications: dict[str, Quantification] | None = None,
 ) -> tuple[np.ndarray, dict[str, dict[str, float]]]:
-    """Numeric design columns for the given predictors, plus codings used.
+    """The design matrix, a column of ones and then one numeric column per
+    predictor in order, plus the codings used.
 
     Rows must already be listwise complete for the predictors.  Categorical
     predictors need a quantification unless binary, in which case they are
     coded 0/1 by category order.
     """
     quantifications = quantifications or {}
-    cols = []
+    cols = [np.ones(ds.row_count)]
     codings: dict[str, dict[str, float]] = {}
     for name in predictors:
         spec = ds.spec(name)
         if spec.kind == "numeric":
-            cols.append(ds.columns[name].astype(float))
+            cols.append(ds.columns[name])
             continue
         quant = quantifications.get(name)
         if quant is not None:
@@ -184,15 +185,48 @@ def design_columns(
             )
         codings[name] = mapping
         cols.append(ds.encode(name, mapping))
-    matrix = np.column_stack(cols) if cols else np.empty((ds.row_count, 0))
-    return matrix, codings
+    return np.column_stack(cols), codings
 
 
-def _response_values(ds: Dataset, response: str) -> np.ndarray:
+def response_values(ds: Dataset, response: str) -> np.ndarray:
     spec = ds.spec(response)
     if spec.is_categorical:
         raise DataError(f"response {response!r} must be numeric")
     return ds.columns[response].astype(float)
+
+
+def ols_coefficients(
+    design: np.ndarray, y: np.ndarray, predictors: Sequence[str], response: str
+) -> tuple[LeastSquaresSolution, float]:
+    """The solve of ``ols_fit`` without its inference: least-squares
+    coefficients of a ``design_columns`` design and the total sum of
+    squares of ``y``.
+
+    Raises DataError for too few rows or a response without variance, and
+    NumericalError naming the first collinear predictor.
+    """
+    n, columns = design.shape
+    p = columns - 1
+    if n <= p + 1:
+        raise DataError(
+            f"OLS needs more than {p + 1} complete rows for {p} predictors, got {n}"
+        )
+    try:
+        sol = solve_least_squares(design, y)
+    except NumericalError as err:
+        col = getattr(err, "column", None)
+        if col is not None:
+            name = "intercept" if col == 0 else predictors[col - 1]
+            named = NumericalError(
+                f"collinear design: {name!r} is linearly dependent on the other terms"
+            )
+            named.variable = name
+            raise named from None
+        raise
+    tss = float(((y - y.mean()) ** 2).sum())
+    if tss == 0.0:
+        raise DataError(f"response {response!r} has zero variance on the fit rows")
+    return sol, tss
 
 
 def ols_fit(
@@ -212,31 +246,12 @@ def ols_fit(
     data = listwise_complete(ds, [response] + predictors)
     n = data.row_count
     p = len(predictors)
-    if n <= p + 1:
-        raise DataError(
-            f"OLS needs more than {p + 1} complete rows for {p} predictors, got {n}"
-        )
-    y = _response_values(data, response)
-    x, codings = design_columns(data, predictors, quantifications)
-    design = np.column_stack([np.ones(n), x])
-    try:
-        sol = solve_least_squares(design, y)
-    except NumericalError as err:
-        col = getattr(err, "column", None)
-        if col is not None:
-            name = "intercept" if col == 0 else predictors[col - 1]
-            named = NumericalError(
-                f"collinear design: {name!r} is linearly dependent on the other terms"
-            )
-            named.variable = name
-            raise named from None
-        raise
+    y = response_values(data, response)
+    design, codings = design_columns(data, predictors, quantifications)
+    sol, tss = ols_coefficients(design, y, predictors, response)
     coef = sol.coefficients
     rss = sol.residual_sum_squares
     sd_y = sample_sd(y)
-    tss = float(((y - y.mean()) ** 2).sum())
-    if tss == 0.0:
-        raise DataError(f"response {response!r} has zero variance on the fit rows")
     r_squared = 1.0 - rss / tss
 
     df = n - p - 1
@@ -254,7 +269,7 @@ def ols_fit(
         b = float(coef[j])
         se = float(ses[j])
         t = math.inf if se == 0.0 and b != 0.0 else (0.0 if se == 0.0 else b / se)
-        beta = b * sample_sd(x[:, j - 1]) / sd_y
+        beta = b * sample_sd(design[:, j]) / sd_y
         terms.append(
             ModelTerm(
                 variable=name,
@@ -457,7 +472,7 @@ def catreg_fit(
         raise DataError(
             f"optimal scaling needs more than {p + 1} complete rows, got {n}"
         )
-    y = _response_values(data, response)
+    y = response_values(data, response)
 
     numeric = [v for v in predictors if data.spec(v).kind == "numeric"]
     categorical = [v for v in predictors if data.spec(v).is_categorical]
@@ -567,20 +582,27 @@ def catreg_fit(
 # ---------------------------------------------------------------------------
 
 
-def back_transform_value(value: float, transform: str) -> float:
+def _back_transform(transform: str):
     if transform == "ln":
-        return math.exp(value)
+        return math.exp
     if transform == "ln1p":
-        return math.expm1(value)
+        return math.expm1
     raise DataError(
         f"back-transform undefined for response transform {transform!r}"
     )
 
 
+def back_transform_value(value: float, transform: str) -> float:
+    return _back_transform(transform)(value)
+
+
 def back_transform_array(values: np.ndarray, transform: str) -> np.ndarray:
     """``back_transform_value`` element by element, for predictions and
-    actuals alike, so every count on the report comes from one formula."""
-    return np.array([back_transform_value(v, transform) for v in values.tolist()])
+    actuals alike, so every count on the report comes from one formula.
+    ``math.exp``/``math.expm1`` on Python floats, not ``np.exp``: the two
+    differ in the last bit on a few percent of inputs."""
+    fn = _back_transform(transform)
+    return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
 def row_value(

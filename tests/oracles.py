@@ -3,7 +3,11 @@
 Everything here deliberately avoids the package's own numerical routes:
 exact rational arithmetic for least squares, direct density integration for
 the CDFs, Monte Carlo for the studentized range, textbook formulas computed
-with plain loops for the screening statistics.
+with plain loops for the screening statistics.  The per-split evaluation
+path (``cross_validate_by_split`` and its siblings) is the exception: it
+is the package's earlier route, a table, an ``ols_fit`` and a
+``train_recalibration`` per split, kept as the reference the encoded
+protocols must equal.
 """
 
 from __future__ import annotations
@@ -449,3 +453,123 @@ def serialize_csv_by_rows(ds, handle) -> None:
             else:
                 row.append(repr(float(ds.columns[spec.name][i])))
         writer.writerow(row)
+
+
+def _split_fit(plan, train_ds, context, fixed):
+    """One split's fit and recalibration on its own table of rows."""
+    from defectcast._errors import DataError, NumericalError
+    from defectcast.recalibration import train_recalibration, units_for
+    from defectcast.regression import ols_fit
+
+    quants = plan.quantification_map()
+    try:
+        model = fixed if fixed is not None else ols_fit(
+            train_ds, plan.response, plan.predictors, quants, plan.response_transform
+        )
+        units = units_for(model.codings, quants)
+        trained = train_recalibration(model, units, train_ds)[0] if plan.recalibrate else units
+        return model, trained
+    except (DataError, NumericalError) as err:
+        raise DataError(f"{context}: {err}") from None
+
+
+def _split_row(label, model, trained, data, indices, plan):
+    """One split's report row, scored on its own table of test rows with
+    one ``mmre`` and one ``pred_at`` call per number."""
+    from defectcast.evaluation import ExperimentRow, _improvement, mmre, pred_at, raw_counts
+    from defectcast.recalibration import predict
+
+    back = plan.response_transform != "none"
+    test = data.take(indices)
+    quants = plan.quantification_map()
+    actuals = raw_counts(test.columns[plan.response], plan.response_transform)
+    include_pred = len(indices) >= plan.min_test_for_pred
+    scores = []
+    for units in (None, trained):
+        preds = predict(model, test, quants, units=units, back_transform=back)
+        error = mmre(actuals, preds)
+        pred = (
+            {m: pred_at(actuals, preds, m) for m in plan.pred_thresholds}
+            if include_pred
+            else None
+        )
+        scores.append((error, pred))
+    (base, base_pred), (recal, recal_pred) = scores
+    return ExperimentRow(
+        label=label,
+        n_test=len(indices),
+        baseline_mmre=base,
+        recalibrated_mmre=recal,
+        improvement_pct=_improvement(base, recal),
+        baseline_pred=base_pred,
+        recalibrated_pred=recal_pred,
+    )
+
+
+def _report_by_split(protocol, parameters, data, plan, splits, refit):
+    """The protocols' shared loop, one ``Dataset.take`` per train and test
+    row set, one ``ols_fit`` per refit and one ``train_recalibration`` per
+    split: the per-split path the encoded evaluation must match."""
+    from defectcast.evaluation import ExperimentReport, _averages
+    from defectcast.regression import ols_fit
+
+    fixed = None if refit else ols_fit(
+        data, plan.response, plan.predictors, plan.quantification_map(),
+        plan.response_transform,
+    )
+    rows = []
+    for label, context, train, test in splits:
+        model, trained = _split_fit(plan, data.take(train), context, fixed)
+        rows.append(_split_row(label, model, trained, data, test, plan))
+    return ExperimentReport(
+        protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
+    )
+
+
+def cross_validate_by_split(ds, plan, k, seed):
+    from defectcast.evaluation import _prepare_data, kfold_plan
+
+    data = _prepare_data(ds, plan)
+    folds = kfold_plan(data.row_count, k, seed)
+    splits = [
+        (f"fold {i + 1}", f"fold {i + 1}", folds.train(i), folds.fold(i)) for i in range(k)
+    ]
+    parameters = {"k": k, "seed": seed, "n": data.row_count,
+                  "refit_regression": plan.refit_regression}
+    return _report_by_split(
+        "cross_validation", parameters, data, plan, splits, plan.refit_regression
+    )
+
+
+def random_split_by_split(ds, plan, train_fraction, repetitions, seed):
+    from defectcast.evaluation import _prepare_data
+    from defectcast.numerics import RandomStream
+
+    data = _prepare_data(ds, plan)
+    n = data.row_count
+    train_size = math.floor(train_fraction * n + 0.5)
+    master = RandomStream(seed)
+    splits = []
+    for r in range(repetitions):
+        perm = master.split(r).permutation(n)
+        splits.append((f"rep {r + 1}", f"repetition {r + 1}",
+                       np.sort(perm[:train_size]), np.sort(perm[train_size:])))
+    parameters = {
+        "train_fraction": train_fraction, "train_size": train_size,
+        "repetitions": repetitions, "seed": seed, "n": n,
+        "refit_regression": plan.refit_regression,
+    }
+    return _report_by_split(
+        "random_split", parameters, data, plan, splits, plan.refit_regression
+    )
+
+
+def resubstitution_by_split(ds, plan):
+    from defectcast.evaluation import _prepare_data
+
+    data = _prepare_data(ds, plan)
+    every = np.arange(data.row_count)
+    return _report_by_split(
+        "resubstitution", {"n": data.row_count}, data, plan,
+        [("all data", "all data", every, every)], True,
+    )

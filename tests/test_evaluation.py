@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectcast._errors import ConfigError, DataError
-from defectcast.dataset import Dataset
+import oracles
+from defectcast import evaluation, recalibration
+from defectcast._errors import ConfigError, DataError, NumericalError
+from defectcast.dataset import Dataset, VariableSpec
 from defectcast.evaluation import (
     DEFAULT_COEFFICIENTS,
     GeneratorConfig,
@@ -117,6 +121,19 @@ class TestMetrics:
 # ---------------------------------------------------------------------------
 # fold planning
 # ---------------------------------------------------------------------------
+
+
+    def test_metrics_equal_mmre_and_pred_at(self):
+        rng = np.random.default_rng(5)
+        actuals = rng.uniform(1.0, 100.0, 60)
+        predictions = actuals * rng.uniform(0.2, 1.8, 60)
+        predictions[::7] = actuals[::7]  # exact hits count at threshold 0
+        thresholds = (0.0, 0.1, 0.25, 0.5, 1.0, 10.0)
+        got = evaluation._metrics(actuals, predictions, thresholds, True)
+        assert got.mmre == mmre(actuals, predictions)
+        assert got.pred == {m: pred_at(actuals, predictions, m) for m in thresholds}
+        assert got.n == 60
+        assert evaluation._metrics(actuals, predictions, thresholds, False).pred == {}
 
 
 class TestFoldPlan:
@@ -475,21 +492,30 @@ class TestRandomSplit:
             random_split_experiment(ds, plan, 0.5, repetitions=0, seed=1)
 
     @pytest.mark.parametrize("repetitions", [5, 10])
-    def test_two_narrow_row_subsets_per_repetition(self, monkeypatch, repetitions):
-        """Each repetition copies rows twice (train and test), and only the
-        response and the plan's predictors, never the whole table."""
+    def test_encodes_once_and_takes_no_rows_per_repetition(self, monkeypatch, repetitions):
+        """The table is encoded once per experiment, and the repetitions
+        gather rows of its arrays: no ``Dataset.take``, and no firing
+        strengths beyond the encoder's one call per unit."""
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
         plan = standard_plan(ds)
-        widths = []
-        take = Dataset.take
+        calls = {"encode": 0, "take": 0, "firing_strengths": 0}
 
-        def counting_take(self, indices):
-            widths.append(len(self.schema))
-            return take(self, indices)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(Dataset, "take", counting_take)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "_encode", counted("encode", evaluation._encode))
+        monkeypatch.setattr(Dataset, "take", counted("take", Dataset.take))
+        monkeypatch.setattr(
+            recalibration,
+            "firing_strengths",
+            counted("firing_strengths", recalibration.firing_strengths),
+        )
         random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
-        assert widths == [4] * (2 * repetitions)
+        assert calls == {"encode": 1, "take": 0, "firing_strengths": 2}
 
     def test_unknown_plan_variable_named(self):
         ds = generate_synthetic(GeneratorConfig(n=20), seed=1)
@@ -570,3 +596,160 @@ class TestColumnarScoring:
             cross_validate(ds, standard_plan(ds), 4, 11)
             per_size.append(len(calls))
         assert per_size[0] == per_size[1]
+
+
+# ---------------------------------------------------------------------------
+# the encoded protocols against the per-split path
+# ---------------------------------------------------------------------------
+
+
+QUANTIFICATIONS_OF_C = (
+    {"lo": 1.0, "mid": 2.0, "hi": 3.0},
+    {"lo": 0.0, "mid": 1.0, "hi": 10.0},  # a dead zone between the units' outer anchors
+    {"lo": -0.4, "mid": 0.0, "hi": 0.0},  # two labels on one anchor
+)
+
+
+def mixed_dataset(n, seed, transform, b_yes=None, y=None):
+    """A numeric ``x``, a binary ``b`` and a three-level categorical ``c``
+    driving a positive response ``y`` that declares ``transform``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, n)
+    b = rng.integers(0, 2, n) if b_yes is None else np.isin(np.arange(n), b_yes)
+    c = rng.integers(0, 3, n)
+    eta = 1.5 + 0.5 * x - 0.4 * b + 0.3 * c + 0.3 * rng.normal(0.0, 1.0, n)
+    if y is None:
+        y = {"ln": np.exp(eta), "ln1p": np.expm1(np.abs(eta) + 0.1)}.get(
+            transform, np.abs(eta) + 0.5
+        )
+    schema = [
+        VariableSpec("y", "response", "numeric", transform=transform),
+        VariableSpec("x", "predictor", "numeric"),
+        VariableSpec("b", "predictor", "binary", categories=("no", "yes")),
+        VariableSpec("c", "predictor", "categorical", categories=("lo", "mid", "hi")),
+    ]
+    columns = {
+        "y": np.asarray(y, dtype=float),
+        "x": x,
+        "b": b.astype(np.int32),
+        "c": c.astype(np.int32),
+    }
+    return Dataset(schema, columns, {name: np.zeros(n, dtype=bool) for name in columns})
+
+
+def outcome(protocol, *args):
+    """A report's dict, or the type and message of the error it raised."""
+    try:
+        return protocol(*args).to_dict()
+    except (ConfigError, DataError, NumericalError) as err:
+        return type(err).__name__, str(err)
+
+
+def mixed_plan(predictors, transform, c_values=QUANTIFICATIONS_OF_C[0], quantify_b=False, **kw):
+    quants = [Quantification("c", c_values)]
+    if quantify_b:
+        quants.append(Quantification("b", {"no": -1.0, "yes": 2.5}))
+    return ModelingPlan(
+        response="y",
+        predictors=tuple(predictors),
+        quantifications=tuple(q for q in quants if q.variable in predictors),
+        response_transform=transform,
+        **kw,
+    )
+
+
+class TestEncodedEvaluationMatchesPerSplitPath:
+    """Every protocol encodes its table once and gathers rows per split; the
+    per-split path in ``oracles`` takes a table per split, refits with
+    ``ols_fit`` and trains with ``train_recalibration``.  In this path a
+    categorical value always sits on its unit's anchor, so the dead zone
+    of ``QUANTIFICATIONS_OF_C[1]`` holds no rows; the firing-strength bit
+    test in test_recalibration covers values inside it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(12, 40),
+        data_seed=st.integers(0, 2**16),
+        transform=st.sampled_from(["ln", "ln1p", "none"]),
+        predictors=st.permutations(["x", "b", "c"]).flatmap(
+            lambda order: st.integers(1, 3).map(lambda m: order[:m])
+        ),
+        c_values=st.sampled_from(QUANTIFICATIONS_OF_C),
+        quantify_b=st.booleans(),
+        refit=st.booleans(),
+        recalibrate=st.booleans(),
+        min_test=st.sampled_from([1, 5, 100]),
+        k=st.integers(2, 5),
+        train_fraction=st.sampled_from([0.5, 0.7, 0.9]),
+        repetitions=st.integers(1, 4),
+        seed=st.integers(0, 1000),
+    )
+    def test_reports_equal_per_split_path(
+        self, n, data_seed, transform, predictors, c_values, quantify_b, refit,
+        recalibrate, min_test, k, train_fraction, repetitions, seed,
+    ):
+        ds = mixed_dataset(n, data_seed, transform)
+        plan = mixed_plan(
+            predictors, transform, c_values, quantify_b,
+            refit_regression=refit, recalibrate=recalibrate,
+            pred_thresholds=(0.25, 0.5), min_test_for_pred=min_test,
+        )
+        assert outcome(cross_validate, ds, plan, k, seed) == outcome(
+            oracles.cross_validate_by_split, ds, plan, k, seed
+        )
+        split_args = (ds, plan, train_fraction, repetitions, seed)
+        assert outcome(random_split_experiment, *split_args) == outcome(
+            oracles.random_split_by_split, *split_args
+        )
+        assert outcome(resubstitution_experiment, ds, plan) == outcome(
+            oracles.resubstitution_by_split, ds, plan
+        )
+
+    def test_collinear_repetition_named(self):
+        n, fraction, seed = 24, 0.75, 3
+        perm = RandomStream(seed).split(0).permutation(n)
+        test_rows = perm[math.floor(fraction * n + 0.5):]
+        # 'b' is 'yes' only on repetition 1's test rows, so its training
+        # column is constant and collinear with the intercept
+        ds = mixed_dataset(n, 1, "ln", b_yes=test_rows[:2])
+        for refit in (True, False):
+            plan = mixed_plan(("x", "b"), "ln", refit_regression=refit)
+            args = (ds, plan, fraction, 3, seed)
+            got = outcome(random_split_experiment, *args)
+            assert got == outcome(oracles.random_split_by_split, *args)
+            if refit:
+                assert got == (
+                    "DataError",
+                    "repetition 1: collinear design: 'b' is linearly dependent "
+                    "on the other terms",
+                )
+
+    def test_collinear_fold_named(self):
+        n, k, seed = 24, 4, 8
+        fold_two = kfold_plan(n, k, seed).fold(1)
+        ds = mixed_dataset(n, 2, "ln", b_yes=fold_two[:3])
+        plan = mixed_plan(("b", "x"), "ln")
+        got = outcome(cross_validate, ds, plan, k, seed)
+        assert got == outcome(oracles.cross_validate_by_split, ds, plan, k, seed)
+        assert got == (
+            "DataError",
+            "fold 2: collinear design: 'b' is linearly dependent on the other terms",
+        )
+
+    @pytest.mark.parametrize(
+        "n, y, transform, expected",
+        [
+            (20, np.ones(20), "ln",
+             "fold 1: response 'y' has zero variance on the fit rows"),
+            (6, None, "ln",
+             "fold 1: OLS needs more than 4 complete rows for 3 predictors, got 4"),
+            (20, np.r_[np.full(10, 3.0), 0.0, np.arange(1.0, 10.0)], "none",
+             "nonpositive actual value; relative error is undefined"),
+        ],
+    )
+    def test_error_messages_kept(self, n, y, transform, expected):
+        ds = mixed_dataset(n, 4, transform, y=y)
+        plan = mixed_plan(("x", "b", "c"), transform)
+        got = outcome(cross_validate, ds, plan, 3, 0)
+        assert got == outcome(oracles.cross_validate_by_split, ds, plan, 3, 0)
+        assert got == ("DataError", expected)

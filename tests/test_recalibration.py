@@ -97,6 +97,27 @@ class TestFiringStrengths:
         w = firing_strengths(nfa, [5.0])[0]
         assert w.tolist() == [1.0, 0.0]
 
+    def test_gathered_rows_equal_strengths_of_gathered_values(self):
+        # evaluation computes strengths once per table and gathers rows per
+        # split; that must equal, bit for bit, strengths of the gathered values
+        nfa = init_nfa(Quantification("v", {"a": 0.0, "b": 1.0, "c": 10.0, "d": 11.0}))
+        rng = np.random.default_rng(9)
+        x = np.concatenate(
+            [
+                [0.0, 1.0, 10.0, 11.0],  # anchors
+                [5.0, 5.5, -3.0, 40.0],  # dead zones, and a tie at 5.5
+                rng.uniform(-2.0, 13.0, 200),
+            ]
+        )
+        whole = firing_strengths(nfa, x)
+        for idx in (
+            np.sort(rng.choice(x.size, 37, replace=False)),
+            rng.permutation(x.size),
+            np.array([5, 5, 4, 0]),
+            np.array([], dtype=np.int64),
+        ):
+            assert np.array_equal(whole[idx], firing_strengths(nfa, x[idx]))
+
     def test_untrained_identity_at_anchors(self):
         nfa = self._vaf_nfa()
         for a in nfa.input_anchors:
@@ -305,7 +326,7 @@ def _two_unit_setup(seed=61, n=300):
         "dev": Quantification("dev", dev_values),
     }
     model = ols_fit(ds, "y", ["x", "vaf", "dev"], quants)
-    units = units_for(model, quants)
+    units = units_for(model.codings, quants)
     design = np.hstack([
         model.term(u.variable).coefficient
         * firing_strengths(u, [quants[u.variable].mapping[l] for l in ds.labels(u.variable)])
@@ -461,7 +482,7 @@ def _mixed_setup(transform, seed=53, n=80):
     ds = make_dataset(cols, schema)
     quants = {"vaf": Quantification("vaf", {lab: float(lab) for lab in vaf_labels})}
     model = ols_fit(ds, "y", ["x", "kind", "vaf"], quants, response_transform=transform)
-    trained, _ = train_recalibration(model, units_for(model, quants), ds)
+    trained, _ = train_recalibration(model, units_for(model.codings, quants), ds)
     return model, quants, trained, ds
 
 
@@ -519,7 +540,7 @@ class TestBatchPredict:
     def test_untrained_units_equal_baseline(self):
         model, quants, _, ds = _mixed_setup("ln")
         base = predict(model, ds, quants)
-        assert np.array_equal(predict(model, ds, quants, units=units_for(model, quants)), base)
+        assert np.array_equal(predict(model, ds, quants, units=units_for(model.codings, quants)), base)
 
     def test_missing_unit_raises(self):
         model, quants, trained, ds = _mixed_setup("ln")

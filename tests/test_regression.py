@@ -14,6 +14,8 @@ from defectcast.numerics import solve_least_squares, t_cdf
 from defectcast.regression import (
     LinearModel,
     Quantification,
+    back_transform_array,
+    back_transform_value,
     catreg_fit,
     model_predict,
     ols_fit,
@@ -324,6 +326,27 @@ class TestModelPredict:
         row = {"size": 1.0, "kind": "base", variable: value}
         with pytest.raises(DataError, match=f"of '{variable}' is neither a label"):
             model_predict(self._model(), None, row)
+
+    @pytest.mark.parametrize("transform", ["ln", "ln1p"])
+    def test_back_transform_array_equals_element_loop(self, transform):
+        rng = np.random.default_rng(21)
+        values = np.concatenate(
+            [rng.normal(0.0, 4.0, 5000), [0.0, -0.0, 1e-300, -1e-17, 709.0, -745.5]]
+        )
+        loop = np.array([back_transform_value(v, transform) for v in values.tolist()])
+        got = back_transform_array(values, transform)
+        assert got.dtype == loop.dtype and got.shape == loop.shape
+        assert (got == loop).all()
+        assert got.tobytes() == loop.tobytes()  # -0.0 keeps its sign
+
+    def test_back_transform_array_edges(self):
+        empty = back_transform_array(np.array([]), "ln")
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        with pytest.raises(DataError, match="back-transform undefined"):
+            back_transform_array(np.array([]), "none")
+        for transform in ("ln", "ln1p"):
+            with pytest.raises(OverflowError):
+                back_transform_array(np.array([1.0, 710.0]), transform)
 
     def test_back_transform_needs_log_response(self):
         rng = np.random.default_rng(33)
