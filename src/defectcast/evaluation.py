@@ -115,8 +115,6 @@ def _metrics(actuals, predictions, thresholds, include_pred) -> EvalMetrics:
     pred = {}
     if include_pred:
         for m in thresholds:
-            if m < 0:
-                raise ConfigError(f"threshold must be nonnegative, got {m}")
             pred[m] = float(np.mean(errors <= m))
     return EvalMetrics(mmre=float(np.mean(errors)), pred=pred, n=len(actuals))
 
@@ -189,6 +187,9 @@ class ModelingPlan:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         object.__setattr__(self, "quantifications", tuple(self.quantifications))
         object.__setattr__(self, "pred_thresholds", tuple(self.pred_thresholds))
+        for m in self.pred_thresholds:
+            if m < 0:
+                raise ConfigError(f"threshold must be nonnegative, got {m}")
         if self.min_test_for_pred < 1:
             raise ConfigError("min_test_for_pred must be at least 1")
 
@@ -606,21 +607,14 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     cum = np.cumsum(weights / weights.sum())
     dev_codes = np.searchsorted(cum, dev_u, side="right")
     dev_codes = np.minimum(dev_codes, len(DEV_TYPE_LABELS) - 1)
-    dev_labels = [DEV_TYPE_LABELS[c] for c in dev_codes]
-    enhancement = np.array(
-        [1.0 if lab == config.enhancement_label else 0.0 for lab in dev_labels]
-    )
+    enhancement = (dev_codes == DEV_TYPE_LABELS.index(config.enhancement_label)).astype(float)
 
+    # each level's ratings and adjustment factor once, gathered per row
     levels = config.vaf_levels
     level_idx = np.minimum((vaf_u * len(levels)).astype(np.int64), len(levels) - 1)
-    ratings_rows = []
-    vaf_values = np.empty(n)
-    for i in range(n):
-        total = round((levels[level_idx[i]] - 0.65) * 100.0)
-        ratings = _ratings_for_sum(int(total))
-        ratings_rows.append(ratings)
-        vaf_values[i] = compute_vaf(ratings)
-    vaf_labels = [f"{levels[level_idx[i]]:.2f}" for i in range(n)]
+    level_ratings = [_ratings_for_sum(round((v - 0.65) * 100.0)) for v in levels]
+    vaf_values = np.array([compute_vaf(r) for r in level_ratings])[level_idx]
+    ratings_table = np.array(level_ratings, dtype=float)
 
     c = config.coefficients
     ln_defects = (
@@ -651,15 +645,12 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
         "efforts": efforts,
         "max_team_size": team,
     }
-    label_to_code = {f"{v:.2f}": i for i, v in enumerate(levels)}
     columns["dev_type"] = dev_codes.astype(np.int32)
-    columns["vaf"] = np.array(
-        [label_to_code[lab] for lab in vaf_labels], dtype=np.int32
-    )
+    columns["vaf"] = level_idx.astype(np.int32)
     for j in range(14):
         name = f"gsc_{j + 1:02d}"
         schema.append(VariableSpec(name, "excluded", "numeric"))
-        columns[name] = np.array([row[j] for row in ratings_rows], dtype=float)
+        columns[name] = ratings_table[level_idx, j]
 
     missing = {
         name: np.zeros(n, dtype=bool) for name in columns

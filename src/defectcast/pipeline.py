@@ -4,16 +4,16 @@ A JSON config drives six stages (prepare, screen, tree, fit, recalibrate,
 evaluate) plus a `synth` stage that persists generated data.  Within one
 `run_pipeline` call the stages hand their artifacts over in memory: the
 source data, the prepared data and the fitted model go from the stage that
-made them to the stages that use them, no file the run wrote is read back,
-and `report.json` is written once at the end.
+made them to the stages that use them, and `report.json` is written once at
+the end.
 
-Every stage still writes its files, so a standalone `run_stage` call can
-pick up where another run left off.  It reads an earlier artifact only
-when the file records the current config hash (`provenance.config_hash`
-in the file, or in the schema sidecar of a CSV); otherwise it recomputes
-the artifact in memory.  Its report merges only the stage files of this
-config, so running stages one at a time composes to exactly the
-monolithic run.
+Files are outputs, never inputs.  A standalone `run_stage` call recomputes
+in memory, from the config and its data, whatever the earlier stages would
+have handed it.  It then merges its sections into `report.json`, keeping the
+sections already there when that file records the current config hash
+(`provenance.config_hash`), so running the stages one after another
+composes to exactly the monolithic run.  `report.json` is the only file a
+run reads back.
 
 Every output file is written atomically (temp + rename) and depends only
 on (config bytes, data bytes, seed): no timestamps, no environment leaks.
@@ -29,7 +29,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -348,23 +348,30 @@ def _synthetic_names(config: GeneratorConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """``obj`` as ``json.loads`` reads it back from its file: plain numbers,
-    lists for tuples and arrays, and every dict in sorted key order."""
-    if isinstance(obj, dict):
-        items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
-        return {k: _jsonable(v) for k, v in items}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _jsonable(obj, name: str):
+    """``obj`` as ``json.loads`` reads it back from the JSON file ``name``:
+    plain numbers, lists for tuples and arrays, and every dict in sorted key
+    order.  JSON has no NaN or infinity: such a value raises NumericalError."""
+
+    def plain(obj):
+        if isinstance(obj, dict):
+            items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
+            return {k: plain(v) for k, v in items}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        if isinstance(obj, (float, np.floating)):
+            if not math.isfinite(obj):
+                raise NumericalError(f"cannot write {name}: {obj!r} is not a JSON number")
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return [plain(v) for v in obj.tolist()]
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        return obj
+
+    return plain(obj)
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -385,24 +392,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda handle: handle.write(text))
 
 
-def _write_json(path: Path, payload, compact: bool = False) -> dict:
-    """Sorted-key JSON; ``compact`` drops the indentation, which lets the
-    json module use its C encoder.  Returns the document as written.
-
-    JSON has no NaN or infinity: such a value raises NumericalError before
-    anything is written."""
-    doc = _jsonable(payload)
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}
-    try:
-        text = json.dumps(doc, allow_nan=False, **layout)
-    except ValueError as err:
-        raise NumericalError(f"cannot write {path.name}: {err}") from None
-    _atomic_write_text(path, text + "\n")
+def _write_json(path: Path, payload) -> dict:
+    """Sorted-key, indented JSON; returns the document as written.  A NaN or
+    infinity raises NumericalError before anything is written."""
+    doc = _jsonable(payload, path.name)
+    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return doc
-
-
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
@@ -410,17 +405,14 @@ def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
     its ``provenance.config_hash`` is the current config's.  Else None."""
     if not path.is_file():
         return None
-    doc = _read_json(path)
-    # a bare list is a schema sidecar from before sidecars carried provenance
-    if not isinstance(doc, dict):
-        return None
+    doc = json.loads(path.read_text(encoding="utf-8"))
     if doc.get("provenance", {}).get("config_hash") != cfg.config_hash():
         return None
     return doc
 
 
 # ---------------------------------------------------------------------------
-# artifact handoff: in memory within a run, through checked files across runs
+# artifact handoff: in memory within a run, recomputed across runs
 # ---------------------------------------------------------------------------
 
 
@@ -430,9 +422,8 @@ class _Run:
 
     ``run_pipeline`` keeps one for the whole chain, so each stage takes the
     source, prepared and fitted artifacts from the stage that made them.
-    A standalone ``run_stage`` starts from an empty one: an artifact this
-    run lacks is read from its file when that file carries the current
-    config hash, and recomputed in memory otherwise.
+    A standalone ``run_stage`` starts from an empty one and recomputes in
+    memory every artifact it lacks.
     """
 
     cfg: PipelineConfig
@@ -446,14 +437,11 @@ class _Run:
         return Path(self.cfg.output_dir)
 
 
-def _applicable_stages(cfg: PipelineConfig) -> tuple[str, ...]:
-    return tuple(s for s in STAGES if s != "synth" or cfg.synthetic is not None)
-
-
 def _write_table(run: _Run, name: str, ds: Dataset) -> None:
     """``<name>.csv`` plus its ``<name>.schema.json`` sidecar, which holds
-    the schema and the provenance.  The old sidecar is removed first, so a
-    sidecar never vouches for a CSV another run wrote."""
+    the schema and the provenance for readers of the CSV.  The old sidecar
+    is removed first, so a sidecar never vouches for a CSV another run
+    wrote."""
     sidecar = run.out_dir / f"{name}.schema.json"
     sidecar.unlink(missing_ok=True)
     _atomic_write(run.out_dir / f"{name}.csv", lambda handle: serialize_csv(ds, handle))
@@ -464,26 +452,6 @@ def _write_table(run: _Run, name: str, ds: Dataset) -> None:
             "schema": [_spec_to_dict(s) for s in ds.schema],
         },
     )
-
-
-def _read_table(run: _Run, name: str) -> Dataset | None:
-    """``<name>.csv`` if its sidecar carries the current config hash."""
-    doc = _read_current(run.out_dir / f"{name}.schema.json", run.cfg)
-    path = run.out_dir / f"{name}.csv"
-    if doc is None or not path.is_file():
-        return None
-    return load_csv(path, tuple(_spec_from_dict(e) for e in doc["schema"]))
-
-
-def _merge_report(run: _Run) -> dict:
-    """Write report.json from the stage files of the stages that apply to
-    the current config and carry its hash; returns the report."""
-    report = {"provenance": run.cfg.provenance()}
-    for stage in _applicable_stages(run.cfg):
-        doc = _read_current(run.out_dir / f"stage_{stage}.json", run.cfg)
-        if doc is not None:
-            report.update((k, v) for k, v in doc.items() if k != "provenance")
-    return _write_json(run.out_dir / "report.json", report)
 
 
 def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
@@ -513,9 +481,7 @@ def _source_dataset(run: _Run) -> Dataset:
         _check_header(path, cfg.schema)
         run.source = load_csv(path, cfg.schema)
     else:
-        run.source = _read_table(run, "synthetic")
-        if run.source is None:
-            run.source = generate_synthetic(cfg.synthetic, cfg.seed)
+        run.source = generate_synthetic(cfg.synthetic, cfg.seed)
     return run.source
 
 
@@ -531,25 +497,14 @@ def _prepare_in_memory(run: _Run):
 
 def _prepared_dataset(run: _Run) -> Dataset:
     if run.prepared is None:
-        run.prepared = _read_table(run, "prepared")
-    if run.prepared is None:
         _prepare_in_memory(run)
     return run.prepared
 
 
 def _response_transform(run: _Run) -> str:
-    """The declared transform of the response is the model scale."""
-    cfg = run.cfg
-    if cfg.schema is not None:
-        schema = cfg.schema
-    elif run.source is not None:
-        schema = run.source.schema
-    else:
-        schema = generate_synthetic(replace(cfg.synthetic, n=1), cfg.seed).schema
-    for spec in schema:
-        if spec.name == cfg.response:
-            return spec.transform
-    raise ConfigError(f"response {cfg.response!r} missing from schema")
+    """The response's declared transform in the source schema is the model
+    scale (the prepared schema shows it as applied)."""
+    return _source_dataset(run).spec(run.cfg.response).transform
 
 
 def _initial_quantifications(
@@ -772,7 +727,8 @@ def _fit_models(run: _Run):
                 name: {"mapping": dict(q.mapping), "source": q.source}
                 for name, q in quants.items()
             },
-        }
+        },
+        "model.json",
     )
     return model_doc, scaling_section, stepwise_section
 
@@ -780,8 +736,9 @@ def _fit_models(run: _Run):
 def _fitted_from_doc(doc: dict) -> tuple[LinearModel, dict[str, Quantification]]:
     """The selected model and quantifications of a ``model.json`` document.
 
-    Both the file and the in-memory handoff come through here, so their
-    dicts share one key order, and with it the order of the units."""
+    The fit stage and every refit come through here, so the
+    quantifications keep the document's sorted key order, and with it the
+    order of the recalibration units."""
     selected = LinearModel.from_dict(doc["model"])
     quants = {
         name: Quantification(name, dict(entry["mapping"]), source=entry["source"])
@@ -806,13 +763,9 @@ def _stage_fit(run: _Run) -> dict:
 
 def _load_fitted(run: _Run) -> tuple[LinearModel, dict[str, Quantification]]:
     """The fit stage's selected model and quantifications: from this run,
-    else from ``model.json`` when a run of this same config wrote it, else
-    refit."""
+    else refit."""
     if run.fitted is None:
-        doc = _read_current(run.out_dir / "model.json", run.cfg)
-        if doc is None:
-            doc = _fit_models(run)[0]
-        run.fitted = _fitted_from_doc(doc)
+        run.fitted = _fitted_from_doc(_fit_models(run)[0])
     return run.fitted
 
 
@@ -926,12 +879,14 @@ _STAGE_FUNCS = {
 def run_stage(stage: str, cfg: PipelineConfig, _run: _Run | None = None) -> dict:
     """Run one stage against the config's output directory.
 
-    Called on its own, the stage reads what earlier stages left in the
-    output directory under the current config hash, then merges this
-    config's stage files into ``report.json`` and returns that report.
-    ``run_pipeline`` passes its ``_Run`` instead: the stage takes earlier
-    artifacts from it in memory and adds its sections to the run's report,
-    which is returned unwritten.
+    Called on its own, the stage recomputes in memory what earlier stages
+    would have handed it, merges its sections into ``report.json`` (into
+    the sections already there if that file records the current config
+    hash, else into a new report) and returns the report.  ``run_pipeline``
+    passes its ``_Run`` instead: the stage takes earlier artifacts from it
+    in memory and adds its sections to the run's report, which is returned
+    unwritten.  Either way a section that JSON cannot hold fails the stage
+    before it enters the report.
     """
     if stage not in STAGES:
         raise ConfigError(
@@ -940,17 +895,13 @@ def run_stage(stage: str, cfg: PipelineConfig, _run: _Run | None = None) -> dict
     run = _Run(cfg) if _run is None else _run
     run.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        sections = _STAGE_FUNCS[stage](run)
-        # the stage file carries the provenance a later standalone merge checks
-        _write_json(
-            run.out_dir / f"stage_{stage}.json",
-            {"provenance": cfg.provenance(), **sections},
-            compact=True,
-        )
+        sections = _jsonable(_STAGE_FUNCS[stage](run), "report.json")
     except DefectcastError as err:
         raise type(err)(f"step {stage!r}: {err}") from None
     if _run is None:
-        return _merge_report(run)
+        path = run.out_dir / "report.json"
+        earlier = _read_current(path, cfg) or {}
+        return _write_json(path, {**earlier, "provenance": cfg.provenance(), **sections})
     run.report.update(sections)
     return run.report
 
@@ -963,8 +914,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     ``report.json`` never shows an earlier run in place of this one."""
     run = _Run(cfg, report={"provenance": cfg.provenance()})
     try:
-        for stage in _applicable_stages(cfg):
-            run_stage(stage, cfg, run)
+        for stage in STAGES:
+            if stage != "synth" or cfg.synthetic is not None:
+                run_stage(stage, cfg, run)
     finally:
         report = _write_json(run.out_dir / "report.json", run.report)
     return report

@@ -153,13 +153,11 @@ def rank_average(values) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise DataError("rank_average got missing or non-finite values")
     order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    # each run of equal values covers sorted positions starts..ends-1
+    # (0-based), which share the average rank
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], vals.size]
     ranks = np.empty(vals.size, dtype=float)
-    i = 0
-    while i < vals.size:
-        j = i
-        while j + 1 < vals.size and vals[order[j + 1]] == vals[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average rank
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks

@@ -164,6 +164,23 @@ def _plain_ranks(values):
     return ranks
 
 
+def rank_average_by_loop(values) -> np.ndarray:
+    """Average ranks by walking each run of ties in sorted order: the
+    reference ``transform.rank_average`` must match bit for bit."""
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    ranks = np.empty(vals.size, dtype=float)
+    i = 0
+    while i < vals.size:
+        j = i
+        while j + 1 < vals.size and vals[order[j + 1]] == vals[order[i]]:
+            j += 1
+        # positions i..j (0-based) share the average rank
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def anova_by_hand(groups: dict) -> tuple[float, int, int]:
     """(F, df_between, df_within) from explicit sums of squares."""
     all_vals = [v for vals in groups.values() for v in vals]
@@ -573,3 +590,118 @@ def resubstitution_by_split(ds, plan):
         "resubstitution", {"n": data.row_count}, data, plan,
         [("all data", "all data", every, every)], True,
     )
+
+
+def generate_synthetic_by_rows(config, seed: int):
+    """The synthetic generator with its labels, ratings and adjustment
+    factors built row by row: the reference ``evaluation.generate_synthetic``
+    must match in data, metadata and CSV bytes."""
+    from dataclasses import asdict
+
+    from defectcast.dataset import Dataset, VariableSpec
+    from defectcast.evaluation import DEV_TYPE_LABELS, _rank_to_pearson, _ratings_for_sum
+    from defectcast.numerics import RandomStream
+    from defectcast.screening import spearman
+    from defectcast.transform import compute_vaf
+
+    n = config.n
+    master = RandomStream(seed)
+    z_fp = master.split(0).normals(n)
+    e_noise = master.split(1).normals(n)
+    t_noise = master.split(2).normals(n)
+    dev_u = master.split(3).uniforms(n)
+    vaf_u = master.split(4).uniforms(n)
+    y_noise = master.split(5).normals(n)
+
+    ln_fp = config.fp_ln_mean + config.fp_ln_sd * z_fp
+    fp = np.exp(ln_fp)
+
+    r_e = _rank_to_pearson(config.effort_rank_target)
+    ln_eff = config.effort_ln_mean + config.effort_ln_sd * (
+        r_e * z_fp + math.sqrt(1.0 - r_e * r_e) * e_noise
+    )
+    efforts = np.exp(ln_eff)
+
+    r_t = _rank_to_pearson(config.team_rank_target)
+    ln_team = config.team_ln_mean + config.team_ln_sd * (
+        r_t * z_fp + math.sqrt(1.0 - r_t * r_t) * t_noise
+    )
+    team = np.maximum(1.0, np.rint(np.exp(ln_team)))
+
+    weights = np.array(config.dev_type_weights, dtype=float)
+    cum = np.cumsum(weights / weights.sum())
+    dev_codes = np.searchsorted(cum, dev_u, side="right")
+    dev_codes = np.minimum(dev_codes, len(DEV_TYPE_LABELS) - 1)
+    dev_labels = [DEV_TYPE_LABELS[c] for c in dev_codes]
+    enhancement = np.array(
+        [1.0 if lab == config.enhancement_label else 0.0 for lab in dev_labels]
+    )
+
+    levels = config.vaf_levels
+    level_idx = np.minimum((vaf_u * len(levels)).astype(np.int64), len(levels) - 1)
+    ratings_rows = []
+    vaf_values = np.empty(n)
+    for i in range(n):
+        total = round((levels[level_idx[i]] - 0.65) * 100.0)
+        ratings = _ratings_for_sum(int(total))
+        ratings_rows.append(ratings)
+        vaf_values[i] = compute_vaf(ratings)
+    vaf_labels = [f"{levels[level_idx[i]]:.2f}" for i in range(n)]
+
+    c = config.coefficients
+    ln_defects = (
+        c.intercept
+        + c.fp_ln * ln_fp
+        + c.vaf * vaf_values
+        + c.enhancement * enhancement
+        + config.noise_sd * y_noise
+    )
+    defects = np.exp(ln_defects)
+
+    schema = [
+        VariableSpec("defects", "response", "numeric", transform="ln"),
+        VariableSpec("fp", "predictor", "numeric", transform="ln"),
+        VariableSpec("efforts", "predictor", "numeric", transform="ln"),
+        VariableSpec("max_team_size", "predictor", "numeric"),
+        VariableSpec("dev_type", "predictor", "categorical", categories=DEV_TYPE_LABELS),
+        VariableSpec(
+            "vaf",
+            "predictor",
+            "categorical",
+            categories=tuple(f"{v:.2f}" for v in levels),
+        ),
+    ]
+    columns: dict[str, np.ndarray] = {
+        "defects": defects,
+        "fp": fp,
+        "efforts": efforts,
+        "max_team_size": team,
+    }
+    label_to_code = {f"{v:.2f}": i for i, v in enumerate(levels)}
+    columns["dev_type"] = dev_codes.astype(np.int32)
+    columns["vaf"] = np.array(
+        [label_to_code[lab] for lab in vaf_labels], dtype=np.int32
+    )
+    for j in range(14):
+        name = f"gsc_{j + 1:02d}"
+        schema.append(VariableSpec(name, "excluded", "numeric"))
+        columns[name] = np.array([row[j] for row in ratings_rows], dtype=float)
+
+    missing = {
+        name: np.zeros(n, dtype=bool) for name in columns
+    }
+    achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
+    achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
+    metadata = {
+        "generator": {
+            "seed": seed,
+            "config": asdict(config),
+            "achieved_spearman_fp_efforts": achieved_efforts,
+            "achieved_spearman_fp_team": achieved_team,
+            "dev_type_counts": {
+                lab: int((dev_codes == i).sum())
+                for i, lab in enumerate(DEV_TYPE_LABELS)
+            },
+        }
+    }
+    return Dataset(schema, columns, missing, metadata=metadata)

@@ -1,5 +1,6 @@
 """Metrics, fold planning, evaluation protocols, synthetic generator."""
 
+import io
 import json
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from defectcast import evaluation, recalibration
 from defectcast._errors import ConfigError, DataError, NumericalError
-from defectcast.dataset import Dataset, VariableSpec
+from defectcast.dataset import Dataset, VariableSpec, serialize_csv
 from defectcast.evaluation import (
     DEFAULT_COEFFICIENTS,
     GeneratorConfig,
@@ -239,6 +240,28 @@ class TestGenerator:
         assert generate_synthetic(cfg, seed=9) == generate_synthetic(cfg, seed=9)
         assert generate_synthetic(cfg, seed=9) != generate_synthetic(cfg, seed=10)
 
+    @pytest.mark.parametrize("n", [64, 2000])
+    @pytest.mark.parametrize("seed", [20260822, 31415926])
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"enhancement_label": "Re-development", "vaf_levels": (1.2, 0.9)}],
+    )
+    def test_matches_row_by_row_generator(self, n, seed, settings):
+        cfg = GeneratorConfig(n=n, **settings)
+        ds = generate_synthetic(cfg, seed)
+        expected = oracles.generate_synthetic_by_rows(cfg, seed)
+        assert ds == expected
+        assert ds.metadata == expected.metadata
+        assert {k: v.dtype for k, v in ds.columns.items()} == {
+            k: v.dtype for k, v in expected.columns.items()
+        }
+        written = []
+        for table in (ds, expected):
+            buffer = io.StringIO()
+            serialize_csv(table, buffer)
+            written.append(buffer.getvalue())
+        assert written[0] == written[1]
+
     def test_rating_columns_reproduce_vaf_labels(self):
         ds = generate_synthetic(GeneratorConfig(n=50), seed=21)
         ratings = np.column_stack(
@@ -338,6 +361,18 @@ class TestQuantificationHelpers:
 
 
 class TestCrossValidate:
+    def test_negative_threshold_rejected_whatever_the_test_size(self):
+        # the folds of 64 rows are far below min_test_for_pred, so Pred is
+        # never scored; the threshold used to pass unchecked
+        ds = generate_synthetic(GeneratorConfig(n=64), seed=11)
+        with pytest.raises(ConfigError, match="threshold must be nonnegative"):
+            cross_validate(
+                ds,
+                standard_plan(ds, pred_thresholds=(-0.5,), min_test_for_pred=100),
+                k=4,
+                seed=5,
+            )
+
     def test_noise_free_models_agree_and_are_near_exact(self):
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.0), seed=11)
         report = cross_validate(ds, standard_plan(ds), k=8, seed=5)

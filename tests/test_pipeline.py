@@ -372,20 +372,16 @@ class TestPipelineRun:
     def test_screen_stage_emits_only_its_sections(self, tmp_path):
         cfg = load_small(tmp_path)
         run_stage("screen", cfg)
-        doc = json.loads((tmp_path / "out" / "stage_screen.json").read_text())
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc.pop("provenance") == cfg.provenance()
         assert sorted(doc) == ["group_screening", "rank_correlations"]
 
-    def test_stage_files_compact_report_indented(self, tmp_path):
+    def test_report_indented_with_sorted_keys(self, tmp_path):
         cfg = load_small(tmp_path)
         run_stage("screen", cfg)
-        out = tmp_path / "out"
-        stage_text = (out / "stage_screen.json").read_text()
-        assert stage_text.count("\n") == 1 and stage_text.endswith("}\n")
-        report_text = (out / "report.json").read_text()
-        sections = json.loads(stage_text)
+        report_text = (tmp_path / "out" / "report.json").read_text()
         assert report_text == json.dumps(
-            {"provenance": cfg.provenance(), **sections}, indent=2, sort_keys=True
+            json.loads(report_text), indent=2, sort_keys=True
         ) + "\n"
 
     def test_temp_names_unique_per_write(self, tmp_path):
@@ -617,7 +613,41 @@ def _csv_cfg(tmp_path, out="out"):
     return load_config(path, out_override=str(tmp_path / out))
 
 
+def _recording_reads(monkeypatch):
+    """Record the name of every file opened for reading, through ``open``
+    or through ``Path``; returns the list of names."""
+    names = []
+
+    def recording(opener):
+        def wrapper(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wxa+"):
+                names.append(Path(file).name)
+            return opener(file, mode, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("builtins.open", recording(open))
+    monkeypatch.setattr(Path, "open", recording(Path.open))
+    return names
+
+
 class TestArtifactHandoff:
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_standalone_stage_reads_back_only_the_report(self, tmp_path, monkeypatch, source):
+        # every artifact a full run left behind is an output: a standalone
+        # stage recomputes its inputs from the config and its data
+        cfg = load_small(tmp_path) if source == "synthetic" else _csv_cfg(tmp_path)
+        run_pipeline(cfg)
+        loads = _counting(monkeypatch, "load_csv")
+        reads = _recording_reads(monkeypatch)
+        for stage in ("screen", "tree", "fit", "recalibrate", "evaluate"):
+            loads.clear()
+            reads.clear()
+            run_stage(stage, cfg)
+            data_files = [] if source == "synthetic" else ["proj.csv"]
+            assert [Path(args[0]).name for args in loads] == data_files, stage
+            assert sorted(set(reads)) == sorted(["report.json", *data_files]), stage
+
     def test_synthetic_run_parses_no_csv(self, tmp_path, monkeypatch):
         loads = _counting(monkeypatch, "load_csv")
         run_pipeline(load_small(tmp_path))
@@ -700,9 +730,24 @@ class TestArtifactHandoff:
         monkeypatch.setitem(
             pipeline._STAGE_FUNCS, "screen", lambda run: {"rank_correlations": math.inf}
         )
-        with pytest.raises(NumericalError, match="^step 'screen': .*stage_screen.json"):
+        with pytest.raises(NumericalError, match="^step 'screen': .*report.json"):
             run_stage("screen", load_small(tmp_path))
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_nan_section_fails_its_stage_in_a_pipeline_run(self, tmp_path, monkeypatch):
+        # the stage fails before its sections enter the report, so the one
+        # write holds exactly the stages before it
+        monkeypatch.setitem(
+            pipeline._STAGE_FUNCS, "tree", lambda run: {"model_tree": [1.0, math.nan]}
+        )
+        cfg = load_small(tmp_path)
+        with pytest.raises(NumericalError, match="^step 'tree': .*report.json"):
+            run_pipeline(cfg)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        earlier = ("synth", "prepare", "screen")
+        assert sorted(report) == sorted(
+            ["provenance", *(s for stage in earlier for s in STAGE_SECTIONS[stage])]
+        )
 
 
 _FILTERS = [

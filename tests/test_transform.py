@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from defectcast._errors import DataError
 from defectcast.dataset import VariableSpec, load_csv
 from defectcast.transform import (
@@ -136,6 +137,29 @@ class TestRankAverage:
         ranks = rank_average(values)
         n = len(values)
         assert abs(ranks.sum() - n * (n + 1) / 2.0) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_tie_walk_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [
+            rng.normal(size=500),
+            rng.integers(0, 4, size=500).astype(float),  # heavy ties
+            np.round(rng.normal(size=2000), 1),
+            np.repeat(rng.normal(size=7), rng.integers(1, 40, size=7)),
+            np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
+            np.empty(0),
+        ]
+        for values in cases:
+            got = rank_average(values)
+            expected = oracles.rank_average_by_loop(values)
+            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.0, 1e9]), max_size=80))
+    def test_tied_lists_match_tie_walk(self, values):
+        got = rank_average(values)
+        assert got.tobytes() == oracles.rank_average_by_loop(values).tobytes()
 
 
 class TestSchemaTransforms:
