@@ -5,6 +5,12 @@ screening and regression layers (normal quantile, Student t, F, studentized
 range), and a small deterministic PRNG used for every stochastic step in the
 package.
 
+The least-squares kernels call direct LAPACK ``dgeqp3``/``dorgqr``/``dtrtrs``
+with the arguments that scipy.linalg's own wrappers pass, so every factor and
+solution is bit for bit the wrapper's, without the wrapper's per-call
+overhead.  ``dgeqp3`` is the BLAS-3 column-pivoted QR of Quintana-Orti, Sun
+and Bischof (SIAM J. Sci. Comput. 19(5), 1998).
+
 The t and F CDFs are scipy.special's ``stdtr`` and ``fdtr``, the Cephes
 routines (Moshier, *Methods and Programs for Mathematical Functions*, 1989).
 Callers form a p-value as a tail through them -- ``2 * t_cdf(-|t|, df)`` and
@@ -21,7 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import qr as _qr, solve_triangular as _solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import (
+    dgeqp3 as _dgeqp3,
+    dorgqr as _dorgqr,
+    dtrtrs as _dtrtrs,
+)
 from scipy.special import (
     fdtr as _fdtr,
     ndtr as _ndtr,
@@ -172,13 +183,54 @@ class LeastSquaresSolution:
     piv: np.ndarray
 
 
+def _lapack(routine, name: str, *args, **kwargs):
+    """``routine``'s outputs before ``work`` and ``info``, run with the
+    workspace size a ``lwork=-1`` query returns.  A negative ``info`` (an
+    illegal argument) raises ValueError."""
+    query = routine(*args, lwork=-1, **kwargs)
+    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal value in {-out[-1]}th argument of internal {name}")
+    return out[:-2]
+
+
 def _pivoted_qr(design: np.ndarray):
-    q, r, piv = _qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    """Economic column-pivoted QR, ``design[:, piv] = q @ r`` with 0-based
+    ``piv``, and the numerical rank.  A size-0 design gets empty factors
+    without a LAPACK call."""
     n, p = design.shape
+    if design.size == 0:
+        k = min(n, p)
+        q, r, piv = np.empty((n, k)), np.empty((k, p)), np.arange(p, dtype=np.int32)
+    else:
+        qr, piv, tau = _lapack(_dgeqp3, "geqp3", design)
+        piv -= 1
+        # r is copied out before dorgqr overwrites qr with q
+        r = np.triu(qr[:p]) if n >= p else np.triu(qr)
+        (q,) = _lapack(
+            _dorgqr, "gorgqr/gungqr", qr if n >= p else qr[:, :n], tau, overwrite_a=1
+        )
+    diag = np.abs(np.diag(r))
     tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
     rank = int(np.count_nonzero(diag > tol))
     return q, r, piv, rank
+
+
+def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with ``r @ x = b`` (``r.T @ x = b`` for trans=1), r upper
+    triangular.  A C-ordered r goes to LAPACK as its lower-triangular
+    transpose.  An empty b gets an empty x without a LAPACK call."""
+    if b.size == 0:
+        return np.empty_like(b)
+    if r.flags.f_contiguous:
+        x, info = _dtrtrs(r, b, lower=False, trans=trans)
+    else:
+        x, info = _dtrtrs(r.T, b, lower=True, trans=not trans)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def solve_least_squares(design, target) -> LeastSquaresSolution:
@@ -208,7 +260,7 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
         )
         err.column = int(piv[rank])
         raise err
-    b_perm = _solve_triangular(r, q.T @ y)
+    b_perm = _solve_upper(r, q.T @ y)
     coef = np.empty(p)
     coef[piv] = b_perm
     residual = y - x @ coef
@@ -232,7 +284,7 @@ def min_norm_least_squares(design, target) -> np.ndarray:
     # r[:rank] @ u = q[:, :rank].T @ y; with r[:rank].T[:, piv2] = z @ t the
     # smallest is u = z @ w where t.T @ w = (q[:, :rank].T @ y)[piv2]
     z, t, piv2, _ = _pivoted_qr(r[:rank].T)
-    w = _solve_triangular(t, (q[:, :rank].T @ y)[piv2], trans="T")
+    w = _solve_upper(t, (q[:, :rank].T @ y)[piv2], trans=1)
     coef = np.empty(x.shape[1])
     coef[piv] = z @ w
     return coef
@@ -242,7 +294,7 @@ def unscaled_covariance(solution: LeastSquaresSolution) -> np.ndarray:
     """(X'X)^-1 for the design ``solution`` was fitted on, for coefficient
     SEs, from the pivoted QR factor the fit already computed."""
     p = solution.r.shape[1]
-    rinv = _solve_triangular(solution.r, np.eye(p))
+    rinv = _solve_upper(solution.r, np.eye(p))
     m = rinv @ rinv.T
     cov = np.empty((p, p))
     cov[np.ix_(solution.piv, solution.piv)] = m

@@ -392,11 +392,16 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda handle: handle.write(text))
 
 
+def _write_plain_json(path: Path, doc: dict) -> None:
+    """Indented JSON of a document that ``_jsonable`` already made plain."""
+    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
 def _write_json(path: Path, payload) -> dict:
     """Sorted-key, indented JSON; returns the document as written.  A NaN or
     infinity raises NumericalError before anything is written."""
     doc = _jsonable(payload, path.name)
-    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write_plain_json(path, doc)
     return doc
 
 
@@ -912,13 +917,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     A failed stage still leaves a report of the stages before it, so
     ``report.json`` never shows an earlier run in place of this one."""
-    run = _Run(cfg, report={"provenance": cfg.provenance()})
+    run = _Run(cfg, report={"provenance": _jsonable(cfg.provenance(), "report.json")})
     try:
         for stage in STAGES:
             if stage != "synth" or cfg.synthetic is not None:
                 run_stage(stage, cfg, run)
     finally:
-        report = _write_json(run.out_dir / "report.json", run.report)
+        # run_stage made every section plain, so only the top-level keys
+        # are left to sort
+        report = dict(sorted(run.report.items()))
+        _write_plain_json(run.out_dir / "report.json", report)
     return report
 
 

@@ -147,6 +147,44 @@ def rational_least_squares(design_rows, target) -> list[float]:
     return [float(b[r] / a[r][r]) for r in range(p)]
 
 
+def pivoted_qr_by_scipy(design: np.ndarray):
+    """scipy.linalg's economic column-pivoted QR and the numerical rank under
+    the package's cutoff: the wrapper route that ``numerics`` replaced with
+    direct LAPACK calls, whose factors must equal these bit for bit."""
+    import scipy.linalg
+
+    q, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    n, p = design.shape
+    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    return q, r, piv, int(np.count_nonzero(diag > tol))
+
+
+def least_squares_by_scipy(design: np.ndarray, target: np.ndarray):
+    """Coefficients and RSS of a full-rank fit, solved on the scipy.linalg
+    factor with ``solve_triangular``."""
+    import scipy.linalg
+
+    q, r, piv, _ = pivoted_qr_by_scipy(design)
+    coef = np.empty(design.shape[1])
+    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ target)
+    residual = target - design @ coef
+    return coef, float(residual @ residual)
+
+
+def min_norm_least_squares_by_scipy(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The minimum-norm solution by a complete orthogonal decomposition,
+    both factorizations and the triangular solve through scipy.linalg."""
+    import scipy.linalg
+
+    q, r, piv, rank = pivoted_qr_by_scipy(design)
+    z, t, piv2, _ = pivoted_qr_by_scipy(r[:rank].T)
+    w = scipy.linalg.solve_triangular(t, (q[:, :rank].T @ target)[piv2], trans="T")
+    coef = np.empty(design.shape[1])
+    coef[piv] = z @ w
+    return coef
+
+
 def spearman_rank_difference(x, y) -> float:
     """rho via 1 - 6*sum(d^2)/(n(n^2-1)); valid only when neither side has ties."""
     n = len(x)

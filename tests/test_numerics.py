@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defectcast import numerics
 from defectcast._errors import NumericalError
 from defectcast.numerics import (
     RandomStream,
@@ -164,16 +167,112 @@ class TestLeastSquares:
         np.testing.assert_allclose(cov, direct, atol=1e-10)
 
 
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    )
+
+
+@st.composite
+def _designs(draw):
+    """An m x n design, 0 <= m <= 80 and 0 <= n <= 8, of full rank, with
+    duplicated columns or all zero, in C order, F order, as a transposed
+    view or as a strided view."""
+    m, n = draw(st.integers(0, 80)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["full", "duplicated", "zero"]))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(m, n))
+    if kind == "duplicated" and n >= 2:
+        for j in range(1, n, 2):
+            x[:, j] = x[:, rng.integers(0, j)] * rng.choice([1.0, -2.5])
+    elif kind == "zero":
+        x[:] = 0.0
+    if layout == "C":
+        x = np.ascontiguousarray(x)
+    elif layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "transposed":
+        x = np.ascontiguousarray(x.T).T
+    else:
+        wide = np.zeros((m, 2 * n))
+        wide[:, ::2] = x
+        x = wide[:, ::2]
+    return x, rng.normal(size=m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_designs())
+def test_lapack_route_matches_scipy_wrappers_bit_for_bit(case):
+    """The direct dgeqp3/dorgqr/dtrtrs calls reproduce scipy.linalg's
+    ``qr(mode="economic", pivoting=True)`` and ``solve_triangular`` to the
+    last bit: factors, pivots, rank and every solution built from them."""
+    x, y = case
+    want = oracles.pivoted_qr_by_scipy(x)
+    got = numerics._pivoted_qr(x)
+    for g, w in zip(got[:3], want[:3]):
+        assert _same_bits(g, w)
+    rank = want[3]
+    assert got[3] == rank
+    # min_norm_least_squares also factors the transposed view r[:rank].T
+    assert _same_bits(min_norm_least_squares(x, y), oracles.min_norm_least_squares_by_scipy(x, y))
+    m, n = x.shape
+    if m < n or rank < n:
+        with pytest.raises(NumericalError):
+            solve_least_squares(x, y)
+        return
+    sol = solve_least_squares(x, y)
+    coef, rss = oracles.least_squares_by_scipy(x, y)
+    assert _same_bits(sol.coefficients, coef)
+    assert sol.residual_sum_squares == rss
+    assert _same_bits(unscaled_covariance(sol), oracles.unscaled_covariance_by_refactoring(x))
+
+
+@pytest.mark.parametrize(
+    "design, target, want",
+    [
+        # rank 0: the kept triangle is 0 x 0 and the right-hand side empty
+        (np.zeros((5, 3)), np.ones(5), [0.0, 0.0, 0.0]),
+        (np.zeros((0, 3)), np.zeros(0), [0.0, 0.0, 0.0]),
+        (np.zeros((4, 0)), np.ones(4), []),
+    ],
+)
+def test_min_norm_empty_and_rank_zero_stay_silent(capfd, design, target, want):
+    """LAPACK reports an illegal argument (a 0 x 0 triangle, a size-0
+    design) by printing from XERBLA and returning; these shapes must take
+    the empty early returns and never reach it."""
+    got = min_norm_least_squares(design, target)
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    assert capfd.readouterr() == ("", "")
+
+
+def test_least_squares_without_columns_stays_silent(capfd):
+    sol = solve_least_squares(np.zeros((4, 0)), np.ones(4))
+    assert sol.coefficients.shape == (0,)
+    assert sol.residual_sum_squares == 4.0
+    assert sol.rank == 0
+    assert unscaled_covariance(sol).shape == (0, 0)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_package_uses_no_numpy_linalg():
-    """All linear algebra in the package goes through scipy.linalg.
+    """All linear algebra in the package goes through direct LAPACK calls
+    from scipy.linalg.lapack, on one code path.
 
     numpy's wheel bundles its own OpenBLAS, separate from scipy's, so a
     numpy.linalg call loads a second LAPACK with a second BLAS thread pool
     into the process, and its rank cutoffs differ from the one that
-    ``numerics`` applies to every least-squares solve.
+    ``numerics`` applies to every least-squares solve.  scipy.linalg's
+    ``qr`` and ``solve_triangular`` wrappers are the test oracles'
+    reference, not a second route through the package.
     """
     package = Path(__file__).resolve().parent.parent / "src" / "defectcast"
-    pattern = re.compile(r"\b(numpy|np)\.linalg\b|from\s+numpy\s+import\b.*\blinalg\b")
+    pattern = re.compile(
+        r"\b(numpy|np)\.linalg\b|from\s+numpy\s+import\b.*\blinalg\b"
+        r"|\blinalg\.qr\b|from\s+scipy\.linalg\s+import\b.*\bqr\b|\bsolve_triangular\b"
+    )
     offenders = [
         f"{path.name}:{lineno}"
         for path in sorted(package.rglob("*.py"))

@@ -667,6 +667,17 @@ class TestArtifactHandoff:
         assert names[-1] == "report.json"
         assert report == json.loads((tmp_path / "out" / "report.json").read_text())
 
+    def test_report_walked_once_per_run(self, tmp_path, monkeypatch):
+        # run_stage makes each stage's sections plain before they enter the
+        # report, so the final write walks nothing again
+        walks = _counting(monkeypatch, "_jsonable")
+        report = run_pipeline(load_small(tmp_path))
+        walked = [args[0] for args in walks if args[1] == "report.json"]
+        assert len(walked) == 1 + len(STAGES)  # the provenance, then each stage
+        assert all(len(obj) < len(report) for obj in walked)
+        text = (tmp_path / "out" / "report.json").read_text()
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_failed_run_reports_its_finished_stages(self, tmp_path):
         # six rows are too few to fit; the report of an earlier run in the
         # same directory must not survive as this run's

@@ -103,6 +103,16 @@ class TestQQNormal:
         np.testing.assert_allclose(result.theoretical, expected, atol=1e-12)
         np.testing.assert_array_equal(result.ordered, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("n", [3, 2000, 8000])
+    def test_quantiles_equal_the_per_row_form(self, n):
+        from defectcast.numerics import normal_quantile
+
+        result = qq_normal(np.random.default_rng(n).normal(size=n))
+        positions = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
+        per_row = np.array([normal_quantile(p) for p in positions])
+        assert result.theoretical.dtype == per_row.dtype
+        assert result.theoretical.tobytes() == per_row.tobytes()
+
     def test_needs_three_values(self):
         with pytest.raises(DataError, match="at least 3"):
             qq_normal([1.0, 2.0])
