@@ -72,6 +72,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _check_actuals(actuals: np.ndarray) -> None:
+    if actuals.size == 0:
+        raise DataError("metric inputs are empty")
+    if np.count_nonzero(actuals <= 0):
+        raise DataError("nonpositive actual value; relative error is undefined")
+
+
 def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actuals, dtype=float)
     p = np.asarray(predictions, dtype=float)
@@ -81,8 +88,7 @@ def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"actuals and predictions differ in length ({a.size} vs {p.size})"
         )
-    if np.any(a <= 0):
-        raise DataError("nonpositive actual value; relative error is undefined")
+    _check_actuals(a)
     return a, p
 
 
@@ -107,16 +113,20 @@ class EvalMetrics:
     n: int
 
 
-def _metrics(actuals, predictions, thresholds, include_pred) -> EvalMetrics:
-    """``mmre`` and ``pred_at`` at each threshold, from one input check and
-    one relative-error vector."""
-    a, p = _check_metric_inputs(actuals, predictions)
-    errors = np.abs(a - p) / a
+def _metrics(
+    actuals: np.ndarray, predictions: np.ndarray, thresholds, include_pred: bool
+) -> EvalMetrics:
+    """``mmre`` and ``pred_at`` at each threshold, from one relative-error
+    vector, on float arrays of one shape whose actuals ``_check_actuals``
+    has passed.  ``np.add.reduce(errors) / n`` is the sum and division
+    ``np.mean`` runs, without its dispatch, and a hit count over ``n`` is
+    the correctly rounded mean of the hits."""
+    errors = np.abs(actuals - predictions) / actuals
+    n = errors.size
     pred = {}
     if include_pred:
-        for m in thresholds:
-            pred[m] = float(np.mean(errors <= m))
-    return EvalMetrics(mmre=float(np.mean(errors)), pred=pred, n=len(actuals))
+        pred = {m: float(np.count_nonzero(errors <= m) / n) for m in thresholds}
+    return EvalMetrics(mmre=float(np.add.reduce(errors) / n), pred=pred, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +364,8 @@ def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
     )
 
 
-def _coefficients(enc: _Encoded, rows: np.ndarray | slice, plan: ModelingPlan) -> np.ndarray:
-    sol, _ = ols_coefficients(enc.design[rows], enc.y[rows], plan.predictors, plan.response)
+def _coefficients(design: np.ndarray, y: np.ndarray, plan: ModelingPlan) -> np.ndarray:
+    sol, _ = ols_coefficients(design, y, plan.predictors, plan.response)
     return sol.coefficients
 
 
@@ -371,20 +381,22 @@ def _split_row(
     """Fit on the ``train`` rows (unless ``fixed`` coefficients are given),
     recalibrate on them, and score the ``test`` rows with and without the
     units.  Each array is gathered by row before any arithmetic, so every
-    product sees the arrays a per-split table would have produced."""
-    consequents = [q for _, q in enc.routes.values()]
+    product sees the arrays a per-split table would have produced; a 2-d
+    array is gathered with ``take``, the same rows as indexing without its
+    dispatch."""
+    routes = enc.routes
+    consequents = [q for _, q in routes.values()]
+    train_design, train_y = enc.design.take(train, axis=0), enc.y[train]
     try:
-        coef = fixed if fixed is not None else _coefficients(enc, train, plan)
+        coef = fixed if fixed is not None else _coefficients(train_design, train_y, plan)
         if plan.recalibrate:
-            train_routes = {j: (s[train], q) for j, (s, q) in enc.routes.items()}
-            consequents, _ = fit_consequents(
-                coef, enc.design[train], enc.y[train], train_routes
-            )
+            train_routes = {j: (s.take(train, axis=0), q) for j, (s, q) in routes.items()}
+            consequents, _ = fit_consequents(coef, train_design, train_y, train_routes)
     except (DataError, NumericalError) as err:
         raise DataError(f"{context}: {err}") from None
-    design = enc.design[test]
+    design = enc.design.take(test, axis=0)
     test_routes = {
-        j: (s[test], q) for (j, (s, _)), q in zip(enc.routes.items(), consequents)
+        j: (s.take(test, axis=0), q) for (j, (s, _)), q in zip(routes.items(), consequents)
     }
     base_preds = score(coef, design)
     recal_preds = score(coef, design, test_routes)
@@ -392,6 +404,7 @@ def _split_row(
         base_preds = back_transform_array(base_preds, plan.response_transform)
         recal_preds = back_transform_array(recal_preds, plan.response_transform)
     actuals = enc.actuals[test]
+    _check_actuals(actuals)
     include_pred = len(test) >= plan.min_test_for_pred
     base = _metrics(actuals, base_preds, plan.pred_thresholds, include_pred)
     recal = _metrics(actuals, recal_preds, plan.pred_thresholds, include_pred)
@@ -415,7 +428,7 @@ def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> Experi
     data = _prepare_data(ds, plan)
     fold_plan = kfold_plan(data.row_count, k, seed)
     enc = _encode(data, plan)
-    fixed = None if plan.refit_regression else _coefficients(enc, slice(None), plan)
+    fixed = None if plan.refit_regression else _coefficients(enc.design, enc.y, plan)
     rows = [
         _split_row(
             f"fold {i + 1}", f"fold {i + 1}", enc, plan,
@@ -449,7 +462,7 @@ def random_split_experiment(
         )
     master = RandomStream(seed)
     enc = _encode(data, plan)
-    fixed = None if plan.refit_regression else _coefficients(enc, slice(None), plan)
+    fixed = None if plan.refit_regression else _coefficients(enc.design, enc.y, plan)
     rows = []
     for r in range(repetitions):
         perm = master.split(r).permutation(n)

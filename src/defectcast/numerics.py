@@ -9,7 +9,9 @@ The least-squares kernels call direct LAPACK ``dgeqp3``/``dorgqr``/``dtrtrs``
 with the arguments that scipy.linalg's own wrappers pass, so every factor and
 solution is bit for bit the wrapper's, without the wrapper's per-call
 overhead.  ``dgeqp3`` is the BLAS-3 column-pivoted QR of Quintana-Orti, Sun
-and Bischof (SIAM J. Sci. Comput. 19(5), 1998).
+and Bischof (SIAM J. Sci. Comput. 19(5), 1998).  Both solvers run one shared
+input check: a 2-d design, a 1-d target with one entry per design row, and
+finite values, else NumericalError.
 
 The t and F CDFs are scipy.special's ``stdtr`` and ``fdtr``, the Cephes
 routines (Moshier, *Methods and Programs for Mathematical Functions*, 1989).
@@ -66,6 +68,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # Distinct odd constant used only for deriving child-stream seeds.
 _SPLIT = 0xD1B54A32D192ED03
+# The same constants and the finalizer's shifts as numpy scalars, for the
+# vectorized stream.
+_U_WEYL, _U_MIX1, _U_MIX2 = np.uint64(_WEYL), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix64(z: int) -> int:
@@ -108,18 +114,26 @@ class RandomStream:
         return self._count
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self._seed) + idx * np.uint64(_WEYL)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= _U_WEYL
+        z += np.uint64(self._seed)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        return z
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
         if n < 0:
             raise NumericalError("draw count must be nonnegative")
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z = self._raw(n)
+        z >>= _U11
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        return u
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -151,13 +165,13 @@ class RandomStream:
         if n < 2:
             return np.arange(n)
         # one uniform per swap position, consumed high index first
-        positions = np.arange(n - 1, 0, -1)
-        scaled = self.uniforms(n - 1) * (positions + 1)
-        swaps = np.minimum(scaled.astype(np.int64), positions)
+        scaled = self.uniforms(n - 1)
+        scaled *= np.arange(n, 1, -1)
+        swaps = np.minimum(scaled.astype(np.int64), np.arange(n - 1, 0, -1))
         perm = list(range(n))
-        for i, j in zip(positions.tolist(), swaps.tolist()):
+        for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm)
+        return np.fromiter(perm, np.int_, n)
 
     def split(self, index: int) -> "RandomStream":
         """Independent child stream for the given nonnegative index."""
@@ -183,6 +197,9 @@ class LeastSquaresSolution:
     piv: np.ndarray
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _lapack(routine, name: str, *args, **kwargs):
     """``routine``'s outputs before ``work`` and ``info``, run with the
     workspace size a ``lwork=-1`` query returns.  A negative ``info`` (an
@@ -197,21 +214,24 @@ def _lapack(routine, name: str, *args, **kwargs):
 def _pivoted_qr(design: np.ndarray):
     """Economic column-pivoted QR, ``design[:, piv] = q @ r`` with 0-based
     ``piv``, and the numerical rank.  A size-0 design gets empty factors
-    without a LAPACK call."""
+    without a LAPACK call.
+
+    ``r`` has ``np.triu``'s bytes and C order: ``_solve_upper`` picks its
+    ``dtrtrs`` arguments by memory order."""
     n, p = design.shape
+    k = min(n, p)
     if design.size == 0:
-        k = min(n, p)
         q, r, piv = np.empty((n, k)), np.empty((k, p)), np.arange(p, dtype=np.int32)
     else:
         qr, piv, tau = _lapack(_dgeqp3, "geqp3", design)
         piv -= 1
         # r is copied out before dorgqr overwrites qr with q
-        r = np.triu(qr[:p]) if n >= p else np.triu(qr)
-        (q,) = _lapack(
-            _dorgqr, "gorgqr/gungqr", qr if n >= p else qr[:, :n], tau, overwrite_a=1
-        )
-    diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+        r = qr[:k].copy()
+        for i in range(1, k):
+            r[i, :i] = 0.0
+        (q,) = _lapack(_dorgqr, "gorgqr/gungqr", qr[:, :k], tau, overwrite_a=1)
+    diag = abs(r.diagonal())
+    tol = max(n, p) * _EPS * diag[0] if k else 0.0
     rank = int(np.count_nonzero(diag > tol))
     return q, r, piv, rank
 
@@ -233,6 +253,20 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
+def _checked_inputs(design, target) -> tuple[np.ndarray, np.ndarray]:
+    """Both solvers' input check: a finite 2-d float design and a finite
+    1-d float target with one entry per design row, else NumericalError."""
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if x.ndim != 2 or y.ndim != 1:
+        raise NumericalError("design must be 2-d and target 1-d")
+    if y.shape[0] != x.shape[0]:
+        raise NumericalError("design and target row counts differ")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("non-finite values in least-squares inputs")
+    return x, y
+
+
 def solve_least_squares(design, target) -> LeastSquaresSolution:
     """Minimum-RSS coefficients for ``design @ b ~ target``.
 
@@ -240,17 +274,10 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
     normal equations.  A design whose numerical rank falls below its column
     count raises NumericalError naming the first dependent column.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.ndim != 1:
-        raise NumericalError("design must be 2-d and target 1-d")
+    x, y = _checked_inputs(design, target)
     n, p = x.shape
-    if y.shape[0] != n:
-        raise NumericalError("design and target row counts differ")
     if n < p:
         raise NumericalError(f"under-determined system: {n} rows for {p} columns")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NumericalError("non-finite values in least-squares inputs")
 
     q, r, piv, rank = _pivoted_qr(x)
     if rank < p:
@@ -275,10 +302,7 @@ def min_norm_least_squares(design, target) -> np.ndarray:
     complete orthogonal decomposition), so directions the data leave
     undetermined get exactly zero weight instead of rounding noise.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NumericalError("non-finite values in least-squares inputs")
+    x, y = _checked_inputs(design, target)
     q, r, piv, rank = _pivoted_qr(x)
     # x[:, piv] = q @ r, so the least-squares solutions u solve
     # r[:rank] @ u = q[:, :rank].T @ y; with r[:rank].T[:, piv2] = z @ t the

@@ -27,6 +27,7 @@ subsets of the arrays to ``score`` and ``fit_consequents`` directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -265,7 +266,7 @@ def fit_consequents(
         if j not in routes:
             base = base + coefficients[j] * design[:, j]
     blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
-    a = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     q0 = np.concatenate([q for _, q in routes.values()]) if routes else np.zeros(0)
 
     def residual(params: np.ndarray) -> np.ndarray:
@@ -273,7 +274,7 @@ def fit_consequents(
 
     def gradient_norm(r: np.ndarray) -> float:
         g = (2.0 / n) * (a.T @ r)
-        return float(np.sqrt(g @ g))
+        return math.sqrt(g @ g)
 
     r0 = residual(q0)
     grad_norm0 = gradient_norm(r0)

@@ -125,15 +125,20 @@ class TestMetrics:
 
 
     def test_metrics_equal_mmre_and_pred_at(self):
+        """The split kernel's numbers are ``mmre``'s and ``pred_at``'s to
+        the last bit, at every test size a split can have here."""
         rng = np.random.default_rng(5)
-        actuals = rng.uniform(1.0, 100.0, 60)
-        predictions = actuals * rng.uniform(0.2, 1.8, 60)
-        predictions[::7] = actuals[::7]  # exact hits count at threshold 0
         thresholds = (0.0, 0.1, 0.25, 0.5, 1.0, 10.0)
-        got = evaluation._metrics(actuals, predictions, thresholds, True)
-        assert got.mmre == mmre(actuals, predictions)
-        assert got.pred == {m: pred_at(actuals, predictions, m) for m in thresholds}
-        assert got.n == 60
+        for n in range(1, 301):
+            actuals = rng.uniform(1.0, 100.0, n)
+            predictions = actuals * rng.uniform(0.2, 1.8, n)
+            predictions[::7] = actuals[::7]  # exact hits count at threshold 0
+            predictions[3::11] = 1.25 * actuals[3::11]  # errors at or next to 0.25
+            got = evaluation._metrics(actuals, predictions, thresholds, True)
+            assert got.mmre.hex() == mmre(actuals, predictions).hex()
+            want = {m: pred_at(actuals, predictions, m).hex() for m in thresholds}
+            assert {m: v.hex() for m, v in got.pred.items()} == want
+            assert got.n == n
         assert evaluation._metrics(actuals, predictions, thresholds, False).pred == {}
 
 

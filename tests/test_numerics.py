@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectcast import numerics
@@ -159,6 +159,19 @@ class TestLeastSquares:
         with pytest.raises(NumericalError, match="non-finite"):
             min_norm_least_squares(np.array([[1.0], [math.nan]]), np.ones(2))
 
+    @pytest.mark.parametrize("solver", [solve_least_squares, min_norm_least_squares])
+    @pytest.mark.parametrize(
+        "design, target, message",
+        [
+            (np.ones((5, 3)), np.ones(4), "design and target row counts differ"),
+            (np.ones(5), np.ones(5), "design must be 2-d and target 1-d"),
+            (np.ones((5, 2)), np.ones((5, 1)), "design must be 2-d and target 1-d"),
+        ],
+    )
+    def test_solvers_share_the_shape_checks(self, solver, design, target, message):
+        with pytest.raises(NumericalError, match=message):
+            solver(design, target)
+
     def test_covariance_matches_inverse(self):
         rng = np.random.default_rng(17)
         design = rng.normal(size=(40, 4))
@@ -202,17 +215,39 @@ def _designs(draw):
     return x, rng.normal(size=m)
 
 
+def _case(m, n, kind):
+    x = np.random.default_rng(m * 10 + n).normal(size=(m, n))
+    if kind == "duplicated":
+        x[:, -1] = 2.0 * x[:, 0]
+    elif kind == "zero":
+        x[:] = 0.0
+    return x, np.arange(m, dtype=float)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_designs())
+@example(_case(3, 5, "full")).via("m < n")
+@example(_case(4, 4, "full")).via("m = n")
+@example(_case(7, 4, "full")).via("m > n")
+@example(_case(3, 5, "duplicated")).via("m < n, rank deficient")
+@example(_case(4, 4, "duplicated")).via("m = n, rank deficient")
+@example(_case(7, 4, "duplicated")).via("m > n, rank deficient")
+@example(_case(3, 5, "zero")).via("m < n, all zero")
+@example(_case(4, 4, "zero")).via("m = n, all zero")
+@example(_case(7, 4, "zero")).via("m > n, all zero")
 def test_lapack_route_matches_scipy_wrappers_bit_for_bit(case):
     """The direct dgeqp3/dorgqr/dtrtrs calls reproduce scipy.linalg's
     ``qr(mode="economic", pivoting=True)`` and ``solve_triangular`` to the
-    last bit: factors, pivots, rank and every solution built from them."""
+    last bit: factors, pivots, rank and every solution built from them.
+    R is C-contiguous, as the ``np.triu`` inside the wrapper returns it:
+    ``_solve_upper`` picks its ``dtrtrs`` arguments by memory order."""
     x, y = case
     want = oracles.pivoted_qr_by_scipy(x)
     got = numerics._pivoted_qr(x)
     for g, w in zip(got[:3], want[:3]):
         assert _same_bits(g, w)
+    assert got[1].flags.c_contiguous
+    assert got[1].strides == want[1].strides
     rank = want[3]
     assert got[3] == rank
     # min_norm_least_squares also factors the transposed view r[:rank].T
