@@ -391,7 +391,7 @@ def _split_row(
         coef = fixed if fixed is not None else _coefficients(train_design, train_y, plan)
         if plan.recalibrate:
             train_routes = {j: (s.take(train, axis=0), q) for j, (s, q) in routes.items()}
-            consequents, _ = fit_consequents(coef, train_design, train_y, train_routes)
+            consequents = fit_consequents(coef, train_design, train_y, train_routes)
     except (DataError, NumericalError) as err:
         raise DataError(f"{context}: {err}") from None
     design = enc.design.take(test, axis=0)

@@ -267,13 +267,11 @@ def load_config(
         if name not in names:
             raise ConfigError(f"config references unknown variable {name!r}")
     scaling = dict(regression.get("scaling", {}))
-    for name, level in scaling.items():
+    for name in scaling:
         if name not in candidates:
             raise ConfigError(
                 f"scaling level given for {name!r}, which is not a candidate"
             )
-        if level not in ("nominal", "ordinal"):
-            raise ConfigError(f"unknown scaling level {level!r} for {name!r}")
 
     filters = tuple(_filter_from_dict(e) for e in raw.get("filters", ()))
     for rule in filters:
@@ -421,20 +419,33 @@ def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """What ``_fit_models`` built: the full and the selected model, the
+    quantifications the fits used, and the report's scaling and stepwise
+    sections."""
+
+    full: LinearModel
+    selected: LinearModel
+    quants: dict[str, Quantification]
+    scaling_section: dict
+    stepwise_section: dict
+
+
 @dataclass
 class _Run:
     """One run's config and the artifacts its stages have made so far.
 
     ``run_pipeline`` keeps one for the whole chain, so each stage takes the
-    source, prepared and fitted artifacts from the stage that made them.
-    A standalone ``run_stage`` starts from an empty one and recomputes in
-    memory every artifact it lacks.
+    source, the prepared data and the fit from the stage that made them,
+    as the objects that stage built.  A standalone ``run_stage`` starts
+    from an empty one and recomputes in memory every artifact it lacks.
     """
 
     cfg: PipelineConfig
     source: Dataset | None = None
     prepared: Dataset | None = None
-    fitted: tuple[LinearModel, dict[str, Quantification]] | None = None
+    fit: _Fit | None = None
     report: dict = field(default_factory=dict)
 
     @property
@@ -544,8 +555,7 @@ def _stage_synth(run: _Run) -> dict:
     cfg = run.cfg
     if cfg.synthetic is None:
         raise ConfigError("stage 'synth' needs a data.synthetic section")
-    ds = generate_synthetic(cfg.synthetic, cfg.seed)
-    run.source = ds
+    ds = _source_dataset(run)
     _write_table(run, "synthetic", ds)
     meta = ds.metadata["generator"]
     return {
@@ -660,9 +670,9 @@ def _stage_tree(run: _Run) -> dict:
     }
 
 
-def _fit_models(run: _Run):
-    """Optimal scaling, the full model and stepwise selection.  Returns the
-    ``model.json`` document and the report's scaling and stepwise sections."""
+def _fit_models(run: _Run) -> _Fit:
+    """Optimal scaling, the full model and stepwise selection, stored on
+    ``run`` as built and returned."""
     cfg = run.cfg
     data = _prepared_dataset(run)
     transform = _response_transform(run)
@@ -723,55 +733,39 @@ def _fit_models(run: _Run):
                 "model": selected.to_dict(),
             }
         )
-    model_doc = _jsonable(
-        {
-            "provenance": cfg.provenance(),
-            "model": selected.to_dict(),
-            "full_model": full.to_dict(),
-            "quantifications": {
-                name: {"mapping": dict(q.mapping), "source": q.source}
-                for name, q in quants.items()
-            },
-        },
-        "model.json",
-    )
-    return model_doc, scaling_section, stepwise_section
-
-
-def _fitted_from_doc(doc: dict) -> tuple[LinearModel, dict[str, Quantification]]:
-    """The selected model and quantifications of a ``model.json`` document.
-
-    The fit stage and every refit come through here, so the
-    quantifications keep the document's sorted key order, and with it the
-    order of the recalibration units."""
-    selected = LinearModel.from_dict(doc["model"])
-    quants = {
-        name: Quantification(name, dict(entry["mapping"]), source=entry["source"])
-        for name, entry in doc["quantifications"].items()
-    }
-    return selected, quants
+    run.fit = _Fit(full, selected, quants, scaling_section, stepwise_section)
+    return run.fit
 
 
 def _stage_fit(run: _Run) -> dict:
-    model_doc, scaling_section, stepwise_section = _fit_models(run)
-    _write_json(run.out_dir / "model.json", model_doc)
-    run.fitted = _fitted_from_doc(model_doc)
+    fit = _fit_models(run)
+    model_doc = _write_json(
+        run.out_dir / "model.json",
+        {
+            "provenance": run.cfg.provenance(),
+            "model": fit.selected.to_dict(),
+            "full_model": fit.full.to_dict(),
+            "quantifications": {
+                name: {"mapping": q.mapping, "source": q.source}
+                for name, q in fit.quants.items()
+            },
+        },
+    )
     return {
-        "optimal_scaling": scaling_section,
+        "optimal_scaling": fit.scaling_section,
         "regression": {
             "full_model": model_doc["full_model"],
             "selected_model": model_doc["model"],
         },
-        "stepwise": stepwise_section,
+        "stepwise": fit.stepwise_section,
     }
 
 
 def _load_fitted(run: _Run) -> tuple[LinearModel, dict[str, Quantification]]:
-    """The fit stage's selected model and quantifications: from this run,
-    else refit."""
-    if run.fitted is None:
-        run.fitted = _fitted_from_doc(_fit_models(run)[0])
-    return run.fitted
+    """The selected model and the quantifications the fit used: the fit
+    stage's objects when this run has them, else a refit in memory."""
+    fit = run.fit or _fit_models(run)
+    return fit.selected, fit.quants
 
 
 def _resubstitution_mmre(model, units, quants, data, response_transform):

@@ -23,6 +23,11 @@ prediction is computed from a table, with units (recalibrated) or without
 its one-row forms: they resolve a row dict into a one-row table and score
 it here.  Resampling experiments encode their table once and hand row
 subsets of the arrays to ``score`` and ``fit_consequents`` directly.
+
+``fit_consequents`` returns the consequents alone, since a resampling
+split reads nothing else.  ``train_recalibration`` runs the same solve and
+is the one place a ``TrainingTrace`` is built.  A unit is written out
+through ``Nfa.to_dict``; nothing parses one back.
 """
 
 from __future__ import annotations
@@ -105,16 +110,6 @@ class Nfa:
             "consequents": list(self.consequents),
             "trained": self.trained,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Nfa":
-        return cls(
-            variable=data["variable"],
-            input_anchors=tuple(data["input_anchors"]),
-            widths=tuple(data["widths"]),
-            consequents=tuple(data["consequents"]),
-            trained=data["trained"],
-        )
 
 
 @dataclass(frozen=True)
@@ -251,52 +246,56 @@ def score(coefficients, design: np.ndarray, routes: Routes | None = None) -> np.
     return total
 
 
-def fit_consequents(
-    coefficients, design: np.ndarray, y: np.ndarray, routes: Routes
-) -> tuple[list[np.ndarray], TrainingTrace]:
-    """The arithmetic of ``train_recalibration`` on an encoded design:
-    least-squares consequents of every route, in route order, from the
-    routes' consequents as the start."""
-    n = design.shape[0]
-    if n == 0:
-        raise DataError("no complete rows to train on")
-    # fixed part of the prediction: intercept plus all numeric terms
-    base = np.full(n, coefficients[0])
-    for j in range(1, design.shape[1]):
-        if j not in routes:
-            base = base + coefficients[j] * design[:, j]
-    blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
-    a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-    q0 = np.concatenate([q for _, q in routes.values()]) if routes else np.zeros(0)
+class _ConsequentFit:
+    """One least-squares solve for the consequents of ``routes`` on an
+    encoded design.  The prediction is ``base + a @ q``: ``base`` is the
+    intercept plus every unrouted term, and ``a`` holds each routed term's
+    coefficient times its firing strengths, in route order.  ``q`` is the
+    solution from the routes' consequents ``q0``; ``solves`` is 0 when
+    ``q0`` is already optimal, else 1."""
 
-    def residual(params: np.ndarray) -> np.ndarray:
-        return base + a @ params - y
+    def __init__(self, coefficients, design: np.ndarray, y: np.ndarray, routes: Routes):
+        n = design.shape[0]
+        if n == 0:
+            raise DataError("no complete rows to train on")
+        base = np.full(n, coefficients[0])
+        for j in range(1, design.shape[1]):
+            if j not in routes:
+                base = base + coefficients[j] * design[:, j]
+        blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
+        self.base, self.y, self.routes = base, y, routes
+        self.a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
+        q0 = np.concatenate([q for _, q in routes.values()]) if routes else np.zeros(0)
+        self.r0 = self.residual(q0)
+        self.gradient_norm0 = self.gradient_norm(self.r0)
+        # a NaN gradient also solves, so non-finite inputs raise NumericalError
+        self.solves = 0 if self.gradient_norm0 < 1e-10 else 1
+        self.q = q0 + min_norm_least_squares(self.a, -self.r0) if self.solves else q0
 
-    def gradient_norm(r: np.ndarray) -> float:
-        g = (2.0 / n) * (a.T @ r)
+    def residual(self, params: np.ndarray) -> np.ndarray:
+        return self.base + self.a @ params - self.y
+
+    def gradient_norm(self, r: np.ndarray) -> float:
+        g = (2.0 / r.size) * (self.a.T @ r)
         return math.sqrt(g @ g)
 
-    r0 = residual(q0)
-    grad_norm0 = gradient_norm(r0)
-    if grad_norm0 < 1e-10:
-        q, r, solves = q0, r0, 0
-    else:  # also for a NaN gradient, so non-finite inputs raise NumericalError
-        q = q0 + min_norm_least_squares(a, -r0)
-        r = residual(q)
-        solves = 1
+    def consequents(self) -> list[np.ndarray]:
+        """``q`` cut into each route's consequents, in route order."""
+        out, pos = [], 0
+        for _, start in self.routes.values():
+            out.append(self.q[pos : pos + start.size])
+            pos += start.size
+        return out
 
-    trained, pos = [], 0
-    for _, start in routes.values():
-        trained.append(q[pos : pos + start.size])
-        pos += start.size
-    trace = TrainingTrace(
-        epochs=solves,
-        mse_path=(float(r0 @ r0) / n, float(r @ r) / n),
-        initial_gradient_norm=grad_norm0,
-        converged=True,
-        final_gradient_norm=gradient_norm(r),
-    )
-    return trained, trace
+
+def fit_consequents(
+    coefficients, design: np.ndarray, y: np.ndarray, routes: Routes
+) -> list[np.ndarray]:
+    """The arithmetic of ``train_recalibration`` on an encoded design:
+    least-squares consequents of every route, in route order, from the
+    routes' consequents as the start.  It returns the consequents only;
+    ``train_recalibration`` alone builds a training record."""
+    return _ConsequentFit(coefficients, design, y, routes).consequents()
 
 
 def _coefficients(model: LinearModel) -> list[float]:
@@ -309,8 +308,8 @@ def train_recalibration(
     ds: Dataset,
 ) -> tuple[list[Nfa], TrainingTrace]:
     """Least-squares consequents of every unit, solved exactly: ``encode``
-    on the complete rows with the fit-time codings, then
-    ``fit_consequents``.
+    on the complete rows with the fit-time codings, then the solve of
+    ``fit_consequents``, returned with its ``TrainingTrace``.
 
     The prediction for a row is the model's linear form with each
     categorical term's value routed through its unit.  Premises are
@@ -335,8 +334,16 @@ def train_recalibration(
     data = listwise_complete(ds, [model.response, *model.variables])
     y = response_values(data, model.response)
     design, routes = encode(model, data, units=nfas)
-    consequents, trace = fit_consequents(_coefficients(model), design, y, routes)
-    trained = [by_var[v].with_consequents(q) for v, q in zip(cat_terms, consequents)]
+    fit = _ConsequentFit(_coefficients(model), design, y, routes)
+    r0, r = fit.r0, fit.residual(fit.q)
+    trace = TrainingTrace(
+        epochs=fit.solves,
+        mse_path=(float(r0 @ r0) / y.size, float(r @ r) / y.size),
+        initial_gradient_norm=fit.gradient_norm0,
+        converged=True,
+        final_gradient_norm=fit.gradient_norm(r),
+    )
+    trained = [by_var[v].with_consequents(q) for v, q in zip(cat_terms, fit.consequents())]
     return trained, trace
 
 

@@ -129,29 +129,6 @@ class LinearModel:
             "formula": self.formula(),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinearModel":
-        return cls(
-            response=data["response"],
-            response_transform=data["response_transform"],
-            intercept=data["intercept"],
-            intercept_p=data["intercept_p"],
-            terms=tuple(
-                ModelTerm(
-                    variable=t["variable"],
-                    coefficient=t["coefficient"],
-                    std_coefficient=t["std_coefficient"],
-                    std_error=t["std_error"],
-                    t_value=t["t_value"],
-                    p_value=t["p_value"],
-                )
-                for t in data["terms"]
-            ),
-            r_squared=data["r_squared"],
-            n=data["n"],
-            codings={k: dict(v) for k, v in data.get("codings", {}).items()},
-        )
-
 
 def design_columns(
     ds: Dataset,
@@ -195,6 +172,14 @@ def response_values(ds: Dataset, response: str) -> np.ndarray:
     return ds.columns[response].astype(float)
 
 
+def _total_sum_squares(y: np.ndarray) -> float:
+    """Sum of squared deviations of float64 ``y`` from its mean.  The sums
+    are the ones ``np.mean`` and ``ndarray.sum`` run, so the bits equal
+    ``((y - y.mean()) ** 2).sum()`` without that form's dispatch."""
+    d = y - np.add.reduce(y) / y.shape[0]
+    return float(np.add.reduce(d * d))
+
+
 def ols_coefficients(
     design: np.ndarray, y: np.ndarray, predictors: Sequence[str], response: str
 ) -> tuple[LeastSquaresSolution, float]:
@@ -223,7 +208,7 @@ def ols_coefficients(
             named.variable = name
             raise named from None
         raise
-    tss = float(((y - y.mean()) ** 2).sum())
+    tss = _total_sum_squares(y)
     if tss == 0.0:
         raise DataError(f"response {response!r} has zero variance on the fit rows")
     return sol, tss
@@ -508,7 +493,7 @@ def catreg_fit(
         if numeric
         else np.empty((n, 0))
     )
-    tss = float(((y - y.mean()) ** 2).sum())
+    tss = _total_sum_squares(y)
     if tss == 0.0:
         raise DataError(f"response {response!r} has zero variance on the fit rows")
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectcast import pipeline
+from defectcast import pipeline, recalibration
 from defectcast._errors import ConfigError, DataError, DefectcastError, NumericalError
 from defectcast.cli import main
 from defectcast.pipeline import (
@@ -169,6 +169,14 @@ class TestConfig:
         config = small_config()
         config["regression"]["scaling"] = {"defects": "nominal"}
         with pytest.raises(ConfigError, match="defects"):
+            load_config(write_config(tmp_path, config))
+
+    def test_unknown_scaling_level_is_a_schema_violation(self, tmp_path):
+        config = small_config()
+        config["regression"]["scaling"] = {"dev_type": "interval"}
+        with pytest.raises(
+            ConfigError, match="^config schema violation at regression/scaling/dev_type: "
+        ):
             load_config(write_config(tmp_path, config))
 
     def test_seed_required_with_stochastic_steps(self, tmp_path):
@@ -677,6 +685,38 @@ class TestArtifactHandoff:
         assert all(len(obj) < len(report) for obj in walked)
         text = (tmp_path / "out" / "report.json").read_text()
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_model_file_walked_once_per_fit(self, tmp_path, monkeypatch):
+        walks = _counting(monkeypatch, "_jsonable")
+        run_pipeline(load_small(tmp_path))
+        assert [args[1] for args in walks].count("model.json") == 1
+
+    @pytest.mark.parametrize("stage", [None, "recalibrate", "evaluate"])
+    def test_one_stepwise_selection_per_run(self, tmp_path, monkeypatch, stage):
+        # a whole run hands the fit stage's model over as built; a
+        # standalone recalibrate or evaluate refits it once in memory
+        path = write_config(tmp_path, small_config())
+        fits = _counting(monkeypatch, "stepwise_fit")
+        argv = ["--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--stage", stage] if stage else [])) == 0
+        assert len(fits) == 1
+
+    def test_training_record_built_only_by_train_recalibration(self, tmp_path, monkeypatch):
+        # resampling splits take the consequents alone; the recalibrate
+        # stage's one training is the only one that records a trace
+        traces = []
+        original = recalibration.TrainingTrace
+
+        def counting(*args, **kwargs):
+            traces.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(recalibration, "TrainingTrace", counting)
+        trainings = _counting(monkeypatch, "train_recalibration")
+        report = run_pipeline(load_small(tmp_path))
+        assert len(report["cross_validation"][0]["rows"]) == 4
+        assert len(trainings) == 1
+        assert len(traces) == len(trainings)
 
     def test_failed_run_reports_its_finished_stages(self, tmp_path):
         # six rows are too few to fit; the report of an earlier run in the

@@ -1,7 +1,6 @@
 """Regression fits against exact-arithmetic and closed-form oracles."""
 
 import io
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec, load_csv, sample_sd
 from defectcast.numerics import solve_least_squares, t_cdf
 from defectcast.regression import (
-    LinearModel,
     Quantification,
     back_transform_array,
     back_transform_value,
@@ -356,14 +354,6 @@ class TestModelPredict:
         model = ols_fit(ds, "y", ["x1"])  # response_transform 'none'
         with pytest.raises(DataError, match="back-transform"):
             model_predict(model, None, {"x1": 0.5}, back_transform=True)
-
-    def test_dict_round_trip(self):
-        model = self._model()
-        text = json.dumps(model.to_dict())
-        back = LinearModel.from_dict(json.loads(text))
-        assert back == model
-        row = {"size": 0.7, "kind": "extra"}
-        assert model_predict(back, None, row) == model_predict(model, None, row)
 
 
 class TestStepwise:
