@@ -54,6 +54,7 @@ __all__ = [
     "ReferenceCoefficients",
     "DEFAULT_COEFFICIENTS",
     "GeneratorConfig",
+    "SYNTHETIC_COLUMNS",
     "mmre",
     "pred_at",
     "raw_counts",
@@ -82,6 +83,8 @@ def _check_actuals(actuals: np.ndarray) -> None:
 def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actuals, dtype=float)
     p = np.asarray(predictions, dtype=float)
+    if a.ndim != 1:
+        raise DataError(f"metric inputs must be 1-d, got {a.ndim} dimensions")
     if a.size == 0:
         raise DataError("metric inputs are empty")
     if a.shape != p.shape:
@@ -95,7 +98,7 @@ def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
 def mmre(actuals, predictions) -> float:
     """Mean magnitude of relative error over raw counts."""
     a, p = _check_metric_inputs(actuals, predictions)
-    return float(np.mean(np.abs(a - p) / a))
+    return _metrics(a, p, (), include_pred=False).mmre
 
 
 def pred_at(actuals, predictions, m: float) -> float:
@@ -103,7 +106,7 @@ def pred_at(actuals, predictions, m: float) -> float:
     if m < 0:
         raise ConfigError(f"threshold must be nonnegative, got {m}")
     a, p = _check_metric_inputs(actuals, predictions)
-    return float(np.mean(np.abs(a - p) / a <= m))
+    return _metrics(a, p, (m,), include_pred=True).pred[m]
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,7 @@ class ExperimentReport:
 
 
 def _improvement(baseline: float, recalibrated: float) -> float:
+    """Relative MMRE reduction from baseline to recalibrated, in percent."""
     if baseline == 0.0:
         return 0.0  # both models exact; nothing to improve
     return (baseline - recalibrated) / baseline * 100.0
@@ -519,6 +523,13 @@ DEFAULT_COEFFICIENTS = ReferenceCoefficients()
 
 DEV_TYPE_LABELS = ("New Development", "Re-development", "Enhancement")
 
+# the generator's columns in schema order: the response, five predictors,
+# then the 14 system-characteristic ratings
+SYNTHETIC_COLUMNS = (
+    "defects", "fp", "efforts", "max_team_size", "dev_type", "vaf",
+    *(f"gsc_{j:02d}" for j in range(1, 15)),
+)
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -639,35 +650,19 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     )
     defects = np.exp(ln_defects)
 
-    schema = [
-        VariableSpec("defects", "response", "numeric", transform="ln"),
-        VariableSpec("fp", "predictor", "numeric", transform="ln"),
-        VariableSpec("efforts", "predictor", "numeric", transform="ln"),
-        VariableSpec("max_team_size", "predictor", "numeric"),
-        VariableSpec("dev_type", "predictor", "categorical", categories=DEV_TYPE_LABELS),
-        VariableSpec(
-            "vaf",
-            "predictor",
-            "categorical",
-            categories=tuple(f"{v:.2f}" for v in levels),
-        ),
-    ]
-    columns: dict[str, np.ndarray] = {
-        "defects": defects,
-        "fp": fp,
-        "efforts": efforts,
-        "max_team_size": team,
-    }
-    columns["dev_type"] = dev_codes.astype(np.int32)
-    columns["vaf"] = level_idx.astype(np.int32)
-    for j in range(14):
-        name = f"gsc_{j + 1:02d}"
-        schema.append(VariableSpec(name, "excluded", "numeric"))
-        columns[name] = ratings_table[level_idx, j]
-
-    missing = {
-        name: np.zeros(n, dtype=bool) for name in columns
-    }
+    # (role, kind, transform, categories) of each column, in SYNTHETIC_COLUMNS order
+    declared = [
+        ("response", "numeric", "ln", ()),
+        ("predictor", "numeric", "ln", ()),
+        ("predictor", "numeric", "ln", ()),
+        ("predictor", "numeric", "none", ()),
+        ("predictor", "categorical", "none", DEV_TYPE_LABELS),
+        ("predictor", "categorical", "none", tuple(f"{v:.2f}" for v in levels)),
+    ] + [("excluded", "numeric", "none", ())] * 14
+    values = (defects, fp, efforts, team, dev_codes, level_idx, *ratings_table[level_idx].T)
+    schema = [VariableSpec(name, *d) for name, d in zip(SYNTHETIC_COLUMNS, declared)]
+    columns = dict(zip(SYNTHETIC_COLUMNS, values))
+    missing = {name: np.zeros(n, dtype=bool) for name in SYNTHETIC_COLUMNS}
     achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
     achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
     metadata = {

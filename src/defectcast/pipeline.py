@@ -29,7 +29,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,11 @@ from .dataset import (
     summarize,
 )
 from .evaluation import (
+    SYNTHETIC_COLUMNS,
     GeneratorConfig,
     ModelingPlan,
     ReferenceCoefficients,
+    _improvement,
     cross_validate,
     generate_synthetic,
     mmre,
@@ -158,50 +160,6 @@ def _schema_document() -> dict:
     return json.loads(text)
 
 
-def _spec_from_dict(entry: dict) -> VariableSpec:
-    return VariableSpec(
-        name=entry["name"],
-        role=entry.get("role", "predictor"),
-        kind=entry.get("kind", "numeric"),
-        transform=entry.get("transform", "none"),
-        categories=tuple(entry.get("categories", ())),
-    )
-
-
-def _spec_to_dict(spec: VariableSpec) -> dict:
-    return {
-        "name": spec.name,
-        "role": spec.role,
-        "kind": spec.kind,
-        "transform": spec.transform,
-        "categories": list(spec.categories),
-    }
-
-
-def _generator_from_dict(entry: dict) -> GeneratorConfig:
-    entry = dict(entry)
-    coeffs = entry.pop("coefficients", None)
-    kwargs = {}
-    for key, value in entry.items():
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    if coeffs is not None:
-        kwargs["coefficients"] = ReferenceCoefficients(**coeffs)
-    try:
-        return GeneratorConfig(**kwargs)
-    except TypeError as err:
-        raise ConfigError(f"invalid synthetic data settings: {err}") from None
-
-
-def _filter_from_dict(entry: dict) -> FilterRule:
-    return FilterRule(
-        kind=entry["kind"],
-        variable=entry["variable"],
-        labels=tuple(entry.get("labels", ())),
-        low=entry.get("low"),
-        high=entry.get("high"),
-    )
-
-
 def load_config(
     path: str | Path,
     data_override: str | None = None,
@@ -248,21 +206,22 @@ def load_config(
         raise ConfigError("data section needs exactly one of 'path' or 'synthetic'")
     schema = None
     if "schema" in raw:
-        schema = tuple(_spec_from_dict(e) for e in raw["schema"])
+        schema = tuple(
+            VariableSpec(**{"role": "predictor", "kind": "numeric", **entry})
+            for entry in raw["schema"]
+        )
     if has_path and schema is None:
         raise ConfigError("a data path requires a 'schema' section")
-    synthetic = _generator_from_dict(data["synthetic"]) if has_synth else None
+    synthetic = None
+    if has_synth:
+        entry = data["synthetic"]
+        coefficients = ReferenceCoefficients(**entry.get("coefficients", {}))
+        synthetic = GeneratorConfig(**{**entry, "coefficients": coefficients})
 
-    names = (
-        {s.name for s in schema}
-        if schema is not None
-        else set(_synthetic_names(synthetic))
-    )
-    regression = raw.get("regression", {})
+    names = {s.name for s in schema} if schema is not None else set(SYNTHETIC_COLUMNS)
+    regression = raw["regression"]
     response = regression.get("response", "defects")
-    candidates = tuple(regression.get("candidates", ()))
-    if not candidates:
-        raise ConfigError("regression section must list candidate predictors")
+    candidates = tuple(regression["candidates"])
     for name in (response, *candidates):
         if name not in names:
             raise ConfigError(f"config references unknown variable {name!r}")
@@ -273,7 +232,7 @@ def load_config(
                 f"scaling level given for {name!r}, which is not a candidate"
             )
 
-    filters = tuple(_filter_from_dict(e) for e in raw.get("filters", ()))
+    filters = tuple(FilterRule(**entry) for entry in raw.get("filters", ()))
     for rule in filters:
         if rule.variable not in names:
             raise ConfigError(f"filter references unknown variable {rule.variable!r}")
@@ -292,6 +251,12 @@ def load_config(
             raise ConfigError(
                 f"dual treatment references unknown variable {name!r}"
             )
+
+    stepwise = regression.get("stepwise", True)
+    p_enter = regression.get("p_enter", 0.05)
+    p_remove = regression.get("p_remove", 0.10)
+    if stepwise and p_enter > p_remove:
+        raise ConfigError(f"p_enter ({p_enter}) must not exceed p_remove ({p_remove})")
 
     tree = raw.get("tree", {})
     recal = raw.get("recalibration", {})
@@ -319,9 +284,9 @@ def load_config(
         tree_sd_fraction=tree.get("sd_fraction", 0.05),
         response=response,
         candidates=candidates,
-        stepwise=regression.get("stepwise", True),
-        p_enter=regression.get("p_enter", 0.05),
-        p_remove=regression.get("p_remove", 0.10),
+        stepwise=stepwise,
+        p_enter=p_enter,
+        p_remove=p_remove,
         scaling=scaling,
         recalibrate_enabled=recal.get("enabled", True),
         k_values=k_values,
@@ -333,12 +298,6 @@ def load_config(
         seed=raw.get("seed", 0),
         output_dir=raw.get("output_dir", "out"),
     )
-
-
-def _synthetic_names(config: GeneratorConfig) -> list[str]:
-    names = ["defects", "fp", "efforts", "max_team_size", "dev_type", "vaf"]
-    names.extend(f"gsc_{j + 1:02d}" for j in range(14))
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +424,7 @@ def _write_table(run: _Run, name: str, ds: Dataset) -> None:
         sidecar,
         {
             "provenance": run.cfg.provenance(),
-            "schema": [_spec_to_dict(s) for s in ds.schema],
+            "schema": [asdict(s) for s in ds.schema],
         },
     )
 
@@ -589,16 +548,7 @@ def _stage_prepare(run: _Run) -> dict:
             "rows_loaded": source.row_count,
             "rows_after_filters": filtered.row_count,
             "rows_complete": complete.row_count,
-            "filters": [
-                {
-                    "kind": r.kind,
-                    "variable": r.variable,
-                    "labels": list(r.labels),
-                    "low": r.low,
-                    "high": r.high,
-                }
-                for r in cfg.filters
-            ],
+            "filters": [asdict(r) for r in cfg.filters],
             "merges": [
                 {"variable": v, "pairs": [list(p) for p in pairs]}
                 for v, pairs in cfg.merges
@@ -802,7 +752,6 @@ def _stage_recalibrate(run: _Run) -> dict:
         run.out_dir / "recalibration.json",
         {"provenance": cfg.provenance(), "units": unit_payload},
     )
-    improvement = 0.0 if before == 0.0 else (before - after) / before * 100.0
     return {
         "recalibration": {
             "enabled": True,
@@ -818,7 +767,7 @@ def _stage_recalibrate(run: _Run) -> dict:
             "resubstitution_mmre": {
                 "baseline": before,
                 "recalibrated": after,
-                "improvement_pct": improvement,
+                "improvement_pct": _improvement(before, after),
             },
         }
     }
@@ -978,8 +927,7 @@ def render_summary(report: dict) -> str:
         res = recal["resubstitution_mmre"]
         lines.append(
             f"recalibration: MMRE {res['baseline']:.4f} -> "
-            f"{res['recalibrated']:.4f} ({res['improvement_pct']:+.2f}%) "
-            f"in {recal['training']['epochs']} epochs"
+            f"{res['recalibrated']:.4f} ({res['improvement_pct']:+.2f}%)"
         )
     for entry in report.get("cross_validation", []):
         avg = entry["averages"]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._errors import ConfigError, DataError
-from .dataset import Dataset, VariableSpec
+from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import f_cdf, studentized_range_cdf, t_cdf
 from .transform import rank_average
 
@@ -204,6 +204,32 @@ def tukey_hsd(
 # ---------------------------------------------------------------------------
 
 
+def _merge(
+    var: VariableSpec, pairs_to_merge: Sequence[tuple[str, str]]
+) -> tuple[VariableSpec, dict[str, str]]:
+    """The merged spec, and every old category mapped to its new label."""
+    if not var.is_categorical:
+        raise DataError(f"cannot merge categories of numeric variable {var.name!r}")
+    relabel = {label: label for label in var.categories}
+    for a, b in pairs_to_merge:
+        if a == b:
+            raise DataError(f"merge pair ({a!r}, {b!r}) names the same label twice")
+        for label in (a, b):
+            if label not in var.categories:
+                raise DataError(f"merge references unknown category {label!r} of {var.name!r}")
+            if relabel[label] != label:
+                raise DataError(f"overlapping merge clusters: label {label!r} appears twice")
+            relabel[label] = f"{a}+{b}"
+    # each merged label lands at the first of its two pieces
+    categories = tuple(dict.fromkeys(relabel[label] for label in var.categories))
+    if len(categories) != len(var.categories) - len(pairs_to_merge):
+        raise DataError(f"merging {var.name!r} would give two categories one label")
+    if len(categories) < 2:
+        raise DataError(f"merging would leave {var.name!r} with fewer than 2 categories")
+    kind = "binary" if len(categories) == 2 else "categorical"
+    return replace(var, kind=kind, categories=categories), relabel
+
+
 def merge_categories(
     var: VariableSpec, pairs_to_merge: Sequence[tuple[str, str]]
 ) -> VariableSpec:
@@ -215,34 +241,7 @@ def merge_categories(
     its two pieces; the relative order of everything else is unchanged.
     A result with two categories left becomes kind 'binary'.
     """
-    if not var.is_categorical:
-        raise DataError(f"cannot merge categories of numeric variable {var.name!r}")
-    seen: set[str] = set()
-    for a, b in pairs_to_merge:
-        if a == b:
-            raise DataError(f"merge pair ({a!r}, {b!r}) names the same label twice")
-        for label in (a, b):
-            if label not in var.categories:
-                raise DataError(f"merge references unknown category {label!r} of {var.name!r}")
-            if label in seen:
-                raise DataError(f"overlapping merge clusters: label {label!r} appears twice")
-            seen.add(label)
-    merged_name = {}
-    drops = set()
-    for a, b in pairs_to_merge:
-        ia, ib = var.categories.index(a), var.categories.index(b)
-        first, second = (a, b) if ia <= ib else (b, a)
-        merged_name[first] = f"{a}+{b}"
-        drops.add(second)
-    new_categories = []
-    for label in var.categories:
-        if label in drops:
-            continue
-        new_categories.append(merged_name.get(label, label))
-    if len(new_categories) < 2:
-        raise DataError(f"merging would leave {var.name!r} with fewer than 2 categories")
-    kind = "binary" if len(new_categories) == 2 else "categorical"
-    return replace(var, kind=kind, categories=tuple(new_categories))
+    return _merge(var, pairs_to_merge)[0]
 
 
 def apply_category_merge(
@@ -254,20 +253,12 @@ def apply_category_merge(
     rows.  Row count and order are unchanged.
     """
     old = ds.spec(variable)
-    new = merge_categories(old, pairs_to_merge)
-    # map every old label to its new code
-    target_of = {}
-    for a, b in pairs_to_merge:
-        target_of[a] = f"{a}+{b}"
-        target_of[b] = f"{a}+{b}"
-    code_map = {}
-    for i, label in enumerate(old.categories):
-        code_map[i] = new.categories.index(target_of.get(label, label))
-    codes = ds.columns[variable]
-    recoded = np.array([code_map[c] if c >= 0 else -1 for c in codes], dtype=np.int32)
+    new, relabel = _merge(old, pairs_to_merge)
+    # new code of each old code; the trailing -1 keeps missing cells (-1) missing
+    recode = [new.categories.index(relabel[label]) for label in old.categories]
     schema = tuple(new if s.name == variable else s for s in ds.schema)
     columns = dict(ds.columns)
-    columns[variable] = recoded
+    columns[variable] = np.array(recode + [-1], dtype=np.int32)[ds.columns[variable]]
     return Dataset(schema, columns, dict(ds.missing), metadata=ds.metadata)
 
 
@@ -397,10 +388,10 @@ def screen_dataset(
                             f"dual treatment of {name!r} needs a quantification "
                             f"(labels are not numeric)"
                         ) from None
-                vals = np.array(
-                    [mapping[l] if l is not None else np.nan for l in labels]
+                complete = listwise_complete(ds, [name, response])
+                correlations[name] = spearman(
+                    complete.encode(name, mapping), complete.columns[response]
                 )
-                correlations[name] = spearman(vals, y, ds.missing[name], my)
     return ScreeningReport(
         response=response,
         alpha=alpha,

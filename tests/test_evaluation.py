@@ -93,6 +93,25 @@ class TestMetrics:
         with pytest.raises(DataError):
             mmre([1.0, 2.0], [1.0])
 
+    def test_metrics_reject_a_table(self):
+        with pytest.raises(DataError, match="1-d"):
+            mmre([[1.0, 2.0], [3.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DataError, match="1-d"):
+            pred_at([[1.0, 2.0]], [[1.0, 1.0]], 0.25)
+
+    def test_mmre_and_pred_at_equal_their_mean_forms(self):
+        # both read the one relative-error formula in _metrics; it gives
+        # the bits of np.mean over the errors and over the hits
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 64, 300, 2000):
+            actuals = rng.uniform(1.0, 100.0, n)
+            predictions = actuals * rng.uniform(0.2, 1.8, n)
+            errors = np.abs(actuals - predictions) / actuals
+            assert mmre(actuals, predictions).hex() == float(np.mean(errors)).hex()
+            for m in (0.0, 0.25, 1.0):
+                got = pred_at(actuals, predictions, m)
+                assert got.hex() == float(np.mean(errors <= m)).hex()
+
     def test_pred_fixture(self):
         assert pred_at(FIXTURE_ACTUALS, FIXTURE_PREDICTIONS, 0.25) == pytest.approx(
             0.75, abs=1e-15

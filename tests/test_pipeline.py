@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from defectcast import pipeline, recalibration
 from defectcast._errors import ConfigError, DataError, DefectcastError, NumericalError
 from defectcast.cli import main
+from defectcast.dataset import VariableSpec
+from defectcast.evaluation import SYNTHETIC_COLUMNS, GeneratorConfig, generate_synthetic
 from defectcast.pipeline import (
     STAGE_SECTIONS,
     STAGES,
@@ -24,7 +26,8 @@ from defectcast.pipeline import (
     run_stage,
 )
 
-REPO_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic_config.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_FIXTURE = FIXTURES / "synthetic_config.json"
 
 
 def small_config(**overrides) -> dict:
@@ -211,6 +214,68 @@ class TestConfig:
         assert load_config(path).output_dir == "fromenv"
         assert load_config(path, out_override="fromflag").output_dir == "fromflag"
 
+    @pytest.mark.parametrize(
+        "section, settings, message",
+        [
+            ("tree", {"min_leaf_size": 1}, "tree/min_leaf_size: 1 is less than the minimum of 2"),
+            ("tree", {"sd_fraction": 0}, "tree/sd_fraction: 0 is less than or equal to"),
+            ("tree", {"sd_fraction": 1}, "tree/sd_fraction: 1 is greater than or equal to"),
+            (
+                "regression",
+                {"p_enter": 0.2, "p_remove": 0.1},
+                r"p_enter \(0.2\) must not exceed p_remove \(0.1\)",
+            ),
+        ],
+    )
+    def test_out_of_range_settings_fail_at_load(self, tmp_path, section, settings, message):
+        # the tree and fit stages reject these too, but only after the
+        # earlier stages have written their files
+        config = small_config()
+        config[section] = {**config.get(section, {}), **settings}
+        path = write_config(tmp_path, config)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path, out_override=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_p_enter_above_p_remove_allowed_without_stepwise(self, tmp_path):
+        config = small_config()
+        config["regression"].update(stepwise=False, p_enter=0.2, p_remove=0.1)
+        assert not load_config(write_config(tmp_path, config)).stepwise
+
+    @pytest.mark.parametrize(
+        "where, edit",
+        [
+            ("regression/candidates", lambda c: c["regression"].update(candidates=[])),
+            ("data/synthetic", lambda c: c["data"]["synthetic"].update(bogus=1)),
+            (
+                "data/synthetic/coefficients",
+                lambda c: c["data"]["synthetic"].update(coefficients={"slope": 1.0}),
+            ),
+        ],
+    )
+    def test_schema_rejects_what_load_config_does_not_recheck(self, tmp_path, where, edit):
+        # an empty candidate list and unknown generator or coefficient keys
+        # never reach the config types: the packaged schema stops them
+        config = small_config()
+        edit(config)
+        with pytest.raises(ConfigError, match=f"^config schema violation at {where}: "):
+            load_config(write_config(tmp_path, config))
+
+    def test_schema_entries_default_to_numeric_predictors(self, tmp_path):
+        data = tmp_path / "proj.csv"
+        data.write_text(CSV_TEXT, encoding="utf-8")
+        config = csv_config(data)
+        config["schema"][1] = {"name": "fp"}
+        cfg = load_config(write_config(tmp_path, config))
+        assert cfg.schema[1] == VariableSpec("fp", "predictor", "numeric")
+        assert cfg.schema[2].categories == ("New Development", "Enhancement")
+
+    def test_synthetic_configs_reference_the_generated_columns(self, tmp_path):
+        ds = generate_synthetic(GeneratorConfig(n=3), 1)
+        assert ds.variable_names == SYNTHETIC_COLUMNS
+        config = small_config(filters=[{"kind": "non_missing", "variable": "gsc_14"}])
+        assert load_config(write_config(tmp_path, config)).filters[0].variable == "gsc_14"
+
 
 # ---------------------------------------------------------------------------
 # pipeline runs
@@ -261,6 +326,28 @@ class TestPipelineRun:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+    def test_csv_fixture_stages_compose(self, tmp_path):
+        # the CSV fixture: schema defaults, declared categories, an empty
+        # cell, a range filter and a merge; its six stages run one after
+        # another write the report of one whole run
+        def cfg(out):
+            return load_config(
+                FIXTURES / "csv_config.json",
+                data_override=str(FIXTURES / "projects.csv"),
+                out_override=str(tmp_path / out),
+            )
+
+        report = run_pipeline(cfg("whole"))
+        prep = report["data_preparation"]
+        assert (prep["rows_loaded"], prep["rows_after_filters"], prep["rows_complete"]) == (
+            48, 45, 44,
+        )
+        staged = cfg("staged")
+        for stage in STAGES[1:]:
+            run_stage(stage, staged)
+        whole = (tmp_path / "whole" / "report.json").read_bytes()
+        assert (tmp_path / "staged" / "report.json").read_bytes() == whole
 
     def test_seed_changes_fold_assignments(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -505,6 +592,12 @@ class TestSummary:
         norm = report["normality"]
         assert f"{norm['qq_correlation_transformed']:.4f} transformed" in text
         assert str(report["provenance"]["seed"]) in text
+
+    def test_summary_names_no_epochs(self, tmp_path):
+        # recalibration trains by one exact solve, not by epochs
+        text = render_summary(run_pipeline(load_small(tmp_path)))
+        assert "recalibration: MMRE" in text
+        assert "epoch" not in text
 
 
 class TestCli:

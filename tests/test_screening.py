@@ -8,6 +8,7 @@ import pytest
 
 from defectcast._errors import DataError
 from defectcast.dataset import VariableSpec, load_csv
+from defectcast.evaluation import GeneratorConfig, generate_synthetic
 from defectcast.numerics import t_cdf
 from defectcast.screening import (
     anova_oneway,
@@ -228,6 +229,27 @@ class TestMergeCategories:
         assert out.spec("v").categories == ("a+b", "c")
         assert out.columns["v"].tolist() == [0, 0, 0, 1, 0]
 
+    def test_apply_keeps_missing_cells_and_reversed_pair_label(self):
+        # first-seen order a, c, b: the pair names b before a, so the merged
+        # label is "b+a" and it sits where a was
+        text = "y,v\n1,a\n2,\n3,c\n4,b\n5,\n6,a\n"
+        schema = [
+            VariableSpec("y", "response", "numeric"),
+            VariableSpec("v", "predictor", "categorical"),
+        ]
+        ds = load_csv(io.StringIO(text), schema)
+        out = apply_category_merge(ds, "v", [("b", "a")])
+        assert out.spec("v").categories == ("b+a", "c")
+        assert out.spec("v").kind == "binary"
+        assert out.columns["v"].tolist() == [0, -1, 1, 0, -1, 0]
+        assert out.labels("v") == ["b+a", None, "c", "b+a", None, "b+a"]
+        np.testing.assert_array_equal(out.missing["v"], ds.missing["v"])
+
+    def test_merged_label_may_not_name_another_category(self):
+        spec = VariableSpec("v", "predictor", "categorical", categories=("a", "b", "a+b", "c"))
+        with pytest.raises(DataError, match="one label"):
+            merge_categories(spec, [("a", "b")])
+
     def test_row_order_unchanged(self):
         text = "y,v\n1,a\n2,b\n3,c\n"
         schema = [
@@ -267,6 +289,30 @@ class TestScreenDataset:
         assert report.correlations["fp"].p_value < 0.05
         assert report.anova["grp"].p_value < 0.05
         assert set(report.significant_predictors()) == {"fp", "grp"}
+
+    def test_dual_treatment_unquantified_category_is_a_data_error(self):
+        ds = generate_synthetic(GeneratorConfig(n=40), 5)
+        with pytest.raises(
+            DataError, match=r"^no quantification value for category '\d\.\d\d' of 'vaf'$"
+        ):
+            screen_dataset(
+                ds, "defects", ["vaf"], dual_treatment=["vaf"],
+                quantifications={"vaf": {"0.65": 0.65}},
+            )
+
+    def test_dual_treatment_categorical_uses_complete_rows(self):
+        text = "y,v\n1,2\n2,\n,3\n4,3\n5,1\n6,2\n7,1\n"
+        schema = [
+            VariableSpec("y", "response", "numeric"),
+            VariableSpec("v", "predictor", "categorical"),
+        ]
+        ds = load_csv(io.StringIO(text), schema)
+        report = screen_dataset(
+            ds, "y", ["v"], dual_treatment=["v"],
+            quantifications={"v": {"1": 10.0, "2": 20.0, "3": 30.0}},
+        )
+        expected = spearman(np.array([20.0, 30.0, 10.0, 20.0, 10.0]), [1.0, 4.0, 5.0, 6.0, 7.0])
+        assert report.correlations["v"] == expected
 
     def test_dual_treatment_numeric(self):
         ds = self._dataset()
