@@ -100,39 +100,34 @@ class Dataset:
     """Immutable columnar dataset bound to a schema.
 
     ``columns[name]`` is float64 for numeric variables and int32 category
-    codes for categorical/binary ones; ``missing[name]`` is a boolean mask.
-    Arrays are frozen after construction.  ``metadata`` carries optional
-    provenance (for example from the synthetic generator) and is excluded
-    from equality.
+    codes for categorical/binary ones; NaN or code -1 marks a missing cell,
+    and ``missing(name)`` derives the mask from that marker.  Arrays are
+    frozen after construction.  ``metadata`` carries optional provenance
+    (for example from the synthetic generator) and is excluded from
+    equality.
     """
 
     def __init__(
         self,
         schema: Sequence[VariableSpec],
         columns: dict[str, np.ndarray],
-        missing: dict[str, np.ndarray],
+        *,
         metadata: dict | None = None,
     ):
         self.schema = _check_schema(schema)
         self._by_name = {s.name: s for s in self.schema}
-        if set(columns) != set(self._by_name) or set(missing) != set(self._by_name):
-            raise DataError("columns/missing keys must match schema names exactly")
-        lengths = {arr.shape[0] for arr in columns.values()} | {
-            arr.shape[0] for arr in missing.values()
-        }
+        if set(columns) != set(self._by_name):
+            raise DataError("column keys must match schema names exactly")
+        lengths = {arr.shape[0] for arr in columns.values()}
         if len(lengths) > 1:
             raise DataError(f"ragged columns: lengths {sorted(lengths)}")
         self.row_count = lengths.pop() if lengths else 0
         self.columns = {}
-        self.missing = {}
         for spec in self.schema:
             dtype = np.int32 if spec.is_categorical else np.float64
             col = np.asarray(columns[spec.name], dtype=dtype).copy()
-            miss = np.asarray(missing[spec.name], dtype=bool).copy()
             col.flags.writeable = False
-            miss.flags.writeable = False
             self.columns[spec.name] = col
-            self.missing[spec.name] = miss
         self.metadata = metadata
 
     def spec(self, name: str) -> VariableSpec:
@@ -144,6 +139,12 @@ class Dataset:
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.schema)
+
+    def missing(self, name: str) -> np.ndarray:
+        """Boolean mask of the missing cells of one column."""
+        if self.spec(name).is_categorical:
+            return self.columns[name] < 0
+        return np.isnan(self.columns[name])
 
     def labels(self, name: str) -> list[str | None]:
         """Decoded category labels for one categorical column (None = missing)."""
@@ -182,8 +183,7 @@ class Dataset:
         """Row subset (or reorder) preserving schema and category order."""
         idx = np.asarray(indices, dtype=np.int64)
         cols = {name: arr[idx] for name, arr in self.columns.items()}
-        miss = {name: arr[idx] for name, arr in self.missing.items()}
-        return Dataset(self.schema, cols, miss, metadata=self.metadata)
+        return Dataset(self.schema, cols, metadata=self.metadata)
 
     def select(self, names: Sequence[str]) -> "Dataset":
         """Column subset in schema order; an unknown name raises DataError."""
@@ -192,22 +192,17 @@ class Dataset:
         wanted = set(names)
         schema = [s for s in self.schema if s.name in wanted]
         cols = {s.name: self.columns[s.name] for s in schema}
-        miss = {s.name: self.missing[s.name] for s in schema}
-        return Dataset(schema, cols, miss, metadata=self.metadata)
+        return Dataset(schema, cols, metadata=self.metadata)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         if self.schema != other.schema or self.row_count != other.row_count:
             return False
-        for name in self.columns:
-            a, b = self.columns[name], other.columns[name]
-            ma, mb = self.missing[name], other.missing[name]
-            if not np.array_equal(ma, mb):
-                return False
-            if not np.array_equal(a[~ma], b[~mb]):
-                return False
-        return True
+        return all(
+            np.array_equal(col, other.columns[name], equal_nan=True)
+            for name, col in self.columns.items()
+        )
 
     def __repr__(self) -> str:
         return f"Dataset({self.row_count} rows, {len(self.schema)} variables)"
@@ -260,7 +255,6 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
     }
 
     raw: dict[str, list] = {s.name: [] for s in specs}
-    miss: dict[str, list] = {s.name: [] for s in specs}
     width = len(header)
     for row_number, row in enumerate(reader, start=1):
         if len(row) != width:
@@ -272,9 +266,7 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
             cell = row[positions[spec.name]]
             if cell == "":
                 raw[spec.name].append(math.nan if spec.kind == "numeric" else -1)
-                miss[spec.name].append(True)
                 continue
-            miss[spec.name].append(False)
             if spec.kind == "numeric":
                 try:
                     value = float(cell)
@@ -328,8 +320,7 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
         s.name: np.asarray(raw[s.name], dtype=np.int32 if s.is_categorical else np.float64)
         for s in final_specs
     }
-    missing = {s.name: np.asarray(miss[s.name], dtype=bool) for s in final_specs}
-    return Dataset(final_specs, columns, missing)
+    return Dataset(final_specs, columns)
 
 
 def serialize_csv(ds: Dataset, destination) -> None:
@@ -346,7 +337,7 @@ def serialize_csv(ds: Dataset, destination) -> None:
                 cells = ds.labels(spec.name)
             else:
                 cells = [repr(v) for v in ds.columns[spec.name].tolist()]
-            for i in np.flatnonzero(ds.missing[spec.name]).tolist():
+            for i in np.flatnonzero(ds.missing(spec.name)).tolist():
                 cells[i] = ""
             columns.append(cells)
         writer = csv.writer(handle, lineterminator="\n")
@@ -401,35 +392,42 @@ class FilterRule:
         if self.kind == "range" and self.low is None and self.high is None:
             raise ConfigError(f"range filter on {self.variable!r} has no bounds")
 
+    def check(self, spec: VariableSpec) -> None:
+        """ConfigError unless the rule fits ``spec``, its variable: in_set
+        needs a categorical variable and range a numeric one, and each
+        in_set label must be a category where categories are declared."""
+        if self.kind == "in_set":
+            if not spec.is_categorical:
+                raise ConfigError(
+                    f"in_set filter needs a categorical variable, got {self.variable!r}"
+                )
+            unknown = [l for l in self.labels if l not in spec.categories]
+            if unknown and spec.categories:
+                raise ConfigError(
+                    f"filter on {self.variable!r} references unknown categories {unknown}"
+                )
+        if self.kind == "range" and spec.is_categorical:
+            raise ConfigError(f"range filter needs a numeric variable, got {self.variable!r}")
+
 
 def _rule_mask(ds: Dataset, rule: FilterRule) -> np.ndarray:
     if rule.variable not in ds.variable_names:
         raise ConfigError(f"filter references unknown variable {rule.variable!r}")
     spec = ds.spec(rule.variable)
-    present = ~ds.missing[rule.variable]
-    if rule.kind == "non_missing":
-        return present
-    if rule.kind == "in_set":
-        if not spec.is_categorical:
-            raise ConfigError(f"in_set filter needs a categorical variable, got {rule.variable!r}")
-        unknown = [l for l in rule.labels if l not in spec.categories]
-        if unknown:
-            raise ConfigError(
-                f"filter on {rule.variable!r} references unknown categories {unknown}"
-            )
-        wanted = {spec.categories.index(l) for l in rule.labels}
-        selected = np.isin(ds.columns[rule.variable], sorted(wanted))
-        return present & selected
-    # range, bounds inclusive
-    if spec.is_categorical:
-        raise ConfigError(f"range filter needs a numeric variable, got {rule.variable!r}")
+    rule.check(spec)
     vals = ds.columns[rule.variable]
-    mask = present.copy()
-    with np.errstate(invalid="ignore"):
-        if rule.low is not None:
-            mask &= vals >= rule.low
-        if rule.high is not None:
-            mask &= vals <= rule.high
+    if rule.kind == "in_set":
+        # the missing code -1 is never wanted
+        wanted = [i for i, label in enumerate(spec.categories) if label in rule.labels]
+        return np.isin(vals, wanted)
+    mask = ~ds.missing(rule.variable)
+    if rule.kind == "non_missing":
+        return mask
+    # range, bounds inclusive
+    if rule.low is not None:
+        mask &= vals >= rule.low
+    if rule.high is not None:
+        mask &= vals <= rule.high
     return mask
 
 
@@ -449,8 +447,7 @@ def listwise_complete(ds: Dataset, variables: Sequence[str]) -> Dataset:
     """
     mask = np.ones(ds.row_count, dtype=bool)
     for name in variables:
-        ds.spec(name)
-        mask &= ~ds.missing[name]
+        mask &= ~ds.missing(name)
     if mask.all():
         return ds
     return ds.take(np.flatnonzero(mask))
@@ -482,7 +479,7 @@ def summarize(ds: Dataset) -> SummaryReport:
     """Per-variable descriptive statistics (sample sd) or frequency tables."""
     out: dict[str, dict] = {}
     for spec in ds.schema:
-        present = ~ds.missing[spec.name]
+        present = ~ds.missing(spec.name)
         entry: dict = {
             "role": spec.role,
             "kind": spec.kind,

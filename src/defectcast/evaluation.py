@@ -63,6 +63,7 @@ __all__ = [
     "random_split_experiment",
     "resubstitution_experiment",
     "generate_synthetic",
+    "synthetic_schema",
     "quantification_from_labels",
     "perturb_quantification",
 ]
@@ -164,8 +165,7 @@ def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
         raise ConfigError(f"cannot split {n} rows into {k} folds")
     perm = RandomStream(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        assignment[perm[j]] = j % k
+    assignment[perm] = np.arange(n) % k
     return FoldPlan(n=n, k=k, seed=seed, assignment=assignment)
 
 
@@ -596,6 +596,20 @@ def _ratings_for_sum(total: int) -> list[int]:
     return ratings
 
 
+def synthetic_schema(config: GeneratorConfig) -> tuple[VariableSpec, ...]:
+    """The schema of ``generate_synthetic(config, seed)`` at any seed."""
+    # (role, kind, transform, categories) of each column, in SYNTHETIC_COLUMNS order
+    declared = [
+        ("response", "numeric", "ln", ()),
+        ("predictor", "numeric", "ln", ()),
+        ("predictor", "numeric", "ln", ()),
+        ("predictor", "numeric", "none", ()),
+        ("predictor", "categorical", "none", DEV_TYPE_LABELS),
+        ("predictor", "categorical", "none", tuple(f"{v:.2f}" for v in config.vaf_levels)),
+    ] + [("excluded", "numeric", "none", ())] * 14
+    return tuple(VariableSpec(name, *d) for name, d in zip(SYNTHETIC_COLUMNS, declared))
+
+
 def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     """Deterministic synthetic project data; see the module docstring.
 
@@ -650,19 +664,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     )
     defects = np.exp(ln_defects)
 
-    # (role, kind, transform, categories) of each column, in SYNTHETIC_COLUMNS order
-    declared = [
-        ("response", "numeric", "ln", ()),
-        ("predictor", "numeric", "ln", ()),
-        ("predictor", "numeric", "ln", ()),
-        ("predictor", "numeric", "none", ()),
-        ("predictor", "categorical", "none", DEV_TYPE_LABELS),
-        ("predictor", "categorical", "none", tuple(f"{v:.2f}" for v in levels)),
-    ] + [("excluded", "numeric", "none", ())] * 14
     values = (defects, fp, efforts, team, dev_codes, level_idx, *ratings_table[level_idx].T)
-    schema = [VariableSpec(name, *d) for name, d in zip(SYNTHETIC_COLUMNS, declared)]
     columns = dict(zip(SYNTHETIC_COLUMNS, values))
-    missing = {name: np.zeros(n, dtype=bool) for name in SYNTHETIC_COLUMNS}
     achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
     achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
     metadata = {
@@ -677,7 +680,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
             },
         }
     }
-    return Dataset(schema, columns, missing, metadata=metadata)
+    return Dataset(synthetic_schema(config), columns, metadata=metadata)
 
 
 def quantification_from_labels(ds: Dataset, variable: str) -> Quantification:

@@ -47,7 +47,6 @@ from .dataset import (
     summarize,
 )
 from .evaluation import (
-    SYNTHETIC_COLUMNS,
     GeneratorConfig,
     ModelingPlan,
     ReferenceCoefficients,
@@ -59,6 +58,7 @@ from .evaluation import (
     random_split_experiment,
     raw_counts,
     resubstitution_experiment,
+    synthetic_schema,
 )
 from .modeltree import fit_model_tree
 from .recalibration import predict, train_recalibration, units_for
@@ -69,7 +69,7 @@ from .regression import (
     ols_fit,
     stepwise_fit,
 )
-from .screening import apply_category_merge, screen_dataset
+from .screening import _merge, apply_category_merge, screen_dataset
 from .transform import apply_schema_transforms, qq_normal
 
 __all__ = [
@@ -218,12 +218,13 @@ def load_config(
         coefficients = ReferenceCoefficients(**entry.get("coefficients", {}))
         synthetic = GeneratorConfig(**{**entry, "coefficients": coefficients})
 
-    names = {s.name for s in schema} if schema is not None else set(SYNTHETIC_COLUMNS)
+    # the schema of the data as loaded or generated, before any stage
+    source = {s.name: s for s in (synthetic_schema(synthetic) if has_synth else schema)}
     regression = raw["regression"]
     response = regression.get("response", "defects")
     candidates = tuple(regression["candidates"])
     for name in (response, *candidates):
-        if name not in names:
+        if name not in source:
             raise ConfigError(f"config references unknown variable {name!r}")
     scaling = dict(regression.get("scaling", {}))
     for name in scaling:
@@ -234,20 +235,27 @@ def load_config(
 
     filters = tuple(FilterRule(**entry) for entry in raw.get("filters", ()))
     for rule in filters:
-        if rule.variable not in names:
+        if rule.variable not in source:
             raise ConfigError(f"filter references unknown variable {rule.variable!r}")
+        rule.check(source[rule.variable])
     merges = []
     for entry in raw.get("merges", ()):
-        if entry["variable"] not in names:
-            raise ConfigError(
-                f"merge references unknown variable {entry['variable']!r}"
-            )
-        merges.append(
-            (entry["variable"], tuple((p[0], p[1]) for p in entry["pairs"]))
-        )
+        variable = entry["variable"]
+        if variable not in source:
+            raise ConfigError(f"merge references unknown variable {variable!r}")
+        pairs = tuple((p[0], p[1]) for p in entry["pairs"])
+        spec = source[variable]
+        # labels are known only where categories are declared; prepare
+        # merges in turn, so each merge sees the spec the last one left
+        if not spec.is_categorical or spec.categories:
+            try:
+                source[variable] = _merge(spec, pairs)[0]
+            except DataError as err:
+                raise ConfigError(str(err)) from None
+        merges.append((variable, pairs))
     screening = raw.get("screening", {})
     for name in screening.get("dual_treatment", ()):
-        if name not in names:
+        if name not in source:
             raise ConfigError(
                 f"dual treatment references unknown variable {name!r}"
             )
@@ -534,10 +542,8 @@ def _stage_prepare(run: _Run) -> dict:
     _write_table(run, "prepared", prepared)
 
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
-    raw_response = filtered.columns[cfg.response]
-    raw_missing = filtered.missing[cfg.response]
-    qq_raw = qq_normal(raw_response, raw_missing)
-    qq_model = qq_normal(prepared.columns[cfg.response], prepared.missing[cfg.response])
+    qq_raw = qq_normal(filtered.columns[cfg.response])
+    qq_model = qq_normal(prepared.columns[cfg.response])
     lines = ["theoretical,ordered"]
     for t, o in zip(qq_model.theoretical, qq_model.ordered):
         lines.append(f"{float(t)!r},{float(o)!r}")

@@ -626,7 +626,7 @@ def row_table(model: LinearModel, quantifications, row: dict) -> Dataset:
     schema = [VariableSpec(model.response, "response", "numeric")]
     schema += [VariableSpec(v, "predictor", "numeric") for v in model.variables]
     columns = {s.name: np.array([v]) for s, v in zip(schema, [math.nan, *values])}
-    return Dataset(schema, columns, {n: np.isnan(c) for n, c in columns.items()})
+    return Dataset(schema, columns)
 
 
 def model_predict(

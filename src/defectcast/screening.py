@@ -41,22 +41,18 @@ class SpearmanResult:
     n: int
 
 
-def spearman(x, y, missing_x=None, missing_y=None) -> SpearmanResult:
+def spearman(x, y) -> SpearmanResult:
     """Spearman rank correlation with tie-averaged ranks.
 
-    Pairs with a missing value on either side are dropped.  The two-sided p
-    comes from t = rho * sqrt((n - 2) / (1 - rho^2)) against t(n - 2);
-    rho = +-1 reports p = 0.
+    Pairs with a NaN (missing) or infinite value on either side are
+    dropped.  The two-sided p comes from t = rho * sqrt((n - 2) / (1 -
+    rho^2)) against t(n - 2); rho = +-1 reports p = 0.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise DataError("spearman expects two 1-d arrays of equal length")
     keep = np.isfinite(xv) & np.isfinite(yv)
-    if missing_x is not None:
-        keep &= ~np.asarray(missing_x, dtype=bool)
-    if missing_y is not None:
-        keep &= ~np.asarray(missing_y, dtype=bool)
     xv, yv = xv[keep], yv[keep]
     n = xv.size
     if n < 3:
@@ -89,31 +85,27 @@ class AnovaResult:
     group_means: dict[str, float]
 
 
-def _grouped(response, groups, missing_response=None, missing_group=None):
-    """Split response values by group key, dropping incomplete pairs."""
+def _grouped(response, groups):
+    """Split response values by group key, dropping a pair whose response is
+    NaN (missing) or infinite or whose key is None (missing)."""
     yv = np.asarray(response, dtype=float)
     keep = np.isfinite(yv)
-    if missing_response is not None:
-        keep &= ~np.asarray(missing_response, dtype=bool)
-    if missing_group is not None:
-        keep &= ~np.asarray(missing_group, dtype=bool)
     out: dict = {}
     for value, yi, flag in zip(groups, yv, keep):
-        if flag:
+        if flag and value is not None:
             out.setdefault(value, []).append(yi)
     return {k: np.asarray(v) for k, v in out.items()}
 
 
-def anova_oneway(
-    response, groups, variable: str = "", missing_response=None, missing_group=None
-) -> AnovaResult:
+def anova_oneway(response, groups, variable: str = "") -> AnovaResult:
     """One-way fixed-effects ANOVA of a numeric response across groups.
 
     ``groups`` is a sequence of group keys aligned with ``response``.  A
-    zero within-group sum of squares with nonzero between-group variation
+    row whose response is NaN or whose key is None is missing and dropped.
+    A zero within-group sum of squares with nonzero between-group variation
     reports F = +inf and p = 0.
     """
-    by_group = _grouped(response, groups, missing_response, missing_group)
+    by_group = _grouped(response, groups)
     if len(by_group) < 2:
         raise DataError(f"ANOVA needs at least 2 non-empty groups, got {len(by_group)}")
     n = sum(v.size for v in by_group.values())
@@ -151,20 +143,15 @@ class TukeyPair:
     significant: bool
 
 
-def tukey_hsd(
-    response,
-    groups,
-    alpha: float = 0.05,
-    missing_response=None,
-    missing_group=None,
-) -> list[TukeyPair]:
+def tukey_hsd(response, groups, alpha: float = 0.05) -> list[TukeyPair]:
     """Tukey HSD pairwise comparisons (Tukey-Kramer for unequal sizes).
 
-    For each unordered pair, q = |mean_i - mean_j| / sqrt((MSW / 2) *
-    (1/n_i + 1/n_j)) and the adjusted p is the studentized-range upper tail
-    with k = number of groups and the ANOVA within-group df.
+    A row whose response is NaN or whose key is None is missing and
+    dropped.  For each unordered pair, q = |mean_i - mean_j| / sqrt((MSW /
+    2) * (1/n_i + 1/n_j)) and the adjusted p is the studentized-range upper
+    tail with k = number of groups and the ANOVA within-group df.
     """
-    by_group = _grouped(response, groups, missing_response, missing_group)
+    by_group = _grouped(response, groups)
     names = list(by_group)
     k = len(names)
     if k < 2:
@@ -259,7 +246,7 @@ def apply_category_merge(
     schema = tuple(new if s.name == variable else s for s in ds.schema)
     columns = dict(ds.columns)
     columns[variable] = np.array(recode + [-1], dtype=np.int32)[ds.columns[variable]]
-    return Dataset(schema, columns, dict(ds.missing), metadata=ds.metadata)
+    return Dataset(schema, columns, metadata=ds.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +331,6 @@ def screen_dataset(
     if resp_spec.is_categorical:
         raise DataError(f"screening response {response!r} must be numeric")
     y = ds.columns[response]
-    my = ds.missing[response]
 
     correlations: dict[str, SpearmanResult] = {}
     anova: dict[str, AnovaResult] = {}
@@ -354,30 +340,16 @@ def screen_dataset(
         spec = ds.spec(name)
         dual = name in dual_treatment
         if spec.kind == "numeric":
-            correlations[name] = spearman(
-                ds.columns[name], y, ds.missing[name], my
-            )
+            correlations[name] = spearman(ds.columns[name], y)
             if dual:
-                keys = [None if m else float(v) for v, m in zip(ds.columns[name], ds.missing[name])]
-                anova[name] = anova_oneway(
-                    y, keys, variable=name,
-                    missing_response=my,
-                    missing_group=ds.missing[name],
-                )
+                keys = [None if math.isnan(v) else v for v in ds.columns[name].tolist()]
+                anova[name] = anova_oneway(y, keys, variable=name)
         else:
             labels = ds.labels(name)
-            result = anova_oneway(
-                y, labels, variable=name,
-                missing_response=my,
-                missing_group=ds.missing[name],
-            )
+            result = anova_oneway(y, labels, variable=name)
             anova[name] = result
             if len(result.group_counts) >= 3:
-                tukey[name] = tukey_hsd(
-                    y, labels, alpha=alpha,
-                    missing_response=my,
-                    missing_group=ds.missing[name],
-                )
+                tukey[name] = tukey_hsd(y, labels, alpha=alpha)
             if dual:
                 mapping = quantifications.get(name)
                 if mapping is None:

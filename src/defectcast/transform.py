@@ -57,25 +57,18 @@ def compute_vaf(gsc: GscVector | Sequence[int]) -> float:
     return (65 + sum(gsc.ratings)) / 100.0
 
 
-def ln_transform(values, mode: str = "ln", missing=None) -> np.ndarray:
+def ln_transform(values, mode: str = "ln") -> np.ndarray:
     """Elementwise natural log (``ln``) or log1p (``ln1p``).
 
-    Missing entries (mask True) pass through as NaN.  A non-missing value
-    outside the transform's domain raises DataError naming the first
+    NaN marks a missing entry and passes through.  An infinite value, or
+    one outside the transform's domain, raises DataError naming the first
     offending row.
     """
     if mode not in ("ln", "ln1p"):
         raise DataError(f"unknown transform mode {mode!r}")
     vals = np.asarray(values, dtype=float)
-    mask = (
-        np.zeros(vals.shape, dtype=bool)
-        if missing is None
-        else np.asarray(missing, dtype=bool)
-    )
-    if mask.shape != vals.shape:
-        raise DataError("missing mask shape differs from values")
-    present = ~mask
-    bad = present & ~np.isfinite(vals)
+    present = ~np.isnan(vals)
+    bad = np.isinf(vals)
     if bad.any():
         raise DataError(f"non-finite value at row {int(np.flatnonzero(bad)[0])}")
     if mode == "ln":
@@ -105,14 +98,12 @@ def apply_schema_transforms(ds: Dataset) -> tuple[Dataset, dict[str, str]]:
     new_schema = []
     for spec in ds.schema:
         if spec.kind == "numeric" and spec.transform != "none":
-            columns[spec.name] = ln_transform(
-                ds.columns[spec.name], spec.transform, ds.missing[spec.name]
-            )
+            columns[spec.name] = ln_transform(ds.columns[spec.name], spec.transform)
             applied[spec.name] = spec.transform
             new_schema.append(replace(spec, transform="none"))
         else:
             new_schema.append(spec)
-    out = Dataset(new_schema, columns, dict(ds.missing), metadata=ds.metadata)
+    out = Dataset(new_schema, columns, metadata=ds.metadata)
     return out, applied
 
 
@@ -126,11 +117,12 @@ class QQResult:
     n: int
 
 
-def qq_normal(values, missing=None) -> QQResult:
-    """Normal QQ plot data using Blom plotting positions (i - 0.375)/(n + 0.25)."""
+def qq_normal(values) -> QQResult:
+    """Normal QQ plot data using Blom plotting positions (i - 0.375)/(n + 0.25).
+
+    NaN (missing) and infinite values are dropped first.
+    """
     vals = np.asarray(values, dtype=float)
-    if missing is not None:
-        vals = vals[~np.asarray(missing, dtype=bool)]
     vals = vals[np.isfinite(vals)]
     n = vals.size
     if n < 3:

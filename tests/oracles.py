@@ -498,10 +498,11 @@ def serialize_csv_by_rows(ds, handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(ds.variable_names)
     decoded = {s.name: ds.labels(s.name) for s in ds.schema if s.is_categorical}
+    missing = {s.name: ds.missing(s.name) for s in ds.schema}
     for i in range(ds.row_count):
         row = []
         for spec in ds.schema:
-            if ds.missing[spec.name][i]:
+            if missing[spec.name][i]:
                 row.append("")
             elif spec.is_categorical:
                 row.append(decoded[spec.name][i])
@@ -725,9 +726,6 @@ def generate_synthetic_by_rows(config, seed: int):
         schema.append(VariableSpec(name, "excluded", "numeric"))
         columns[name] = np.array([row[j] for row in ratings_rows], dtype=float)
 
-    missing = {
-        name: np.zeros(n, dtype=bool) for name in columns
-    }
     achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
     achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
     metadata = {
@@ -742,4 +740,4 @@ def generate_synthetic_by_rows(config, seed: int):
             },
         }
     }
-    return Dataset(schema, columns, missing, metadata=metadata)
+    return Dataset(schema, columns, metadata=metadata)

@@ -46,8 +46,8 @@ class TestLoadCsv:
         ds = _load()
         assert ds.row_count == 5
         np.testing.assert_array_equal(ds.columns["fp"][:4], [100.0, 18.0, 250.0, 510.0])
-        assert ds.missing["defects"].tolist() == [False, False, True, False, False]
-        assert ds.missing["fp"].tolist() == [False, False, False, False, True]
+        assert ds.missing("defects").tolist() == [False, False, True, False, False]
+        assert ds.missing("fp").tolist() == [False, False, False, False, True]
 
     def test_first_seen_category_order(self):
         ds = _load()
@@ -146,7 +146,6 @@ class TestSchemaValidation:
                     VariableSpec("b", "response", "numeric"),
                 ],
                 {"a": np.array([1.0]), "b": np.array([1.0])},
-                {"a": np.array([False]), "b": np.array([False])},
             )
 
     def test_bad_role_rejected(self):
@@ -211,13 +210,34 @@ class TestFilters:
         assert out.spec("dev_type").categories == ds.spec("dev_type").categories
 
 
+class TestMissingMarker:
+    def test_mask_derived_from_nan_and_minus_one(self):
+        schema = [
+            VariableSpec("v", "predictor", "numeric"),
+            VariableSpec("k", "predictor", "categorical", categories=("p", "q")),
+        ]
+        ds = Dataset(schema, {"v": np.array([1.0, np.nan, 3.0]), "k": np.array([0, 1, -1])})
+        assert ds.missing("v").tolist() == [False, True, False]
+        assert ds.missing("k").tolist() == [False, False, True]
+        assert listwise_complete(ds, ["v", "k"]).row_count == 1
+        with pytest.raises(DataError, match="unknown variable 'nope'"):
+            ds.missing("nope")
+
+    def test_metadata_only_by_keyword(self):
+        schema = [VariableSpec("v", "predictor", "numeric")]
+        columns = {"v": np.array([1.0])}
+        with pytest.raises(TypeError):
+            Dataset(schema, columns, {"v": np.array([False])})
+        assert Dataset(schema, columns, metadata={"a": 1}).metadata == {"a": 1}
+
+
 class TestSelect:
     def test_keeps_schema_order_and_values(self):
         ds = _load()
         out = ds.select(["dev_type", "defects"])
         assert out.variable_names == ("defects", "dev_type")
         np.testing.assert_array_equal(out.columns["dev_type"], ds.columns["dev_type"])
-        np.testing.assert_array_equal(out.missing["defects"], ds.missing["defects"])
+        np.testing.assert_array_equal(out.missing("defects"), ds.missing("defects"))
         assert out.spec("dev_type") == ds.spec("dev_type")
 
     def test_unknown_variable(self):
@@ -230,8 +250,8 @@ class TestListwise:
         ds = _load()
         out = listwise_complete(ds, ["defects", "fp"])
         assert out.row_count == 3
-        assert not out.missing["defects"].any()
-        assert not out.missing["fp"].any()
+        assert not out.missing("defects").any()
+        assert not out.missing("fp").any()
 
     def test_scoped_to_requested_variables(self):
         ds = _load()
@@ -247,7 +267,7 @@ class TestListwise:
         out = listwise_complete(ds, ["fp"])
         assert out is not ds
         assert out.row_count == 4
-        for arr in [*out.columns.values(), *out.missing.values()]:
+        for arr in out.columns.values():
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             out.columns["fp"][0] = 1.0
@@ -332,7 +352,6 @@ class TestSerializeCsv:
         ds = Dataset(
             [VariableSpec("v", "predictor", "numeric")],
             {"v": np.array([1.5, np.nan, 2.5])},
-            {"v": np.array([False, True, False])},
         )
         written = _written(ds, serialize_csv)
         assert written == _written(ds, serialize_csv_by_rows) == 'v\n1.5\n""\n2.5\n'
@@ -363,9 +382,5 @@ def test_serialize_matches_row_loop_property(rows):
         "v": np.array([np.nan if v is None else v for v, _ in rows]),
         "k": np.array([-1 if k is None else schema[1].categories.index(k) for _, k in rows]),
     }
-    missing = {
-        "v": np.array([v is None for v, _ in rows]),
-        "k": np.array([k is None for _, k in rows]),
-    }
-    ds = Dataset(schema, columns, missing)
+    ds = Dataset(schema, columns)
     assert _written(ds, serialize_csv) == _written(ds, serialize_csv_by_rows)

@@ -693,7 +693,7 @@ def mixed_dataset(n, seed, transform, b_yes=None, y=None):
         "b": b.astype(np.int32),
         "c": c.astype(np.int32),
     }
-    return Dataset(schema, columns, {name: np.zeros(n, dtype=bool) for name in columns})
+    return Dataset(schema, columns)
 
 
 def outcome(protocol, *args):

@@ -412,19 +412,18 @@ class TestScanMatchesMaskLoop:
         assert tree.root.threshold == c
         assert (tree.root.left.n, tree.root.right.n) == (12, 8)
 
-    def test_nan_predictor_values_route_right(self):
+    def test_nan_predictor_values_are_missing_rows(self):
         rng = np.random.default_rng(5)
         n = 40
         x = rng.uniform(0.0, 10.0, n)
         x[::7] = math.nan
-        # x < nan is False, so no split can put the NaN rows alone on the left
-        # even though they differ most from the rest
+        # the NaN rows differ most from the rest, but NaN is the missing
+        # marker, so listwise deletion drops them before any split
         y = np.where(np.isnan(x), 9.0, np.where(x < 5.0, 0.0, 1.0))
         y = y + rng.normal(0.0, 0.1, n)
-        # load_csv rejects non-finite cells, so the NaNs go in directly
-        flags = np.zeros(n, dtype=bool)
-        ds = Dataset(numeric_schema("y", "x"), {"y": y, "x": x}, {"y": flags, "x": flags})
+        ds = Dataset(numeric_schema("y", "x"), {"y": y, "x": x})
         tree = fit_model_tree(ds, "y", ["x"], min_leaf_size=4)
+        assert tree.root.n == n - 6
         want = oracles.model_tree_by_mask_loop(ds, "y", ["x"], min_leaf_size=4)
         assert tree.to_dict() == want.to_dict()
 

@@ -1,5 +1,7 @@
 """Config loading, stage orchestration, CLI exit codes, report invariants."""
 
+import dataclasses
+import inspect
 import json
 import math
 import tempfile
@@ -14,7 +16,13 @@ from defectcast import pipeline, recalibration
 from defectcast._errors import ConfigError, DataError, DefectcastError, NumericalError
 from defectcast.cli import main
 from defectcast.dataset import VariableSpec
-from defectcast.evaluation import SYNTHETIC_COLUMNS, GeneratorConfig, generate_synthetic
+from defectcast.evaluation import (
+    SYNTHETIC_COLUMNS,
+    GeneratorConfig,
+    ModelingPlan,
+    generate_synthetic,
+)
+from defectcast.modeltree import fit_model_tree
 from defectcast.pipeline import (
     STAGE_SECTIONS,
     STAGES,
@@ -25,6 +33,8 @@ from defectcast.pipeline import (
     run_pipeline,
     run_stage,
 )
+from defectcast.regression import stepwise_fit
+from defectcast.screening import screen_dataset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPO_FIXTURE = FIXTURES / "synthetic_config.json"
@@ -276,6 +286,79 @@ class TestConfig:
         config = small_config(filters=[{"kind": "non_missing", "variable": "gsc_14"}])
         assert load_config(write_config(tmp_path, config)).filters[0].variable == "gsc_14"
 
+    @pytest.mark.parametrize(
+        "key, entries, message",
+        [
+            (
+                "merges",
+                [{"variable": "dev_type", "pairs": [["New Development", "Maintenance"]]}],
+                "merge references unknown category 'Maintenance' of 'dev_type'",
+            ),
+            (
+                "filters",
+                [{"kind": "in_set", "variable": "dev_type", "labels": ["Maintenance"]}],
+                r"filter on 'dev_type' references unknown categories \['Maintenance'\]",
+            ),
+            (
+                "filters",
+                [{"kind": "range", "variable": "dev_type", "low": 1}],
+                "range filter needs a numeric variable, got 'dev_type'",
+            ),
+            (
+                "filters",
+                [{"kind": "in_set", "variable": "fp", "labels": ["100"]}],
+                "in_set filter needs a categorical variable, got 'fp'",
+            ),
+        ],
+        ids=[
+            "merge-unknown-label",
+            "in-set-unknown-label",
+            "range-on-categorical",
+            "in-set-on-numeric",
+        ],
+    )
+    def test_category_and_kind_faults_fail_at_load(self, tmp_path, key, entries, message):
+        # the prepare stage rejects these too, but only after synth has
+        # written its files; the generator's schema is known at load
+        config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
+        config[key] = entries
+        path = write_config(tmp_path, config)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(path, out_override=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_labels_unchecked_where_categories_are_not_declared(self, tmp_path):
+        # first-seen categories are known only once the data is read
+        data = tmp_path / "proj.csv"
+        data.write_text(CSV_TEXT, encoding="utf-8")
+        config = csv_config(data)
+        config["schema"][2] = {"name": "dev_type", "kind": "categorical"}
+        config["filters"] = [{"kind": "in_set", "variable": "dev_type", "labels": ["Other"]}]
+        config["merges"] = [{"variable": "dev_type", "pairs": [["Other", "Enhancement"]]}]
+        load_config(write_config(tmp_path, config))
+        config["filters"] = [{"kind": "range", "variable": "dev_type", "high": 2}]
+        with pytest.raises(ConfigError, match="range filter needs a numeric variable"):
+            load_config(write_config(tmp_path, config))
+
+    def test_omitted_settings_take_the_library_defaults(self, tmp_path):
+        # load_config restates these defaults; they must match the library's
+        config = small_config()
+        del config["screening"]["alpha"]
+        cfg = load_config(write_config(tmp_path, config))
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        plan = {f.name: f.default for f in dataclasses.fields(ModelingPlan)}
+        assert cfg.alpha == default(screen_dataset, "alpha")
+        assert cfg.tree_sd_fraction == default(fit_model_tree, "sd_fraction")
+        assert cfg.tree_min_leaf == default(fit_model_tree, "min_leaf_size")
+        assert cfg.p_enter == default(stepwise_fit, "p_enter")
+        assert cfg.p_remove == default(stepwise_fit, "p_remove")
+        assert cfg.pred_thresholds == plan["pred_thresholds"]
+        assert cfg.min_test_for_pred == plan["min_test_for_pred"]
+        assert cfg.refit_regression == plan["refit_regression"]
+
 
 # ---------------------------------------------------------------------------
 # pipeline runs
@@ -328,9 +411,10 @@ class TestPipelineRun:
         ).read_bytes()
 
     def test_csv_fixture_stages_compose(self, tmp_path):
-        # the CSV fixture: schema defaults, declared categories, an empty
-        # cell, a range filter and a merge; its six stages run one after
-        # another write the report of one whole run
+        # the CSV fixture: schema defaults, declared categories, empty
+        # cells in a predictor, a categorical and the response, a range
+        # filter and a merge; its six stages run one after another write
+        # the report of one whole run
         def cfg(out):
             return load_config(
                 FIXTURES / "csv_config.json",
@@ -341,7 +425,7 @@ class TestPipelineRun:
         report = run_pipeline(cfg("whole"))
         prep = report["data_preparation"]
         assert (prep["rows_loaded"], prep["rows_after_filters"], prep["rows_complete"]) == (
-            48, 45, 44,
+            50, 47, 44,
         )
         staged = cfg("staged")
         for stage in STAGES[1:]:

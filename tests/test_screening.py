@@ -243,7 +243,7 @@ class TestMergeCategories:
         assert out.spec("v").kind == "binary"
         assert out.columns["v"].tolist() == [0, -1, 1, 0, -1, 0]
         assert out.labels("v") == ["b+a", None, "c", "b+a", None, "b+a"]
-        np.testing.assert_array_equal(out.missing["v"], ds.missing["v"])
+        np.testing.assert_array_equal(out.missing("v"), ds.missing("v"))
 
     def test_merged_label_may_not_name_another_category(self):
         spec = VariableSpec("v", "predictor", "categorical", categories=("a", "b", "a+b", "c"))

@@ -38,7 +38,7 @@ class TestLnTransform:
         np.testing.assert_allclose(out, [0.0, math.log(2.0)])
 
     def test_missing_passes_through(self):
-        out = ln_transform([5.0, -1.0], "ln", missing=[False, True])
+        out = ln_transform([5.0, math.nan], "ln")
         assert out[0] == math.log(5.0)
         assert math.isnan(out[1])
 
