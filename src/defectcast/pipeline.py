@@ -212,6 +212,8 @@ def load_config(
         )
     if has_path and schema is None:
         raise ConfigError("a data path requires a 'schema' section")
+    if has_synth and schema is not None:
+        raise ConfigError("a synthetic source takes no 'schema' section")
     synthetic = None
     if has_synth:
         entry = data["synthetic"]
@@ -763,8 +765,6 @@ def _stage_recalibrate(run: _Run) -> dict:
             "enabled": True,
             "units": unit_payload,
             "training": {
-                "epochs": trace.epochs,
-                "converged": trace.converged,
                 "initial_gradient_norm": trace.initial_gradient_norm,
                 "initial_mse": trace.mse_path[0],
                 "final_mse": trace.mse_path[-1],

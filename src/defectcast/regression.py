@@ -315,6 +315,9 @@ def stepwise_fit(
     Rows are fixed up front: listwise complete over the response and every
     candidate, so all fits see the same data.  The procedure stops when a
     full pass changes nothing or after 2 * len(candidates) actions.
+    ``steps`` and ``included`` record the entry path; ``final_model`` is the
+    fit on the included set in candidate order, so two paths to one set
+    give one model.
     """
     if not candidates:
         raise ConfigError("stepwise needs at least one candidate")
@@ -367,7 +370,7 @@ def stepwise_fit(
     return StepwiseTrace(
         steps=tuple(steps),
         included=tuple(included),
-        final_model=_fit(included),
+        final_model=_fit([var for var in candidates if var in included]),
     )
 
 

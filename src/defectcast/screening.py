@@ -10,7 +10,7 @@ be merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,10 +22,12 @@ from .transform import rank_average
 
 __all__ = [
     "SpearmanResult",
+    "GroupTable",
     "AnovaResult",
     "TukeyPair",
     "ScreeningReport",
     "spearman",
+    "group_table",
     "anova_oneway",
     "tukey_hsd",
     "merge_categories",
@@ -75,8 +77,48 @@ def spearman(x, y) -> SpearmanResult:
 
 
 @dataclass(frozen=True)
+class GroupTable:
+    """A response grouped by category code: the count and mean of each
+    non-empty group in code order, and the pooled within-group sum of
+    squares.  ANOVA and Tukey HSD both read one table."""
+
+    labels: tuple[str, ...]
+    counts: np.ndarray
+    means: np.ndarray
+    ssw: float
+
+
+def group_table(response, codes, labels: Sequence[str]) -> GroupTable:
+    """Group ``response`` by integer ``codes``; code c is group ``labels[c]``.
+
+    A row whose response is NaN (missing) or infinite, or whose code is -1
+    (missing), is dropped.  Counts, sums and within-group sums of squares
+    come from ``np.bincount``; a group with no rows is left out.  At least
+    2 non-empty groups and more rows than groups are required.
+    """
+    y = np.asarray(response, dtype=float)
+    codes = np.asarray(codes)
+    keep = np.isfinite(y) & (codes >= 0)
+    y, codes = y[keep], codes[keep]
+    k = len(labels)
+    if codes.size and codes.max() >= k:
+        raise DataError(f"category code {codes.max()} has no label ({k} labels)")
+    counts = np.bincount(codes, minlength=k)
+    means = np.bincount(codes, weights=y, minlength=k) / np.maximum(counts, 1)
+    deviations = y - means[codes]
+    ssw = float(np.bincount(codes, weights=deviations * deviations, minlength=k).sum())
+    present = np.flatnonzero(counts)
+    if present.size < 2:
+        raise DataError(f"screening needs at least 2 non-empty groups, got {present.size}")
+    if y.size <= present.size:
+        raise DataError(
+            f"screening needs more observations ({y.size}) than groups ({present.size})"
+        )
+    return GroupTable(tuple(labels[c] for c in present), counts[present], means[present], ssw)
+
+
+@dataclass(frozen=True)
 class AnovaResult:
-    variable: str
     f_value: float
     df_between: int
     df_within: int
@@ -85,52 +127,31 @@ class AnovaResult:
     group_means: dict[str, float]
 
 
-def _grouped(response, groups):
-    """Split response values by group key, dropping a pair whose response is
-    NaN (missing) or infinite or whose key is None (missing)."""
-    yv = np.asarray(response, dtype=float)
-    keep = np.isfinite(yv)
-    out: dict = {}
-    for value, yi, flag in zip(groups, yv, keep):
-        if flag and value is not None:
-            out.setdefault(value, []).append(yi)
-    return {k: np.asarray(v) for k, v in out.items()}
+def anova_oneway(table: GroupTable) -> AnovaResult:
+    """One-way fixed-effects ANOVA of a response across the table's groups.
 
-
-def anova_oneway(response, groups, variable: str = "") -> AnovaResult:
-    """One-way fixed-effects ANOVA of a numeric response across groups.
-
-    ``groups`` is a sequence of group keys aligned with ``response``.  A
-    row whose response is NaN or whose key is None is missing and dropped.
     A zero within-group sum of squares with nonzero between-group variation
     reports F = +inf and p = 0.
     """
-    by_group = _grouped(response, groups)
-    if len(by_group) < 2:
-        raise DataError(f"ANOVA needs at least 2 non-empty groups, got {len(by_group)}")
-    n = sum(v.size for v in by_group.values())
-    k = len(by_group)
-    if n <= k:
-        raise DataError(f"ANOVA needs more observations ({n}) than groups ({k})")
-    grand = sum(float(v.sum()) for v in by_group.values()) / n
-    ssb = sum(v.size * (float(v.mean()) - grand) ** 2 for v in by_group.values())
-    ssw = sum(float(((v - v.mean()) ** 2).sum()) for v in by_group.values())
+    k = len(table.labels)
+    n = int(table.counts.sum())
+    grand = float(table.counts @ table.means) / n
+    ssb = float(table.counts @ (table.means - grand) ** 2)
     df_b, df_w = k - 1, n - k
-    if ssw == 0.0:
+    if table.ssw == 0.0:
         f = math.inf if ssb > 0.0 else 0.0
         p = 0.0 if ssb > 0.0 else 1.0
     else:
-        f = (ssb / df_b) / (ssw / df_w)
+        f = (ssb / df_b) / (table.ssw / df_w)
         # upper tail P(F(df_b, df_w) > f) as the lower tail of F(df_w, df_b)
         p = f_cdf(1.0 / f, df_w, df_b) if f > 0.0 else 1.0
     return AnovaResult(
-        variable=variable,
         f_value=f,
         df_between=df_b,
         df_within=df_w,
         p_value=p,
-        group_counts={str(g): int(v.size) for g, v in by_group.items()},
-        group_means={str(g): float(v.mean()) for g, v in by_group.items()},
+        group_counts=dict(zip(table.labels, table.counts.tolist())),
+        group_means=dict(zip(table.labels, table.means.tolist())),
     )
 
 
@@ -143,41 +164,32 @@ class TukeyPair:
     significant: bool
 
 
-def tukey_hsd(response, groups, alpha: float = 0.05) -> list[TukeyPair]:
+def tukey_hsd(table: GroupTable, alpha: float = 0.05) -> list[TukeyPair]:
     """Tukey HSD pairwise comparisons (Tukey-Kramer for unequal sizes).
 
-    A row whose response is NaN or whose key is None is missing and
-    dropped.  For each unordered pair, q = |mean_i - mean_j| / sqrt((MSW /
-    2) * (1/n_i + 1/n_j)) and the adjusted p is the studentized-range upper
-    tail with k = number of groups and the ANOVA within-group df.
+    Pairs are listed in the table's group order.  For each unordered pair,
+    q = |mean_i - mean_j| / sqrt((MSW / 2) * (1/n_i + 1/n_j)) and the
+    adjusted p is the studentized-range upper tail with k = number of groups
+    and the ANOVA within-group df.
     """
-    by_group = _grouped(response, groups)
-    names = list(by_group)
-    k = len(names)
-    if k < 2:
-        raise DataError(f"Tukey HSD needs at least 2 non-empty groups, got {k}")
-    n = sum(v.size for v in by_group.values())
-    if n <= k:
-        raise DataError(f"Tukey HSD needs more observations ({n}) than groups ({k})")
-    ssw = sum(float(((v - v.mean()) ** 2).sum()) for v in by_group.values())
-    df_w = n - k
-    msw = ssw / df_w
+    k = len(table.labels)
+    df_w = int(table.counts.sum()) - k
+    msw = table.ssw / df_w
+    counts, means = table.counts.tolist(), table.means.tolist()
     pairs = []
     for a in range(k):
         for b in range(a + 1, k):
-            gi, gj = names[a], names[b]
-            vi, vj = by_group[gi], by_group[gj]
-            diff = float(vi.mean()) - float(vj.mean())
+            diff = means[a] - means[b]
             if msw == 0.0:
                 p_adj = 1.0 if diff == 0.0 else 0.0
             else:
-                q = abs(diff) / math.sqrt((msw / 2.0) * (1.0 / vi.size + 1.0 / vj.size))
+                q = abs(diff) / math.sqrt((msw / 2.0) * (1.0 / counts[a] + 1.0 / counts[b]))
                 p_adj = 1.0 - studentized_range_cdf(q, k, df_w)
                 p_adj = min(max(p_adj, 0.0), 1.0)
             pairs.append(
                 TukeyPair(
-                    group_i=str(gi),
-                    group_j=str(gj),
+                    group_i=table.labels[a],
+                    group_j=table.labels[b],
                     mean_difference=diff,
                     p_adjusted=p_adj,
                     significant=p_adj < alpha,
@@ -278,33 +290,10 @@ class ScreeningReport:
         return {
             "response": self.response,
             "alpha": self.alpha,
-            "correlations": {
-                k: {"rho": v.rho, "p_value": v.p_value, "n": v.n}
-                for k, v in self.correlations.items()
-            },
-            "anova": {
-                k: {
-                    "f_value": v.f_value,
-                    "df_between": v.df_between,
-                    "df_within": v.df_within,
-                    "p_value": v.p_value,
-                    "group_counts": v.group_counts,
-                    "group_means": v.group_means,
-                }
-                for k, v in self.anova.items()
-            },
+            "correlations": {k: asdict(v) for k, v in self.correlations.items()},
+            "anova": {k: asdict(v) for k, v in self.anova.items()},
             "multiple_comparisons": {
-                k: [
-                    {
-                        "group_i": p.group_i,
-                        "group_j": p.group_j,
-                        "mean_difference": p.mean_difference,
-                        "p_adjusted": p.p_adjusted,
-                        "significant": p.significant,
-                    }
-                    for p in pairs
-                ]
-                for k, pairs in self.tukey.items()
+                k: [asdict(p) for p in pairs] for k, pairs in self.tukey.items()
             },
         }
 
@@ -320,11 +309,13 @@ def screen_dataset(
     """Run the full screening battery for one response.
 
     Numeric predictors get Spearman.  Categorical predictors get ANOVA, plus
-    Tukey HSD when at least 3 groups are observed.  Variables listed in
+    Tukey HSD when at least 3 groups are observed; both read one group
+    table built from the category codes, so groups and pairs come in
+    category order whatever the row order.  Variables listed in
     ``dual_treatment`` are screened both ways: a categorical one contributes
     a Spearman on its quantified values (mapping from ``quantifications``,
     defaulting to labels parsed as numbers), a numeric one contributes an
-    ANOVA grouped by its distinct observed values.
+    ANOVA grouped by its distinct observed values in ascending order.
     """
     quantifications = quantifications or {}
     resp_spec = ds.spec(response)
@@ -340,16 +331,20 @@ def screen_dataset(
         spec = ds.spec(name)
         dual = name in dual_treatment
         if spec.kind == "numeric":
-            correlations[name] = spearman(ds.columns[name], y)
+            x = ds.columns[name]
+            correlations[name] = spearman(x, y)
             if dual:
-                keys = [None if math.isnan(v) else v for v in ds.columns[name].tolist()]
-                anova[name] = anova_oneway(y, keys, variable=name)
+                # one group per distinct present value, in ascending order
+                present = ~np.isnan(x)
+                codes = np.full(x.size, -1)
+                values, codes[present] = np.unique(x[present], return_inverse=True)
+                table = group_table(y, codes, [str(v) for v in values.tolist()])
+                anova[name] = anova_oneway(table)
         else:
-            labels = ds.labels(name)
-            result = anova_oneway(y, labels, variable=name)
-            anova[name] = result
-            if len(result.group_counts) >= 3:
-                tukey[name] = tukey_hsd(y, labels, alpha=alpha)
+            table = group_table(y, ds.columns[name], spec.categories)
+            anova[name] = anova_oneway(table)
+            if len(table.labels) >= 3:
+                tukey[name] = tukey_hsd(table, alpha=alpha)
             if dual:
                 mapping = quantifications.get(name)
                 if mapping is None:

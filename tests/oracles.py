@@ -236,6 +236,21 @@ def anova_by_hand(groups: dict) -> tuple[float, int, int]:
     return (ssb / (k - 1)) / (ssw / (n - k)), k - 1, n - k
 
 
+def groups_by_row_loop(response, codes, labels) -> dict:
+    """{label: (count, mean, within-group sum of squares)} by a per-row
+    loop, groups in first-seen order; a non-finite response or code -1 is
+    missing."""
+    values: dict = {}
+    for y, c in zip(response, codes):
+        if math.isfinite(y) and c >= 0:
+            values.setdefault(labels[c], []).append(y)
+    out = {}
+    for label, vals in values.items():
+        mean = math.fsum(vals) / len(vals)
+        out[label] = (len(vals), mean, math.fsum((v - mean) ** 2 for v in vals))
+    return out
+
+
 def pearson(x, y) -> float:
     n = len(x)
     mx = sum(x) / n

@@ -17,6 +17,7 @@ import scipy.stats
 import oracles
 from test_recalibration import _training_setup
 from test_regression import make_dataset, numeric_schema
+from test_screening import table_of
 
 from defectcast.dataset import VariableSpec, listwise_complete
 from defectcast.evaluation import (
@@ -89,7 +90,7 @@ def test_03_statistical_oracles():
     # ANOVA F vs explicit sums of squares
     groups = ["a"] * 10 + ["b"] * 12 + ["c"] * 8
     resp = (rng.normal(size=30) + np.array([0.0] * 10 + [0.8] * 12 + [1.5] * 8)).tolist()
-    got = anova_oneway(resp, groups)
+    got = anova_oneway(table_of(resp, groups))
     want_f, dfb, dfw = oracles.anova_by_hand(
         {g: [v for v, gg in zip(resp, groups) if gg == g] for g in "abc"}
     )
@@ -119,7 +120,7 @@ def test_03_statistical_oracles():
     # F equals t^2 on two groups
     two_groups = ["a"] * 12 + ["b"] * 14
     two_resp = (rng.normal(size=26) + np.array([0.0] * 12 + [0.7] * 14)).tolist()
-    f2 = anova_oneway(two_resp, two_groups).f_value
+    f2 = anova_oneway(table_of(two_resp, two_groups)).f_value
     a_vals = two_resp[:12]
     b_vals = two_resp[12:]
     ma, mb = sum(a_vals) / 12, sum(b_vals) / 14

@@ -167,6 +167,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schema"):
             load_config(write_config(tmp_path, config))
 
+    def test_synthetic_source_rejects_a_schema_section(self, tmp_path):
+        # the generator declares its own columns: a schema section beside it
+        # was hashed into the provenance and then ignored
+        config = small_config()
+        config["schema"] = [
+            {"name": "defects", "role": "response", "transform": "none"},
+            {"name": "fp"},
+        ]
+        with pytest.raises(ConfigError, match="synthetic source takes no 'schema'"):
+            load_config(write_config(tmp_path, config))
+
     def test_unknown_variable_references_rejected(self, tmp_path):
         config = small_config()
         config["regression"]["candidates"] = ["fp", "nonexistent"]
@@ -679,9 +690,15 @@ class TestSummary:
 
     def test_summary_names_no_epochs(self, tmp_path):
         # recalibration trains by one exact solve, not by epochs
-        text = render_summary(run_pipeline(load_small(tmp_path)))
+        report = run_pipeline(load_small(tmp_path))
+        text = render_summary(report)
         assert "recalibration: MMRE" in text
         assert "epoch" not in text
+        # an exact solve either returns or raises, so a solve count and an
+        # always-true flag would say nothing
+        assert sorted(report["recalibration"]["training"]) == [
+            "final_gradient_norm", "final_mse", "initial_gradient_norm", "initial_mse",
+        ]
 
 
 class TestCli:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from defectcast._errors import DataError
-from defectcast.dataset import VariableSpec, load_csv
+from defectcast import screening
+from defectcast.dataset import Dataset, VariableSpec, load_csv
 from defectcast.evaluation import GeneratorConfig, generate_synthetic
 from defectcast.numerics import t_cdf
 from defectcast.screening import (
     anova_oneway,
     apply_category_merge,
+    group_table,
     merge_categories,
     screen_dataset,
     spearman,
@@ -20,6 +22,12 @@ from defectcast.screening import (
 )
 
 import oracles
+
+
+def table_of(values, labels):
+    """The group table of a label list, its groups in sorted label order."""
+    names, codes = np.unique(labels, return_inverse=True)
+    return group_table(values, codes, names.tolist())
 
 
 class TestSpearman:
@@ -89,7 +97,7 @@ class TestSpearman:
 
 class TestAnova:
     def test_two_group_fixture(self):
-        result = anova_oneway([1.0, 2.0, 4.0, 5.0], ["a", "a", "b", "b"])
+        result = anova_oneway(table_of([1.0, 2.0, 4.0, 5.0], ["a", "a", "b", "b"]))
         assert abs(result.f_value - 18.0) < 1e-12
         assert result.df_between == 1
         assert result.df_within == 2
@@ -106,7 +114,7 @@ class TestAnova:
             labels += [g] * size
             values += vals.tolist()
         want_f, want_dfb, want_dfw = oracles.anova_by_hand(data)
-        got = anova_oneway(values, labels)
+        got = anova_oneway(table_of(values, labels))
         assert abs(got.f_value - want_f) < 1e-10
         assert (got.df_between, got.df_within) == (want_dfb, want_dfw)
 
@@ -114,18 +122,18 @@ class TestAnova:
         # F = 203.5 on (2, 57) df: 1 - f_cdf rounds this p to 0
         rng = np.random.default_rng(57)
         values = np.concatenate([rng.normal(m, 1.0, 20) for m in (0.0, 3.0, 6.0)])
-        result = anova_oneway(values, ["a"] * 20 + ["b"] * 20 + ["c"] * 20)
+        result = anova_oneway(table_of(values, ["a"] * 20 + ["b"] * 20 + ["c"] * 20))
         want = oracles.f_tail_by_integration(result.f_value, 2, 57)
         assert 0.0 < result.p_value < 1e-16
         assert abs(result.p_value / want - 1.0) < 1e-9
 
     def test_zero_within_variance(self):
-        result = anova_oneway([1.0, 1.0, 2.0, 2.0], ["a", "a", "b", "b"])
+        result = anova_oneway(table_of([1.0, 1.0, 2.0, 2.0], ["a", "a", "b", "b"]))
         assert result.f_value == math.inf
         assert result.p_value == 0.0
 
     def test_identical_groups(self):
-        result = anova_oneway([3.0, 3.0, 3.0, 3.0], ["a", "a", "b", "b"])
+        result = anova_oneway(table_of([3.0, 3.0, 3.0, 3.0], ["a", "a", "b", "b"]))
         assert result.f_value == 0.0
         assert result.p_value == 1.0
 
@@ -133,25 +141,72 @@ class TestAnova:
         rng = np.random.default_rng(5)
         values = rng.normal(size=20)
         labels = ["a"] * 7 + ["b"] * 6 + ["c"] * 7
-        base = anova_oneway(values, labels)
-        shifted = anova_oneway(5.0 + 3.0 * values, labels)
+        base = anova_oneway(table_of(values, labels))
+        shifted = anova_oneway(table_of(5.0 + 3.0 * values, labels))
         assert abs(base.f_value - shifted.f_value) < 1e-9
         assert abs(base.p_value - shifted.p_value) < 1e-9
 
     def test_single_group_rejected(self):
         with pytest.raises(DataError, match="2 non-empty groups"):
-            anova_oneway([1.0, 2.0], ["a", "a"])
+            anova_oneway(table_of([1.0, 2.0], ["a", "a"]))
 
     def test_missing_dropped(self):
         result = anova_oneway(
-            [1.0, 2.0, np.nan, 4.0, 5.0], ["a", "a", "a", "b", "b"]
+            table_of([1.0, 2.0, np.nan, 4.0, 5.0], ["a", "a", "a", "b", "b"])
         )
         assert result.group_counts == {"a": 2, "b": 2}
 
 
+class TestGroupTable:
+    def test_missing_rows_dropped_and_empty_groups_left_out(self):
+        # code -1 and a NaN response are missing; 'b' has no rows
+        table = group_table([1.0, 2.0, np.nan, 4.0, 6.0, 9.0], [0, 0, 2, 2, 2, -1], "abc")
+        assert table.labels == ("a", "c")
+        assert table.counts.tolist() == [2, 2]
+        assert table.means.tolist() == [1.5, 5.0]
+        assert table.ssw == 0.5 + 2.0
+
+    def test_matches_a_row_loop(self):
+        rng = np.random.default_rng(61)
+        values = rng.normal(3.0, 2.0, 200)
+        values[rng.random(200) < 0.05] = np.nan
+        codes = rng.integers(-1, 4, 200)
+        labels = ["w", "x", "y", "z"]
+        table = group_table(values, codes, labels)
+        want = oracles.groups_by_row_loop(values.tolist(), codes.tolist(), labels)
+        assert table.labels == tuple(labels)
+        for label, count, mean in zip(table.labels, table.counts, table.means):
+            assert count == want[label][0]
+            assert abs(mean - want[label][1]) <= 1e-13 * abs(want[label][1])
+        ssw = sum(v[2] for v in want.values())
+        assert abs(table.ssw - ssw) <= 1e-13 * ssw
+
+    def test_groups_follow_codes_not_rows(self):
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=30)
+        codes = rng.integers(0, 3, 30)
+        table = group_table(values, codes, ["lo", "mid", "hi"])
+        order = rng.permutation(30)
+        shuffled = group_table(values[order], codes[order], ["lo", "mid", "hi"])
+        assert shuffled.labels == table.labels == ("lo", "mid", "hi")
+        assert shuffled.counts.tolist() == table.counts.tolist()
+        np.testing.assert_allclose(shuffled.means, table.means, rtol=1e-13)
+        assert abs(shuffled.ssw / table.ssw - 1.0) < 1e-13
+
+    def test_code_without_label_rejected(self):
+        with pytest.raises(DataError, match="no label"):
+            group_table([1.0, 2.0, 3.0], [0, 1, 2], ["a", "b"])
+
+    def test_too_few_rows_rejected(self):
+        with pytest.raises(DataError, match="more observations"):
+            group_table([1.0, 2.0], [0, 1], ["a", "b"])
+
+
 class TestTukey:
     def test_identical_groups_have_p_one(self):
-        pairs = tukey_hsd([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], ["a", "a", "b", "b", "c", "c"])
+        pairs = tukey_hsd(
+            table_of([1.0, 2.0, 1.0, 2.0, 1.0, 2.0], ["a", "a", "b", "b", "c", "c"])
+        )
         assert all(abs(p.p_adjusted - 1.0) < 1e-9 for p in pairs)
         assert all(p.mean_difference == 0.0 for p in pairs)
 
@@ -165,7 +220,7 @@ class TestTukey:
         n = len(values)
         ssw = sum(float(((v - v.mean()) ** 2).sum()) for v in groups.values())
         msw = ssw / (n - 3)
-        for pair in tukey_hsd(values, labels):
+        for pair in tukey_hsd(table_of(values, labels)):
             vi, vj = groups[pair.group_i], groups[pair.group_j]
             se = math.sqrt(msw * (1.0 / vi.size + 1.0 / vj.size))
             t = abs(pair.mean_difference) / se
@@ -176,7 +231,7 @@ class TestTukey:
         # k = 2 collapses the studentized range to sqrt(2)|t|
         values = [1.0, 2.0, 3.0, 6.0, 7.0, 9.0]
         labels = ["a", "a", "a", "b", "b", "b"]
-        (pair,) = tukey_hsd(values, labels)
+        (pair,) = tukey_hsd(table_of(values, labels))
         groups = {"a": np.array(values[:3]), "b": np.array(values[3:])}
         ssw = sum(float(((v - v.mean()) ** 2).sum()) for v in groups.values())
         msw = ssw / 4
@@ -187,7 +242,7 @@ class TestTukey:
     def test_pair_count(self):
         values = list(range(12))
         labels = ["a", "b", "c", "d"] * 3
-        assert len(tukey_hsd([float(v) for v in values], labels)) == 6
+        assert len(tukey_hsd(table_of([float(v) for v in values], labels))) == 6
 
 
 class TestMergeCategories:
@@ -321,3 +376,65 @@ class TestScreenDataset:
         assert "adj" in report.correlations
         assert "adj" in report.anova
         assert report.anova["adj"].df_between == 2
+
+    def test_dual_treatment_numeric_groups_ascending(self):
+        text = "y,x\n1,3.5\n2,\n3,0.5\n4,2\n5,0.5\n6,3.5\n7,2\n"
+        schema = [
+            VariableSpec("y", "response", "numeric"),
+            VariableSpec("x", "predictor", "numeric"),
+        ]
+        ds = load_csv(io.StringIO(text), schema)
+        report = screen_dataset(ds, "y", ["x"], dual_treatment=["x"])
+        assert report.anova["x"].group_counts == {"0.5": 2, "2.0": 2, "3.5": 2}
+        assert report.anova["x"].group_means == {"0.5": 4.0, "2.0": 5.5, "3.5": 3.5}
+
+    def test_tukey_pairs_in_category_order_whatever_the_row_order(self):
+        # declared order g1, g0, g2 is neither sorted nor the first-seen
+        # order of either row order (g2, g0, g1 forward; g1, g2, g0
+        # backward), which grouping by first appearance followed
+        ds = self._dataset()
+        spec = ds.spec("grp")
+        declared = VariableSpec("grp", "predictor", "categorical", categories=("g1", "g0", "g2"))
+        recode = np.array([declared.categories.index(c) for c in spec.categories] + [-1])
+        schema = tuple(declared if s.name == "grp" else s for s in ds.schema)
+        columns = {**ds.columns, "grp": recode[ds.columns["grp"]].astype(np.int32)}
+        forward = Dataset(schema, columns)
+        backward = forward.take(np.arange(forward.row_count)[::-1])
+        pairs = []
+        for data in (forward, backward):
+            report = screen_dataset(data, "y", ["grp"])
+            assert list(report.anova["grp"].group_counts) == ["g1", "g0", "g2"]
+            pairs.append(report.tukey["grp"])
+        assert [(p.group_i, p.group_j) for p in pairs[0]] == [
+            ("g1", "g0"), ("g1", "g2"), ("g0", "g2"),
+        ]
+        for a, b in zip(*pairs):
+            assert (a.group_i, a.group_j, a.significant) == (b.group_i, b.group_j, b.significant)
+            assert abs(a.mean_difference - b.mean_difference) <= 1e-12 * abs(a.mean_difference)
+
+    def test_each_variable_grouped_once_without_decoding_labels(self, monkeypatch):
+        # one group table per categorical (and numeric dual-treatment)
+        # variable, shared by ANOVA and Tukey; no per-row label decoding
+        tables, labels = [], []
+        original_table, original_labels = screening.group_table, Dataset.labels
+
+        def counting_table(response, codes, names):
+            tables.append(len(names))
+            return original_table(response, codes, names)
+
+        def counting_labels(self, name):
+            labels.append(name)
+            return original_labels(self, name)
+
+        monkeypatch.setattr(screening, "group_table", counting_table)
+        monkeypatch.setattr(Dataset, "labels", counting_labels)
+        for n in (64, 2000):
+            ds = generate_synthetic(GeneratorConfig(n=n), 7)
+            del tables[:]
+            report = screen_dataset(
+                ds, "defects", ["fp", "max_team_size", "dev_type", "vaf"],
+                dual_treatment=["vaf", "max_team_size"],
+            )
+            assert set(report.tukey) == {"dev_type", "vaf"}
+            assert len(tables) == 3
+        assert labels == []
