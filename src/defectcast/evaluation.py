@@ -12,9 +12,10 @@ categorical predictor's firing strengths under its identity-started unit.
 None of these depend on the split.  A split then only gathers rows of
 those arrays: it solves plain OLS coefficients (no inference), fits the
 consequents, and scores its test rows through ``recalibration.score``, the
-arithmetic ``recalibration.predict`` runs on an encoded table.  Rows are
-gathered before any product, so each split computes on the same arrays a
-table of its own rows would have given, and the report bytes match.
+arithmetic ``recalibration.recalibrated_predict`` runs on a whole table.
+Rows are gathered before any product, so each split computes on the same
+arrays a table of its own rows would have given, and the report bytes
+match.
 
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic

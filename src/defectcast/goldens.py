@@ -28,7 +28,10 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._errors import ConfigError
+import numpy as np
+
+from ._errors import ConfigError, DataError
+from .dataset import Dataset, VariableSpec
 from .evaluation import DEFAULT_COEFFICIENTS, kfold_plan, mmre, pred_at
 from .pipeline import load_config, run_pipeline
 from .regression import LinearModel, ModelTerm, model_predict
@@ -74,9 +77,18 @@ def reference_model() -> LinearModel:
 
 
 def reference_prediction(fp: float, vaf: float, dev_type: str) -> float:
-    """Predicted raw defect count from the reference model at one project."""
-    row = {"fp": math.log(fp), "vaf": vaf, "dev_type": dev_type}
-    return model_predict(reference_model(), {}, row, back_transform=True)
+    """Predicted raw defect count from the reference model at one project:
+    ``model_predict`` on a one-row table of its ln(fp), vaf and
+    development type."""
+    model = reference_model()
+    dev_types = tuple(model.codings["dev_type"])
+    if dev_type not in dev_types:
+        raise DataError(f"unknown development type {dev_type!r}")
+    schema = [VariableSpec(name, "predictor", "numeric") for name in ("fp", "vaf")]
+    schema.append(VariableSpec("dev_type", "predictor", "categorical", categories=dev_types))
+    values = {"fp": math.log(fp), "vaf": vaf, "dev_type": dev_types.index(dev_type)}
+    project = Dataset(schema, {name: np.array([v]) for name, v in values.items()})
+    return float(model_predict(model, project, back_transform=True)[0])
 
 
 # ---------------------------------------------------------------------------

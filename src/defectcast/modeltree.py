@@ -39,16 +39,9 @@ import numpy as np
 
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, listwise_complete
-from .regression import (
-    LinearModel,
-    Quantification,
-    back_transform_value,
-    model_predict,
-    ols_fit,
-    row_value,
-)
+from .regression import LinearModel, Quantification, ols_fit
 
-__all__ = ["TreeNode", "ModelTree", "fit_model_tree", "predict_tree"]
+__all__ = ["TreeNode", "ModelTree", "fit_model_tree"]
 
 
 def _pop_sd(values: np.ndarray) -> float:
@@ -400,43 +393,3 @@ def fit_model_tree(
         min_leaf_size=min_leaf_size,
         sd_floor=sd_floor,
     )
-
-
-def predict_tree(
-    tree: ModelTree,
-    row: dict,
-    quantifications: dict[str, Quantification] | None = None,
-    back_transform: bool = False,
-) -> float:
-    """Route one row to its leaf and evaluate the leaf model.
-
-    Split variables are read from ``row`` as numeric values (numeric or
-    quantified columns) or labels (subset splits).  Labels unseen at a
-    subset split and missing values (None or NaN) raise DataError.
-    """
-    quantifications = quantifications or {}
-    node = tree.root
-    while not node.is_leaf:
-        if node.variable not in row:
-            raise DataError(f"row is missing split variable {node.variable!r}")
-        if node.threshold is not None:
-            value = row_value({}, quantifications, row, node.variable)
-            node = node.left if value < node.threshold else node.right
-            continue
-        raw = row[node.variable]
-        if not isinstance(raw, str):
-            raise DataError(
-                f"split on {node.variable!r} needs a category label, got {raw!r}"
-            )
-        if raw in node.left_labels:
-            node = node.left
-        elif raw in node.right_labels:
-            node = node.right
-        else:
-            raise DataError(
-                f"category {raw!r} of {node.variable!r} was not seen at this split"
-            )
-    value = model_predict(node.model, quantifications, row, back_transform=False)
-    if back_transform:
-        return back_transform_value(value, tree.response_transform)
-    return value

@@ -1,9 +1,8 @@
 """Shared numerical kernels.
 
 Least squares on a pivoted QR, the distribution functions needed by the
-screening and regression layers (normal quantile, Student t, F, studentized
-range), and a small deterministic PRNG used for every stochastic step in the
-package.
+screening and regression layers (Student t, F, studentized range), and a
+small deterministic PRNG used for every stochastic step in the package.
 
 The least-squares kernels call direct LAPACK ``dgeqp3``/``dorgqr``/``dtrtrs``
 with the arguments that scipy.linalg's own wrappers pass, so every factor and
@@ -38,7 +37,6 @@ from scipy.linalg.lapack import (
 from scipy.special import (
     fdtr as _fdtr,
     ndtr as _ndtr,
-    ndtri as _ndtri,
     stdtr as _stdtr,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "solve_least_squares",
     "min_norm_least_squares",
     "unscaled_covariance",
-    "normal_quantile",
     "t_cdf",
     "f_cdf",
     "studentized_range_cdf",
@@ -328,13 +325,6 @@ def unscaled_covariance(solution: LeastSquaresSolution) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # distribution functions
 # ---------------------------------------------------------------------------
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, defined for 0 < p < 1."""
-    if not 0.0 < p < 1.0:
-        raise NumericalError(f"normal_quantile needs 0 < p < 1, got {p}")
-    return float(_ndtri(p))
 
 
 def t_cdf(x: float, df: float) -> float:

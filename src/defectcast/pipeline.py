@@ -61,11 +61,12 @@ from .evaluation import (
     synthetic_schema,
 )
 from .modeltree import fit_model_tree
-from .recalibration import predict, train_recalibration, units_for
+from .recalibration import recalibrated_predict, train_recalibration, units_for
 from .regression import (
     LinearModel,
     Quantification,
     catreg_fit,
+    model_predict,
     ols_fit,
     stepwise_fit,
 )
@@ -229,10 +230,16 @@ def load_config(
         if name not in source:
             raise ConfigError(f"config references unknown variable {name!r}")
     scaling = dict(regression.get("scaling", {}))
-    for name in scaling:
+    for name, level in scaling.items():
         if name not in candidates:
             raise ConfigError(
                 f"scaling level given for {name!r}, which is not a candidate"
+            )
+        spec = source[name]
+        # undeclared labels come in first-seen order, which orders nothing
+        if level == "ordinal" and spec.is_categorical and not spec.categories:
+            raise ConfigError(
+                f"ordinal scaling of {name!r} needs its categories declared in order"
             )
 
     filters = tuple(FilterRule(**entry) for entry in raw.get("filters", ()))
@@ -729,8 +736,8 @@ def _load_fitted(run: _Run) -> tuple[LinearModel, dict[str, Quantification]]:
 def _resubstitution_mmre(model, units, quants, data, response_transform):
     back = response_transform != "none"
     actual = raw_counts(data.columns[model.response], response_transform)
-    base = predict(model, data, quants, back_transform=back)
-    recal = predict(model, data, quants, units=units, back_transform=back)
+    base = model_predict(model, data, quants, back_transform=back)
+    recal = recalibrated_predict(model, units, data, quants, back_transform=back)
     return mmre(actual, base), mmre(actual, recal)
 
 
@@ -768,7 +775,6 @@ def _stage_recalibrate(run: _Run) -> dict:
                 "initial_gradient_norm": trace.initial_gradient_norm,
                 "initial_mse": trace.mse_path[0],
                 "final_mse": trace.mse_path[-1],
-                "final_gradient_norm": trace.final_gradient_norm,
             },
             "resubstitution_mmre": {
                 "baseline": before,

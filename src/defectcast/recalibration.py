@@ -14,15 +14,14 @@ is one exact linear least-squares solve: the minimum-norm correction from
 the identity start, which is where gradient descent from that start would
 converge.
 
-Prediction and training each run in two steps: ``encode`` turns a table
-into a design matrix and, with units, each categorical term's firing
-strengths; ``score`` and ``fit_consequents`` do the arithmetic on those
-arrays.  ``predict`` (``encode`` then ``score``) is the one place a
-prediction is computed from a table, with units (recalibrated) or without
-(baseline).  ``recalibrated_predict`` and ``regression.model_predict`` are
-its one-row forms: they resolve a row dict into a one-row table and score
-it here.  Resampling experiments encode their table once and hand row
-subsets of the arrays to ``score`` and ``fit_consequents`` directly.
+Prediction and training each run in two steps: ``regression.model_design``
+turns a table into a design matrix and ``routes_for`` adds each
+categorical term's firing strengths; ``score`` and ``fit_consequents`` do
+the arithmetic on those arrays.  ``recalibrated_predict`` scores every row
+of a table with units, as ``regression.model_predict`` does without them;
+both sum through ``regression.linear_score``.  Resampling experiments
+encode their table once and hand row subsets of the arrays to ``score``
+and ``fit_consequents`` directly.
 
 ``fit_consequents`` returns the consequents alone, since a resampling
 split reads nothing else.  ``train_recalibration`` runs the same solve and
@@ -45,9 +44,9 @@ from .regression import (
     LinearModel,
     Quantification,
     back_transform_array,
-    design_columns,
+    linear_score,
+    model_design,
     response_values,
-    row_table,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "init_nfa",
     "units_for",
     "train_recalibration",
-    "predict",
     "recalibrated_predict",
     "trained_quantification",
 ]
@@ -211,39 +209,18 @@ def routes_for(
     return routes
 
 
-def encode(
-    model: LinearModel,
-    ds: Dataset,
-    quantifications: dict[str, Quantification] | None = None,
-    units: list[Nfa] | None = None,
-) -> tuple[np.ndarray, Routes]:
-    """The encode step of ``predict`` and ``train_recalibration``: the
-    ``design_columns`` design of the model's terms and, with ``units``,
-    their routes.  Labels resolve through ``quantifications`` first, then
-    the model's fit-time codings."""
-    quantifications = quantifications or {}
-    quants = {
-        variable: quantifications.get(variable) or Quantification(variable, coding)
-        for variable, coding in model.codings.items()
-    }
-    design, _ = design_columns(ds, model.variables, quants)
-    if units is None:
-        return design, {}
-    return design, routes_for(design, model.variables, model.codings, units)
-
-
 def score(coefficients, design: np.ndarray, routes: Routes | None = None) -> np.ndarray:
-    """The linear predictor on an encoded design: ``coefficients[0]``,
-    then each term's coefficient times its column, in column order.  A
-    routed column is replaced by its unit's output, ``strengths @
-    consequents``."""
+    """The ``linear_score`` of an encoded design: ``coefficients[0]``, then
+    each term's coefficient times its column, in column order.  A routed
+    column is replaced by its unit's output, ``strengths @ consequents``."""
     routes = routes or {}
-    total = np.full(design.shape[0], coefficients[0])
-    for j in range(1, design.shape[1]):
+
+    def column(j: int) -> np.ndarray:
         route = routes.get(j)
-        values = design[:, j] if route is None else route[0] @ route[1]
-        total = total + coefficients[j] * values
-    return total
+        return design[:, j] if route is None else route[0] @ route[1]
+
+    terms = ((coefficients[j], column(j)) for j in range(1, design.shape[1]))
+    return linear_score(coefficients[0], terms, design.shape[0])
 
 
 class _ConsequentFit:
@@ -258,10 +235,12 @@ class _ConsequentFit:
         n = design.shape[0]
         if n == 0:
             raise DataError("no complete rows to train on")
-        base = np.full(n, coefficients[0])
-        for j in range(1, design.shape[1]):
-            if j not in routes:
-                base = base + coefficients[j] * design[:, j]
+        unrouted = (
+            (coefficients[j], design[:, j])
+            for j in range(1, design.shape[1])
+            if j not in routes
+        )
+        base = linear_score(coefficients[0], unrouted, n)
         blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
         self.base, self.y, self.routes = base, y, routes
         self.a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
@@ -307,9 +286,10 @@ def train_recalibration(
     nfas: list[Nfa],
     ds: Dataset,
 ) -> tuple[list[Nfa], TrainingTrace]:
-    """Least-squares consequents of every unit, solved exactly: ``encode``
-    on the complete rows with the fit-time codings, then the solve of
-    ``fit_consequents``, returned with its ``TrainingTrace``.
+    """Least-squares consequents of every unit, solved exactly: the
+    ``model_design`` of the complete rows with the fit-time codings and its
+    routes, then the solve of ``fit_consequents``, returned with its
+    ``TrainingTrace``.
 
     The prediction for a row is the model's linear form with each
     categorical term's value routed through its unit.  Premises are
@@ -333,7 +313,8 @@ def train_recalibration(
 
     data = listwise_complete(ds, [model.response, *model.variables])
     y = response_values(data, model.response)
-    design, routes = encode(model, data, units=nfas)
+    design = model_design(model, data)
+    routes = routes_for(design, model.variables, model.codings, nfas)
     fit = _ConsequentFit(_coefficients(model), design, y, routes)
     r0, r = fit.r0, fit.residual(fit.q)
     trace = TrainingTrace(
@@ -347,41 +328,28 @@ def train_recalibration(
     return trained, trace
 
 
-def predict(
+def recalibrated_predict(
     model: LinearModel,
+    units: list[Nfa],
     ds: Dataset,
     quantifications: dict[str, Quantification] | None = None,
-    units: list[Nfa] | None = None,
     back_transform: bool = False,
 ) -> np.ndarray:
-    """Predictions for every row of ``ds``: ``encode``, then ``score``.
+    """The model's prediction for every row of ``ds`` with each categorical
+    term's value routed through its unit: the ``model_design`` and its
+    routes, summed by ``score``.
 
-    The sum runs intercept first, then each term in model order.  With
-    ``units`` every categorical term's value passes through its unit
-    first; untrained units change nothing.  Labels resolve through
+    Untrained units change nothing, so with them this equals
+    ``regression.model_predict``.  Labels resolve through
     ``quantifications`` first, then the model's fit-time codings.  The
     back-transform runs per element through ``back_transform_array``.
     """
-    design, routes = encode(model, ds, quantifications, units)
+    design = model_design(model, ds, quantifications)
+    routes = routes_for(design, model.variables, model.codings, units)
     total = score(_coefficients(model), design, routes)
     if back_transform:
         return back_transform_array(total, model.response_transform)
     return total
-
-
-def recalibrated_predict(
-    model: LinearModel,
-    nfas: list[Nfa],
-    row: dict,
-    back_transform: bool = False,
-    quantifications: dict[str, Quantification] | None = None,
-) -> float:
-    """Model prediction on one row with categorical values routed through
-    their units: ``predict`` with ``nfas`` on the row's ``row_table``.
-    Labels resolve through ``quantifications`` first, then the model's
-    fit-time codings."""
-    table = row_table(model, quantifications, row)
-    return float(predict(model, table, units=nfas, back_transform=back_transform)[0])
 
 
 def trained_quantification(nfa: Nfa, quantification: Quantification) -> Quantification:

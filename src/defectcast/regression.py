@@ -7,19 +7,22 @@ order.  The optimal-scaling fit (``catreg_fit``) alternates OLS with
 per-category least-squares updates of the quantifications until R^2 stops
 improving; ordinal variables are projected monotone by pool-adjacent-
 violators inside each pass.
+
+Prediction scores whole tables.  ``model_predict`` sums a model's
+``model_design`` through ``linear_score``, the one loop that sums a linear
+predictor; ``recalibration`` scores through the same two.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ._errors import ConfigError, ConvergenceError, DataError, NumericalError
-from .dataset import Dataset, VariableSpec, listwise_complete, sample_sd
+from .dataset import Dataset, listwise_complete, sample_sd
 from .numerics import LeastSquaresSolution, solve_least_squares, t_cdf, unscaled_covariance
 
 __all__ = [
@@ -570,84 +573,69 @@ def catreg_fit(
 # ---------------------------------------------------------------------------
 
 
-def _back_transform(transform: str):
-    if transform == "ln":
-        return math.exp
-    if transform == "ln1p":
-        return math.expm1
-    raise DataError(
-        f"back-transform undefined for response transform {transform!r}"
-    )
-
-
-def back_transform_value(value: float, transform: str) -> float:
-    return _back_transform(transform)(value)
-
-
 def back_transform_array(values: np.ndarray, transform: str) -> np.ndarray:
-    """``back_transform_value`` element by element, for predictions and
-    actuals alike, so every count on the report comes from one formula.
-    ``math.exp``/``math.expm1`` on Python floats, not ``np.exp``: the two
-    differ in the last bit on a few percent of inputs."""
-    fn = _back_transform(transform)
+    """Model-scale values back on the count scale, element by element, for
+    predictions and actuals alike, so every count on the report comes from
+    one formula.  ``math.exp``/``math.expm1`` on Python floats, not
+    ``np.exp``: the two differ in the last bit on a few percent of inputs."""
+    if transform == "ln":
+        fn = math.exp
+    elif transform == "ln1p":
+        fn = math.expm1
+    else:
+        raise DataError(
+            f"back-transform undefined for response transform {transform!r}"
+        )
     return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
-def row_value(
-    codings: dict[str, dict[str, float]],
-    quantifications: dict[str, Quantification] | None,
-    row: dict,
-    variable: str,
-) -> float:
-    """Model-scale value of one variable on one row: a number as given, a
-    label through ``quantifications`` first, then ``codings`` (a model's
-    fit-time codings).  A missing value, None or NaN, raises DataError, and
-    so does a value that is neither a label nor a real number."""
-    if variable not in row:
-        raise DataError(f"row is missing model variable {variable!r}")
-    raw = row[variable]
-    if not isinstance(raw, str):
-        if raw is not None and not isinstance(raw, numbers.Real):
-            raise DataError(
-                f"value {raw!r} of {variable!r} is neither a label nor a number"
-            )
-        if raw is None or math.isnan(raw):
-            raise DataError(f"missing value for variable {variable!r}")
-        return float(raw)
-    quant = (quantifications or {}).get(variable)
-    mapping = quant.mapping if quant is not None else codings.get(variable)
-    if mapping is None or raw not in mapping:
-        raise DataError(f"no quantification value for category {raw!r} of {variable!r}")
-    return float(mapping[raw])
+def model_design(
+    model: LinearModel,
+    ds: Dataset,
+    quantifications: dict[str, Quantification] | None = None,
+) -> np.ndarray:
+    """The ``design_columns`` design of the model's terms on every row of
+    ``ds``.  Labels resolve through ``quantifications`` first, then the
+    model's fit-time codings.  A missing cell raises DataError naming its
+    variable, so no prediction comes back NaN."""
+    for name in model.variables:
+        if ds.spec(name).kind == "numeric" and np.isnan(ds.columns[name]).any():
+            raise DataError(f"missing value in numeric variable {name!r}")
+    quantifications = quantifications or {}
+    quants = {
+        variable: quantifications.get(variable) or Quantification(variable, coding)
+        for variable, coding in model.codings.items()
+    }
+    design, _ = design_columns(ds, model.variables, quants)
+    return design
 
 
-def row_table(model: LinearModel, quantifications, row: dict) -> Dataset:
-    """One-row table with a numeric column per model term holding its
-    ``row_value``.  Its response column is missing, and keeps the row
-    count at one when the model has no terms."""
-    values = [row_value(model.codings, quantifications, row, v) for v in model.variables]
-    schema = [VariableSpec(model.response, "response", "numeric")]
-    schema += [VariableSpec(v, "predictor", "numeric") for v in model.variables]
-    columns = {s.name: np.array([v]) for s, v in zip(schema, [math.nan, *values])}
-    return Dataset(schema, columns)
+def linear_score(intercept: float, terms, rows: int) -> np.ndarray:
+    """The linear predictor on ``rows`` rows: ``intercept``, then each
+    ``(coefficient, column)`` of ``terms`` added in order.  Every
+    prediction is summed here."""
+    total = np.full(rows, intercept)
+    for coefficient, column in terms:
+        total = total + coefficient * column
+    return total
 
 
 def model_predict(
     model: LinearModel,
-    quantifications: dict[str, Quantification] | None,
-    row: dict,
+    ds: Dataset,
+    quantifications: dict[str, Quantification] | None = None,
     back_transform: bool = False,
-) -> float:
-    """Evaluate the linear predictor on one row: ``recalibration.predict``
-    without units on the row's ``row_table``.
+) -> np.ndarray:
+    """The model's prediction for every row of ``ds``: its
+    ``model_design``, summed by ``linear_score``.
 
-    ``row`` maps variable names to numeric values (modeling scale) or, for
-    categorical terms, category labels.  Labels are resolved through the
-    supplied quantifications first, then the model's fit-time codings.  With
-    ``back_transform`` the ln-scale prediction is exponentiated back to a
-    raw count, which requires a log-transformed response.
+    With ``back_transform`` the ln-scale predictions go back to raw counts
+    through ``back_transform_array``, which requires a log-transformed
+    response.
     """
-    from .recalibration import predict  # recalibration imports this module
-
-    table = row_table(model, quantifications, row)
-    return float(predict(model, table, back_transform=back_transform)[0])
+    design = model_design(model, ds, quantifications)
+    terms = ((t.coefficient, design[:, j]) for j, t in enumerate(model.terms, start=1))
+    total = linear_score(model.intercept, terms, ds.row_count)
+    if back_transform:
+        return back_transform_array(total, model.response_transform)
+    return total

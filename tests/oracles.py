@@ -33,13 +33,6 @@ def _integrate(fn, lo, hi, panels=48):
     return total
 
 
-def normal_cdf_by_integration(x: float) -> float:
-    dens = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    if x >= 0:
-        return 0.5 + _integrate(dens, 0.0, x)
-    return 0.5 - _integrate(dens, x, 0.0)
-
-
 def t_cdf_by_integration(x: float, df: float) -> float:
     c = math.exp(math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)) / math.sqrt(
         df * math.pi
@@ -488,20 +481,24 @@ def nfa_eval(nfa, value: float) -> float:
 
 def one_row_prediction(model, row, quantifications=None, nfas=None, back_transform=False):
     """The linear predictor summed on one row dict in plain Python floats:
-    intercept, then each term in model order, with each categorical value
-    routed through its unit when ``nfas`` is given.  The reference that
-    ``recalibration.predict`` and its one-row forms must equal with ``==``."""
-    from defectcast.regression import back_transform_value, row_value
-
+    intercept, then each term in model order.  A label reads its value from
+    ``quantifications`` first, then the model's fit-time codings; with
+    ``nfas`` each categorical value is routed through its unit.  The
+    reference that ``model_predict`` and ``recalibrated_predict`` must equal
+    with ``==``."""
+    quantifications = quantifications or {}
     by_var = None if nfas is None else {nfa.variable: nfa for nfa in nfas}
     total = model.intercept
     for term in model.terms:
-        value = row_value(model.codings, quantifications, row, term.variable)
+        value = row[term.variable]
+        if isinstance(value, str):
+            quant = quantifications.get(term.variable)
+            value = (quant.mapping if quant else model.codings[term.variable])[value]
         if by_var is not None and term.variable in model.codings:
             value = nfa_eval(by_var[term.variable], value)
         total += term.coefficient * value
     if back_transform:
-        return back_transform_value(total, model.response_transform)
+        return {"ln": math.exp, "ln1p": math.expm1}[model.response_transform](total)
     return total
 
 
@@ -548,7 +545,8 @@ def _split_row(label, model, trained, data, indices, plan):
     """One split's report row, scored on its own table of test rows with
     one ``mmre`` and one ``pred_at`` call per number."""
     from defectcast.evaluation import ExperimentRow, _improvement, mmre, pred_at, raw_counts
-    from defectcast.recalibration import predict
+    from defectcast.recalibration import recalibrated_predict
+    from defectcast.regression import model_predict
 
     back = plan.response_transform != "none"
     test = data.take(indices)
@@ -556,8 +554,10 @@ def _split_row(label, model, trained, data, indices, plan):
     actuals = raw_counts(test.columns[plan.response], plan.response_transform)
     include_pred = len(indices) >= plan.min_test_for_pred
     scores = []
-    for units in (None, trained):
-        preds = predict(model, test, quants, units=units, back_transform=back)
+    for preds in (
+        model_predict(model, test, quants, back_transform=back),
+        recalibrated_predict(model, trained, test, quants, back_transform=back),
+    ):
         error = mmre(actuals, preds)
         pred = (
             {m: pred_at(actuals, preds, m) for m in plan.pred_thresholds}

@@ -31,7 +31,7 @@ from defectcast.evaluation import (
     pred_at,
     quantification_from_labels,
 )
-from defectcast.goldens import reference_model, reference_prediction
+from defectcast.goldens import reference_prediction
 from defectcast.modeltree import fit_model_tree
 from defectcast.numerics import studentized_range_cdf
 from defectcast.pipeline import load_config, run_pipeline
@@ -44,7 +44,6 @@ from defectcast.recalibration import (
 from defectcast.regression import (
     Quantification,
     catreg_fit,
-    model_predict,
     ols_fit,
     stepwise_fit,
 )
@@ -63,12 +62,10 @@ def test_01_reference_prediction_anchor():
     assert 0.95 <= value <= 1.05
     extreme = reference_prediction(20000.0, 1.35, "Enhancement")
     assert math.isfinite(extreme) and extreme > 0.0
-    model = reference_model()
-    row = {"fp": math.log(18.0), "vaf": 0.65, "dev_type": "New Development"}
-    model_predict(model, {}, row, back_transform=True)  # warm
+    reference_prediction(18.0, 0.65, "New Development")  # warm
     start = time.perf_counter()
     for _ in range(1000):
-        model_predict(model, {}, row, back_transform=True)
+        reference_prediction(18.0, 0.65, "New Development")
     per_call = (time.perf_counter() - start) / 1000
     assert per_call < 1e-3
 

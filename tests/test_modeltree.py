@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from defectcast._errors import ConfigError, DataError
 from defectcast.dataset import Dataset, VariableSpec
 from defectcast import modeltree
-from defectcast.modeltree import fit_model_tree, predict_tree
-from defectcast.regression import Quantification, ols_fit
+from defectcast.modeltree import fit_model_tree
+from defectcast.regression import Quantification, model_predict, ols_fit
 
 import oracles
-from test_regression import make_dataset, numeric_schema
+from test_regression import make_dataset, numeric_schema, rows_table
 
 
 def collect_nodes(node, out=None):
@@ -26,6 +26,23 @@ def collect_nodes(node, out=None):
         collect_nodes(node.left, out)
         collect_nodes(node.right, out)
     return out
+
+
+def leaf_predictions(node, ds):
+    """Each row's prediction by the model of the leaf its values reach,
+    for a tree whose splits are all thresholds on numeric columns."""
+    preds = np.empty(ds.row_count)
+
+    def route(node, rows):
+        if node.is_leaf:
+            preds[rows] = model_predict(node.model, ds.take(rows))
+            return
+        left = ds.columns[node.variable][rows] < node.threshold
+        route(node.left, rows[left])
+        route(node.right, rows[~left])
+
+    route(node, np.arange(ds.row_count))
+    return preds
 
 
 class TestRootSplitOracle:
@@ -118,7 +135,7 @@ class TestGrowth:
         assert 4.5 < tree.root.threshold < 5.5
         grid = np.linspace(0.2, 9.8, 60)
         truth = np.where(grid < 5.0, grid, 10.0 + 3.0 * (grid - 5.0))
-        preds = np.array([predict_tree(tree, {"x": float(g)}) for g in grid])
+        preds = leaf_predictions(tree.root, rows_table([{"x": g} for g in grid], ds.schema))
         # a few grid points straddle the fitted cut; judge the bulk
         inside = np.abs(grid - tree.root.threshold) > 0.3
         assert np.max(np.abs(preds[inside] - truth[inside])) < 0.5
@@ -148,12 +165,7 @@ class TestGrowth:
             numeric_schema("y", "x1", "x2"),
         )
         tree = fit_model_tree(ds, "y", ["x1", "x2"])
-        preds = np.array(
-            [
-                predict_tree(tree, {"x1": float(a), "x2": float(b)})
-                for a, b in zip(x1, x2)
-            ]
-        )
+        preds = leaf_predictions(tree.root, ds)
         tree_rss = float(((y - preds) ** 2).sum())
         flat = ols_fit(ds, "y", ["x1", "x2"])
         coef = np.array([flat.intercept] + [t.coefficient for t in flat.terms])
@@ -181,7 +193,8 @@ class TestGrowth:
         )
         tree = fit_model_tree(ds, "y", ["x"], min_leaf_size=6)
         assert tree.leaf_count == 1
-        assert predict_tree(tree, {"x": 3.0}) == pytest.approx(3.0, abs=1e-8)
+        at_3 = model_predict(tree.root.model, rows_table([{"x": 3.0}], ds.schema))
+        assert at_3[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_constant_response_single_mean_leaf(self):
         ds = make_dataset(
@@ -189,7 +202,7 @@ class TestGrowth:
         )
         tree = fit_model_tree(ds, "y", ["x"])
         assert tree.leaf_count == 1
-        assert predict_tree(tree, {"x": 100.0}) == 2.5
+        assert model_predict(tree.root.model, rows_table([{"x": 100.0}], ds.schema))[0] == 2.5
 
     def test_duplicate_predictor_tie_breaks_low_index(self):
         rng = np.random.default_rng(13)
@@ -226,8 +239,9 @@ class TestGrowth:
         tree = fit_model_tree(ds, "y", ["vaf"], quantifications=quant, min_leaf_size=10)
         assert tree.root.threshold is not None
         assert tree.root.left_labels is None
-        got = predict_tree(tree, {"vaf": "1.35"}, quantifications=quant)
-        assert got == pytest.approx(8.0 * 1.35, abs=0.5)
+        # leaf models take vaf by its quantified value
+        got = leaf_predictions(tree.root, rows_table([{"vaf": 1.35}], numeric_schema("y", "vaf")))
+        assert got[0] == pytest.approx(8.0 * 1.35, abs=0.5)
 
 
 class TestTreeApi:
@@ -262,45 +276,6 @@ class TestTreeApi:
         back = json.loads(blob)
         assert back["root"]["kind"] == "split"
         assert back["leaf_count"] == self._tree().leaf_count
-
-    def test_missing_split_variable(self):
-        tree = self._tree()
-        with pytest.raises(DataError, match="missing split variable"):
-            predict_tree(tree, {"g": "a"})
-
-    @pytest.mark.parametrize("missing", [None, math.nan])
-    def test_missing_value_at_threshold_split(self, missing):
-        # None raised TypeError from float(); NaN routed right and predicted NaN
-        tree = self._tree()
-        assert tree.root.variable == "x" and tree.root.threshold is not None
-        with pytest.raises(DataError, match="missing value for variable 'x'"):
-            predict_tree(tree, {"x": missing, "g": "a"})
-
-    @pytest.mark.parametrize("value", [b"7", [7.0]], ids=["bytes", "list"])
-    def test_value_neither_label_nor_number_at_threshold_split(self, value):
-        # bytes and lists raised TypeError from math.isnan
-        tree = self._tree()
-        assert tree.root.variable == "x" and tree.root.threshold is not None
-        with pytest.raises(DataError, match="of 'x' is neither a label nor a number"):
-            predict_tree(tree, {"x": value, "g": "a"})
-
-    def test_unseen_category_at_subset_split(self):
-        rng = np.random.default_rng(23)
-        n = 60
-        labels = ["a", "b", "c"]
-        codes = rng.integers(0, 3, n)
-        y = np.array([0.0, 0.1, 4.0])[codes] + rng.normal(0, 0.1, n)
-        ds = make_dataset(
-            {"y": y.tolist(), "g": [labels[c] for c in codes]},
-            [
-                VariableSpec("y", "response", "numeric"),
-                VariableSpec("g", "predictor", "categorical", categories=("a", "b", "c", "d")),
-            ],
-        )
-        # category d declared but never observed
-        with pytest.raises(DataError, match="zero training rows|not seen"):
-            tree = fit_model_tree(ds, "y", ["g"], min_leaf_size=6)
-            predict_tree(tree, {"g": "d"})
 
     def test_no_predictors_rejected(self):
         ds = make_dataset({"y": [1.0, 2.0], "x": [1.0, 2.0]}, numeric_schema("y", "x"))

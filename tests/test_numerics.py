@@ -15,7 +15,6 @@ from defectcast.numerics import (
     RandomStream,
     f_cdf,
     min_norm_least_squares,
-    normal_quantile,
     solve_least_squares,
     studentized_range_cdf,
     t_cdf,
@@ -315,18 +314,6 @@ def test_package_uses_no_numpy_linalg():
         if pattern.search(line)
     ]
     assert offenders == []
-
-
-class TestNormalCdf:
-    def test_quantile_round_trip(self):
-        for p in [0.001, 0.2, 0.5, 0.8, 0.999]:
-            assert abs(oracles.normal_cdf_by_integration(normal_quantile(p)) - p) < 1e-12
-
-    def test_quantile_domain(self):
-        with pytest.raises(NumericalError):
-            normal_quantile(0.0)
-        with pytest.raises(NumericalError):
-            normal_quantile(1.0)
 
 
 class TestTCdf:

@@ -178,6 +178,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="synthetic source takes no 'schema'"):
             load_config(write_config(tmp_path, config))
 
+    def test_ordinal_scaling_needs_declared_categories(self, tmp_path):
+        # undeclared labels come in first-seen order, so an ordinal scaling
+        # of them moved with the row order of the CSV
+        config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
+        config["data"]["path"] = str(FIXTURES / "projects.csv")
+        vaf = next(entry for entry in config["schema"] if entry["name"] == "vaf")
+        del vaf["categories"]
+        with pytest.raises(ConfigError, match="ordinal scaling of 'vaf' needs its categories"):
+            load_config(write_config(tmp_path, config))
+        config["regression"]["scaling"]["vaf"] = "nominal"
+        assert load_config(write_config(tmp_path, config)).scaling["vaf"] == "nominal"
+
     def test_unknown_variable_references_rejected(self, tmp_path):
         config = small_config()
         config["regression"]["candidates"] = ["fp", "nonexistent"]
@@ -695,9 +707,10 @@ class TestSummary:
         assert "recalibration: MMRE" in text
         assert "epoch" not in text
         # an exact solve either returns or raises, so a solve count and an
-        # always-true flag would say nothing
+        # always-true flag would say nothing, and the gradient it leaves is
+        # rounding residue with no stable digits
         assert sorted(report["recalibration"]["training"]) == [
-            "final_gradient_norm", "final_mse", "initial_gradient_norm", "initial_mse",
+            "final_mse", "initial_gradient_norm", "initial_mse",
         ]
 
 

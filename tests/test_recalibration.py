@@ -13,7 +13,6 @@ from defectcast.recalibration import (
     TrainingTrace,
     firing_strengths,
     init_nfa,
-    predict,
     recalibrated_predict,
     train_recalibration,
     trained_quantification,
@@ -22,7 +21,7 @@ from defectcast.recalibration import (
 from defectcast.regression import Quantification, model_predict, ols_fit
 
 import oracles
-from test_regression import make_dataset
+from test_regression import make_dataset, numeric_schema, rows_table
 
 
 VAF_LEVELS = {"0.65": 0.65, "0.90": 0.90, "1.00": 1.00, "1.10": 1.10, "1.35": 1.35}
@@ -287,8 +286,8 @@ class TestTraining:
         one_row = ds.take([0])
         nfas = [init_nfa(quant)]
         trained, _ = train_recalibration(model, nfas, one_row)
-        got = recalibrated_predict(model, trained, {"vaf": "lo"})
-        assert got == pytest.approx(5.0, abs=1e-12)
+        got = recalibrated_predict(model, trained, one_row)
+        assert got[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def _two_unit_setup(seed=61, n=300):
@@ -393,64 +392,58 @@ class TestExactSolve:
 
 class TestRecalibratedPredict:
     def test_untrained_equals_model_predict(self):
-        model, nfas, _, quant = _training_setup(seed=29)
+        model, nfas, ds, quant = _training_setup(seed=29)
         rng = np.random.default_rng(31)
         labels = list(quant.mapping)
-        for _ in range(1000):
-            row = {
-                "x": float(rng.normal()),
-                "vaf": labels[int(rng.integers(0, 3))],
-            }
-            a = model_predict(model, None, row)
-            b = recalibrated_predict(model, nfas, row)
-            assert a == b
+        rows = [
+            {"x": float(rng.normal()), "vaf": labels[int(rng.integers(0, 3))]}
+            for _ in range(1000)
+        ]
+        table = rows_table(rows, ds.schema)
+        a = model_predict(model, table)
+        b = recalibrated_predict(model, nfas, table)
+        assert a.tolist() == b.tolist()
 
     def test_trained_improves_training_mmre(self):
         model, nfas, ds, quant = _training_setup(seed=37, shift={"1.00": 0.3})
         trained, _ = train_recalibration(model, nfas, ds)
         y = ds.columns["y"].astype(float)
-        rows = [
-            {"x": float(ds.columns["x"][i]), "vaf": ds.labels("vaf")[i]}
-            for i in range(ds.row_count)
-        ]
-        def mmre(predict_fn):
-            errs = [
-                abs(y[i] - predict_fn(rows[i])) / abs(y[i]) for i in range(len(rows))
-            ]
-            return sum(errs) / len(errs)
 
-        before = mmre(lambda r: recalibrated_predict(model, nfas, r))
-        after = mmre(lambda r: recalibrated_predict(model, trained, r))
-        assert after <= before
+        def mmre(units):
+            return float(np.mean(np.abs(y - recalibrated_predict(model, units, ds)) / np.abs(y)))
+
+        assert mmre(trained) <= mmre(nfas)
 
     def test_back_transform(self):
         model, nfas, ds, quant = _training_setup(seed=41)
         lnmodel = ols_fit(ds, "y", ["x", "vaf"], {"vaf": quant}, response_transform="ln")
-        lin = recalibrated_predict(lnmodel, nfas, {"x": 0.5, "vaf": "1.00"})
-        raw = recalibrated_predict(
-            lnmodel, nfas, {"x": 0.5, "vaf": "1.00"}, back_transform=True
-        )
-        assert raw == pytest.approx(math.exp(lin), rel=1e-12)
+        table = rows_table([{"x": 0.5, "vaf": "1.00"}], ds.schema)
+        lin = recalibrated_predict(lnmodel, nfas, table)
+        raw = recalibrated_predict(lnmodel, nfas, table, back_transform=True)
+        assert raw[0] == pytest.approx(math.exp(lin[0]), rel=1e-12)
 
     def test_missing_unit_raises(self):
-        model, _, _, _ = _training_setup()
+        model, _, ds, _ = _training_setup()
+        table = rows_table([{"x": 0.0, "vaf": "1.00"}], ds.schema)
         with pytest.raises(DataError, match="missing recalibration unit"):
-            recalibrated_predict(model, [], {"x": 0.0, "vaf": "1.00"})
+            recalibrated_predict(model, [], table)
 
     @pytest.mark.parametrize("missing", [None, math.nan])
     @pytest.mark.parametrize("variable", ["x", "vaf"])
     def test_missing_value_names_variable(self, variable, missing):
-        model, nfas, _, _ = _training_setup()
-        row = {"x": 0.0, "vaf": "1.00", variable: missing}
-        with pytest.raises(DataError, match=f"missing value for variable '{variable}'"):
-            recalibrated_predict(model, nfas, row)
+        model, nfas, ds, _ = _training_setup()
+        rows = [{"x": 0.0, "vaf": "1.00"}, {"x": 0.0, "vaf": "1.00", variable: missing}]
+        with pytest.raises(DataError, match=f"missing value in .* variable '{variable}'"):
+            recalibrated_predict(model, nfas, rows_table(rows, ds.schema))
 
     def test_numeric_input_routed_through_unit(self):
-        model, nfas, _, quant = _training_setup()
+        model, nfas, ds, quant = _training_setup()
         trained = [nfas[0].with_consequents([0.1, 0.2, 0.3])]
-        via_label = recalibrated_predict(model, trained, {"x": 0.0, "vaf": "1.00"})
-        via_value = recalibrated_predict(model, trained, {"x": 0.0, "vaf": 1.00})
-        assert via_label == via_value
+        labels = rows_table([{"x": 0.0, "vaf": "1.00"}], ds.schema)
+        values = rows_table([{"x": 0.0, "vaf": 1.00}], numeric_schema("y", "x", "vaf"))
+        via_label = recalibrated_predict(model, trained, labels)
+        via_value = recalibrated_predict(model, trained, values)
+        assert via_label[0] == via_value[0]
 
 
 def _mixed_setup(transform, seed=53, n=80):
@@ -490,11 +483,13 @@ class TestBatchPredict:
     @pytest.mark.parametrize("transform", ["ln", "ln1p"])
     @pytest.mark.parametrize("back", [False, True])
     def test_equals_one_row_wrappers_exactly(self, transform, back):
+        # each row's prediction on a one-row table of its own equals the
+        # plain-float oracle, and so does the whole table's where the units
+        # fire one-hot (at labels); between anchors a matrix-vector product
+        # over many rows may round its sums differently from one row's
         model, quants, trained, ds = _mixed_setup(transform)
         assert [u.variable for u in trained] == ["kind", "vaf"]
         assert any(u.consequents != u.input_anchors for u in trained)
-        base = predict(model, ds, quants, back_transform=back)
-        recal = predict(model, ds, quants, units=trained, back_transform=back)
         kind, vaf = ds.labels("kind"), ds.labels("vaf")
         rows = [
             {"x": float(ds.columns["x"][i]), "kind": kind[i], "vaf": vaf[i]}
@@ -502,24 +497,29 @@ class TestBatchPredict:
         ]
         # numbers for the categorical terms, between and beyond the anchors
         rng = np.random.default_rng(59)
-        rows += [
+        numbers = [
             {"x": float(x), "kind": float(k), "vaf": float(v)}
             for x, k, v in zip(
                 rng.normal(size=40), rng.uniform(-0.5, 1.5, 40), rng.uniform(0.3, 1.7, 40)
             )
         ]
-        for i, row in enumerate(rows):
-            want = oracles.one_row_prediction(model, row, quants, back_transform=back)
-            want_recal = oracles.one_row_prediction(
-                model, row, quants, nfas=trained, back_transform=back
-            )
-            assert model_predict(model, quants, row, back_transform=back) == want
-            assert want_recal == recalibrated_predict(
-                model, trained, row, back_transform=back, quantifications=quants
-            )
-            if i < ds.row_count:
-                assert base[i] == want and recal[i] == want_recal
-        assert not np.array_equal(base, recal)
+        numeric = rows_table(numbers, numeric_schema("y", "x", "kind", "vaf"))
+        for table, table_rows in ((ds, rows), (numeric, numbers)):
+            base = model_predict(model, table, quants, back_transform=back)
+            recal = recalibrated_predict(model, trained, table, quants, back_transform=back)
+            for i, row in enumerate(table_rows):
+                want = oracles.one_row_prediction(model, row, quants, back_transform=back)
+                want_recal = oracles.one_row_prediction(
+                    model, row, quants, nfas=trained, back_transform=back
+                )
+                if table is ds:
+                    assert base[i] == want and recal[i] == want_recal
+                one_row = table.take([i])
+                assert model_predict(model, one_row, quants, back_transform=back)[0] == want
+                assert want_recal == recalibrated_predict(
+                    model, trained, one_row, quants, back_transform=back
+                )[0]
+            assert not np.array_equal(base, recal)
 
     @pytest.mark.parametrize("back", [False, True])
     def test_intercept_only_model(self, back):
@@ -531,31 +531,38 @@ class TestBatchPredict:
         )
         want = oracles.one_row_prediction(model, {}, back_transform=back)
         assert want == (math.exp(1.25) if back else 1.25)
-        assert model_predict(model, None, {}, back_transform=back) == want
-        assert recalibrated_predict(model, [], {}, back_transform=back) == want
         _, _, _, ds = _mixed_setup("ln")
-        batch = predict(model, ds, back_transform=back)
-        assert batch.tolist() == [want] * ds.row_count
+        for table in (ds.take([0]), ds):
+            assert model_predict(model, table, back_transform=back).tolist() == [want] * table.row_count
+            assert recalibrated_predict(model, [], table, back_transform=back).tolist() == (
+                [want] * table.row_count
+            )
 
     def test_untrained_units_equal_baseline(self):
         model, quants, _, ds = _mixed_setup("ln")
-        base = predict(model, ds, quants)
-        assert np.array_equal(predict(model, ds, quants, units=units_for(model.codings, quants)), base)
+        base = model_predict(model, ds, quants)
+        untrained = units_for(model.codings, quants)
+        assert np.array_equal(recalibrated_predict(model, untrained, ds, quants), base)
 
     def test_missing_unit_raises(self):
         model, quants, trained, ds = _mixed_setup("ln")
         with pytest.raises(DataError, match="missing recalibration unit.*'vaf'"):
-            predict(model, ds, quants, units=trained[:1])
+            recalibrated_predict(model, trained[:1], ds, quants)
 
     def test_unmapped_category_message_matches_one_row_path(self):
-        model, _, _, ds = _mixed_setup("ln")
+        model, _, trained, ds = _mixed_setup("ln")
         partial = {"vaf": Quantification("vaf", {"0.65": 0.65, "1.35": 1.35})}
-        with pytest.raises(DataError) as one_row:
-            model_predict(model, partial, {"x": 0.0, "kind": "base", "vaf": "1.00"})
-        with pytest.raises(DataError) as batch:
-            predict(model, ds, partial)
-        assert str(batch.value) == str(one_row.value)
-        assert str(batch.value) == "no quantification value for category '1.00' of 'vaf'"
+        one_row = ds.take([ds.labels("vaf").index("1.00")])
+        with pytest.raises(DataError) as one:
+            model_predict(model, one_row, partial)
+        assert str(one.value) == "no quantification value for category '1.00' of 'vaf'"
+        for predict in (
+            lambda: model_predict(model, ds, partial),
+            lambda: recalibrated_predict(model, trained, ds, partial),
+        ):
+            with pytest.raises(DataError) as batch:
+                predict()
+            assert str(batch.value) == str(one.value)
 
     def test_missing_category_raises(self):
         model, quants, _, ds = _mixed_setup("ln")
@@ -571,7 +578,7 @@ class TestBatchPredict:
             ds.schema,
         )
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
-            predict(model, holed, quants)
+            model_predict(model, holed, quants)
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
             holed.encode("vaf", quants["vaf"].mapping)
 

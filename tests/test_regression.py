@@ -13,7 +13,6 @@ from defectcast.numerics import solve_least_squares, t_cdf
 from defectcast.regression import (
     Quantification,
     back_transform_array,
-    back_transform_value,
     catreg_fit,
     model_predict,
     ols_fit,
@@ -24,6 +23,8 @@ import oracles
 
 
 def make_dataset(columns, schema):
+    """A table loaded from CSV text of ``columns``; None or NaN is an empty
+    (missing) cell."""
     names = [s.name for s in schema]
     lines = [",".join(names)]
     n = len(columns[names[0]])
@@ -31,9 +32,18 @@ def make_dataset(columns, schema):
         cells = []
         for s in schema:
             v = columns[s.name][i]
-            cells.append(v if isinstance(v, str) else repr(float(v)))
+            if isinstance(v, str):
+                cells.append(v)
+            else:
+                cells.append("" if v is None or math.isnan(v) else repr(float(v)))
         lines.append(",".join(cells))
     return load_csv(io.StringIO("\n".join(lines) + "\n"), schema)
+
+
+def rows_table(rows, schema):
+    """A table of row dicts over ``schema``; a variable a row leaves out is
+    a missing cell."""
+    return make_dataset({s.name: [row.get(s.name) for row in rows] for s in schema}, schema)
 
 
 def numeric_schema(*names):
@@ -255,6 +265,13 @@ class TestOlsFit:
         assert model.n == 4
 
 
+KIND_SCHEMA = [
+    VariableSpec("y", "response", "numeric"),
+    VariableSpec("size", "predictor", "numeric"),
+    VariableSpec("kind", "predictor", "binary", categories=("base", "extra")),
+]
+
+
 class TestModelPredict:
     def _model(self):
         rng = np.random.default_rng(31)
@@ -267,63 +284,61 @@ class TestModelPredict:
             "size": x.tolist(),
             "kind": ["base" if f == 0 else "extra" for f in flag],
         }
-        schema = [
-            VariableSpec("y", "response", "numeric"),
-            VariableSpec("size", "predictor", "numeric"),
-            VariableSpec("kind", "predictor", "binary", categories=("base", "extra")),
-        ]
-        return ols_fit(make_dataset(cols, schema), "y", ["size", "kind"],
+        return ols_fit(make_dataset(cols, KIND_SCHEMA), "y", ["size", "kind"],
                        response_transform="ln")
 
     def test_linear_predictor(self):
         model = self._model()
-        got = model_predict(model, None, {"size": 2.0, "kind": "extra"})
+        rows = [{"size": 2.0, "kind": "extra"}, {"size": -1.0, "kind": "base"}]
+        got = model_predict(model, rows_table(rows, KIND_SCHEMA))
         want = model.intercept + model.term("size").coefficient * 2.0
         want += model.term("kind").coefficient * 1.0
-        assert abs(got - want) < 1e-12
+        assert abs(got[0] - want) < 1e-12
+        assert abs(got[1] - (model.intercept - model.term("size").coefficient)) < 1e-12
 
     def test_back_transform_is_exp(self):
         model = self._model()
-        lin = model_predict(model, None, {"size": 1.3, "kind": "base"})
-        raw = model_predict(model, None, {"size": 1.3, "kind": "base"}, back_transform=True)
-        assert raw == pytest.approx(math.exp(lin), rel=1e-12)
+        table = rows_table([{"size": 1.3, "kind": "base"}], KIND_SCHEMA)
+        lin = model_predict(model, table)
+        raw = model_predict(model, table, back_transform=True)
+        assert raw[0] == pytest.approx(math.exp(lin[0]), rel=1e-12)
 
     def test_numeric_value_bypasses_coding(self):
+        # a numeric column for a categorical term is used as given
         model = self._model()
-        via_label = model_predict(model, None, {"size": 0.0, "kind": "extra"})
-        via_value = model_predict(model, None, {"size": 0.0, "kind": 1.0})
-        assert via_label == via_value
+        labels = rows_table([{"size": 0.0, "kind": "extra"}], KIND_SCHEMA)
+        values = rows_table([{"size": 0.0, "kind": 1.0}], numeric_schema("y", "size", "kind"))
+        assert model_predict(model, labels)[0] == model_predict(model, values)[0]
 
     def test_quantification_overrides_coding(self):
         model = self._model()
         quant = Quantification("kind", {"base": 0.0, "extra": 5.0})
-        got = model_predict(model, {"kind": quant}, {"size": 0.0, "kind": "extra"})
+        table = rows_table([{"size": 0.0, "kind": "extra"}], KIND_SCHEMA)
+        got = model_predict(model, table, {"kind": quant})
         want = model.intercept + model.term("kind").coefficient * 5.0
-        assert abs(got - want) < 1e-12
+        assert abs(got[0] - want) < 1e-12
 
     def test_missing_variable(self):
-        with pytest.raises(DataError, match="missing model variable"):
-            model_predict(self._model(), None, {"size": 1.0})
+        table = rows_table([{"size": 1.0}], numeric_schema("y", "size"))
+        with pytest.raises(DataError, match="unknown variable 'kind'"):
+            model_predict(self._model(), table)
 
     def test_unknown_label(self):
-        with pytest.raises(DataError, match="no quantification value"):
-            model_predict(self._model(), None, {"size": 1.0, "kind": "other"})
+        schema = KIND_SCHEMA[:2] + [
+            VariableSpec("kind", "predictor", "categorical", categories=("base", "other"))
+        ]
+        table = rows_table([{"size": 1.0, "kind": "other"}], schema)
+        with pytest.raises(DataError, match="no quantification value for category 'other'"):
+            model_predict(self._model(), table)
 
     @pytest.mark.parametrize("missing", [None, math.nan])
     @pytest.mark.parametrize("variable", ["size", "kind"])
     def test_missing_value_names_variable(self, variable, missing):
-        # None raised TypeError from float(); NaN came back as a NaN prediction
-        row = {"size": 1.0, "kind": "base", variable: missing}
-        with pytest.raises(DataError, match=f"missing value for variable '{variable}'"):
-            model_predict(self._model(), None, row)
-
-    @pytest.mark.parametrize("value", [b"extra", ["extra"]], ids=["bytes", "list"])
-    @pytest.mark.parametrize("variable", ["size", "kind"])
-    def test_value_neither_label_nor_number(self, variable, value):
-        # bytes and lists raised TypeError from math.isnan
-        row = {"size": 1.0, "kind": "base", variable: value}
-        with pytest.raises(DataError, match=f"of '{variable}' is neither a label"):
-            model_predict(self._model(), None, row)
+        # a missing cell raises, numeric or categorical: a NaN size does not
+        # come back as a NaN prediction
+        rows = [{"size": 1.0, "kind": "base"}, {"size": 1.0, "kind": "base", variable: missing}]
+        with pytest.raises(DataError, match=f"missing value in .* variable '{variable}'"):
+            model_predict(self._model(), rows_table(rows, KIND_SCHEMA))
 
     @pytest.mark.parametrize("transform", ["ln", "ln1p"])
     def test_back_transform_array_equals_element_loop(self, transform):
@@ -331,7 +346,8 @@ class TestModelPredict:
         values = np.concatenate(
             [rng.normal(0.0, 4.0, 5000), [0.0, -0.0, 1e-300, -1e-17, 709.0, -745.5]]
         )
-        loop = np.array([back_transform_value(v, transform) for v in values.tolist()])
+        fn = {"ln": math.exp, "ln1p": math.expm1}[transform]
+        loop = np.array([fn(v) for v in values.tolist()])
         got = back_transform_array(values, transform)
         assert got.dtype == loop.dtype and got.shape == loop.shape
         assert (got == loop).all()
@@ -352,8 +368,9 @@ class TestModelPredict:
         y = x + rng.normal(0, 0.1, 12)
         ds = make_dataset({"y": y.tolist(), "x1": x.tolist()}, numeric_schema("y", "x1"))
         model = ols_fit(ds, "y", ["x1"])  # response_transform 'none'
+        table = rows_table([{"x1": 0.5}], numeric_schema("y", "x1"))
         with pytest.raises(DataError, match="back-transform"):
-            model_predict(model, None, {"x1": 0.5}, back_transform=True)
+            model_predict(model, table, back_transform=True)
 
 
 class TestStepwise:
@@ -588,7 +605,7 @@ class TestCatreg:
     def test_final_model_predicts_with_labels(self):
         ds, _ = self._nominal_dataset()
         result = catreg_fit(ds, "y", ["x", "g"])
-        got = model_predict(result.model, None, {"x": 0.0, "g": "b"})
+        got = model_predict(result.model, rows_table([{"x": 0.0, "g": "b"}], ds.schema))[0]
         quant = {q.variable: q for q in result.quantifications}["g"]
         want = result.model.intercept
         want += result.model.term("g").coefficient * quant.mapping["b"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import oracles
 from defectcast._errors import DataError
@@ -97,19 +98,15 @@ class TestQQNormal:
     def test_blom_positions(self):
         result = qq_normal([3.0, 1.0, 2.0])
         # positions (i - 0.375) / (n + 0.25) for n = 3
-        from defectcast.numerics import normal_quantile
-
-        expected = [normal_quantile((i - 0.375) / 3.25) for i in (1, 2, 3)]
+        expected = [ndtri((i - 0.375) / 3.25) for i in (1, 2, 3)]
         np.testing.assert_allclose(result.theoretical, expected, atol=1e-12)
         np.testing.assert_array_equal(result.ordered, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("n", [3, 2000, 8000])
     def test_quantiles_equal_the_per_row_form(self, n):
-        from defectcast.numerics import normal_quantile
-
         result = qq_normal(np.random.default_rng(n).normal(size=n))
         positions = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
-        per_row = np.array([normal_quantile(p) for p in positions])
+        per_row = np.array([float(ndtri(p)) for p in positions])
         assert result.theoretical.dtype == per_row.dtype
         assert result.theoretical.tobytes() == per_row.tobytes()
 
