@@ -69,7 +69,7 @@ class VariableSpec:
                 )
             if len(set(self.categories)) != len(self.categories):
                 raise ConfigError(f"duplicate categories on variable {self.name!r}")
-            # an empty list means: accept labels in first-seen order at load time
+            # an empty list means: accept any labels at load time, sorted
             if self.categories:
                 if self.kind == "binary" and len(self.categories) != 2:
                     raise ConfigError(
@@ -219,8 +219,9 @@ def load_csv(source, schema: Sequence[VariableSpec]) -> Dataset:
     Empty fields are missing; numeric cells must parse to finite floats
     (``nan`` and ``inf`` are rejected, not read as values).  Categorical
     labels must come from the declared category list; a variable declared
-    with an empty list accepts labels in first-seen order instead.  Columns
-    present in the file but absent from the schema are ignored.
+    with an empty list accepts any labels and lists them sorted, so no
+    category's code depends on row order.  Columns present in the file but
+    absent from the schema are ignored.
     """
     specs = _check_schema(schema)
     if isinstance(source, (str, Path)):
@@ -312,6 +313,13 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
                     f"categorical variable {spec.name!r} has {len(found)} observed "
                     f"categories, needs at least 2"
                 )
+            if spec.name in open_coded:
+                # recode first-seen codes to sorted ones; the trailing -1
+                # keeps missing cells missing
+                labels = tuple(sorted(found))
+                recode = [labels.index(label) for label in found] + [-1]
+                raw[spec.name] = np.array(recode, dtype=np.int32)[raw[spec.name]]
+                found = labels
             final_specs.append(replace(spec, categories=found))
         else:
             final_specs.append(spec)

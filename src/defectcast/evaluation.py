@@ -183,12 +183,14 @@ class ModelingPlan:
     before the plan is made (the pipeline passes the stepwise-selected
     variables).  ``refit_regression`` controls whether each fold refits
     the regression (True) or reuses one model fit on all rows with only
-    the recalibration retrained per fold (False).
+    the recalibration retrained per fold (False).  ``codings`` maps each
+    categorical predictor's labels to values, as a model's ``codings``
+    do; a binary predictor left out is coded 0/1.
     """
 
     response: str
     predictors: tuple[str, ...]
-    quantifications: tuple[Quantification, ...] = ()
+    codings: dict[str, dict[str, float]] = field(default_factory=dict)
     response_transform: str = "ln"
     recalibrate: bool = True
     pred_thresholds: tuple[float, ...] = (0.25,)
@@ -199,16 +201,12 @@ class ModelingPlan:
         if not self.predictors:
             raise ConfigError("modeling plan needs at least one predictor")
         object.__setattr__(self, "predictors", tuple(self.predictors))
-        object.__setattr__(self, "quantifications", tuple(self.quantifications))
         object.__setattr__(self, "pred_thresholds", tuple(self.pred_thresholds))
         for m in self.pred_thresholds:
             if m < 0:
                 raise ConfigError(f"threshold must be nonnegative, got {m}")
         if self.min_test_for_pred < 1:
             raise ConfigError("min_test_for_pred must be at least 1")
-
-    def quantification_map(self) -> dict[str, Quantification]:
-        return {q.variable: q for q in self.quantifications}
 
 
 @dataclass(frozen=True)
@@ -359,13 +357,12 @@ class _Encoded:
 
 
 def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
-    quants = plan.quantification_map()
-    design, codings = design_columns(data, plan.predictors, quants)
+    design, codings = design_columns(data, plan.predictors, plan.codings)
     return _Encoded(
         design=design,
         y=response_values(data, plan.response),
         actuals=raw_counts(data.columns[plan.response], plan.response_transform),
-        routes=routes_for(design, plan.predictors, codings, units_for(codings, quants)),
+        routes=routes_for(design, plan.predictors, codings, units_for(codings)),
     )
 
 

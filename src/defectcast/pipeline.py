@@ -236,7 +236,7 @@ def load_config(
                 f"scaling level given for {name!r}, which is not a candidate"
             )
         spec = source[name]
-        # undeclared labels come in first-seen order, which orders nothing
+        # undeclared labels come sorted, which is no declared order
         if level == "ordinal" and spec.is_categorical and not spec.categories:
             raise ConfigError(
                 f"ordinal scaling of {name!r} needs its categories declared in order"
@@ -652,6 +652,9 @@ def _fit_models(run: _Run) -> _Fit:
             scaling=cfg.scaling,
             response_transform=transform,
         )
+        # catreg quantifies every categorical candidate and ends with the
+        # full OLS fit on those quantifications
+        full = result.model
         for quant in result.quantifications:
             quants[quant.variable] = quant
         scaling_section.update(
@@ -665,10 +668,10 @@ def _fit_models(run: _Run) -> _Fit:
                 },
             }
         )
-
-    full = ols_fit(
-        data, cfg.response, cfg.candidates, quants, response_transform=transform
-    )
+    else:
+        full = ols_fit(
+            data, cfg.response, cfg.candidates, quants, response_transform=transform
+        )
     stepwise_section = {"enabled": cfg.stepwise}
     selected = full
     if cfg.stepwise:
@@ -726,18 +729,18 @@ def _stage_fit(run: _Run) -> dict:
     }
 
 
-def _load_fitted(run: _Run) -> tuple[LinearModel, dict[str, Quantification]]:
-    """The selected model and the quantifications the fit used: the fit
-    stage's objects when this run has them, else a refit in memory."""
-    fit = run.fit or _fit_models(run)
-    return fit.selected, fit.quants
+def _load_fitted(run: _Run) -> LinearModel:
+    """The selected model: the fit stage's object when this run has it,
+    else a refit in memory."""
+    return (run.fit or _fit_models(run)).selected
 
 
-def _resubstitution_mmre(model, units, quants, data, response_transform):
-    back = response_transform != "none"
-    actual = raw_counts(data.columns[model.response], response_transform)
-    base = model_predict(model, data, quants, back_transform=back)
-    recal = recalibrated_predict(model, units, data, quants, back_transform=back)
+def _resubstitution_mmre(model: LinearModel, units, data: Dataset):
+    transform = model.response_transform
+    back = transform != "none"
+    actual = raw_counts(data.columns[model.response], transform)
+    base = model_predict(model, data, back_transform=back)
+    recal = recalibrated_predict(model, units, data, back_transform=back)
     return mmre(actual, base), mmre(actual, recal)
 
 
@@ -755,12 +758,10 @@ def _stage_recalibrate(run: _Run) -> dict:
     if not cfg.recalibrate_enabled:
         return {"recalibration": {"enabled": False}}
     data = _prepared_dataset(run)
-    selected, quants = _load_fitted(run)
-    transform = _response_transform(run)
-    fit_rows = listwise_complete(data, [cfg.response, *selected.variables])
-    units = units_for(selected.codings, quants)
-    trained, trace = train_recalibration(selected, units, fit_rows)
-    before, after = _resubstitution_mmre(selected, trained, quants, fit_rows, transform)
+    selected = _load_fitted(run)
+    fit_rows = listwise_complete(data, [selected.response, *selected.variables])
+    trained, trace = train_recalibration(selected, units_for(selected.codings), fit_rows)
+    before, after = _resubstitution_mmre(selected, trained, fit_rows)
 
     unit_payload = [u.to_dict() for u in trained]
     _write_json(
@@ -785,17 +786,14 @@ def _stage_recalibrate(run: _Run) -> dict:
     }
 
 
-def _evaluation_plan(cfg: PipelineConfig, selected, quants, transform) -> ModelingPlan:
-    predictors = selected.variables
-    if not predictors:
+def _evaluation_plan(cfg: PipelineConfig, selected: LinearModel) -> ModelingPlan:
+    if not selected.variables:
         raise ConfigError("selected model has no terms; nothing to evaluate")
     return ModelingPlan(
-        response=cfg.response,
-        predictors=predictors,
-        quantifications=tuple(
-            quants[name] for name in predictors if name in quants
-        ),
-        response_transform=transform,
+        response=selected.response,
+        predictors=selected.variables,
+        codings=selected.codings,
+        response_transform=selected.response_transform,
         recalibrate=cfg.recalibrate_enabled,
         pred_thresholds=cfg.pred_thresholds,
         min_test_for_pred=cfg.min_test_for_pred,
@@ -806,8 +804,7 @@ def _evaluation_plan(cfg: PipelineConfig, selected, quants, transform) -> Modeli
 def _stage_evaluate(run: _Run) -> dict:
     cfg = run.cfg
     data = _prepared_dataset(run)
-    selected, quants = _load_fitted(run)
-    plan = _evaluation_plan(cfg, selected, quants, _response_transform(run))
+    plan = _evaluation_plan(cfg, _load_fitted(run))
     resub = resubstitution_experiment(data, plan)
     cross = [
         cross_validate(data, plan, k, cfg.seed).to_dict() for k in cfg.k_values

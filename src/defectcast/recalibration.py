@@ -167,19 +167,10 @@ def firing_strengths(nfa: Nfa, values) -> np.ndarray:
     return mu / total[:, None]
 
 
-def units_for(
-    codings: dict[str, dict[str, float]], quantifications: dict[str, Quantification]
-) -> list[Nfa]:
+def units_for(codings: dict[str, dict[str, float]]) -> list[Nfa]:
     """One identity-initialized unit per variable of ``codings`` (a model's
-    fit-time codings), in their order, anchored at the supplied
-    quantification or else the coding."""
-    units = []
-    for variable, coding in codings.items():
-        quant = quantifications.get(variable)
-        if quant is None:
-            quant = Quantification(variable, dict(coding), source="initial")
-        units.append(init_nfa(quant))
-    return units
+    fit-time codings), in their order, anchored at the coding's values."""
+    return [init_nfa(Quantification(variable, coding)) for variable, coding in codings.items()]
 
 
 # A route sends one design column through a unit: it maps the column's
@@ -212,12 +203,18 @@ def routes_for(
 def score(coefficients, design: np.ndarray, routes: Routes | None = None) -> np.ndarray:
     """The ``linear_score`` of an encoded design: ``coefficients[0]``, then
     each term's coefficient times its column, in column order.  A routed
-    column is replaced by its unit's output, ``strengths @ consequents``."""
+    column is replaced by its unit's output, the ``linear_score`` of the
+    firing strengths with the consequents as coefficients: summed in anchor
+    order one column at a time, so a row's score depends on that row
+    alone."""
     routes = routes or {}
 
     def column(j: int) -> np.ndarray:
         route = routes.get(j)
-        return design[:, j] if route is None else route[0] @ route[1]
+        if route is None:
+            return design[:, j]
+        strengths, consequents = route
+        return linear_score(0.0, zip(consequents, strengths.T), design.shape[0])
 
     terms = ((coefficients[j], column(j)) for j in range(1, design.shape[1]))
     return linear_score(coefficients[0], terms, design.shape[0])
@@ -332,7 +329,6 @@ def recalibrated_predict(
     model: LinearModel,
     units: list[Nfa],
     ds: Dataset,
-    quantifications: dict[str, Quantification] | None = None,
     back_transform: bool = False,
 ) -> np.ndarray:
     """The model's prediction for every row of ``ds`` with each categorical
@@ -340,11 +336,11 @@ def recalibrated_predict(
     routes, summed by ``score``.
 
     Untrained units change nothing, so with them this equals
-    ``regression.model_predict``.  Labels resolve through
-    ``quantifications`` first, then the model's fit-time codings.  The
-    back-transform runs per element through ``back_transform_array``.
+    ``regression.model_predict``.  Labels are valued by the model's
+    fit-time codings.  The back-transform runs per element through
+    ``back_transform_array``.
     """
-    design = model_design(model, ds, quantifications)
+    design = model_design(model, ds)
     routes = routes_for(design, model.variables, model.codings, units)
     total = score(_coefficients(model), design, routes)
     if back_transform:

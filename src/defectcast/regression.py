@@ -8,9 +8,11 @@ per-category least-squares updates of the quantifications until R^2 stops
 improving; ordinal variables are projected monotone by pool-adjacent-
 violators inside each pass.
 
-Prediction scores whole tables.  ``model_predict`` sums a model's
-``model_design`` through ``linear_score``, the one loop that sums a linear
-predictor; ``recalibration`` scores through the same two.
+A fitted ``LinearModel`` records each categorical term's label to number
+mapping in ``codings``, and scoring reads no other: ``model_predict`` sums
+a model's ``model_design`` through ``linear_score``, the one loop that sums
+a linear predictor, on whole tables; ``recalibration`` scores through the
+same two.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class LinearModel:
 
     ``codings`` stores, for every categorical term, the label to number
     mapping actually used at fit time (a supplied quantification or the 0/1
-    binary coding), so prediction never has to re-derive schema state.
+    binary coding).  Prediction values labels by these codings alone.
     ``response_transform`` records how the response column had been
     transformed before fitting ('none', 'ln', or 'ln1p').
     """
@@ -136,26 +138,25 @@ class LinearModel:
 def design_columns(
     ds: Dataset,
     predictors: Sequence[str],
-    quantifications: dict[str, Quantification] | None = None,
+    codings: dict[str, dict[str, float]] | None = None,
 ) -> tuple[np.ndarray, dict[str, dict[str, float]]]:
     """The design matrix, a column of ones and then one numeric column per
     predictor in order, plus the codings used.
 
     Rows must already be listwise complete for the predictors.  Categorical
-    predictors need a quantification unless binary, in which case they are
-    coded 0/1 by category order.
+    predictors need a label to value mapping in ``codings`` unless binary,
+    in which case they are coded 0/1 by category order.
     """
-    quantifications = quantifications or {}
+    codings = codings or {}
     cols = [np.ones(ds.row_count)]
-    codings: dict[str, dict[str, float]] = {}
+    used: dict[str, dict[str, float]] = {}
     for name in predictors:
         spec = ds.spec(name)
         if spec.kind == "numeric":
             cols.append(ds.columns[name])
             continue
-        quant = quantifications.get(name)
-        if quant is not None:
-            mapping = dict(quant.mapping)
+        if name in codings:
+            mapping = dict(codings[name])
         elif spec.kind == "binary" or len(spec.categories) == 2:
             mapping = {label: float(i) for i, label in enumerate(spec.categories)}
         else:
@@ -163,9 +164,9 @@ def design_columns(
                 f"categorical predictor {name!r} has {len(spec.categories)} "
                 f"categories and no quantification"
             )
-        codings[name] = mapping
+        used[name] = mapping
         cols.append(ds.encode(name, mapping))
-    return np.column_stack(cols), codings
+    return np.column_stack(cols), used
 
 
 def response_values(ds: Dataset, response: str) -> np.ndarray:
@@ -235,7 +236,8 @@ def ols_fit(
     n = data.row_count
     p = len(predictors)
     y = response_values(data, response)
-    design, codings = design_columns(data, predictors, quantifications)
+    mappings = {name: q.mapping for name, q in (quantifications or {}).items()}
+    design, codings = design_columns(data, predictors, mappings)
     sol, tss = ols_coefficients(design, y, predictors, response)
     coef = sol.coefficients
     rss = sol.residual_sum_squares
@@ -589,24 +591,15 @@ def back_transform_array(values: np.ndarray, transform: str) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
-def model_design(
-    model: LinearModel,
-    ds: Dataset,
-    quantifications: dict[str, Quantification] | None = None,
-) -> np.ndarray:
+def model_design(model: LinearModel, ds: Dataset) -> np.ndarray:
     """The ``design_columns`` design of the model's terms on every row of
-    ``ds``.  Labels resolve through ``quantifications`` first, then the
-    model's fit-time codings.  A missing cell raises DataError naming its
-    variable, so no prediction comes back NaN."""
+    ``ds``, with labels valued by the model's fit-time codings.  A missing
+    cell raises DataError naming its variable, so no prediction comes back
+    NaN."""
     for name in model.variables:
         if ds.spec(name).kind == "numeric" and np.isnan(ds.columns[name]).any():
             raise DataError(f"missing value in numeric variable {name!r}")
-    quantifications = quantifications or {}
-    quants = {
-        variable: quantifications.get(variable) or Quantification(variable, coding)
-        for variable, coding in model.codings.items()
-    }
-    design, _ = design_columns(ds, model.variables, quants)
+    design, _ = design_columns(ds, model.variables, model.codings)
     return design
 
 
@@ -621,10 +614,7 @@ def linear_score(intercept: float, terms, rows: int) -> np.ndarray:
 
 
 def model_predict(
-    model: LinearModel,
-    ds: Dataset,
-    quantifications: dict[str, Quantification] | None = None,
-    back_transform: bool = False,
+    model: LinearModel, ds: Dataset, back_transform: bool = False
 ) -> np.ndarray:
     """The model's prediction for every row of ``ds``: its
     ``model_design``, summed by ``linear_score``.
@@ -633,7 +623,7 @@ def model_predict(
     through ``back_transform_array``, which requires a log-transformed
     response.
     """
-    design = model_design(model, ds, quantifications)
+    design = model_design(model, ds)
     terms = ((t.coefficient, design[:, j]) for j, t in enumerate(model.terms, start=1))
     total = linear_score(model.intercept, terms, ds.row_count)
     if back_transform:

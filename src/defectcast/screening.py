@@ -313,9 +313,9 @@ def screen_dataset(
     table built from the category codes, so groups and pairs come in
     category order whatever the row order.  Variables listed in
     ``dual_treatment`` are screened both ways: a categorical one contributes
-    a Spearman on its quantified values (mapping from ``quantifications``,
-    defaulting to labels parsed as numbers), a numeric one contributes an
-    ANOVA grouped by its distinct observed values in ascending order.
+    a Spearman on its values under its mapping in ``quantifications``,
+    which must hold one; a numeric one contributes an ANOVA grouped by its
+    distinct observed values in ascending order.
     """
     quantifications = quantifications or {}
     resp_spec = ds.spec(response)
@@ -348,13 +348,7 @@ def screen_dataset(
             if dual:
                 mapping = quantifications.get(name)
                 if mapping is None:
-                    try:
-                        mapping = {c: float(c) for c in spec.categories}
-                    except ValueError:
-                        raise ConfigError(
-                            f"dual treatment of {name!r} needs a quantification "
-                            f"(labels are not numeric)"
-                        ) from None
+                    raise ConfigError(f"dual treatment of {name!r} needs a quantification")
                 complete = listwise_complete(ds, [name, response])
                 correlations[name] = spearman(
                     complete.encode(name, mapping), complete.columns[response]

@@ -472,28 +472,28 @@ def unscaled_covariance_by_refactoring(design: np.ndarray) -> np.ndarray:
 
 def nfa_eval(nfa, value: float) -> float:
     """One unit's defuzzified output at one input: the firing-strength-
-    weighted sum of its consequents."""
+    weighted sum of its consequents, added to 0.0 in anchor order in plain
+    Python floats."""
     from defectcast.recalibration import firing_strengths
 
-    strengths = firing_strengths(nfa, [value])[0]
-    return float(strengths @ np.array(nfa.consequents))
+    total = 0.0
+    for s, q in zip(firing_strengths(nfa, [value])[0].tolist(), nfa.consequents):
+        total += s * q
+    return total
 
 
-def one_row_prediction(model, row, quantifications=None, nfas=None, back_transform=False):
+def one_row_prediction(model, row, nfas=None, back_transform=False):
     """The linear predictor summed on one row dict in plain Python floats:
     intercept, then each term in model order.  A label reads its value from
-    ``quantifications`` first, then the model's fit-time codings; with
-    ``nfas`` each categorical value is routed through its unit.  The
-    reference that ``model_predict`` and ``recalibrated_predict`` must equal
-    with ``==``."""
-    quantifications = quantifications or {}
+    the model's fit-time codings; with ``nfas`` each categorical value is
+    routed through its unit.  The reference that ``model_predict`` and
+    ``recalibrated_predict`` must equal with ``==``."""
     by_var = None if nfas is None else {nfa.variable: nfa for nfa in nfas}
     total = model.intercept
     for term in model.terms:
         value = row[term.variable]
         if isinstance(value, str):
-            quant = quantifications.get(term.variable)
-            value = (quant.mapping if quant else model.codings[term.variable])[value]
+            value = model.codings[term.variable][value]
         if by_var is not None and term.variable in model.codings:
             value = nfa_eval(by_var[term.variable], value)
         total += term.coefficient * value
@@ -523,18 +523,25 @@ def serialize_csv_by_rows(ds, handle) -> None:
         writer.writerow(row)
 
 
+def _plan_quantifications(plan):
+    """The plan's codings as the ``Quantification`` objects a fit takes."""
+    from defectcast.regression import Quantification
+
+    return {name: Quantification(name, coding) for name, coding in plan.codings.items()}
+
+
 def _split_fit(plan, train_ds, context, fixed):
     """One split's fit and recalibration on its own table of rows."""
     from defectcast._errors import DataError, NumericalError
     from defectcast.recalibration import train_recalibration, units_for
     from defectcast.regression import ols_fit
 
-    quants = plan.quantification_map()
     try:
         model = fixed if fixed is not None else ols_fit(
-            train_ds, plan.response, plan.predictors, quants, plan.response_transform
+            train_ds, plan.response, plan.predictors, _plan_quantifications(plan),
+            plan.response_transform,
         )
-        units = units_for(model.codings, quants)
+        units = units_for(model.codings)
         trained = train_recalibration(model, units, train_ds)[0] if plan.recalibrate else units
         return model, trained
     except (DataError, NumericalError) as err:
@@ -550,13 +557,12 @@ def _split_row(label, model, trained, data, indices, plan):
 
     back = plan.response_transform != "none"
     test = data.take(indices)
-    quants = plan.quantification_map()
     actuals = raw_counts(test.columns[plan.response], plan.response_transform)
     include_pred = len(indices) >= plan.min_test_for_pred
     scores = []
     for preds in (
-        model_predict(model, test, quants, back_transform=back),
-        recalibrated_predict(model, trained, test, quants, back_transform=back),
+        model_predict(model, test, back_transform=back),
+        recalibrated_predict(model, trained, test, back_transform=back),
     ):
         error = mmre(actuals, preds)
         pred = (
@@ -585,7 +591,7 @@ def _report_by_split(protocol, parameters, data, plan, splits, refit):
     from defectcast.regression import ols_fit
 
     fixed = None if refit else ols_fit(
-        data, plan.response, plan.predictors, plan.quantification_map(),
+        data, plan.response, plan.predictors, _plan_quantifications(plan),
         plan.response_transform,
     )
     rows = []

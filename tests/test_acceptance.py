@@ -222,7 +222,7 @@ def test_05_recalibration_improvement_pattern():
         plan = ModelingPlan(
             response="defects",
             predictors=("fp", "vaf", "dev_type"),
-            quantifications=(shifted, DEV_QUANT),
+            codings={"vaf": shifted.mapping, "dev_type": DEV_QUANT.mapping},
             response_transform="ln",
         )
         report = cross_validate(ds, plan, 8, seed)

@@ -49,14 +49,18 @@ class TestLoadCsv:
         assert ds.missing("defects").tolist() == [False, False, True, False, False]
         assert ds.missing("fp").tolist() == [False, False, False, False, True]
 
-    def test_first_seen_category_order(self):
-        ds = _load()
-        assert ds.spec("dev_type").categories == (
-            "Enhancement",
-            "New Development",
-            "Re-development",
-        )
-        assert ds.columns["dev_type"].tolist() == [0, 1, 2, 0, 1]
+    def test_undeclared_categories_sorted(self):
+        # in either row order: no code depends on where a label first appears
+        header, *rows = CSV_TEXT.splitlines()
+        backward = load_csv(io.StringIO("\n".join([header, *rows[::-1]]) + "\n"), SCHEMA)
+        for ds in (_load(), backward):
+            assert ds.spec("dev_type").categories == (
+                "Enhancement",
+                "New Development",
+                "Re-development",
+            )
+        assert _load().columns["dev_type"].tolist() == [0, 1, 2, 0, 1]
+        assert backward.columns["dev_type"].tolist() == [1, 0, 2, 1, 0]
 
     def test_declared_order_wins(self):
         schema = [
@@ -326,7 +330,7 @@ class TestSerializeCsv:
     def test_matches_row_loop_on_edge_cells(self):
         # missing numeric and categorical cells, signed zero, the smallest
         # subnormal, a huge value, a one-field row, and open-coded labels
-        # (one with a comma and a quote) in first-seen order
+        # (one with a comma and a quote) in sorted order
         text = (
             'a,b,c,d\n'
             '-0.0,x,,1\n'
@@ -341,7 +345,7 @@ class TestSerializeCsv:
             VariableSpec("d", "predictor", "categorical"),
         ]
         ds = load_csv(io.StringIO(text), schema)
-        assert ds.spec("c").categories == ('y, "z"', "w")
+        assert ds.spec("c").categories == ("w", 'y, "z"')
         written = _written(ds, serialize_csv)
         assert written == _written(ds, serialize_csv_by_rows)
         assert written.splitlines()[1:3] == ["-0.0,x,,1", '5e-324,,"y, ""z""", ']

@@ -50,7 +50,7 @@ def standard_plan(ds, vaf_quant=None, **overrides):
     kwargs = dict(
         response="defects",
         predictors=("fp", "vaf", "dev_type"),
-        quantifications=(vaf_quant, dev_type_quantification()),
+        codings={"vaf": vaf_quant.mapping, "dev_type": dev_type_quantification().mapping},
         response_transform="ln",
     )
     kwargs.update(overrides)
@@ -705,13 +705,13 @@ def outcome(protocol, *args):
 
 
 def mixed_plan(predictors, transform, c_values=QUANTIFICATIONS_OF_C[0], quantify_b=False, **kw):
-    quants = [Quantification("c", c_values)]
+    codings = {"c": c_values}
     if quantify_b:
-        quants.append(Quantification("b", {"no": -1.0, "yes": 2.5}))
+        codings["b"] = {"no": -1.0, "yes": 2.5}
     return ModelingPlan(
         response="y",
         predictors=tuple(predictors),
-        quantifications=tuple(q for q in quants if q.variable in predictors),
+        codings={name: c for name, c in codings.items() if name in predictors},
         response_transform=transform,
         **kw,
     )

@@ -1,10 +1,11 @@
 """Metamorphic tests: the same data in another order gives the same report.
 
 Each test runs ``fixtures/csv_config.json``, whose schema declares the
-categories of both categorical variables, on the bundled CSV and on a
-transformed copy of it, and compares the two reports (metamorphic
-relations in the sense of Segura et al., *A Survey on Metamorphic
-Testing*, IEEE TSE 42(9), 2016).  Structure must match exactly: every key
+categories of both categorical variables, or a variant that declares
+none for ``dev_type``, on the bundled CSV and on a transformed copy of
+it, and compares the two reports (metamorphic relations in the sense of
+Segura et al., *A Survey on Metamorphic Testing*, IEEE TSE 42(9),
+2016).  Structure must match exactly: every key
 and its order (so the ANOVA groups), every string, count and flag (so the
 selected terms, the Tukey ``group_i``/``group_j`` pairs and their
 ``significant`` flags), and the model tree's text.  Floats may move by
@@ -16,6 +17,7 @@ so those sections are left out.
 """
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -42,12 +44,13 @@ def _fixture_rows() -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _run(tmp_path: Path, name: str, header, rows) -> tuple[dict, str]:
-    """The report and tree.txt of the fixture config on the given table."""
+def _run(tmp_path: Path, name: str, header, rows, config: Path = CONFIG) -> tuple[dict, str]:
+    """The report and tree.txt of a config, the fixture's by default, on the
+    given table."""
     data = tmp_path / f"{name}.csv"
     with open(data, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerows([header, *rows])
-    cfg = load_config(CONFIG, data_override=str(data), out_override=str(tmp_path / name))
+    cfg = load_config(config, data_override=str(data), out_override=str(tmp_path / name))
     report = run_pipeline(cfg)
     tree = (tmp_path / name / "tree.txt").read_text(encoding="utf-8")
     return {k: v for k, v in report.items() if k not in LEFT_OUT}, tree
@@ -113,6 +116,24 @@ def test_row_reversal_leaves_the_report(tmp_path, forward):
     # flipped the sign of their mean differences
     header, rows = _fixture_rows()
     reversed_ = _run(tmp_path, "reversed", header, rows[::-1])
+    assert _structure(reversed_[0]) == _structure(forward[0])
+    assert reversed_[1] == forward[1]
+    assert_same_report(reversed_[0], forward[0])
+
+
+def test_row_reversal_leaves_undeclared_categories(tmp_path):
+    # dev_type without declared categories or its merge: its labels load
+    # sorted, where first-seen order reordered its Tukey pairs, flipped
+    # their mean differences and moved its catreg quantifications
+    config = json.loads(CONFIG.read_text(encoding="utf-8"))
+    dev_type = next(entry for entry in config["schema"] if entry["name"] == "dev_type")
+    del dev_type["categories"], config["merges"]
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    header, rows = _fixture_rows()
+    forward = _run(tmp_path, "forward", header, rows, path)
+    reversed_ = _run(tmp_path, "reversed", header, rows[::-1], path)
+    assert len(_structure(forward[0])[0]["dev_type"]) == 3
     assert _structure(reversed_[0]) == _structure(forward[0])
     assert reversed_[1] == forward[1]
     assert_same_report(reversed_[0], forward[0])

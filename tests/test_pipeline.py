@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectcast import pipeline, recalibration
+from defectcast import pipeline, recalibration, regression
 from defectcast._errors import ConfigError, DataError, DefectcastError, NumericalError
 from defectcast.cli import main
 from defectcast.dataset import VariableSpec
@@ -179,8 +179,8 @@ class TestConfig:
             load_config(write_config(tmp_path, config))
 
     def test_ordinal_scaling_needs_declared_categories(self, tmp_path):
-        # undeclared labels come in first-seen order, so an ordinal scaling
-        # of them moved with the row order of the CSV
+        # undeclared labels load sorted, which is no declared order, so an
+        # ordinal scaling of them is refused
         config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
         config["data"]["path"] = str(FIXTURES / "projects.csv")
         vaf = next(entry for entry in config["schema"] if entry["name"] == "vaf")
@@ -351,7 +351,7 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_labels_unchecked_where_categories_are_not_declared(self, tmp_path):
-        # first-seen categories are known only once the data is read
+        # undeclared categories are known only once the data is read
         data = tmp_path / "proj.csv"
         data.write_text(CSV_TEXT, encoding="utf-8")
         config = csv_config(data)
@@ -907,6 +907,29 @@ class TestArtifactHandoff:
         argv = ["--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv + (["--stage", stage] if stage else [])) == 0
         assert len(fits) == 1
+
+    @pytest.mark.parametrize("scaling", [False, True])
+    def test_fit_stage_fits_the_full_model_once(self, tmp_path, monkeypatch, scaling):
+        # optimal scaling ends with the full OLS fit on its quantifications,
+        # and the fit stage takes that model instead of fitting it again
+        config = small_config()
+        config["regression"]["stepwise"] = False
+        if not scaling:
+            config["regression"]["candidates"].remove("dev_type")
+            del config["regression"]["scaling"]
+        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        fits = []
+        original = regression.ols_fit
+
+        def counting(*args, **kwargs):
+            fits.append(list(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "ols_fit", counting)
+        monkeypatch.setattr(pipeline, "ols_fit", counting)
+        report = run_stage("fit", cfg)
+        assert report["optimal_scaling"]["enabled"] is scaling
+        assert fits == [config["regression"]["candidates"]]
 
     def test_training_record_built_only_by_train_recalibration(self, tmp_path, monkeypatch):
         # resampling splits take the consequents alone; the recalibrate

@@ -1,6 +1,7 @@
 """Recalibration units: firing strengths, gradients, convex training."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,7 +326,7 @@ def _two_unit_setup(seed=61, n=300):
         "dev": Quantification("dev", dev_values),
     }
     model = ols_fit(ds, "y", ["x", "vaf", "dev"], quants)
-    units = units_for(model.codings, quants)
+    units = units_for(model.codings)
     design = np.hstack([
         model.term(u.variable).coefficient
         * firing_strengths(u, [quants[u.variable].mapping[l] for l in ds.labels(u.variable)])
@@ -475,7 +476,7 @@ def _mixed_setup(transform, seed=53, n=80):
     ds = make_dataset(cols, schema)
     quants = {"vaf": Quantification("vaf", {lab: float(lab) for lab in vaf_labels})}
     model = ols_fit(ds, "y", ["x", "kind", "vaf"], quants, response_transform=transform)
-    trained, _ = train_recalibration(model, units_for(model.codings, quants), ds)
+    trained, _ = train_recalibration(model, units_for(model.codings), ds)
     return model, quants, trained, ds
 
 
@@ -483,11 +484,10 @@ class TestBatchPredict:
     @pytest.mark.parametrize("transform", ["ln", "ln1p"])
     @pytest.mark.parametrize("back", [False, True])
     def test_equals_one_row_wrappers_exactly(self, transform, back):
-        # each row's prediction on a one-row table of its own equals the
-        # plain-float oracle, and so does the whole table's where the units
-        # fire one-hot (at labels); between anchors a matrix-vector product
-        # over many rows may round its sums differently from one row's
-        model, quants, trained, ds = _mixed_setup(transform)
+        # each row's prediction equals the plain-float oracle, on the whole
+        # table and on a one-row table of its own, at labels and between
+        # and beyond the anchors: a row's score depends on that row alone
+        model, _, trained, ds = _mixed_setup(transform)
         assert [u.variable for u in trained] == ["kind", "vaf"]
         assert any(u.consequents != u.input_anchors for u in trained)
         kind, vaf = ds.labels("kind"), ds.labels("vaf")
@@ -505,19 +505,18 @@ class TestBatchPredict:
         ]
         numeric = rows_table(numbers, numeric_schema("y", "x", "kind", "vaf"))
         for table, table_rows in ((ds, rows), (numeric, numbers)):
-            base = model_predict(model, table, quants, back_transform=back)
-            recal = recalibrated_predict(model, trained, table, quants, back_transform=back)
+            base = model_predict(model, table, back_transform=back)
+            recal = recalibrated_predict(model, trained, table, back_transform=back)
             for i, row in enumerate(table_rows):
-                want = oracles.one_row_prediction(model, row, quants, back_transform=back)
+                want = oracles.one_row_prediction(model, row, back_transform=back)
                 want_recal = oracles.one_row_prediction(
-                    model, row, quants, nfas=trained, back_transform=back
+                    model, row, nfas=trained, back_transform=back
                 )
-                if table is ds:
-                    assert base[i] == want and recal[i] == want_recal
+                assert base[i] == want and recal[i] == want_recal
                 one_row = table.take([i])
-                assert model_predict(model, one_row, quants, back_transform=back)[0] == want
+                assert model_predict(model, one_row, back_transform=back)[0] == want
                 assert want_recal == recalibrated_predict(
-                    model, trained, one_row, quants, back_transform=back
+                    model, trained, one_row, back_transform=back
                 )[0]
             assert not np.array_equal(base, recal)
 
@@ -539,26 +538,33 @@ class TestBatchPredict:
             )
 
     def test_untrained_units_equal_baseline(self):
-        model, quants, _, ds = _mixed_setup("ln")
-        base = model_predict(model, ds, quants)
-        untrained = units_for(model.codings, quants)
-        assert np.array_equal(recalibrated_predict(model, untrained, ds, quants), base)
+        model, _, _, ds = _mixed_setup("ln")
+        base = model_predict(model, ds)
+        untrained = units_for(model.codings)
+        assert np.array_equal(recalibrated_predict(model, untrained, ds), base)
 
     def test_missing_unit_raises(self):
-        model, quants, trained, ds = _mixed_setup("ln")
+        model, _, trained, ds = _mixed_setup("ln")
         with pytest.raises(DataError, match="missing recalibration unit.*'vaf'"):
-            recalibrated_predict(model, trained[:1], ds, quants)
+            recalibrated_predict(model, trained[:1], ds)
 
     def test_unmapped_category_message_matches_one_row_path(self):
+        # a table whose vaf declares a label the model's codings lack
         model, _, trained, ds = _mixed_setup("ln")
-        partial = {"vaf": Quantification("vaf", {"0.65": 0.65, "1.35": 1.35})}
-        one_row = ds.take([ds.labels("vaf").index("1.00")])
+        schema = [
+            replace(s, categories=(*s.categories, "1.10")) if s.name == "vaf" else s
+            for s in ds.schema
+        ]
+        vaf = ds.labels("vaf")
+        vaf[5] = "1.10"
+        columns = {"y": ds.columns["y"].tolist(), "x": ds.columns["x"].tolist()}
+        table = make_dataset({**columns, "kind": ds.labels("kind"), "vaf": vaf}, schema)
         with pytest.raises(DataError) as one:
-            model_predict(model, one_row, partial)
-        assert str(one.value) == "no quantification value for category '1.00' of 'vaf'"
+            model_predict(model, table.take([5]))
+        assert str(one.value) == "no quantification value for category '1.10' of 'vaf'"
         for predict in (
-            lambda: model_predict(model, ds, partial),
-            lambda: recalibrated_predict(model, trained, ds, partial),
+            lambda: model_predict(model, table),
+            lambda: recalibrated_predict(model, trained, table),
         ):
             with pytest.raises(DataError) as batch:
                 predict()
@@ -578,7 +584,7 @@ class TestBatchPredict:
             ds.schema,
         )
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
-            model_predict(model, holed, quants)
+            model_predict(model, holed)
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
             holed.encode("vaf", quants["vaf"].mapping)
 

@@ -310,14 +310,6 @@ class TestModelPredict:
         values = rows_table([{"size": 0.0, "kind": 1.0}], numeric_schema("y", "size", "kind"))
         assert model_predict(model, labels)[0] == model_predict(model, values)[0]
 
-    def test_quantification_overrides_coding(self):
-        model = self._model()
-        quant = Quantification("kind", {"base": 0.0, "extra": 5.0})
-        table = rows_table([{"size": 0.0, "kind": "extra"}], KIND_SCHEMA)
-        got = model_predict(model, table, {"kind": quant})
-        want = model.intercept + model.term("kind").coefficient * 5.0
-        assert abs(got[0] - want) < 1e-12
-
     def test_missing_variable(self):
         table = rows_table([{"size": 1.0}], numeric_schema("y", "size"))
         with pytest.raises(DataError, match="unknown variable 'kind'"):

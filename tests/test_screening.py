@@ -6,10 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from defectcast._errors import DataError
+from defectcast._errors import ConfigError, DataError
 from defectcast import screening
 from defectcast.dataset import Dataset, VariableSpec, load_csv
-from defectcast.evaluation import GeneratorConfig, generate_synthetic
+from defectcast.evaluation import (
+    GeneratorConfig,
+    generate_synthetic,
+    quantification_from_labels,
+)
 from defectcast.numerics import t_cdf
 from defectcast.screening import (
     anova_oneway,
@@ -285,8 +289,8 @@ class TestMergeCategories:
         assert out.columns["v"].tolist() == [0, 0, 0, 1, 0]
 
     def test_apply_keeps_missing_cells_and_reversed_pair_label(self):
-        # first-seen order a, c, b: the pair names b before a, so the merged
-        # label is "b+a" and it sits where a was
+        # undeclared labels load sorted (a, b, c): the pair names b before
+        # a, so the merged label is "b+a" and it sits where a was
         text = "y,v\n1,a\n2,\n3,c\n4,b\n5,\n6,a\n"
         schema = [
             VariableSpec("y", "response", "numeric"),
@@ -354,6 +358,12 @@ class TestScreenDataset:
                 ds, "defects", ["vaf"], dual_treatment=["vaf"],
                 quantifications={"vaf": {"0.65": 0.65}},
             )
+
+    def test_dual_treatment_categorical_needs_a_mapping(self):
+        # numeric-looking labels are not parsed: the caller supplies the values
+        ds = generate_synthetic(GeneratorConfig(n=40), 5)
+        with pytest.raises(ConfigError, match="^dual treatment of 'vaf' needs a quantification$"):
+            screen_dataset(ds, "defects", ["vaf"], dual_treatment=["vaf"])
 
     def test_dual_treatment_categorical_uses_complete_rows(self):
         text = "y,v\n1,2\n2,\n,3\n4,3\n5,1\n6,2\n7,1\n"
@@ -434,6 +444,7 @@ class TestScreenDataset:
             report = screen_dataset(
                 ds, "defects", ["fp", "max_team_size", "dev_type", "vaf"],
                 dual_treatment=["vaf", "max_team_size"],
+                quantifications={"vaf": quantification_from_labels(ds, "vaf").mapping},
             )
             assert set(report.tukey) == {"dev_type", "vaf"}
             assert len(tables) == 3
