@@ -17,7 +17,7 @@ import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, VariableSpec, listwise_complete
-from .numerics import f_cdf, studentized_range_cdf, t_cdf
+from .numerics import f_cdf, studentized_range_sf, t_cdf
 from .transform import rank_average
 
 __all__ = [
@@ -169,8 +169,12 @@ def tukey_hsd(table: GroupTable, alpha: float = 0.05) -> list[TukeyPair]:
 
     Pairs are listed in the table's group order.  For each unordered pair,
     q = |mean_i - mean_j| / sqrt((MSW / 2) * (1/n_i + 1/n_j)) and the
-    adjusted p is the studentized-range upper tail with k = number of groups
-    and the ANOVA within-group df.
+    adjusted p is the studentized-range upper tail P(Q > q) with k = number
+    of groups and the ANOVA within-group df, taken from
+    ``studentized_range_sf`` directly rather than as ``1 - cdf``, so a
+    well-separated pair keeps its small p-value; one that underflows a
+    double reads 0.0.  A zero MSW gives p = 1 for equal means and 0
+    otherwise.
     """
     k = len(table.labels)
     df_w = int(table.counts.sum()) - k
@@ -184,8 +188,7 @@ def tukey_hsd(table: GroupTable, alpha: float = 0.05) -> list[TukeyPair]:
                 p_adj = 1.0 if diff == 0.0 else 0.0
             else:
                 q = abs(diff) / math.sqrt((msw / 2.0) * (1.0 / counts[a] + 1.0 / counts[b]))
-                p_adj = 1.0 - studentized_range_cdf(q, k, df_w)
-                p_adj = min(max(p_adj, 0.0), 1.0)
+                p_adj = studentized_range_sf(q, k, df_w)
             pairs.append(
                 TukeyPair(
                     group_i=table.labels[a],

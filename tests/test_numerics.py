@@ -17,6 +17,7 @@ from defectcast.numerics import (
     min_norm_least_squares,
     solve_least_squares,
     studentized_range_cdf,
+    studentized_range_sf,
     t_cdf,
     unscaled_covariance,
 )
@@ -413,3 +414,63 @@ class TestStudentizedRange:
             studentized_range_cdf(2.0, 1, 10)
         with pytest.raises(NumericalError):
             studentized_range_cdf(2.0, 3, 0.5)
+
+
+def _two_group_tail(q, df):
+    # P(Q_2 > q): with k = 2 the statistic is sqrt(2) |t|
+    return 2.0 * t_cdf(-q / math.sqrt(2.0), df)
+
+
+# q from 0.5 to 80: the body, the 1e-22 tail of a 2000-row Tukey pair, and
+# tails down to the smallest normal double
+TAIL_QS = np.linspace(0.5, 80.0, 160).tolist()
+
+
+class TestStudentizedRangeTail:
+    @pytest.mark.parametrize("df", [1, 5, 20, 59, 200, 1990, 7800])
+    def test_two_group_identity(self, df):
+        checked = 0
+        for q in TAIL_QS:
+            want = _two_group_tail(q, df)
+            if want < 1e-300:
+                continue
+            assert abs(studentized_range_sf(q, 2, df) / want - 1.0) < 1e-9, (q, df)
+            checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 8])
+    def test_between_two_group_tail_and_union_bound(self, k):
+        # the range of k normals is at least that of two of them, and
+        # exceeds w only if one of the C(k, 2) pairs does; far in the tail
+        # the union bound is tight, so both sides allow the relative 1e-9 the
+        # identity test holds the kernel to
+        for df in (1, 5, 20, 200, 1990):
+            for q in TAIL_QS:
+                two = _two_group_tail(q, df)
+                if two < 1e-300:
+                    continue
+                got = studentized_range_sf(q, k, df)
+                assert two * (1.0 - 1e-9) <= got <= math.comb(k, 2) * two * (1.0 + 1e-9), (
+                    q,
+                    k,
+                    df,
+                )
+
+    def test_edge_arguments(self):
+        for q in (0.0, -1.0, -math.inf):
+            assert studentized_range_sf(q, 3, 10) == 1.0
+        assert studentized_range_sf(math.inf, 3, 10) == 0.0
+
+    def test_invalid_parameters(self):
+        with pytest.raises(NumericalError, match="studentized_range_sf got NaN"):
+            studentized_range_sf(math.nan, 3, 10)
+        with pytest.raises(NumericalError, match="integer k >= 2, got 1"):
+            studentized_range_sf(2.0, 1, 10)
+        with pytest.raises(NumericalError, match="df >= 1, got 0.5"):
+            studentized_range_sf(2.0, 3, 0.5)
+
+    def test_cdf_is_one_minus_tail(self):
+        for q in (0.5, 2.0, 3.88, 6.0):
+            assert studentized_range_cdf(q, 4, 30) == 1.0 - studentized_range_sf(q, 4, 30)
+        with pytest.raises(NumericalError, match="studentized_range_cdf got NaN"):
+            studentized_range_cdf(math.nan, 3, 10)

@@ -34,7 +34,8 @@ from defectcast.pipeline import (
     run_stage,
 )
 from defectcast.regression import stepwise_fit
-from defectcast.screening import screen_dataset
+from defectcast.numerics import t_cdf
+from defectcast.screening import group_table, screen_dataset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPO_FIXTURE = FIXTURES / "synthetic_config.json"
@@ -432,6 +433,39 @@ class TestPipelineRun:
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
         ).read_bytes()
+
+    def test_tukey_p_values_within_two_group_bounds(self, tmp_path):
+        # every pair's q recomputed from the prepared data: P(Q_k > q) lies
+        # between the two-group tail 2 * t_cdf(-q / sqrt(2), df) and C(k, 2)
+        # times it, up to the kernel's relative 1e-9.  At 2000 rows the
+        # well-separated pairs carry tails far below 1e-16
+        config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
+        config["data"]["synthetic"]["n"] = 2000
+        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        run = pipeline._Run(cfg)
+        report = run_stage("screen", cfg, run)
+        data = run.prepared
+        checked = 0
+        for name, pairs in report["group_screening"]["multiple_comparisons"].items():
+            spec = data.spec(name)
+            table = group_table(data.columns[cfg.response], data.columns[name], spec.categories)
+            k = len(table.labels)
+            df = int(table.counts.sum()) - k
+            msw = table.ssw / df
+            index = {label: i for i, label in enumerate(table.labels)}
+            for pair in pairs:
+                a, b = index[pair["group_i"]], index[pair["group_j"]]
+                scale = math.sqrt((msw / 2.0) * (1.0 / table.counts[a] + 1.0 / table.counts[b]))
+                q = abs(table.means[a] - table.means[b]) / scale
+                two = 2.0 * t_cdf(-q / math.sqrt(2.0), df)
+                p = pair["p_adjusted"]
+                assert two * (1.0 - 1e-9) <= p <= math.comb(k, 2) * two * (1.0 + 1e-9), (
+                    name,
+                    pair,
+                    two,
+                )
+                checked += 1
+        assert checked == 13
 
     def test_csv_fixture_stages_compose(self, tmp_path):
         # the CSV fixture: schema defaults, declared categories, empty

@@ -243,6 +243,18 @@ class TestTukey:
         want = 2.0 * t_cdf(-t, 4)
         assert abs(pair.p_adjusted - want) < 1e-6
 
+    def test_separated_pair_keeps_its_tail(self):
+        # two groups of about 1000 rows, q = 14 and df = 2000: the adjusted
+        # p is the two-sample t tail, about 1.4e-22, not 1 - cdf's 0.0
+        counts = np.array([1000, 1002])
+        scale = math.sqrt(0.5 * (1.0 / 1000 + 1.0 / 1002))
+        table = screening.GroupTable(("a", "b"), counts, np.array([14.0 * scale, 0.0]), 2000.0)
+        (pair,) = tukey_hsd(table)
+        want = 2.0 * t_cdf(-14.0 / math.sqrt(2.0), 2000)
+        assert 1e-22 < want < 2e-22
+        assert abs(pair.p_adjusted / want - 1.0) < 1e-9
+        assert pair.significant
+
     def test_pair_count(self):
         values = list(range(12))
         labels = ["a", "b", "c", "d"] * 3
