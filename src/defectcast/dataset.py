@@ -4,14 +4,20 @@ A Dataset couples a declared schema (variable name, role, kind, transform,
 category order) with immutable column arrays.  Numeric columns are float64
 with NaN at missing cells; categorical columns are int32 category codes with
 -1 at missing cells.  The empty CSV field is the only missing marker.
+
+CSV files follow RFC 4180 and are read and written a column at a time, in
+fixed chunks of rows: a load parses each column of a chunk in one pass
+(``float`` on every numeric cell, one dict lookup per label) and never
+holds more than one chunk of cells; a write formats each column of a chunk
+whole (``repr`` for floats, a table of quoted labels by category code).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,12 +29,17 @@ ROLES = ("response", "predictor", "identifier", "excluded")
 KINDS = ("numeric", "categorical", "binary")
 TRANSFORMS = ("none", "ln", "ln1p")
 
+# rows per column pass in CSV reads and writes: the measured optimum, and
+# a load never holds more than one chunk of cells
+_CHUNK_ROWS = 256
+
 __all__ = [
     "VariableSpec",
     "Dataset",
     "FilterRule",
     "SummaryReport",
     "load_csv",
+    "csv_header",
     "serialize_csv",
     "apply_filters",
     "listwise_complete",
@@ -221,22 +232,109 @@ def load_csv(source, schema: Sequence[VariableSpec]) -> Dataset:
     labels must come from the declared category list; a variable declared
     with an empty list accepts any labels and lists them sorted, so no
     category's code depends on row order.  Columns present in the file but
-    absent from the schema are ignored.
+    absent from the schema are ignored, and a leading byte-order mark is
+    dropped from the header.  The first fault in row order raises
+    DataError, within a row the first in schema order.
     """
     specs = _check_schema(schema)
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _load_rows(csv.reader(handle), specs)
+            return _load_table(csv.reader(handle), specs)
     if isinstance(source, bytes):
-        return _load_rows(csv.reader(io.StringIO(source.decode("utf-8"), newline="")), specs)
-    return _load_rows(csv.reader(source), specs)
+        return _load_table(csv.reader(io.StringIO(source.decode("utf-8"), newline="")), specs)
+    return _load_table(csv.reader(source), specs)
 
 
-def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
+def csv_header(reader) -> list[str] | None:
+    """The next row of a ``csv.reader`` (None at the end), with a leading
+    UTF-8 byte-order mark, as Excel's "CSV UTF-8" export writes it, dropped
+    from its first name."""
+    header = next(reader, None)
+    if header and header[0].startswith("\ufeff"):
+        header[0] = header[0][1:]
+    return header
+
+
+class _Labels:
+    """One categorical column's labels and codes while a CSV loads.
+
+    The empty field codes to -1.  An open column (no declared categories)
+    codes new labels in first-seen order; ``_load_table`` sorts them after
+    the last row.
+    """
+
+    def __init__(self, spec: VariableSpec):
+        self.spec = spec
+        self.found = list(spec.categories)
+        self.code_of = {label: i for i, label in enumerate(self.found)}
+        self.code_of[""] = -1
+
+    def parse(self, cells: tuple[str, ...]):
+        """(codes, fault): int32 codes of a chunk of cells, and the index and
+        message of its first faulty cell, or None."""
+        spec, code_of = self.spec, self.code_of
+        if not spec.categories:
+            # dict keys keep first-seen order
+            for label in dict.fromkeys(cells):
+                if label in code_of:
+                    continue
+                if spec.kind == "binary" and len(self.found) >= 2:
+                    return None, (
+                        cells.index(label),
+                        f"binary variable {spec.name!r} saw a third label {label!r}",
+                    )
+                code_of[label] = len(self.found)
+                self.found.append(label)
+        try:
+            return np.fromiter(map(code_of.__getitem__, cells), np.int32, len(cells)), None
+        except KeyError:
+            i = next(i for i, cell in enumerate(cells) if cell not in code_of)
+            return None, (i, f"unknown category {cells[i]!r} for {spec.name!r}")
+
+
+def _parse_numbers(name: str, cells: tuple[str, ...]):
+    """(values, fault): float64 values of a chunk of cells, each read by
+    ``float`` with NaN at empty cells, and the index and message of the
+    first cell that is not a finite number, or None."""
+    empty = []
+    if "" in cells:
+        cells = list(cells)
+        i = cells.index("")
+        while True:
+            empty.append(i)
+            cells[i] = "nan"
+            try:
+                i = cells.index("", i + 1)
+            except ValueError:
+                break
+    end = len(cells)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("CSV has no header row") from None
+        values = np.fromiter(map(float, cells), np.float64, end)
+    except ValueError:
+        end = next(i for i, cell in enumerate(cells) if not _is_number(cell))
+        values = np.fromiter(map(float, cells[:end]), np.float64, end)
+    bad = ~np.isfinite(values)
+    bad[[i for i in empty if i < end]] = False
+    if bad.any():
+        i = int(np.argmax(bad))
+        return values, (i, f"non-finite value {cells[i]!r} for {name!r}")
+    if end < len(cells):
+        return values, (end, f"non-numeric value {cells[end]!r} for {name!r}")
+    return values, None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _load_table(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
+    header = csv_header(reader)
+    if header is None:
+        raise DataError("CSV has no header row")
     positions: dict[str, int] = {}
     for i, name in enumerate(header):
         if name in positions and any(s.name == name for s in specs):
@@ -246,63 +344,43 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
         if spec.name not in positions:
             raise DataError(f"CSV is missing required column {spec.name!r}")
 
-    open_coded = {s.name for s in specs if s.is_categorical and not s.categories}
-    categories: dict[str, list[str]] = {
-        s.name: list(s.categories) for s in specs if s.is_categorical
-    }
-    code_of: dict[str, dict[str, int]] = {
-        name: {label: i for i, label in enumerate(labels)}
-        for name, labels in categories.items()
-    }
-
-    raw: dict[str, list] = {s.name: [] for s in specs}
+    labels = {s.name: _Labels(s) for s in specs if s.is_categorical}
+    parts: dict[str, list[np.ndarray]] = {s.name: [] for s in specs}
     width = len(header)
-    for row_number, row in enumerate(reader, start=1):
-        if len(row) != width:
+    done = 0
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        sizes = list(map(len, rows))
+        whole = len(rows)
+        if sizes.count(width) < whole:
+            whole = next(i for i, size in enumerate(sizes) if size != width)
+        fault = None  # (row index in the chunk, message)
+        if whole:
+            fields = list(zip(*rows[:whole]))
+            for spec in specs:
+                cells = fields[positions[spec.name]]
+                if spec.is_categorical:
+                    values, found = labels[spec.name].parse(cells)
+                else:
+                    values, found = _parse_numbers(spec.name, cells)
+                if found is not None and (fault is None or found[0] < fault[0]):
+                    fault = found
+                parts[spec.name].append(values)
+        if fault is not None:
+            raise DataError(f"{fault[1]} at data row {done + fault[0] + 1}")
+        if whole < len(rows):
             raise DataError(
-                f"malformed CSV at data row {row_number}: "
-                f"expected {width} fields, got {len(row)}"
+                f"malformed CSV at data row {done + whole + 1}: "
+                f"expected {width} fields, got {sizes[whole]}"
             )
-        for spec in specs:
-            cell = row[positions[spec.name]]
-            if cell == "":
-                raw[spec.name].append(math.nan if spec.kind == "numeric" else -1)
-                continue
-            if spec.kind == "numeric":
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {cell!r} for {spec.name!r} "
-                        f"at data row {row_number}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"non-finite value {cell!r} for {spec.name!r} "
-                        f"at data row {row_number}"
-                    )
-                raw[spec.name].append(value)
-            else:
-                codes = code_of[spec.name]
-                if cell not in codes:
-                    if spec.name not in open_coded:
-                        raise DataError(
-                            f"unknown category {cell!r} for {spec.name!r} "
-                            f"at data row {row_number}"
-                        )
-                    if spec.kind == "binary" and len(categories[spec.name]) >= 2:
-                        raise DataError(
-                            f"binary variable {spec.name!r} saw a third label {cell!r} "
-                            f"at data row {row_number}"
-                        )
-                    codes[cell] = len(categories[spec.name])
-                    categories[spec.name].append(cell)
-                raw[spec.name].append(codes[cell])
+        done += len(rows)
 
     final_specs = []
+    columns = {}
     for spec in specs:
+        dtype = np.int32 if spec.is_categorical else np.float64
+        column = np.concatenate(parts[spec.name]) if parts[spec.name] else np.empty(0, dtype)
         if spec.is_categorical:
-            found = tuple(categories[spec.name])
+            found = tuple(labels[spec.name].found)
             if spec.kind == "binary" and len(found) != 2:
                 raise DataError(
                     f"binary variable {spec.name!r} has {len(found)} observed "
@@ -313,44 +391,66 @@ def _load_rows(reader, specs: tuple[VariableSpec, ...]) -> Dataset:
                     f"categorical variable {spec.name!r} has {len(found)} observed "
                     f"categories, needs at least 2"
                 )
-            if spec.name in open_coded:
+            if not spec.categories:
                 # recode first-seen codes to sorted ones; the trailing -1
                 # keeps missing cells missing
-                labels = tuple(sorted(found))
-                recode = [labels.index(label) for label in found] + [-1]
-                raw[spec.name] = np.array(recode, dtype=np.int32)[raw[spec.name]]
-                found = labels
-            final_specs.append(replace(spec, categories=found))
-        else:
-            final_specs.append(spec)
-
-    columns = {
-        s.name: np.asarray(raw[s.name], dtype=np.int32 if s.is_categorical else np.float64)
-        for s in final_specs
-    }
+                sorted_labels = tuple(sorted(found))
+                recode = [sorted_labels.index(label) for label in found] + [-1]
+                column = np.array(recode, dtype=np.int32)[column]
+                found = sorted_labels
+            spec = replace(spec, categories=found)
+        final_specs.append(spec)
+        columns[spec.name] = column
     return Dataset(final_specs, columns)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it beside other fields of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
+def _cells(column: np.ndarray, table: np.ndarray | None, empty: str) -> list[str]:
+    """The CSV fields of a chunk of one column: labels from ``table`` by
+    category code (its last entry serves code -1), or floats by ``repr``
+    with ``empty`` at NaN."""
+    if table is not None:
+        return table[column].tolist()
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = empty
+    return cells
 
 
 def serialize_csv(ds: Dataset, destination) -> None:
     """Write a dataset back to CSV; floats use repr so reloads are lossless.
 
-    Each column is formatted whole, then the rows go out in one
-    ``writerows``; missing cells are empty fields.
+    The bytes are ``csv.writer``'s with ``\\n`` line ends.  Columns are
+    formatted a chunk of rows at a time: labels from a table quoted once
+    per category, floats by ``repr``, missing cells as empty fields (as
+    ``""`` in a one-column table, where an empty row would read as no
+    row), and each chunk's rows go out in one write.
     """
+    # csv.writer quotes a row's only field when it is empty
+    empty = '""' if len(ds.schema) == 1 else ""
+    tables = {
+        s.name: np.array(
+            [_csv_field(label) or empty for label in s.categories] + [empty], dtype=object
+        )
+        for s in ds.schema
+        if s.is_categorical
+    }
 
     def _write(handle):
-        columns = []
-        for spec in ds.schema:
-            if spec.is_categorical:
-                cells = ds.labels(spec.name)
-            else:
-                cells = [repr(v) for v in ds.columns[spec.name].tolist()]
-            for i in np.flatnonzero(ds.missing(spec.name)).tolist():
-                cells[i] = ""
-            columns.append(cells)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(ds.variable_names)
-        writer.writerows(zip(*columns))
+        csv.writer(handle, lineterminator="\n").writerow(ds.variable_names)
+        for start in range(0, ds.row_count, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            fields = [
+                _cells(ds.columns[s.name][start:stop], tables.get(s.name), empty)
+                for s in ds.schema
+            ]
+            handle.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="") as handle:

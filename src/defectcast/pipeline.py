@@ -41,6 +41,7 @@ from .dataset import (
     FilterRule,
     VariableSpec,
     apply_filters,
+    csv_header,
     listwise_complete,
     load_csv,
     serialize_csv,
@@ -449,10 +450,9 @@ def _write_table(run: _Run, name: str, ds: Dataset) -> None:
 def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
     # config-vs-data mismatch is a configuration fault, reported before load
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise DataError(f"data file {path} has no header row") from None
+        header = csv_header(csv.reader(handle))
+    if header is None:
+        raise DataError(f"data file {path} has no header row")
     present = set(header)
     for spec in schema:
         if spec.name not in present:
@@ -553,10 +553,11 @@ def _stage_prepare(run: _Run) -> dict:
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
     qq_raw = qq_normal(filtered.columns[cfg.response])
     qq_model = qq_normal(prepared.columns[cfg.response])
-    lines = ["theoretical,ordered"]
-    for t, o in zip(qq_model.theoretical, qq_model.ordered):
-        lines.append(f"{float(t)!r},{float(o)!r}")
-    _atomic_write_text(run.out_dir / "qq.csv", "\n".join(lines) + "\n")
+    qq = Dataset(
+        [VariableSpec(name, "predictor", "numeric") for name in ("theoretical", "ordered")],
+        {"theoretical": qq_model.theoretical, "ordered": qq_model.ordered},
+    )
+    _atomic_write(run.out_dir / "qq.csv", lambda handle: serialize_csv(qq, handle))
 
     return {
         "data_preparation": {

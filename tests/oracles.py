@@ -523,6 +523,117 @@ def serialize_csv_by_rows(ds, handle) -> None:
         writer.writerow(row)
 
 
+def load_csv_by_rows(source, schema):
+    """A CSV read one cell at a time against a schema: the row loop that
+    ``dataset.load_csv`` must match in every value, category list and
+    DataError message.  ``source`` is CSV text."""
+    import csv
+    import io
+    from dataclasses import replace
+
+    from defectcast._errors import DataError
+    from defectcast.dataset import Dataset
+
+    specs = tuple(schema)
+    reader = csv.reader(io.StringIO(source, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("CSV has no header row") from None
+    positions: dict[str, int] = {}
+    for i, name in enumerate(header):
+        if name in positions and any(s.name == name for s in specs):
+            raise DataError(f"duplicate CSV column {name!r}")
+        positions.setdefault(name, i)
+    for spec in specs:
+        if spec.name not in positions:
+            raise DataError(f"CSV is missing required column {spec.name!r}")
+
+    open_coded = {s.name for s in specs if s.is_categorical and not s.categories}
+    categories: dict[str, list[str]] = {
+        s.name: list(s.categories) for s in specs if s.is_categorical
+    }
+    code_of: dict[str, dict[str, int]] = {
+        name: {label: i for i, label in enumerate(labels)}
+        for name, labels in categories.items()
+    }
+
+    raw: dict[str, list] = {s.name: [] for s in specs}
+    width = len(header)
+    for row_number, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise DataError(
+                f"malformed CSV at data row {row_number}: "
+                f"expected {width} fields, got {len(row)}"
+            )
+        for spec in specs:
+            cell = row[positions[spec.name]]
+            if cell == "":
+                raw[spec.name].append(math.nan if spec.kind == "numeric" else -1)
+                continue
+            if spec.kind == "numeric":
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"non-numeric value {cell!r} for {spec.name!r} "
+                        f"at data row {row_number}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"non-finite value {cell!r} for {spec.name!r} "
+                        f"at data row {row_number}"
+                    )
+                raw[spec.name].append(value)
+            else:
+                codes = code_of[spec.name]
+                if cell not in codes:
+                    if spec.name not in open_coded:
+                        raise DataError(
+                            f"unknown category {cell!r} for {spec.name!r} "
+                            f"at data row {row_number}"
+                        )
+                    if spec.kind == "binary" and len(categories[spec.name]) >= 2:
+                        raise DataError(
+                            f"binary variable {spec.name!r} saw a third label {cell!r} "
+                            f"at data row {row_number}"
+                        )
+                    codes[cell] = len(categories[spec.name])
+                    categories[spec.name].append(cell)
+                raw[spec.name].append(codes[cell])
+
+    final_specs = []
+    for spec in specs:
+        if spec.is_categorical:
+            found = tuple(categories[spec.name])
+            if spec.kind == "binary" and len(found) != 2:
+                raise DataError(
+                    f"binary variable {spec.name!r} has {len(found)} observed "
+                    f"categories, needs exactly 2"
+                )
+            if spec.kind == "categorical" and len(found) < 2:
+                raise DataError(
+                    f"categorical variable {spec.name!r} has {len(found)} observed "
+                    f"categories, needs at least 2"
+                )
+            if spec.name in open_coded:
+                # recode first-seen codes to sorted ones; the trailing -1
+                # keeps missing cells missing
+                labels = tuple(sorted(found))
+                recode = [labels.index(label) for label in found] + [-1]
+                raw[spec.name] = np.array(recode, dtype=np.int32)[raw[spec.name]]
+                found = labels
+            final_specs.append(replace(spec, categories=found))
+        else:
+            final_specs.append(spec)
+
+    columns = {
+        s.name: np.asarray(raw[s.name], dtype=np.int32 if s.is_categorical else np.float64)
+        for s in final_specs
+    }
+    return Dataset(final_specs, columns)
+
+
 def _plan_quantifications(plan):
     """The plan's codings as the ``Quantification`` objects a fit takes."""
     from defectcast.regression import Quantification

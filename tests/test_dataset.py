@@ -1,6 +1,8 @@
 """Dataset loading, filtering, and summary behavior."""
 
+import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from defectcast.dataset import (
     summarize,
 )
 
-from oracles import serialize_csv_by_rows
+from oracles import load_csv_by_rows, serialize_csv_by_rows
 
 SCHEMA = [
     VariableSpec("defects", "response", "numeric", transform="ln"),
@@ -98,6 +100,22 @@ class TestLoadCsv:
             load_csv(io.StringIO(text), [VariableSpec("a", "predictor", "numeric"),
                                          VariableSpec("b", "predictor", "numeric")])
 
+    def test_cell_fault_before_a_short_row_wins(self):
+        # the first fault in row order, also when a later row of the same
+        # chunk has the wrong width
+        text = "a,b\n1,2\n3,oops\n4\n"
+        schema = [VariableSpec("a", "predictor", "numeric"),
+                  VariableSpec("b", "predictor", "numeric")]
+        with pytest.raises(DataError, match="^non-numeric value 'oops' for 'b' at data row 2$"):
+            load_csv(io.StringIO(text), schema)
+
+    def test_first_fault_in_a_row_follows_schema_order(self):
+        text = "a,b\n1,2\noops,x\n"
+        schema = [VariableSpec("b", "predictor", "numeric"),
+                  VariableSpec("a", "predictor", "numeric")]
+        with pytest.raises(DataError, match="^non-numeric value 'x' for 'b' at data row 2$"):
+            load_csv(io.StringIO(text), schema)
+
     def test_non_numeric_cell_reports_location(self):
         text = "a\n1\noops\n"
         with pytest.raises(DataError, match="'oops'.*row 2"):
@@ -140,6 +158,150 @@ class TestLoadCsv:
         again = load_csv(io.StringIO(buffer.getvalue()), schema)
         assert np.array_equal(again.columns["v"], ds.columns["v"])
 
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF and ends its
+    # lines with CRLF; the mark is no part of the first column's name
+    TEXT = "\ufeff" + CSV_TEXT.replace("\n", "\r\n")
+
+    def test_every_source_kind_loads_as_without_the_mark(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(self.TEXT.encode("utf-8"))
+        text = io.StringIO(self.TEXT, newline="")
+        for source in (path, str(path), self.TEXT.encode("utf-8"), text):
+            assert load_csv(source, SCHEMA) == _load()
+
+    def test_only_a_leading_mark_is_dropped(self):
+        text = "a,\ufeffb\n1,\ufeffx\n2,y\n"
+        schema = [VariableSpec("a", "predictor", "numeric"),
+                  VariableSpec("\ufeffb", "predictor", "categorical")]
+        assert load_csv(io.StringIO(text), schema).spec("\ufeffb").categories == ("y", "\ufeffx")
+
+
+class TestNumericText:
+    # a numeric cell is read by Python's float, whatever numpy is installed
+    @pytest.mark.parametrize("cell", ["1_0", " 1.5 ", "\u0661\u0662", "-0.0", "5e-324", "1E3"])
+    def test_cell_reads_as_float_reads_it(self, cell):
+        ds = load_csv(io.StringIO(f"v\n{cell}\n"), [VariableSpec("v", "predictor", "numeric")])
+        assert ds.columns["v"].tobytes() == np.float64(float(cell)).tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, fault", [("1e500", "non-finite"), ("nan", "non-finite"), ("0x10", "non-numeric")]
+    )
+    def test_rejected_cell(self, cell, fault):
+        with pytest.raises(DataError, match=f"^{fault} value '{cell}' for 'v' at data row 2$"):
+            load_csv(io.StringIO(f"v\n1\n{cell}\n"), [VariableSpec("v", "predictor", "numeric")])
+
+
+def test_load_holds_one_chunk_of_cells_at_a_time(tmp_path):
+    # the load parses a fixed number of rows at a time, so its traced peak
+    # stays a small multiple of the arrays it returns: 3.3x on this file,
+    # against 5.5x for a loop over rows and 16x for a load that reads every
+    # cell of the file before parsing any
+    rng = np.random.default_rng(8000)
+    path = tmp_path / "projects.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["defects", "fp", "efforts", "team", "dev_type", "vaf"])
+        for values, dev, vaf in zip(
+            rng.lognormal(3.0, 1.0, (8000, 4)).tolist(),
+            rng.choice(["New Development", "Enhancement", "Re-development"], 8000).tolist(),
+            rng.choice(["0.65", "1.00", "1.35"], 8000).tolist(),
+        ):
+            writer.writerow([*map(repr, values), dev, vaf])
+    numeric = ("defects", "fp", "efforts", "team")
+    schema = [
+        *(VariableSpec(name, "predictor", "numeric") for name in numeric),
+        VariableSpec("dev_type", "predictor", "categorical"),
+        VariableSpec("vaf", "predictor", "categorical", categories=("0.65", "1.00", "1.35")),
+    ]
+    load_csv(path, schema)
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    loaded = sum(column.nbytes for column in ds.columns.values())
+    assert ds.row_count == 8000
+    assert peak < 8 * loaded, peak / loaded
+
+
+ORACLE_SCHEMA = [
+    VariableSpec("x", "predictor", "numeric"),
+    VariableSpec("k", "predictor", "categorical", categories=("a", "b,c", 'd"e')),
+    VariableSpec("u", "predictor", "categorical"),
+    VariableSpec("y", "response", "numeric"),
+    VariableSpec("b", "predictor", "binary"),
+]
+# file order differs from schema order, and one column is not in the schema
+ORACLE_HEADER = ["u", "note", "x", "y", "k", "b"]
+# a fault replaces one cell with text the load rejects, or cuts a row short
+ORACLE_FAULTS = {
+    "non-numeric": ("x", "oops"),
+    "nan": ("y", "nan"),
+    "inf": ("x", "-inf"),
+    "unknown label": ("k", "zz"),
+    "third binary label": ("b", "maybe"),
+    "short row": (None, None),
+}
+
+
+def _oracle_rows(rng, n):
+    def pick(labels, empty_share):
+        cells = rng.choice(labels, n).tolist()
+        return [c if keep else "" for c, keep in zip(cells, rng.random(n) >= empty_share)]
+
+    columns = {
+        "u": pick(["p", "q, r", 's "t"', "v"], 0.05),
+        "note": pick(["n", "m,m"], 0.0),
+        "x": pick([repr(v) for v in rng.normal(0.0, 1e3, 50).tolist()] + ["7", "-0.0"], 0.1),
+        "y": [repr(v) for v in rng.lognormal(2.0, 1.0, n).tolist()],
+        "k": pick(["a", "b,c", 'd"e'], 0.05),
+        "b": pick(["yes", "no"], 0.02),
+    }
+    return [list(row) for row in zip(*(columns[name] for name in ORACLE_HEADER))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(257, 640),
+    faults=st.lists(
+        st.tuples(st.sampled_from(sorted(ORACLE_FAULTS)),
+                  st.sampled_from([254, 255, 256, 257, 511, 512])),
+        max_size=2,
+    ),
+)
+def test_load_matches_row_loop_oracle(seed, n, faults):
+    # tables longer than one chunk of rows, with faults on either side of a
+    # chunk boundary: the same Dataset, categories included, or the same
+    # DataError message as a loop over rows
+    rows = _oracle_rows(np.random.default_rng(seed), n)
+    # cut rows short last, so a cell fault never indexes past a cut row
+    for fault, index in sorted(faults, key=lambda f: f[0] == "short row"):
+        row = rows[min(index, n - 1)]
+        column, cell = ORACLE_FAULTS[fault]
+        if column is None:
+            row.pop()
+        else:
+            row[ORACLE_HEADER.index(column)] = cell
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(ORACLE_HEADER)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+
+    def outcome(load, source):
+        try:
+            return load(source, ORACLE_SCHEMA)
+        except DataError as error:
+            return f"DataError: {error}"
+
+    expected = outcome(load_csv_by_rows, text)
+    got = outcome(load_csv, io.StringIO(text, newline=""))
+    assert type(got) is type(expected)
+    assert got == expected
 
 class TestSchemaValidation:
     def test_two_responses_rejected(self):

@@ -573,6 +573,20 @@ class TestPipelineRun:
             run_pipeline(cfg)
         assert not (tmp_path / "out" / "recalibration.json").exists()
 
+    def test_csv_with_byte_order_mark_and_crlf_line_ends(self, tmp_path):
+        # Excel's "CSV UTF-8" export: a leading U+FEFF, which the header
+        # check must not read as part of the first column's name
+        marked = "\ufeff" + CSV_TEXT.replace("\n", "\r\n")
+        outputs = {}
+        for name, text in [("plain", CSV_TEXT), ("marked", marked)]:
+            data = tmp_path / f"{name}.csv"
+            data.write_bytes(text.encode("utf-8"))
+            path = write_config(tmp_path, csv_config(data), f"{name}.json")
+            run_stage("prepare", load_config(path, out_override=str(tmp_path / name)))
+            out = tmp_path / name
+            outputs[name] = [(out / f).read_bytes() for f in ("prepared.csv", "qq.csv")]
+        assert outputs["marked"] == outputs["plain"]
+
     def test_synth_then_fit_reproduces_model_file(self, tmp_path):
         run_pipeline(load_small(tmp_path, out="mono"))
         cfg = load_small(tmp_path, out="partial")
