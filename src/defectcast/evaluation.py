@@ -37,7 +37,6 @@ from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
 from .recalibration import Routes, fit_consequents, routes_for, score, units_for
 from .regression import (
-    Quantification,
     back_transform_array,
     design_columns,
     ols_coefficients,
@@ -681,8 +680,9 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     return Dataset(synthetic_schema(config), columns, metadata=metadata)
 
 
-def quantification_from_labels(ds: Dataset, variable: str) -> Quantification:
-    """Initial quantification read off numeric-looking category labels."""
+def quantification_from_labels(ds: Dataset, variable: str) -> dict[str, float]:
+    """Initial label→value mapping read off numeric-looking category
+    labels."""
     spec = ds.spec(variable)
     if not spec.is_categorical:
         raise DataError(f"variable {variable!r} is not categorical")
@@ -694,23 +694,23 @@ def quantification_from_labels(ds: Dataset, variable: str) -> Quantification:
             raise DataError(
                 f"category {label!r} of {variable!r} is not a numeric label"
             ) from None
-    return Quantification(variable=variable, mapping=mapping, source="initial")
+    return mapping
 
 
 def perturb_quantification(
-    quant: Quantification, max_shift: float, seed: int
-) -> Quantification:
-    """Independent uniform shifts in [-max_shift, max_shift] per category.
+    mapping: dict[str, float], max_shift: float, seed: int
+) -> dict[str, float]:
+    """``mapping`` with independent uniform shifts in [-max_shift,
+    max_shift] per category.
 
     Labels are shifted in sorted order so the result depends only on the
     mapping contents and the seed.
     """
     if max_shift < 0:
         raise ConfigError(f"max_shift must be nonnegative, got {max_shift}")
-    labels = sorted(quant.mapping)
+    labels = sorted(mapping)
     shifts = (2.0 * RandomStream(seed).uniforms(len(labels)) - 1.0) * max_shift
-    mapping = {
-        label: quant.mapping[label] + float(shift)
+    return {
+        label: mapping[label] + float(shift)
         for label, shift in zip(labels, shifts)
     }
-    return Quantification(variable=quant.variable, mapping=mapping, source="initial")

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, listwise_complete
-from .regression import LinearModel, Quantification, ols_fit
+from .regression import LinearModel, ols_fit
 
 __all__ = ["TreeNode", "ModelTree", "fit_model_tree"]
 
@@ -220,7 +220,7 @@ def _category_order(codes: np.ndarray, y: np.ndarray) -> list[int]:
     return [c for _, c in means]
 
 
-def _leaf_fit(ds, response, leaf_values, quantifications, response_transform):
+def _leaf_fit(ds, response, leaf_values, codings, response_transform):
     """Leaf OLS with dependent columns dropped until the solve succeeds.
 
     ``leaf_values`` maps each usable regressor to its numeric values on the
@@ -234,7 +234,7 @@ def _leaf_fit(ds, response, leaf_values, quantifications, response_transform):
         active.pop()
     while True:
         try:
-            return ols_fit(ds, response, active, quantifications, response_transform)
+            return ols_fit(ds, response, active, codings, response_transform)
         except NumericalError as err:
             if not active:
                 raise
@@ -263,23 +263,23 @@ def fit_model_tree(
     ds: Dataset,
     response: str,
     predictors: list[str],
-    quantifications: dict[str, Quantification] | None = None,
+    codings: dict[str, dict[str, float]] | None = None,
     min_leaf_size: int | None = None,
     sd_fraction: float = 0.05,
     response_transform: str = "none",
 ) -> ModelTree:
     """Grow a model tree on rows listwise complete over all variables.
 
-    ``min_leaf_size`` defaults to max(4, ceil(0.1 * n)).  Numeric and
-    quantified categorical predictors supply threshold splits and leaf
-    regressors; categorical predictors without a quantification supply
-    subset splits only.
+    ``min_leaf_size`` defaults to max(4, ceil(0.1 * n)).  Numeric
+    predictors and categorical ones with a mapping in ``codings`` supply
+    threshold splits and leaf regressors; other categorical predictors
+    supply subset splits only.
     """
     if not predictors:
         raise ConfigError("model tree needs at least one predictor")
     if not (0.0 < sd_fraction < 1.0):
         raise ConfigError(f"sd_fraction must be in (0, 1), got {sd_fraction}")
-    quantifications = quantifications or {}
+    codings = codings or {}
     data = listwise_complete(ds, [response] + list(predictors))
     n = data.row_count
     if min_leaf_size is None:
@@ -296,8 +296,8 @@ def fit_model_tree(
         spec = data.spec(name)
         if spec.kind == "numeric":
             numeric_like[name] = data.columns[name].astype(float)
-        elif name in quantifications:
-            numeric_like[name] = data.encode(name, quantifications[name].mapping)
+        elif name in codings:
+            numeric_like[name] = data.encode(name, codings[name])
         else:
             subset_only[name] = data.columns[name].astype(np.int64)
     leaf_predictors = [v for v in predictors if v in numeric_like]
@@ -315,7 +315,7 @@ def fit_model_tree(
                 data.take(indices),
                 response,
                 {v: numeric_like[v][indices] for v in leaf_predictors},
-                quantifications,
+                codings,
                 response_transform,
             )
             return TreeNode(n=node_n, sd=node_sd, model=model)

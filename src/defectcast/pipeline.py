@@ -65,7 +65,6 @@ from .modeltree import fit_model_tree
 from .recalibration import recalibrated_predict, train_recalibration, units_for
 from .regression import (
     LinearModel,
-    Quantification,
     catreg_fit,
     model_predict,
     ols_fit,
@@ -237,8 +236,12 @@ def load_config(
                 f"scaling level given for {name!r}, which is not a candidate"
             )
         spec = source[name]
+        if not spec.is_categorical:
+            raise ConfigError(
+                f"scaling level given for {name!r}, which is not categorical"
+            )
         # undeclared labels come sorted, which is no declared order
-        if level == "ordinal" and spec.is_categorical and not spec.categories:
+        if level == "ordinal" and not spec.categories:
             raise ConfigError(
                 f"ordinal scaling of {name!r} needs its categories declared in order"
             )
@@ -399,12 +402,12 @@ def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
 @dataclass(frozen=True)
 class _Fit:
     """What ``_fit_models`` built: the full and the selected model, the
-    quantifications the fits used, and the report's scaling and stepwise
-    sections."""
+    codings ``model.json`` records (catreg's with scaling, else the
+    initial ones), and the report's scaling and stepwise sections."""
 
     full: LinearModel
     selected: LinearModel
-    quants: dict[str, Quantification]
+    codings: dict[str, dict[str, float]]
     scaling_section: dict
     stepwise_section: dict
 
@@ -499,19 +502,19 @@ def _response_transform(run: _Run) -> str:
     return _source_dataset(run).spec(run.cfg.response).transform
 
 
-def _initial_quantifications(
+def _initial_codings(
     ds: Dataset, candidates, scaling
-) -> dict[str, Quantification]:
+) -> dict[str, dict[str, float]]:
     """Numeric-label categoricals start at their labels; other categorical
     candidates must either be binary (auto 0/1) or carry a scaling level so
     optimal scaling can place them."""
-    quants: dict[str, Quantification] = {}
+    codings: dict[str, dict[str, float]] = {}
     for name in candidates:
         spec = ds.spec(name)
         if not spec.is_categorical:
             continue
         try:
-            quants[name] = quantification_from_labels(ds, name)
+            codings[name] = quantification_from_labels(ds, name)
         except DataError:
             if len(spec.categories) == 2 or name in scaling:
                 continue  # binary auto-coding, or optimal scaling will fill it
@@ -519,7 +522,7 @@ def _initial_quantifications(
                 f"categorical candidate {name!r} has non-numeric labels; "
                 f"declare a scaling level for it"
             ) from None
-    return quants
+    return codings
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +587,13 @@ def _stage_prepare(run: _Run) -> dict:
 def _stage_screen(run: _Run) -> dict:
     cfg = run.cfg
     data = _prepared_dataset(run)
-    quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
     report = screen_dataset(
         data,
         cfg.response,
         cfg.candidates,
         alpha=cfg.alpha,
         dual_treatment=cfg.dual_treatment,
-        quantifications={k: q.mapping for k, q in quants.items()},
+        codings=_initial_codings(data, cfg.candidates, cfg.scaling),
     )
     payload = report.to_dict()
     return {
@@ -613,12 +615,11 @@ def _stage_tree(run: _Run) -> dict:
     if not cfg.tree_enabled:
         return {"model_tree": {"enabled": False}}
     data = _prepared_dataset(run)
-    quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
     tree = fit_model_tree(
         data,
         cfg.response,
         cfg.candidates,
-        quantifications=quants,
+        codings=_initial_codings(data, cfg.candidates, cfg.scaling),
         min_leaf_size=cfg.tree_min_leaf,
         sd_fraction=cfg.tree_sd_fraction,
         response_transform=_response_transform(run),
@@ -642,7 +643,7 @@ def _fit_models(run: _Run) -> _Fit:
     cfg = run.cfg
     data = _prepared_dataset(run)
     transform = _response_transform(run)
-    quants = _initial_quantifications(data, cfg.candidates, cfg.scaling)
+    codings = _initial_codings(data, cfg.candidates, cfg.scaling)
 
     scaling_section = {"enabled": bool(cfg.scaling)}
     if cfg.scaling:
@@ -654,24 +655,21 @@ def _fit_models(run: _Run) -> _Fit:
             response_transform=transform,
         )
         # catreg quantifies every categorical candidate and ends with the
-        # full OLS fit on those quantifications
+        # full OLS fit on those quantifications, which its codings record
         full = result.model
-        for quant in result.quantifications:
-            quants[quant.variable] = quant
+        codings = full.codings
         scaling_section.update(
             {
                 "levels": dict(cfg.scaling),
                 "iterations": result.iterations,
                 "r_squared": result.r_squared_path[-1],
                 "r_squared_path": list(result.r_squared_path),
-                "quantifications": {
-                    q.variable: dict(q.mapping) for q in result.quantifications
-                },
+                "quantifications": codings,
             }
         )
     else:
         full = ols_fit(
-            data, cfg.response, cfg.candidates, quants, response_transform=transform
+            data, cfg.response, cfg.candidates, codings, response_transform=transform
         )
     stepwise_section = {"enabled": cfg.stepwise}
     selected = full
@@ -682,7 +680,7 @@ def _fit_models(run: _Run) -> _Fit:
             cfg.candidates,
             p_enter=cfg.p_enter,
             p_remove=cfg.p_remove,
-            quantifications=quants,
+            codings=codings,
             response_transform=transform,
         )
         selected = trace.final_model
@@ -702,12 +700,13 @@ def _fit_models(run: _Run) -> _Fit:
                 "model": selected.to_dict(),
             }
         )
-    run.fit = _Fit(full, selected, quants, scaling_section, stepwise_section)
+    run.fit = _Fit(full, selected, codings, scaling_section, stepwise_section)
     return run.fit
 
 
 def _stage_fit(run: _Run) -> dict:
     fit = _fit_models(run)
+    source = "catreg" if run.cfg.scaling else "initial"
     model_doc = _write_json(
         run.out_dir / "model.json",
         {
@@ -715,8 +714,8 @@ def _stage_fit(run: _Run) -> dict:
             "model": fit.selected.to_dict(),
             "full_model": fit.full.to_dict(),
             "quantifications": {
-                name: {"mapping": q.mapping, "source": q.source}
-                for name, q in fit.quants.items()
+                name: {"mapping": mapping, "source": source}
+                for name, mapping in fit.codings.items()
             },
         },
     )

@@ -42,7 +42,6 @@ from .dataset import Dataset, listwise_complete
 from .numerics import min_norm_least_squares
 from .regression import (
     LinearModel,
-    Quantification,
     back_transform_array,
     linear_score,
     model_design,
@@ -52,11 +51,9 @@ from .regression import (
 __all__ = [
     "Nfa",
     "TrainingTrace",
-    "init_nfa",
     "units_for",
     "train_recalibration",
     "recalibrated_predict",
-    "trained_quantification",
 ]
 
 
@@ -123,29 +120,6 @@ class TrainingTrace:
     final_gradient_norm: float
 
 
-def init_nfa(quantification: Quantification) -> Nfa:
-    """Identity-initialized unit over the quantification's distinct values."""
-    anchors = sorted(set(quantification.mapping.values()))
-    if len(anchors) == 1:
-        widths = [1.0]
-    else:
-        widths = []
-        for i, a in enumerate(anchors):
-            gaps = []
-            if i > 0:
-                gaps.append(a - anchors[i - 1])
-            if i < len(anchors) - 1:
-                gaps.append(anchors[i + 1] - a)
-            widths.append(min(gaps) / 2.0)
-    return Nfa(
-        variable=quantification.variable,
-        input_anchors=tuple(float(a) for a in anchors),
-        widths=tuple(widths),
-        consequents=tuple(float(a) for a in anchors),
-        trained=False,
-    )
-
-
 def firing_strengths(nfa: Nfa, values) -> np.ndarray:
     """Normalized membership degrees, one row per input value.
 
@@ -169,8 +143,19 @@ def firing_strengths(nfa: Nfa, values) -> np.ndarray:
 
 def units_for(codings: dict[str, dict[str, float]]) -> list[Nfa]:
     """One identity-initialized unit per variable of ``codings`` (a model's
-    fit-time codings), in their order, anchored at the coding's values."""
-    return [init_nfa(Quantification(variable, coding)) for variable, coding in codings.items()]
+    fit-time codings), in their order, anchored at the coding's distinct
+    values."""
+    units = []
+    for variable, coding in codings.items():
+        anchors = tuple(float(a) for a in sorted(set(coding.values())))
+        # half the gap to the nearest neighbor; a lone anchor gets width 1
+        gaps = [b - a for a, b in zip(anchors, anchors[1:])]
+        widths = tuple(
+            min(gaps[max(i - 1, 0) : i + 1]) / 2.0 if gaps else 1.0
+            for i in range(len(anchors))
+        )
+        units.append(Nfa(variable, anchors, widths, anchors))
+    return units
 
 
 # A route sends one design column through a unit: it maps the column's
@@ -346,22 +331,3 @@ def recalibrated_predict(
     if back_transform:
         return back_transform_array(total, model.response_transform)
     return total
-
-
-def trained_quantification(nfa: Nfa, quantification: Quantification) -> Quantification:
-    """Final per-category values: each category's anchor output.
-
-    Firing at an anchor is one-hot, so this reads off the consequent of
-    the anchor the category maps to.
-    """
-    if nfa.variable != quantification.variable:
-        raise ConfigError(
-            f"unit is for {nfa.variable!r}, quantification for "
-            f"{quantification.variable!r}"
-        )
-    strengths = firing_strengths(nfa, list(quantification.mapping.values()))
-    outputs = strengths @ np.array(nfa.consequents)
-    mapping = dict(zip(quantification.mapping, outputs.tolist()))
-    return Quantification(
-        variable=nfa.variable, mapping=mapping, source="recalibrated"
-    )

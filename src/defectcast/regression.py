@@ -1,12 +1,12 @@
 """Linear-model backbone: OLS with inference, stepwise selection, and
 optimal scaling of categorical predictors.
 
-Categorical predictors enter a fit through a Quantification (a label to
-number mapping).  A binary variable without one is coded 0/1 by category
-order.  The optimal-scaling fit (``catreg_fit``) alternates OLS with
-per-category least-squares updates of the quantifications until R^2 stops
-improving; ordinal variables are projected monotone by pool-adjacent-
-violators inside each pass.
+Categorical predictors enter a fit through ``codings``: a plain
+``{label: value}`` mapping per variable, keyed by variable name.  A binary
+variable without one is coded 0/1 by category order.  The optimal-scaling
+fit (``catreg_fit``) alternates OLS with per-category least-squares updates
+of the quantifications until R^2 stops improving; ordinal variables are
+projected monotone by pool-adjacent-violators inside each pass.
 
 A fitted ``LinearModel`` records each categorical term's label to number
 mapping in ``codings``, and scoring reads no other: ``model_predict`` sums
@@ -28,7 +28,6 @@ from .dataset import Dataset, listwise_complete, sample_sd
 from .numerics import LeastSquaresSolution, solve_least_squares, t_cdf, unscaled_covariance
 
 __all__ = [
-    "Quantification",
     "ModelTerm",
     "LinearModel",
     "StepwiseStep",
@@ -39,25 +38,6 @@ __all__ = [
     "catreg_fit",
     "model_predict",
 ]
-
-QUANTIFICATION_SOURCES = ("initial", "catreg", "recalibrated")
-
-
-@dataclass(frozen=True)
-class Quantification:
-    """Numeric values standing in for one categorical variable's labels."""
-
-    variable: str
-    mapping: dict[str, float]
-    source: str = "initial"
-
-    def __post_init__(self):
-        if self.source not in QUANTIFICATION_SOURCES:
-            raise ConfigError(f"unknown quantification source {self.source!r}")
-        if not self.mapping:
-            raise ConfigError(f"empty quantification for {self.variable!r}")
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
 
 @dataclass(frozen=True)
 class ModelTerm:
@@ -74,8 +54,8 @@ class LinearModel:
     """A fitted linear model plus the codings needed to reuse it on rows.
 
     ``codings`` stores, for every categorical term, the label to number
-    mapping actually used at fit time (a supplied quantification or the 0/1
-    binary coding).  Prediction values labels by these codings alone.
+    mapping actually used at fit time (a supplied coding or the 0/1 binary
+    coding).  Prediction values labels by these codings alone.
     ``response_transform`` records how the response column had been
     transformed before fitting ('none', 'ln', or 'ln1p').
     """
@@ -222,22 +202,23 @@ def ols_fit(
     ds: Dataset,
     response: str,
     predictors: Sequence[str],
-    quantifications: dict[str, Quantification] | None = None,
+    codings: dict[str, dict[str, float]] | None = None,
     response_transform: str = "none",
 ) -> LinearModel:
     """Ordinary least squares with t-based inference per coefficient.
 
-    Standardized coefficients use sample (n-1) standard deviations.  The
-    dataset is reduced to rows listwise complete over the response and all
-    predictors before fitting.
+    Categorical predictors are valued by their mapping in ``codings``
+    (binary ones default to 0/1), as in ``design_columns``.  Standardized
+    coefficients use sample (n-1) standard deviations.  The dataset is
+    reduced to rows listwise complete over the response and all predictors
+    before fitting.
     """
     predictors = list(predictors)
     data = listwise_complete(ds, [response] + predictors)
     n = data.row_count
     p = len(predictors)
     y = response_values(data, response)
-    mappings = {name: q.mapping for name, q in (quantifications or {}).items()}
-    design, codings = design_columns(data, predictors, mappings)
+    design, used = design_columns(data, predictors, codings)
     sol, tss = ols_coefficients(design, y, predictors, response)
     coef = sol.coefficients
     rss = sol.residual_sum_squares
@@ -278,7 +259,7 @@ def ols_fit(
         terms=tuple(terms),
         r_squared=float(r_squared),
         n=n,
-        codings=codings,
+        codings=used,
     )
 
 
@@ -307,7 +288,7 @@ def stepwise_fit(
     candidates: Sequence[str],
     p_enter: float = 0.05,
     p_remove: float = 0.10,
-    quantifications: dict[str, Quantification] | None = None,
+    codings: dict[str, dict[str, float]] | None = None,
     response_transform: str = "none",
 ) -> StepwiseTrace:
     """Forward-entry stepwise regression with backward removal.
@@ -334,9 +315,7 @@ def stepwise_fit(
     data = listwise_complete(ds, [response] + candidates)
 
     def _fit(variables: list[str]) -> LinearModel:
-        return ols_fit(
-            data, response, variables, quantifications, response_transform
-        )
+        return ols_fit(data, response, variables, codings, response_transform)
 
     included: list[str] = []
     steps: list[StepwiseStep] = []
@@ -386,8 +365,10 @@ def stepwise_fit(
 
 @dataclass(frozen=True)
 class CatregResult:
+    """The final OLS fit on the optimal quantifications, which it records
+    in ``model.codings``, plus the iteration count and the R^2 path."""
+
     model: LinearModel
-    quantifications: tuple[Quantification, ...]
     iterations: int
     r_squared_path: tuple[float, ...]
 
@@ -545,26 +526,14 @@ def catreg_fit(
             f"optimal scaling did not converge within {max_iter} iterations"
         )
 
-    quantifications = []
-    quant_map: dict[str, Quantification] = {}
+    # every category has a row (checked above): read its value off the first
+    quantified = {}
     for name in categorical:
-        spec = data.spec(name)
-        per_category = np.full(k_of[name], np.nan)
-        for code in range(k_of[name]):
-            rows = codes[name] == code
-            per_category[code] = float(z[name][rows][0])
-        quant = Quantification(
-            variable=name,
-            mapping={spec.categories[i]: float(per_category[i]) for i in range(k_of[name])},
-            source="catreg",
-        )
-        quantifications.append(quant)
-        quant_map[name] = quant
-
-    model = ols_fit(data, response, predictors, quant_map, response_transform)
+        first_rows = np.unique(codes[name], return_index=True)[1]
+        quantified[name] = dict(zip(data.spec(name).categories, z[name][first_rows].tolist()))
+    model = ols_fit(data, response, predictors, quantified, response_transform)
     return CatregResult(
         model=model,
-        quantifications=tuple(quantifications),
         iterations=iterations,
         r_squared_path=tuple(r2_path),
     )

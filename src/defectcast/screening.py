@@ -307,7 +307,7 @@ def screen_dataset(
     predictors: Sequence[str],
     alpha: float = 0.05,
     dual_treatment: Sequence[str] = (),
-    quantifications: dict[str, dict[str, float]] | None = None,
+    codings: dict[str, dict[str, float]] | None = None,
 ) -> ScreeningReport:
     """Run the full screening battery for one response.
 
@@ -316,11 +316,11 @@ def screen_dataset(
     table built from the category codes, so groups and pairs come in
     category order whatever the row order.  Variables listed in
     ``dual_treatment`` are screened both ways: a categorical one contributes
-    a Spearman on its values under its mapping in ``quantifications``,
+    a Spearman on its values under its mapping in ``codings``,
     which must hold one; a numeric one contributes an ANOVA grouped by its
     distinct observed values in ascending order.
     """
-    quantifications = quantifications or {}
+    codings = codings or {}
     resp_spec = ds.spec(response)
     if resp_spec.is_categorical:
         raise DataError(f"screening response {response!r} must be numeric")
@@ -349,7 +349,7 @@ def screen_dataset(
             if len(table.labels) >= 3:
                 tukey[name] = tukey_hsd(table, alpha=alpha)
             if dual:
-                mapping = quantifications.get(name)
+                mapping = codings.get(name)
                 if mapping is None:
                     raise ConfigError(f"dual treatment of {name!r} needs a quantification")
                 complete = listwise_complete(ds, [name, response])

@@ -337,7 +337,7 @@ def best_split_brute_force(columns, kinds, y, min_leaf):
 
 
 def model_tree_by_mask_loop(
-    ds, response, predictors, quantifications=None, min_leaf_size=None,
+    ds, response, predictors, codings=None, min_leaf_size=None,
     sd_fraction=0.05, response_transform="none",
 ):
     """Model tree grown by scoring every candidate split on its row masks.
@@ -359,7 +359,7 @@ def model_tree_by_mask_loop(
         means = sorted((float(y[codes == c].mean()), int(c)) for c in present)
         return [c for _, c in means]
 
-    quantifications = quantifications or {}
+    codings = codings or {}
     data = listwise_complete(ds, [response] + list(predictors))
     n = data.row_count
     if min_leaf_size is None:
@@ -369,8 +369,8 @@ def model_tree_by_mask_loop(
     for name in predictors:
         if data.spec(name).kind == "numeric":
             numeric_like[name] = data.columns[name].astype(float)
-        elif name in quantifications:
-            numeric_like[name] = data.encode(name, quantifications[name].mapping)
+        elif name in codings:
+            numeric_like[name] = data.encode(name, codings[name])
         else:
             subset_only[name] = data.columns[name].astype(np.int64)
     leaf_predictors = [v for v in predictors if v in numeric_like]
@@ -386,7 +386,7 @@ def model_tree_by_mask_loop(
                 data.take(indices),
                 response,
                 {v: numeric_like[v][indices] for v in leaf_predictors},
-                quantifications,
+                codings,
                 response_transform,
             )
             return TreeNode(n=node_n, sd=node_sd, model=model)
@@ -634,13 +634,6 @@ def load_csv_by_rows(source, schema):
     return Dataset(final_specs, columns)
 
 
-def _plan_quantifications(plan):
-    """The plan's codings as the ``Quantification`` objects a fit takes."""
-    from defectcast.regression import Quantification
-
-    return {name: Quantification(name, coding) for name, coding in plan.codings.items()}
-
-
 def _split_fit(plan, train_ds, context, fixed):
     """One split's fit and recalibration on its own table of rows."""
     from defectcast._errors import DataError, NumericalError
@@ -649,7 +642,7 @@ def _split_fit(plan, train_ds, context, fixed):
 
     try:
         model = fixed if fixed is not None else ols_fit(
-            train_ds, plan.response, plan.predictors, _plan_quantifications(plan),
+            train_ds, plan.response, plan.predictors, plan.codings,
             plan.response_transform,
         )
         units = units_for(model.codings)
@@ -702,7 +695,7 @@ def _report_by_split(protocol, parameters, data, plan, splits, refit):
     from defectcast.regression import ols_fit
 
     fixed = None if refit else ols_fit(
-        data, plan.response, plan.predictors, _plan_quantifications(plan),
+        data, plan.response, plan.predictors, plan.codings,
         plan.response_transform,
     )
     rows = []

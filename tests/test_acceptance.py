@@ -38,11 +38,10 @@ from defectcast.pipeline import load_config, run_pipeline
 from defectcast.recalibration import (
     Nfa,
     firing_strengths,
-    init_nfa,
     train_recalibration,
+    units_for,
 )
 from defectcast.regression import (
-    Quantification,
     catreg_fit,
     ols_fit,
     stepwise_fit,
@@ -50,11 +49,7 @@ from defectcast.regression import (
 from defectcast.screening import anova_oneway, spearman
 from defectcast.transform import apply_schema_transforms, compute_vaf
 
-DEV_QUANT = Quantification(
-    "dev_type",
-    {"New Development": 0.0, "Re-development": 0.0, "Enhancement": 1.0},
-    source="initial",
-)
+DEV_QUANT = {"New Development": 0.0, "Re-development": 0.0, "Enhancement": 1.0}
 
 
 def test_01_reference_prediction_anchor():
@@ -148,7 +143,7 @@ def test_04_recalibration_unit_math():
     checked = 0
     for k in (2, 3, 4, 6):
         anchors = tuple(np.sort(rng.uniform(-2.0, 2.0, k) * np.arange(1, k + 1)))
-        unit = init_nfa(Quantification("v", {str(i): a for i, a in enumerate(anchors)}))
+        unit = units_for({"v": {str(i): a for i, a in enumerate(anchors)}})[0]
         inputs = rng.uniform(anchors[0] - 2.0, anchors[-1] + 2.0, 2500)
         w = firing_strengths(unit, inputs)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
@@ -162,7 +157,7 @@ def test_04_recalibration_unit_math():
     x = ds.columns["x"].astype(float)
     base = model.intercept + model.term("x").coefficient * x
     b_v = model.term("vaf").coefficient
-    w = firing_strengths(nfas[0], np.array([quant.mapping[l] for l in ds.labels("vaf")]))
+    w = firing_strengths(nfas[0], np.array([quant[l] for l in ds.labels("vaf")]))
     n = len(y)
 
     def loss(params):
@@ -197,7 +192,7 @@ def test_04_recalibration_unit_math():
         base = model.intercept + model.term("x").coefficient * x
         b_v = model.term("vaf").coefficient
         w = firing_strengths(
-            nfas[0], np.array([quant.mapping[l] for l in ds.labels("vaf")])
+            nfas[0], np.array([quant[l] for l in ds.labels("vaf")])
         )
         optimum = np.linalg.lstsq(b_v * w, y - base, rcond=None)[0]
         np.testing.assert_allclose(
@@ -222,7 +217,7 @@ def test_05_recalibration_improvement_pattern():
         plan = ModelingPlan(
             response="defects",
             predictors=("fp", "vaf", "dev_type"),
-            codings={"vaf": shifted.mapping, "dev_type": DEV_QUANT.mapping},
+            codings={"vaf": shifted, "dev_type": DEV_QUANT},
             response_transform="ln",
         )
         report = cross_validate(ds, plan, 8, seed)
@@ -250,10 +245,10 @@ def test_06_stepwise_selection_pattern():
             "dev_type": DEV_QUANT,
             "vaf": quantification_from_labels(ds, "vaf"),
         }
-        trace = stepwise_fit(prepared, "defects", names, quantifications=quants)
+        trace = stepwise_fit(prepared, "defects", names, codings=quants)
         if set(trace.included) == {"fp", "vaf", "dev_type"}:
             exact_selection += 1
-        full = ols_fit(prepared, "defects", names, quantifications=quants)
+        full = ols_fit(prepared, "defects", names, codings=quants)
         if (
             full.term("efforts").p_value > 0.05
             and full.term("max_team_size").p_value > 0.05
@@ -361,9 +356,7 @@ def test_09_optimal_scaling_properties():
     # the one-dummy OLS fit
     _, binary, predictors, _ = fixtures[0]
     cat = catreg_fit(binary, "y", predictors)
-    dummy = ols_fit(
-        binary, "y", predictors, {"g": Quantification("g", {"A": 0.0, "B": 1.0})}
-    )
+    dummy = ols_fit(binary, "y", predictors, {"g": {"A": 0.0, "B": 1.0}})
     assert abs(cat.model.r_squared - dummy.r_squared) < 1e-9
 
     # fit trace never decreases on any bundled fixture
@@ -375,8 +368,8 @@ def test_09_optimal_scaling_properties():
     # declared ordinal order survives into the quantification
     _, ordinal, _, _ = fixtures[2]
     result = catreg_fit(ordinal, "y", ["grade"], scaling={"grade": "ordinal"})
-    quant = {q.variable: q for q in result.quantifications}["grade"]
-    values = [quant.mapping[lab] for lab in ("none", "low", "mid", "high")]
+    quant = result.model.codings["grade"]
+    values = [quant[lab] for lab in ("none", "low", "mid", "high")]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
 

@@ -28,7 +28,7 @@ from defectcast.evaluation import (
     resubstitution_experiment,
 )
 from defectcast.numerics import RandomStream
-from defectcast.regression import Quantification, ols_fit
+from defectcast.regression import ols_fit
 from defectcast.screening import spearman
 from defectcast.transform import apply_schema_transforms
 
@@ -37,11 +37,7 @@ FIXTURE_PREDICTIONS = [120.0, 40.0, 30.0, 10.0]
 
 
 def dev_type_quantification():
-    return Quantification(
-        "dev_type",
-        {"New Development": 0.0, "Re-development": 0.0, "Enhancement": 1.0},
-        source="initial",
-    )
+    return {"New Development": 0.0, "Re-development": 0.0, "Enhancement": 1.0}
 
 
 def standard_plan(ds, vaf_quant=None, **overrides):
@@ -50,7 +46,7 @@ def standard_plan(ds, vaf_quant=None, **overrides):
     kwargs = dict(
         response="defects",
         predictors=("fp", "vaf", "dev_type"),
-        codings={"vaf": vaf_quant.mapping, "dev_type": dev_type_quantification().mapping},
+        codings={"vaf": vaf_quant, "dev_type": dev_type_quantification()},
         response_transform="ln",
     )
     kwargs.update(overrides)
@@ -344,7 +340,7 @@ class TestQuantificationHelpers:
     def test_labels_to_values(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)
         quant = quantification_from_labels(ds, "vaf")
-        for label, value in quant.mapping.items():
+        for label, value in quant.items():
             assert value == float(label)
 
     def test_rejects_numeric_variable(self):
@@ -362,15 +358,15 @@ class TestQuantificationHelpers:
         quant = quantification_from_labels(ds, "vaf")
         shifted = perturb_quantification(quant, 0.2, seed=77)
         again = perturb_quantification(quant, 0.2, seed=77)
-        assert shifted.mapping == again.mapping
-        for label in quant.mapping:
-            assert abs(shifted.mapping[label] - quant.mapping[label]) <= 0.2
-        assert shifted.mapping != quant.mapping
+        assert shifted == again
+        for label in quant:
+            assert abs(shifted[label] - quant[label]) <= 0.2
+        assert shifted != quant
 
     def test_zero_shift_is_identity(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)
         quant = quantification_from_labels(ds, "vaf")
-        assert perturb_quantification(quant, 0.0, seed=1).mapping == quant.mapping
+        assert perturb_quantification(quant, 0.0, seed=1) == quant
 
     def test_rejects_negative_shift(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)

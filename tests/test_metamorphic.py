@@ -148,7 +148,7 @@ def test_selected_model_is_the_included_set_in_candidate_order(tmp_path):
     assert included != in_order  # the entry path is not the candidate order
     rows = listwise_complete(pipeline._prepared_dataset(run), [cfg.response, *cfg.candidates])
     want = ols_fit(
-        rows, cfg.response, in_order, fit.quants,
+        rows, cfg.response, in_order, fit.codings,
         response_transform=pipeline._response_transform(run),
     )
     assert fit.selected == want

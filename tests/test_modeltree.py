@@ -12,7 +12,7 @@ from defectcast._errors import ConfigError, DataError
 from defectcast.dataset import Dataset, VariableSpec
 from defectcast import modeltree
 from defectcast.modeltree import fit_model_tree
-from defectcast.regression import Quantification, model_predict, ols_fit
+from defectcast.regression import model_predict, ols_fit
 
 import oracles
 from test_regression import make_dataset, numeric_schema, rows_table
@@ -235,8 +235,7 @@ class TestGrowth:
                 VariableSpec("vaf", "predictor", "categorical", categories=tuple(labels)),
             ],
         )
-        quant = {"vaf": Quantification("vaf", values)}
-        tree = fit_model_tree(ds, "y", ["vaf"], quantifications=quant, min_leaf_size=10)
+        tree = fit_model_tree(ds, "y", ["vaf"], codings={"vaf": values}, min_leaf_size=10)
         assert tree.root.threshold is not None
         assert tree.root.left_labels is None
         # leaf models take vaf by its quantified value
@@ -354,7 +353,7 @@ def tree_cases(draw):
     ]
     predictors = draw(st.permutations(["x1", "x2", "g", "h"]))
     # h is quantified (threshold splits), g is subset-only
-    quant = {"h": Quantification("h", {"a": 0.5, "b": 1.0, "c": 1.0})}
+    quant = {"h": {"a": 0.5, "b": 1.0, "c": 1.0}}
     # min_leaf_size at the boundary: n // 2 leaves exactly one legal size
     leaf = draw(st.sampled_from([None, 2, 3, max(2, n // 2), max(2, (n + 1) // 2)]))
     return make_dataset(columns, schema), list(predictors), quant, leaf

@@ -191,6 +191,23 @@ class TestConfig:
         config["regression"]["scaling"]["vaf"] = "nominal"
         assert load_config(write_config(tmp_path, config)).scaling["vaf"] == "nominal"
 
+    def test_scaling_level_on_a_numeric_candidate_rejected(self, tmp_path):
+        # optimal scaling quantifies categorical predictors only: a level on a
+        # numeric candidate did nothing, yet the report listed it as used
+        config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
+        config["data"]["path"] = str(FIXTURES / "projects.csv")
+        config["regression"]["scaling"] = {"fp": "nominal"}
+        with pytest.raises(
+            ConfigError, match="^scaling level given for 'fp', which is not categorical$"
+        ):
+            load_config(write_config(tmp_path, config))
+        config = small_config()
+        config["regression"]["scaling"]["efforts"] = "ordinal"
+        with pytest.raises(
+            ConfigError, match="^scaling level given for 'efforts', which is not categorical$"
+        ):
+            load_config(write_config(tmp_path, config))
+
     def test_unknown_variable_references_rejected(self, tmp_path):
         config = small_config()
         config["regression"]["candidates"] = ["fp", "nonexistent"]
@@ -426,6 +443,32 @@ class TestPipelineRun:
             assert (out / name).is_file(), name
         on_disk = json.loads((out / "report.json").read_text())
         assert set(on_disk) == EXPECTED_SECTIONS
+
+    @pytest.mark.parametrize("scaling", [True, False])
+    def test_model_file_quantifications_and_sources(self, tmp_path, scaling):
+        # with scaling, catreg's values for every categorical candidate; without
+        # it, the numeric-label ones at their labels, and the binary dev_type
+        # (non-numeric labels, coded 0/1 in the model) is left out
+        config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
+        config["data"]["path"] = str(FIXTURES / "projects.csv")
+        if not scaling:
+            del config["regression"]["scaling"]
+        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        report = run_stage("fit", cfg)
+        model = json.loads((tmp_path / "out" / "model.json").read_text(encoding="utf-8"))
+        quants = model["quantifications"]
+        if scaling:
+            assert set(quants) == {"dev_type", "vaf"}
+            assert {q["source"] for q in quants.values()} == {"catreg"}
+            assert {name: q["mapping"] for name, q in quants.items()} == (
+                report["optimal_scaling"]["quantifications"]
+            )
+        else:
+            labels = ("0.65", "0.90", "1.00", "1.10", "1.35")
+            assert quants == {
+                "vaf": {"mapping": {lab: float(lab) for lab in labels}, "source": "initial"}
+            }
+            assert "dev_type" in model["full_model"]["codings"]
 
     def test_reruns_byte_identical(self, tmp_path):
         run_pipeline(load_small(tmp_path, out="a"))

@@ -13,13 +13,11 @@ from defectcast.recalibration import (
     Nfa,
     TrainingTrace,
     firing_strengths,
-    init_nfa,
     recalibrated_predict,
     train_recalibration,
-    trained_quantification,
     units_for,
 )
-from defectcast.regression import Quantification, model_predict, ols_fit
+from defectcast.regression import model_predict, ols_fit
 
 import oracles
 from test_regression import make_dataset, numeric_schema, rows_table
@@ -29,32 +27,34 @@ VAF_LEVELS = {"0.65": 0.65, "0.90": 0.90, "1.00": 1.00, "1.10": 1.10, "1.35": 1.
 
 
 class TestInitNfa:
+    """Identity-initialized units, one per coding, as ``units_for`` builds them."""
+
     def test_binary_mapping(self):
-        nfa = init_nfa(Quantification("dev", {"A": 0.0, "B": 1.0}))
+        nfa = units_for({"dev": {"A": 0.0, "B": 1.0}})[0]
         assert nfa.input_anchors == (0.0, 1.0)
         assert nfa.widths == (0.5, 0.5)
         assert nfa.consequents == (0.0, 1.0)
         assert not nfa.trained
 
     def test_single_category_constant(self):
-        nfa = init_nfa(Quantification("v", {"only": 3.5}))
+        nfa = units_for({"v": {"only": 3.5}})[0]
         assert nfa.widths == (1.0,)
         for x in (-100.0, 0.0, 3.5, 7.0, 1e6):
             assert oracles.nfa_eval(nfa, x) == 3.5
 
     def test_five_level_widths(self):
-        nfa = init_nfa(Quantification("vaf", dict(VAF_LEVELS)))
+        nfa = units_for({"vaf": dict(VAF_LEVELS)})[0]
         assert nfa.input_anchors == (0.65, 0.90, 1.00, 1.10, 1.35)
         want = (0.125, 0.05, 0.05, 0.05, 0.125)
         for got, expect in zip(nfa.widths, want):
             assert got == pytest.approx(expect, abs=1e-15)
 
     def test_duplicate_values_collapse(self):
-        nfa = init_nfa(Quantification("g", {"a": 1.0, "b": 2.0, "c": 1.0}))
+        nfa = units_for({"g": {"a": 1.0, "b": 2.0, "c": 1.0}})[0]
         assert nfa.input_anchors == (1.0, 2.0)
 
     def test_anchor_order_independent_of_mapping_order(self):
-        a = init_nfa(Quantification("g", {"x": 2.0, "y": -1.0, "z": 0.5}))
+        a = units_for({"g": {"x": 2.0, "y": -1.0, "z": 0.5}})[0]
         assert a.input_anchors == (-1.0, 0.5, 2.0)
 
     def test_invalid_unit_parameters(self):
@@ -68,7 +68,7 @@ class TestInitNfa:
 
 class TestFiringStrengths:
     def _vaf_nfa(self):
-        return init_nfa(Quantification("vaf", dict(VAF_LEVELS)))
+        return units_for({"vaf": dict(VAF_LEVELS)})[0]
 
     def test_rows_sum_to_one(self):
         nfa = self._vaf_nfa()
@@ -83,7 +83,7 @@ class TestFiringStrengths:
         np.testing.assert_allclose(w, np.eye(5), atol=0.0)
 
     def test_midpoint_of_two_anchor_unit(self):
-        nfa = init_nfa(Quantification("dev", {"A": 0.0, "B": 1.0}))
+        nfa = units_for({"dev": {"A": 0.0, "B": 1.0}})[0]
         assert oracles.nfa_eval(nfa, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_far_outside_clamps_to_nearest(self):
@@ -100,7 +100,7 @@ class TestFiringStrengths:
     def test_gathered_rows_equal_strengths_of_gathered_values(self):
         # evaluation computes strengths once per table and gathers rows per
         # split; that must equal, bit for bit, strengths of the gathered values
-        nfa = init_nfa(Quantification("v", {"a": 0.0, "b": 1.0, "c": 10.0, "d": 11.0}))
+        nfa = units_for({"v": {"a": 0.0, "b": 1.0, "c": 10.0, "d": 11.0}})[0]
         rng = np.random.default_rng(9)
         x = np.concatenate(
             [
@@ -138,7 +138,6 @@ def _training_setup(seed=5, n=60, shift=None):
     values = {"0.65": 0.65, "1.00": 1.00, "1.35": 1.35}
     codes = rng.integers(0, 3, n)
     x = rng.normal(0.0, 1.0, n)
-    quant = Quantification("vaf", values)
     effective = dict(values)
     if shift:
         for k, dv in shift.items():
@@ -151,9 +150,9 @@ def _training_setup(seed=5, n=60, shift=None):
         VariableSpec("vaf", "predictor", "categorical", categories=tuple(labels)),
     ]
     ds = make_dataset(cols, schema)
-    model = ols_fit(ds, "y", ["x", "vaf"], {"vaf": quant})
-    nfas = [init_nfa(quant)]
-    return model, nfas, ds, quant
+    model = ols_fit(ds, "y", ["x", "vaf"], {"vaf": values})
+    nfas = units_for(model.codings)
+    return model, nfas, ds, values
 
 
 class TestTraining:
@@ -183,7 +182,7 @@ class TestTraining:
         ]
         ds2 = make_dataset({"y": y2.tolist(), "x": x.tolist(), "vaf": labels}, schema)
         trained, _ = train_recalibration(model, nfas, ds2)
-        final = {lab: oracles.nfa_eval(trained[0], quant.mapping[lab]) for lab in quant.mapping}
+        final = {lab: oracles.nfa_eval(trained[0], quant[lab]) for lab in quant}
         assert final["1.00"] == pytest.approx(1.20, abs=1e-12)
         assert final["0.65"] == pytest.approx(0.65, abs=1e-12)
         assert final["1.35"] == pytest.approx(1.35, abs=1e-12)
@@ -197,7 +196,7 @@ class TestTraining:
         b_x = model.term("x").coefficient
         b_v = model.term("vaf").coefficient
         base = model.intercept + b_x * x
-        inputs = np.array([quant.mapping[lab] for lab in ds.labels("vaf")])
+        inputs = np.array([quant[lab] for lab in ds.labels("vaf")])
         w = firing_strengths(nfas[0], inputs)
         sol = solve_least_squares(b_v * w, y - base)
         got = np.array(trained[0].consequents)
@@ -211,7 +210,7 @@ class TestTraining:
         b_x = model.term("x").coefficient
         b_v = model.term("vaf").coefficient
         base = model.intercept + b_x * x
-        inputs = np.array([quant.mapping[lab] for lab in ds.labels("vaf")])
+        inputs = np.array([quant[lab] for lab in ds.labels("vaf")])
         w = firing_strengths(nfas[0], inputs)
         n = len(y)
 
@@ -245,7 +244,7 @@ class TestTraining:
 
     def test_unit_for_unknown_variable(self):
         model, nfas, ds, _ = _training_setup()
-        stray = init_nfa(Quantification("other", {"a": 0.0, "b": 1.0}))
+        stray = units_for({"other": {"a": 0.0, "b": 1.0}})[0]
         with pytest.raises(DataError, match="not categorical terms"):
             train_recalibration(model, nfas + [stray], ds)
 
@@ -270,7 +269,7 @@ class TestTraining:
             VariableSpec("vaf", "predictor", "categorical", categories=tuple(labels)),
         ]
         ds = make_dataset(cols, schema)
-        quant = Quantification("vaf", {"lo": 0.0, "hi": 1.0})
+        quant = {"lo": 0.0, "hi": 1.0}
         # hand-built model so the 2-row dataset is no constraint
         from defectcast.regression import LinearModel, ModelTerm
 
@@ -282,10 +281,10 @@ class TestTraining:
             terms=(ModelTerm("vaf", 2.0, 0.0, 0.0, 0.0, 0.0),),
             r_squared=0.0,
             n=2,
-            codings={"vaf": quant.mapping},
+            codings={"vaf": quant},
         )
         one_row = ds.take([0])
-        nfas = [init_nfa(quant)]
+        nfas = units_for(model.codings)
         trained, _ = train_recalibration(model, nfas, one_row)
         got = recalibrated_predict(model, trained, one_row)
         assert got[0] == pytest.approx(5.0, abs=1e-12)
@@ -322,14 +321,14 @@ def _two_unit_setup(seed=61, n=300):
     }
     ds = make_dataset(cols, schema)
     quants = {
-        "vaf": Quantification("vaf", dict(VAF_LEVELS)),
-        "dev": Quantification("dev", dev_values),
+        "vaf": dict(VAF_LEVELS),
+        "dev": dev_values,
     }
     model = ols_fit(ds, "y", ["x", "vaf", "dev"], quants)
     units = units_for(model.codings)
     design = np.hstack([
         model.term(u.variable).coefficient
-        * firing_strengths(u, [quants[u.variable].mapping[l] for l in ds.labels(u.variable)])
+        * firing_strengths(u, [quants[u.variable][l] for l in ds.labels(u.variable)])
         for u in units
     ])
     target = y - model.intercept - model.term("x").coefficient * x
@@ -369,7 +368,7 @@ class TestExactSolve:
     def test_non_finite_coefficient_is_a_numerical_error(self):
         from defectcast.regression import LinearModel, ModelTerm
 
-        quant = Quantification("vaf", {"lo": 0.0, "hi": 1.0})
+        quant = {"lo": 0.0, "hi": 1.0}
         ds = make_dataset(
             {"y": [1.0, 2.0, 3.0], "vaf": ["lo", "hi", "lo"]},
             [
@@ -385,17 +384,17 @@ class TestExactSolve:
             terms=(ModelTerm("vaf", math.nan, 0.0, 0.0, 0.0, 0.0),),
             r_squared=0.0,
             n=3,
-            codings={"vaf": quant.mapping},
+            codings={"vaf": quant},
         )
         with pytest.raises(NumericalError, match="non-finite"):
-            train_recalibration(model, [init_nfa(quant)], ds)
+            train_recalibration(model, units_for(model.codings), ds)
 
 
 class TestRecalibratedPredict:
     def test_untrained_equals_model_predict(self):
         model, nfas, ds, quant = _training_setup(seed=29)
         rng = np.random.default_rng(31)
-        labels = list(quant.mapping)
+        labels = list(quant)
         rows = [
             {"x": float(rng.normal()), "vaf": labels[int(rng.integers(0, 3))]}
             for _ in range(1000)
@@ -474,7 +473,7 @@ def _mixed_setup(transform, seed=53, n=80):
         "vaf": [vaf_labels[c] for c in vaf_codes],
     }
     ds = make_dataset(cols, schema)
-    quants = {"vaf": Quantification("vaf", {lab: float(lab) for lab in vaf_labels})}
+    quants = {"vaf": {lab: float(lab) for lab in vaf_labels}}
     model = ols_fit(ds, "y", ["x", "kind", "vaf"], quants, response_transform=transform)
     trained, _ = train_recalibration(model, units_for(model.codings), ds)
     return model, quants, trained, ds
@@ -586,25 +585,4 @@ class TestBatchPredict:
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
             model_predict(model, holed)
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
-            holed.encode("vaf", quants["vaf"].mapping)
-
-
-class TestTrainedQuantification:
-    def test_reads_off_consequents(self):
-        quant = Quantification("vaf", {"lo": 0.0, "mid": 0.5, "hi": 1.0})
-        nfa = init_nfa(quant).with_consequents([0.1, 0.6, 0.9])
-        out = trained_quantification(nfa, quant)
-        assert out.source == "recalibrated"
-        assert out.mapping == {"lo": 0.1, "mid": 0.6, "hi": 0.9}
-
-    def test_variable_mismatch(self):
-        quant = Quantification("vaf", {"lo": 0.0, "hi": 1.0})
-        nfa = init_nfa(Quantification("dev", {"a": 0.0, "b": 1.0}))
-        with pytest.raises(ConfigError, match="unit is for"):
-            trained_quantification(nfa, quant)
-
-    def test_untrained_round_trips_initial_values(self):
-        quant = Quantification("vaf", dict(VAF_LEVELS))
-        out = trained_quantification(init_nfa(quant), quant)
-        for k, v in VAF_LEVELS.items():
-            assert out.mapping[k] == pytest.approx(v, abs=1e-12)
+            holed.encode("vaf", quants["vaf"])

@@ -11,7 +11,6 @@ from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec, load_csv, sample_sd
 from defectcast.numerics import solve_least_squares, t_cdf
 from defectcast.regression import (
-    Quantification,
     back_transform_array,
     catreg_fit,
     model_predict,
@@ -223,7 +222,7 @@ class TestOlsFit:
             VariableSpec("vaf", "predictor", "categorical", categories=tuple(labels)),
         ]
         ds = make_dataset(cols, schema)
-        quant = Quantification("vaf", {"low": 0.65, "mid": 1.0, "high": 1.35})
+        quant = {"low": 0.65, "mid": 1.0, "high": 1.35}
         model = ols_fit(ds, "y", ["vaf"], {"vaf": quant})
         nds = make_dataset(
             {"y": y.tolist(), "vaf": values[codes].tolist()},
@@ -231,7 +230,7 @@ class TestOlsFit:
         )
         want = ols_fit(nds, "y", ["vaf"])
         assert abs(model.terms[0].coefficient - want.terms[0].coefficient) < 1e-12
-        assert model.codings["vaf"] == quant.mapping
+        assert model.codings["vaf"] == quant
 
     def test_multilevel_categorical_needs_quantification(self):
         cols = {"y": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "g": ["a", "b", "c", "a", "b", "c"]}
@@ -496,7 +495,7 @@ class TestCatreg:
         ds, effects = self._nominal_dataset()
         result = catreg_fit(ds, "y", ["x", "g"])
         labels = list(effects)
-        integer = Quantification("g", {lab: float(i) for i, lab in enumerate(labels)})
+        integer = {lab: float(i) for i, lab in enumerate(labels)}
         floor = ols_fit(ds, "y", ["x", "g"], {"g": integer})
         assert result.model.r_squared >= floor.r_squared - 1e-12
         # non-monotone effects: optimal scaling should win by a wide margin
@@ -505,9 +504,9 @@ class TestCatreg:
     def test_recovers_effect_ordering(self):
         ds, effects = self._nominal_dataset()
         result = catreg_fit(ds, "y", ["x", "g"])
-        quant = {q.variable: q for q in result.quantifications}["g"]
+        quant = result.model.codings["g"]
         labels = list(effects)
-        fitted = [quant.mapping[lab] for lab in labels]
+        fitted = [quant[lab] for lab in labels]
         truth = [effects[lab] for lab in labels]
         order_f = np.argsort(fitted).tolist()
         order_t = np.argsort(truth).tolist()
@@ -516,9 +515,9 @@ class TestCatreg:
     def test_quantification_standardized_over_rows(self):
         ds, effects = self._nominal_dataset()
         result = catreg_fit(ds, "y", ["x", "g"])
-        quant = {q.variable: q for q in result.quantifications}["g"]
+        quant = result.model.codings["g"]
         labels = ds.labels("g")
-        values = np.array([quant.mapping[lab] for lab in labels])
+        values = np.array([quant[lab] for lab in labels])
         assert abs(values.mean()) < 1e-9
         assert abs(np.mean((values - values.mean()) ** 2) - 1.0) < 1e-9
 
@@ -557,8 +556,8 @@ class TestCatreg:
         ]
         ds = make_dataset(cols, schema)
         result = catreg_fit(ds, "y", ["grade"], scaling={"grade": "ordinal"})
-        quant = {q.variable: q for q in result.quantifications}["grade"]
-        vals = [quant.mapping[lab] for lab in labels]
+        quant = result.model.codings["grade"]
+        vals = [quant[lab] for lab in labels]
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
 
@@ -577,8 +576,8 @@ class TestCatreg:
         ]
         ds = make_dataset(cols, schema)
         result = catreg_fit(ds, "y", ["stage"], scaling={"stage": "ordinal"})
-        quant = {q.variable: q for q in result.quantifications}["stage"]
-        vals = [quant.mapping[lab] for lab in labels]
+        quant = result.model.codings["stage"]
+        vals = [quant[lab] for lab in labels]
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
         nominal = catreg_fit(ds, "y", ["stage"]).model.r_squared
@@ -589,18 +588,13 @@ class TestCatreg:
         result = catreg_fit(ds, "y", ["x", "g"])
         assert result.iterations < 50
 
-    def test_source_tagged(self):
-        ds, _ = self._nominal_dataset()
-        result = catreg_fit(ds, "y", ["x", "g"])
-        assert all(q.source == "catreg" for q in result.quantifications)
-
     def test_final_model_predicts_with_labels(self):
         ds, _ = self._nominal_dataset()
         result = catreg_fit(ds, "y", ["x", "g"])
         got = model_predict(result.model, rows_table([{"x": 0.0, "g": "b"}], ds.schema))[0]
-        quant = {q.variable: q for q in result.quantifications}["g"]
+        quant = result.model.codings["g"]
         want = result.model.intercept
-        want += result.model.term("g").coefficient * quant.mapping["b"]
+        want += result.model.term("g").coefficient * quant["b"]
         assert abs(got - want) < 1e-12
 
     def test_empty_category_rejected(self):

@@ -368,7 +368,7 @@ class TestScreenDataset:
         ):
             screen_dataset(
                 ds, "defects", ["vaf"], dual_treatment=["vaf"],
-                quantifications={"vaf": {"0.65": 0.65}},
+                codings={"vaf": {"0.65": 0.65}},
             )
 
     def test_dual_treatment_categorical_needs_a_mapping(self):
@@ -386,7 +386,7 @@ class TestScreenDataset:
         ds = load_csv(io.StringIO(text), schema)
         report = screen_dataset(
             ds, "y", ["v"], dual_treatment=["v"],
-            quantifications={"v": {"1": 10.0, "2": 20.0, "3": 30.0}},
+            codings={"v": {"1": 10.0, "2": 20.0, "3": 30.0}},
         )
         expected = spearman(np.array([20.0, 30.0, 10.0, 20.0, 10.0]), [1.0, 4.0, 5.0, 6.0, 7.0])
         assert report.correlations["v"] == expected
@@ -456,7 +456,7 @@ class TestScreenDataset:
             report = screen_dataset(
                 ds, "defects", ["fp", "max_team_size", "dev_type", "vaf"],
                 dual_treatment=["vaf", "max_team_size"],
-                quantifications={"vaf": quantification_from_labels(ds, "vaf").mapping},
+                codings={"vaf": quantification_from_labels(ds, "vaf")},
             )
             assert set(report.tukey) == {"dev_type", "vaf"}
             assert len(tables) == 3
