@@ -1,12 +1,14 @@
 """Accuracy metrics, evaluation protocols, and the synthetic generator.
 
 Metrics (MMRE, Pred(m)) are computed on raw defect counts, with ln-scale
-model output back-transformed first.  Three protocols share one report
-shape: k-fold cross-validation, repeated random splits, and resubstitution
-(fit and evaluate on all rows, clearly labeled).  Every protocol is a pure
+model output back-transformed first.  Three protocols run one loop
+(``_experiment``) over their lists of train/test splits: k-fold
+cross-validation, repeated random splits, and resubstitution (one split
+that fits and evaluates on all rows, clearly labeled).  A protocol only
+checks its arguments and builds its splits.  Every protocol is a pure
 function of (data, plan, seed): reports are byte-identical across runs.
 
-Each protocol encodes its prepared table once: the design matrix with its
+The loop encodes the prepared table once: the design matrix with its
 intercept column, the response on the model and count scales, and each
 categorical predictor's firing strengths under its identity-started unit.
 None of these depend on the split.  A split then only gathers rows of
@@ -253,38 +255,6 @@ class ExperimentReport:
             "averages": self.averages.to_dict(),
         }
 
-    def to_text(self) -> str:
-        headers = ["", "n_test", "baseline MMRE", "recalibrated MMRE", "improvement %"]
-        with_pred = all(r.baseline_pred is not None for r in self.rows)
-        thresholds = sorted(self.rows[0].baseline_pred) if with_pred and self.rows else []
-        for m in thresholds:
-            headers.append(f"baseline Pred({m:g})")
-            headers.append(f"recalibrated Pred({m:g})")
-        table = [headers]
-        for r in list(self.rows) + [self.averages]:
-            line = [
-                r.label,
-                str(r.n_test),
-                f"{r.baseline_mmre:.4f}",
-                f"{r.recalibrated_mmre:.4f}",
-                f"{r.improvement_pct:.2f}",
-            ]
-            for m in thresholds:
-                if r.baseline_pred is None:
-                    line.extend(["-", "-"])
-                else:
-                    line.append(f"{r.baseline_pred[m]:.4f}")
-                    line.append(f"{r.recalibrated_pred[m]:.4f}")
-            table.append(line)
-        widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
-        out = [f"protocol: {self.protocol}"]
-        for key, value in self.parameters.items():
-            out.append(f"{key}: {value}")
-        out.append("")
-        for row in table:
-            out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        return "\n".join(out) + "\n"
-
 
 def _improvement(baseline: float, recalibrated: float) -> float:
     """Relative MMRE reduction from baseline to recalibrated, in percent."""
@@ -399,11 +369,8 @@ def _split_row(
     test_routes = {
         j: (s.take(test, axis=0), q) for (j, (s, _)), q in zip(routes.items(), consequents)
     }
-    base_preds = score(coef, design)
-    recal_preds = score(coef, design, test_routes)
-    if plan.response_transform != "none":
-        base_preds = back_transform_array(base_preds, plan.response_transform)
-        recal_preds = back_transform_array(recal_preds, plan.response_transform)
+    base_preds = raw_counts(score(coef, design), plan.response_transform)
+    recal_preds = raw_counts(score(coef, design, test_routes), plan.response_transform)
     actuals = enc.actuals[test]
     _check_actuals(actuals)
     include_pred = len(test) >= plan.min_test_for_pred
@@ -420,6 +387,23 @@ def _split_row(
     )
 
 
+def _experiment(
+    protocol: str, parameters: dict, data: Dataset, plan: ModelingPlan, splits, refit: bool
+) -> ExperimentReport:
+    """The protocols' one loop: encode the prepared table once, fit OLS on
+    every row once unless each split refits, then one report row per
+    ``(label, context, train rows, test rows)`` in ``splits``."""
+    enc = _encode(data, plan)
+    fixed = None if refit else _coefficients(enc.design, enc.y, plan)
+    rows = [
+        _split_row(label, context, enc, plan, train, test, fixed)
+        for label, context, train, test in splits
+    ]
+    return ExperimentReport(
+        protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
+    )
+
+
 def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> ExperimentReport:
     """Per fold: fit on the training folds, recalibrate on the same
     training folds, evaluate baseline and recalibrated models on the
@@ -427,22 +411,14 @@ def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> Experi
     itself is deterministic, so any execution order yields the same report.
     """
     data = _prepare_data(ds, plan)
-    fold_plan = kfold_plan(data.row_count, k, seed)
-    enc = _encode(data, plan)
-    fixed = None if plan.refit_regression else _coefficients(enc.design, enc.y, plan)
-    rows = [
-        _split_row(
-            f"fold {i + 1}", f"fold {i + 1}", enc, plan,
-            fold_plan.train(i), fold_plan.fold(i), fixed,
-        )
-        for i in range(k)
+    folds = kfold_plan(data.row_count, k, seed)
+    splits = [
+        (f"fold {i + 1}", f"fold {i + 1}", folds.train(i), folds.fold(i)) for i in range(k)
     ]
-    return ExperimentReport(
-        protocol="cross_validation",
-        parameters={"k": k, "seed": seed, "n": data.row_count,
-                    "refit_regression": plan.refit_regression},
-        rows=tuple(rows),
-        averages=_averages(rows),
+    parameters = {"k": k, "seed": seed, "n": data.row_count,
+                  "refit_regression": plan.refit_regression}
+    return _experiment(
+        "cross_validation", parameters, data, plan, splits, plan.refit_regression
     )
 
 
@@ -462,28 +438,18 @@ def random_split_experiment(
             f"train_fraction {train_fraction} leaves no usable split of {n} rows"
         )
     master = RandomStream(seed)
-    enc = _encode(data, plan)
-    fixed = None if plan.refit_regression else _coefficients(enc.design, enc.y, plan)
-    rows = []
+    splits = []
     for r in range(repetitions):
         perm = master.split(r).permutation(n)
-        train_idx = np.sort(perm[:train_size])
-        test_idx = np.sort(perm[train_size:])
-        rows.append(
-            _split_row(f"rep {r + 1}", f"repetition {r + 1}", enc, plan, train_idx, test_idx, fixed)
-        )
-    return ExperimentReport(
-        protocol="random_split",
-        parameters={
-            "train_fraction": train_fraction,
-            "train_size": train_size,
-            "repetitions": repetitions,
-            "seed": seed,
-            "n": n,
-            "refit_regression": plan.refit_regression,
-        },
-        rows=tuple(rows),
-        averages=_averages(rows),
+        splits.append((f"rep {r + 1}", f"repetition {r + 1}",
+                       np.sort(perm[:train_size]), np.sort(perm[train_size:])))
+    parameters = {
+        "train_fraction": train_fraction, "train_size": train_size,
+        "repetitions": repetitions, "seed": seed, "n": n,
+        "refit_regression": plan.refit_regression,
+    }
+    return _experiment(
+        "random_split", parameters, data, plan, splits, plan.refit_regression
     )
 
 
@@ -491,12 +457,9 @@ def resubstitution_experiment(ds: Dataset, plan: ModelingPlan) -> ExperimentRepo
     """Fit, recalibrate, and evaluate on all rows (optimistic by design)."""
     data = _prepare_data(ds, plan)
     every = np.arange(data.row_count)
-    row = _split_row("all data", "all data", _encode(data, plan), plan, every, every, None)
-    return ExperimentReport(
-        protocol="resubstitution",
-        parameters={"n": data.row_count},
-        rows=(row,),
-        averages=_averages([row]),
+    return _experiment(
+        "resubstitution", {"n": data.row_count}, data, plan,
+        [("all data", "all data", every, every)], True,
     )
 
 

@@ -27,7 +27,6 @@ import csv
 import hashlib
 import importlib.resources
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -70,7 +69,7 @@ from .regression import (
     ols_fit,
     stepwise_fit,
 )
-from .screening import _merge, apply_category_merge, screen_dataset
+from .screening import _merge, apply_category_merge, drop_empty_categories, screen_dataset
 from .transform import apply_schema_transforms, qq_normal
 
 __all__ = [
@@ -328,28 +327,20 @@ def load_config(
 
 def _jsonable(obj, name: str):
     """``obj`` as ``json.loads`` reads it back from the JSON file ``name``:
-    plain numbers, lists for tuples and arrays, and every dict in sorted key
-    order.  JSON has no NaN or infinity: such a value raises NumericalError."""
+    plain numbers (numpy values through ``.tolist()``), lists for tuples and
+    arrays, and every dict in sorted key order.  JSON has no NaN or
+    infinity: such a value raises NumericalError."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=_tolist)
+    except ValueError as err:
+        raise NumericalError(f"cannot write {name}: {err}") from None
+    return json.loads(text)
 
-    def plain(obj):
-        if isinstance(obj, dict):
-            items = sorted(((str(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
-            return {k: plain(v) for k, v in items}
-        if isinstance(obj, (list, tuple)):
-            return [plain(v) for v in obj]
-        if isinstance(obj, (float, np.floating)):
-            if not math.isfinite(obj):
-                raise NumericalError(f"cannot write {name}: {obj!r} is not a JSON number")
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return [plain(v) for v in obj.tolist()]
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        return obj
 
-    return plain(obj)
+def _tolist(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not a JSON value")
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -485,9 +476,10 @@ def _prepare_in_memory(run: _Run):
     filtered = apply_filters(source, run.cfg.filters)
     for variable, pairs in run.cfg.merges:
         filtered = apply_category_merge(filtered, variable, pairs)
+    filtered, dropped = drop_empty_categories(filtered)
     prepared, applied = apply_schema_transforms(filtered)
     run.prepared = prepared
-    return source, filtered, prepared, applied
+    return source, filtered, dropped, prepared, applied
 
 
 def _prepared_dataset(run: _Run) -> Dataset:
@@ -550,7 +542,7 @@ def _stage_synth(run: _Run) -> dict:
 
 def _stage_prepare(run: _Run) -> dict:
     cfg = run.cfg
-    source, filtered, prepared, applied = _prepare_in_memory(run)
+    source, filtered, dropped, prepared, applied = _prepare_in_memory(run)
     _write_table(run, "prepared", prepared)
 
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
@@ -562,7 +554,7 @@ def _stage_prepare(run: _Run) -> dict:
     )
     _atomic_write(run.out_dir / "qq.csv", lambda handle: serialize_csv(qq, handle))
 
-    return {
+    sections = {
         "data_preparation": {
             "rows_loaded": source.row_count,
             "rows_after_filters": filtered.row_count,
@@ -582,6 +574,9 @@ def _stage_prepare(run: _Run) -> dict:
             "n": qq_model.n,
         },
     }
+    if dropped:
+        sections["data_preparation"]["dropped_categories"] = dropped
+    return sections
 
 
 def _stage_screen(run: _Run) -> dict:

@@ -4,7 +4,8 @@ These tests decide which candidate predictors carry signal before any model
 is fit.  Numeric predictors are screened by Spearman rank correlation
 against the response; categorical ones by one-way ANOVA with Tukey HSD
 pairwise follow-up, and statistically indistinguishable categories can then
-be merged.
+be merged.  A category that filters left without rows is dropped the same
+way a merge recodes its column.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "tukey_hsd",
     "merge_categories",
     "apply_category_merge",
+    "drop_empty_categories",
     "screen_dataset",
 ]
 
@@ -228,8 +230,31 @@ def _merge(
         raise DataError(f"merging {var.name!r} would give two categories one label")
     if len(categories) < 2:
         raise DataError(f"merging would leave {var.name!r} with fewer than 2 categories")
+    return _with_categories(var, categories), relabel
+
+
+def _with_categories(var: VariableSpec, categories: tuple[str, ...]) -> VariableSpec:
+    """``var`` narrowed to ``categories``; two left make it kind 'binary'."""
     kind = "binary" if len(categories) == 2 else "categorical"
-    return replace(var, kind=kind, categories=categories), relabel
+    return replace(var, kind=kind, categories=categories)
+
+
+def _relabeled(ds: Dataset, new: VariableSpec, relabel: dict[str, str]) -> Dataset:
+    """``ds`` with ``new`` as the spec of its variable and the column
+    recoded by one lookup table over the old codes: the rows of each old
+    category move to the code of ``relabel[label]`` in ``new``, and those
+    of a label ``relabel`` lacks become missing.  Row count and order are
+    unchanged."""
+    old = ds.spec(new.name)
+    # new code of each old code; the trailing -1 keeps missing cells (-1) missing
+    recode = [
+        new.categories.index(relabel[label]) if label in relabel else -1
+        for label in old.categories
+    ]
+    schema = tuple(new if s.name == new.name else s for s in ds.schema)
+    columns = dict(ds.columns)
+    columns[new.name] = np.array(recode + [-1], dtype=np.int32)[ds.columns[new.name]]
+    return Dataset(schema, columns, metadata=ds.metadata)
 
 
 def merge_categories(
@@ -254,14 +279,26 @@ def apply_category_merge(
     Category frequencies of merged labels add; every other label keeps its
     rows.  Row count and order are unchanged.
     """
-    old = ds.spec(variable)
-    new, relabel = _merge(old, pairs_to_merge)
-    # new code of each old code; the trailing -1 keeps missing cells (-1) missing
-    recode = [new.categories.index(relabel[label]) for label in old.categories]
-    schema = tuple(new if s.name == variable else s for s in ds.schema)
-    columns = dict(ds.columns)
-    columns[variable] = np.array(recode + [-1], dtype=np.int32)[ds.columns[variable]]
-    return Dataset(schema, columns, metadata=ds.metadata)
+    new, relabel = _merge(ds.spec(variable), pairs_to_merge)
+    return _relabeled(ds, new, relabel)
+
+
+def drop_empty_categories(ds: Dataset) -> tuple[Dataset, dict[str, list[str]]]:
+    """Drop every category that no row holds, from each categorical
+    variable that keeps at least 2 categories, and recode its column.  A
+    variable left with fewer keeps its categories, as a constant column
+    does.  Returns the dataset and the dropped labels by variable."""
+    dropped = {}
+    for spec in ds.schema:
+        if not spec.is_categorical:
+            continue
+        codes = ds.columns[spec.name]
+        counts = np.bincount(codes[codes >= 0], minlength=len(spec.categories))
+        kept = tuple(label for label, n in zip(spec.categories, counts) if n)
+        if 2 <= len(kept) < len(spec.categories):
+            ds = _relabeled(ds, _with_categories(spec, kept), {k: k for k in kept})
+            dropped[spec.name] = [label for label in spec.categories if label not in kept]
+    return ds, dropped
 
 
 # ---------------------------------------------------------------------------

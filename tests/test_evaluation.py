@@ -469,7 +469,6 @@ class TestCrossValidate:
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
-        assert a.to_text() == b.to_text()
 
     def test_fold_too_small_reports_which_fold(self):
         ds = generate_synthetic(GeneratorConfig(n=6, noise_sd=0.5), seed=1)
@@ -602,16 +601,6 @@ class TestResubstitution:
 
 
 class TestReportRendering:
-    def test_text_table_contains_all_rows(self):
-        ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
-        report = cross_validate(ds, standard_plan(ds), k=4, seed=2)
-        text = report.to_text()
-        for row in report.rows:
-            assert row.label in text
-        assert "average" in text
-        assert "improvement %" in text
-        assert text.endswith("\n")
-
     def test_dict_round_trips_through_json(self):
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
         report = cross_validate(ds, standard_plan(ds), k=4, seed=2)

@@ -1051,6 +1051,22 @@ class TestArtifactHandoff:
         assert report["synthetic_data"]["rows"] == 6
         assert "model_tree" in report and "regression" not in report
 
+    def test_evaluate_calls_each_protocol_by_name(self, tmp_path, monkeypatch):
+        # perfbench's evaluation spans and rows_scored count the calls of
+        # these three names: one per k, one per train fraction, and one
+        # resubstitution
+        cfg = load_small(tmp_path, evaluation={
+            "k_values": [4, 2], "train_fractions": [0.8, 0.6, 0.7], "repetitions": 2,
+        })
+        calls = {
+            name: _counting(monkeypatch, name)
+            for name in ("cross_validate", "random_split_experiment", "resubstitution_experiment")
+        }
+        run_pipeline(cfg)
+        assert [args[2] for args in calls["cross_validate"]] == [4, 2]
+        assert [args[2] for args in calls["random_split_experiment"]] == [0.8, 0.6, 0.7]
+        assert len(calls["resubstitution_experiment"]) == 1
+
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
     def test_each_stage_goes_through_module_run_stage(self, tmp_path, monkeypatch, source):
         # perfbench times each stage by rebinding pipeline.run_stage
@@ -1183,3 +1199,76 @@ def test_staged_report_equals_monolithic(
 
         expected = _outcome(lambda: run_pipeline(mono), tmp / "mono")
         assert _outcome(each_stage, tmp / "staged") == expected
+
+
+# ---------------------------------------------------------------------------
+# categories that filters leave without rows
+# ---------------------------------------------------------------------------
+
+_VAF_LABELS = ["0.65", "0.90", "1.00", "1.10", "1.35"]
+
+
+def _fixture_csv_config(tmp_path, data=FIXTURES / "projects.csv", filters=None) -> Path:
+    """``fixtures/csv_config.json`` on ``data``, with ``filters`` in place of
+    its own when given."""
+    config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
+    config["data"]["path"] = str(data)
+    if filters is not None:
+        config["filters"] = filters
+    return write_config(tmp_path, config)
+
+
+class TestEmptiedCategory:
+    @pytest.mark.parametrize(
+        "filters, dropped",
+        [
+            (
+                [
+                    {"kind": "range", "variable": "fp", "low": 20},
+                    {"kind": "in_set", "variable": "vaf", "labels": _VAF_LABELS[1:]},
+                ],
+                "0.65",
+            ),
+            ([{"kind": "range", "variable": "fp", "low": 400}], "1.35"),
+        ],
+    )
+    def test_filtered_out_category_is_dropped(self, tmp_path, filters, dropped):
+        # the category keeps its declared place but no row: the run goes on
+        # without it instead of stopping at 'fit' with zero training rows
+        out = tmp_path / "out"
+        path = _fixture_csv_config(tmp_path, filters=filters)
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        kept = [label for label in _VAF_LABELS if label != dropped]
+        assert report["data_preparation"]["dropped_categories"] == {"vaf": [dropped]}
+        assert list(report["group_screening"]["anova"]["vaf"]["group_counts"]) == kept
+        assert list(report["regression"]["selected_model"]["codings"]["vaf"]) == kept
+        schema = json.loads((out / "prepared.schema.json").read_text())["schema"]
+        assert next(s for s in schema if s["name"] == "vaf")["categories"] == kept
+
+    def test_nothing_dropped_writes_no_key(self, tmp_path):
+        report = run_pipeline(
+            load_config(_fixture_csv_config(tmp_path), out_override=str(tmp_path / "out"))
+        )
+        assert "dropped_categories" not in report["data_preparation"]
+
+
+_PROJECT_LINES = (FIXTURES / "projects.csv").read_text(encoding="utf-8").splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.sets(st.integers(0, len(_PROJECT_LINES) - 2), min_size=5))
+def test_any_row_subset_ends_in_a_report_or_a_defectcast_error(rows):
+    # any subset of the project rows, with the fixture's filter and merge,
+    # either runs to a report or stops with the package's own error
+    header, *lines = _PROJECT_LINES
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "subset.csv"
+        data.write_text("\n".join([header, *(lines[i] for i in sorted(rows))]) + "\n")
+        cfg = load_config(_fixture_csv_config(tmp, data), out_override=str(tmp / "out"))
+        try:
+            report = run_pipeline(cfg)
+        except DefectcastError:
+            return
+        assert report["resubstitution"]["rows"][0]["n_test"] >= 1

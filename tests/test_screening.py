@@ -18,6 +18,7 @@ from defectcast.numerics import t_cdf
 from defectcast.screening import (
     anova_oneway,
     apply_category_merge,
+    drop_empty_categories,
     group_table,
     merge_categories,
     screen_dataset,
@@ -330,6 +331,38 @@ class TestMergeCategories:
         ds = load_csv(io.StringIO(text), schema)
         out = apply_category_merge(ds, "v", [("b", "c")])
         np.testing.assert_array_equal(out.columns["y"], ds.columns["y"])
+
+
+class TestDropEmptyCategories:
+    def _dataset(self, labels, categories=("a", "b", "c", "d")):
+        codes = [categories.index(v) if v else -1 for v in labels]
+        schema = [
+            VariableSpec("y", "response", "numeric"),
+            VariableSpec("v", "predictor", "categorical", categories=categories),
+        ]
+        return Dataset(schema, {"y": np.arange(len(codes), dtype=float), "v": np.array(codes)})
+
+    def test_recodes_past_the_dropped_labels(self):
+        ds = self._dataset(["d", None, "b", "d", "c", None])
+        out, dropped = drop_empty_categories(ds)
+        assert dropped == {"v": ["a"]}
+        assert out.spec("v").categories == ("b", "c", "d")
+        assert out.spec("v").kind == "categorical"
+        assert out.labels("v") == ds.labels("v")
+        np.testing.assert_array_equal(out.missing("v"), ds.missing("v"))
+        np.testing.assert_array_equal(out.columns["y"], ds.columns["y"])
+
+    def test_two_left_make_it_binary(self):
+        out, dropped = drop_empty_categories(self._dataset(["c", "a", "a"]))
+        assert dropped == {"v": ["b", "d"]}
+        assert (out.spec("v").kind, out.spec("v").categories) == ("binary", ("a", "c"))
+
+    @pytest.mark.parametrize("labels", [["a", "b", "c", "d", "a"], ["b", "b", None], []])
+    def test_all_present_or_fewer_than_two_left_unchanged(self, labels):
+        ds = self._dataset(labels)
+        out, dropped = drop_empty_categories(ds)
+        assert dropped == {}
+        assert out.schema == ds.schema and out == ds
 
 
 class TestScreenDataset:
