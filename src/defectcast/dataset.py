@@ -42,6 +42,7 @@ __all__ = [
     "csv_header",
     "serialize_csv",
     "apply_filters",
+    "complete_rows",
     "listwise_complete",
     "summarize",
 ]
@@ -547,15 +548,22 @@ def apply_filters(ds: Dataset, rules: Sequence[FilterRule]) -> Dataset:
     return ds.take(np.flatnonzero(mask))
 
 
+def complete_rows(ds: Dataset, variables: Sequence[str]) -> np.ndarray:
+    """Boolean mask of the rows with no missing value in any of the given
+    variables."""
+    mask = np.ones(ds.row_count, dtype=bool)
+    for name in variables:
+        mask &= ~ds.missing(name)
+    return mask
+
+
 def listwise_complete(ds: Dataset, variables: Sequence[str]) -> Dataset:
     """Rows with no missing value in any of the given variables.
 
     A dataset with no such row is returned itself: its arrays are frozen,
     so sharing it is as safe as a copy.
     """
-    mask = np.ones(ds.row_count, dtype=bool)
-    for name in variables:
-        mask &= ~ds.missing(name)
+    mask = complete_rows(ds, variables)
     if mask.all():
         return ds
     return ds.take(np.flatnonzero(mask))

@@ -1,8 +1,9 @@
 """Accuracy metrics, evaluation protocols, and the synthetic generator.
 
-Metrics (MMRE, Pred(m)) are computed on raw defect counts, with ln-scale
-model output back-transformed first.  Three protocols run one loop
-(``_experiment``) over their lists of train/test splits: k-fold
+Metrics (MMRE, Pred(m)) are computed on raw defect counts.  Predictors
+return the model scale, and ``raw_counts`` is the one back-transform from
+there to counts, for predictions and actuals alike.  Three protocols run
+one loop (``_experiment``) over their lists of train/test splits: k-fold
 cross-validation, repeated random splits, and resubstitution (one split
 that fits and evaluates on all rows, clearly labeled).  A protocol only
 checks its arguments and builds its splits.  Every protocol is a pure
@@ -38,12 +39,7 @@ from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
 from .recalibration import Routes, fit_consequents, routes_for, score, units_for
-from .regression import (
-    back_transform_array,
-    design_columns,
-    ols_coefficients,
-    response_values,
-)
+from .regression import design_columns, ols_coefficients, response_values
 from .screening import spearman
 from .transform import apply_schema_transforms, compute_vaf
 
@@ -101,7 +97,7 @@ def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
 def mmre(actuals, predictions) -> float:
     """Mean magnitude of relative error over raw counts."""
     a, p = _check_metric_inputs(actuals, predictions)
-    return _metrics(a, p, (), include_pred=False).mmre
+    return _metrics(a, p, ()).mmre
 
 
 def pred_at(actuals, predictions, m: float) -> float:
@@ -109,7 +105,7 @@ def pred_at(actuals, predictions, m: float) -> float:
     if m < 0:
         raise ConfigError(f"threshold must be nonnegative, got {m}")
     a, p = _check_metric_inputs(actuals, predictions)
-    return _metrics(a, p, (m,), include_pred=True).pred[m]
+    return _metrics(a, p, (m,)).pred[m]
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,7 @@ class EvalMetrics:
     n: int
 
 
-def _metrics(
-    actuals: np.ndarray, predictions: np.ndarray, thresholds, include_pred: bool
-) -> EvalMetrics:
+def _metrics(actuals: np.ndarray, predictions: np.ndarray, thresholds) -> EvalMetrics:
     """``mmre`` and ``pred_at`` at each threshold, from one relative-error
     vector, on float arrays of one shape whose actuals ``_check_actuals``
     has passed.  ``np.add.reduce(errors) / n`` is the sum and division
@@ -129,9 +123,7 @@ def _metrics(
     the correctly rounded mean of the hits."""
     errors = np.abs(actuals - predictions) / actuals
     n = errors.size
-    pred = {}
-    if include_pred:
-        pred = {m: float(np.count_nonzero(errors <= m) / n) for m in thresholds}
+    pred = {m: float(np.count_nonzero(errors <= m) / n) for m in thresholds}
     return EvalMetrics(mmre=float(np.add.reduce(errors) / n), pred=pred, n=n)
 
 
@@ -264,11 +256,31 @@ def _improvement(baseline: float, recalibrated: float) -> float:
 
 
 def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
-    """Model-scale response values back on the count scale, through
-    ``back_transform_array`` like the predictions."""
+    """Model-scale values (predictions and actuals alike) back on the count
+    scale, the one way to counts, so every count on the report comes from
+    one formula.  Values of a response without a transform are returned as
+    they are.  ``math.exp``/``math.expm1`` per element on Python floats,
+    not ``np.exp``: the two differ in the last bit on a few percent of
+    inputs.  A count beyond the float range raises NumericalError naming
+    the first model-scale value that overflows."""
     if transform == "none":
         return values
-    return back_transform_array(values, transform)
+    if transform == "ln":
+        fn = math.exp
+    elif transform == "ln1p":
+        fn = math.expm1
+    else:
+        raise DataError(f"back-transform undefined for response transform {transform!r}")
+    cells = values.tolist()
+    rest = iter(cells)
+    try:
+        return np.fromiter(map(fn, rest), float, count=len(cells))
+    except OverflowError:
+        # map stops on the value that overflowed, the last one taken from rest
+        first = cells[len(cells) - sum(1 for _ in rest) - 1]
+        raise NumericalError(
+            f"back-transform overflows: model-scale value {first!r} has no finite count"
+        ) from None
 
 
 def _averages(rows: list[ExperimentRow]) -> ExperimentRow:
@@ -374,8 +386,9 @@ def _split_row(
     actuals = enc.actuals[test]
     _check_actuals(actuals)
     include_pred = len(test) >= plan.min_test_for_pred
-    base = _metrics(actuals, base_preds, plan.pred_thresholds, include_pred)
-    recal = _metrics(actuals, recal_preds, plan.pred_thresholds, include_pred)
+    thresholds = plan.pred_thresholds if include_pred else ()
+    base = _metrics(actuals, base_preds, thresholds)
+    recal = _metrics(actuals, recal_preds, thresholds)
     return ExperimentRow(
         label=label,
         n_test=len(test),

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, VariableSpec
-from .evaluation import DEFAULT_COEFFICIENTS, kfold_plan, mmre, pred_at
+from .evaluation import DEFAULT_COEFFICIENTS, kfold_plan, mmre, pred_at, raw_counts
 from .pipeline import load_config, run_pipeline
 from .regression import LinearModel, ModelTerm, model_predict
 from .transform import compute_vaf
@@ -79,7 +79,7 @@ def reference_model() -> LinearModel:
 def reference_prediction(fp: float, vaf: float, dev_type: str) -> float:
     """Predicted raw defect count from the reference model at one project:
     ``model_predict`` on a one-row table of its ln(fp), vaf and
-    development type."""
+    development type, taken to counts by ``raw_counts``."""
     model = reference_model()
     dev_types = tuple(model.codings["dev_type"])
     if dev_type not in dev_types:
@@ -88,7 +88,7 @@ def reference_prediction(fp: float, vaf: float, dev_type: str) -> float:
     schema.append(VariableSpec("dev_type", "predictor", "categorical", categories=dev_types))
     values = {"fp": math.log(fp), "vaf": vaf, "dev_type": dev_types.index(dev_type)}
     project = Dataset(schema, {name: np.array([v]) for name, v in values.items()})
-    return float(model_predict(model, project, back_transform=True)[0])
+    return float(raw_counts(model_predict(model, project), "ln")[0])
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ from .regression import (
     ols_fit,
     stepwise_fit,
 )
-from .screening import _merge, apply_category_merge, drop_empty_categories, screen_dataset
+from .screening import (
+    apply_category_merge, drop_empty_categories, merge_categories, screen_dataset,
+)
 from .transform import apply_schema_transforms, qq_normal
 
 __all__ = [
@@ -261,7 +263,7 @@ def load_config(
         # merges in turn, so each merge sees the spec the last one left
         if not spec.is_categorical or spec.categories:
             try:
-                source[variable] = _merge(spec, pairs)[0]
+                source[variable] = merge_categories(spec, pairs)
             except DataError as err:
                 raise ConfigError(str(err)) from None
         merges.append((variable, pairs))
@@ -472,11 +474,15 @@ def _source_dataset(run: _Run) -> Dataset:
 
 
 def _prepare_in_memory(run: _Run):
+    cfg = run.cfg
     source = _source_dataset(run)
-    filtered = apply_filters(source, run.cfg.filters)
-    for variable, pairs in run.cfg.merges:
+    filtered = apply_filters(source, cfg.filters)
+    for variable, pairs in cfg.merges:
         filtered = apply_category_merge(filtered, variable, pairs)
-    filtered, dropped = drop_empty_categories(filtered)
+    # catreg fits on the rows complete over the response and every
+    # candidate, so with optimal scaling a category needs one of those
+    fitted = (cfg.response, *cfg.candidates) if cfg.scaling else ()
+    filtered, dropped = drop_empty_categories(filtered, fitted)
     prepared, applied = apply_schema_transforms(filtered)
     run.prepared = prepared
     return source, filtered, dropped, prepared, applied
@@ -732,10 +738,9 @@ def _load_fitted(run: _Run) -> LinearModel:
 
 def _resubstitution_mmre(model: LinearModel, units, data: Dataset):
     transform = model.response_transform
-    back = transform != "none"
     actual = raw_counts(data.columns[model.response], transform)
-    base = model_predict(model, data, back_transform=back)
-    recal = recalibrated_predict(model, units, data, back_transform=back)
+    base = raw_counts(model_predict(model, data), transform)
+    recal = raw_counts(recalibrated_predict(model, units, data), transform)
     return mmre(actual, base), mmre(actual, recal)
 
 

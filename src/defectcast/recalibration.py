@@ -19,7 +19,8 @@ turns a table into a design matrix and ``routes_for`` adds each
 categorical term's firing strengths; ``score`` and ``fit_consequents`` do
 the arithmetic on those arrays.  ``recalibrated_predict`` scores every row
 of a table with units, as ``regression.model_predict`` does without them;
-both sum through ``regression.linear_score``.  Resampling experiments
+both sum through ``regression.linear_score`` and return the model scale,
+which ``evaluation.raw_counts`` takes to counts.  Resampling experiments
 encode their table once and hand row subsets of the arrays to ``score``
 and ``fit_consequents`` directly.
 
@@ -40,13 +41,7 @@ import numpy as np
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
 from .numerics import min_norm_least_squares
-from .regression import (
-    LinearModel,
-    back_transform_array,
-    linear_score,
-    model_design,
-    response_values,
-)
+from .regression import LinearModel, linear_score, model_design, response_values
 
 __all__ = [
     "Nfa",
@@ -310,24 +305,15 @@ def train_recalibration(
     return trained, trace
 
 
-def recalibrated_predict(
-    model: LinearModel,
-    units: list[Nfa],
-    ds: Dataset,
-    back_transform: bool = False,
-) -> np.ndarray:
-    """The model's prediction for every row of ``ds`` with each categorical
-    term's value routed through its unit: the ``model_design`` and its
-    routes, summed by ``score``.
+def recalibrated_predict(model: LinearModel, units: list[Nfa], ds: Dataset) -> np.ndarray:
+    """The model's prediction for every row of ``ds``, on the model scale,
+    with each categorical term's value routed through its unit: the
+    ``model_design`` and its routes, summed by ``score``.
 
     Untrained units change nothing, so with them this equals
     ``regression.model_predict``.  Labels are valued by the model's
-    fit-time codings.  The back-transform runs per element through
-    ``back_transform_array``.
+    fit-time codings.
     """
     design = model_design(model, ds)
     routes = routes_for(design, model.variables, model.codings, units)
-    total = score(_coefficients(model), design, routes)
-    if back_transform:
-        return back_transform_array(total, model.response_transform)
-    return total
+    return score(_coefficients(model), design, routes)

@@ -12,7 +12,8 @@ A fitted ``LinearModel`` records each categorical term's label to number
 mapping in ``codings``, and scoring reads no other: ``model_predict`` sums
 a model's ``model_design`` through ``linear_score``, the one loop that sums
 a linear predictor, on whole tables; ``recalibration`` scores through the
-same two.
+same two.  Predictions stay on the model scale (the response as fitted);
+``evaluation.raw_counts`` is the one way from there to counts.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ __all__ = [
     "catreg_fit",
     "model_predict",
 ]
+
+# catreg stops once a pass raises R^2 by less than this, and gives up
+# (ConvergenceError) if it is still improving after this many passes
+_CATREG_TOL = 1e-8
+_CATREG_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class ModelTerm:
@@ -419,8 +426,6 @@ def catreg_fit(
     response: str,
     predictors: Sequence[str],
     scaling: dict[str, str] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
     response_transform: str = "none",
 ) -> CatregResult:
     """Alternating-least-squares optimal scaling regression.
@@ -432,7 +437,7 @@ def catreg_fit(
     projects ordinal variables monotone, restandardizes to mean 0 and
     variance 1 over the fit rows, and re-estimates that variable's
     coefficient.  R^2 never decreases; iteration stops when it improves by
-    less than ``tol``.
+    less than ``_CATREG_TOL``.
     """
     scaling = scaling or {}
     for name, level in scaling.items():
@@ -495,13 +500,13 @@ def catreg_fit(
     r2_path: list[float] = []
     previous_r2 = -math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _CATREG_MAX_ITER + 1):
         design = _design()
         sol = solve_least_squares(design, y)
         coef = sol.coefficients.copy()
         r2 = 1.0 - sol.residual_sum_squares / tss
         r2_path.append(float(r2))
-        if r2 - previous_r2 < tol and iterations > 1:
+        if r2 - previous_r2 < _CATREG_TOL and iterations > 1:
             break
         previous_r2 = r2
 
@@ -521,9 +526,9 @@ def catreg_fit(
             z[name] = col
             coef[cat_positions[name]] = new_b
 
-    if iterations == max_iter and len(r2_path) >= 2 and r2_path[-1] - r2_path[-2] >= tol:
+    if iterations == _CATREG_MAX_ITER and r2_path[-1] - r2_path[-2] >= _CATREG_TOL:
         raise ConvergenceError(
-            f"optimal scaling did not converge within {max_iter} iterations"
+            f"optimal scaling did not converge within {_CATREG_MAX_ITER} iterations"
         )
 
     # every category has a row (checked above): read its value off the first
@@ -542,22 +547,6 @@ def catreg_fit(
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
-
-
-def back_transform_array(values: np.ndarray, transform: str) -> np.ndarray:
-    """Model-scale values back on the count scale, element by element, for
-    predictions and actuals alike, so every count on the report comes from
-    one formula.  ``math.exp``/``math.expm1`` on Python floats, not
-    ``np.exp``: the two differ in the last bit on a few percent of inputs."""
-    if transform == "ln":
-        fn = math.exp
-    elif transform == "ln1p":
-        fn = math.expm1
-    else:
-        raise DataError(
-            f"back-transform undefined for response transform {transform!r}"
-        )
-    return np.fromiter(map(fn, values.tolist()), float, count=values.size)
 
 
 def model_design(model: LinearModel, ds: Dataset) -> np.ndarray:
@@ -582,19 +571,9 @@ def linear_score(intercept: float, terms, rows: int) -> np.ndarray:
     return total
 
 
-def model_predict(
-    model: LinearModel, ds: Dataset, back_transform: bool = False
-) -> np.ndarray:
-    """The model's prediction for every row of ``ds``: its
-    ``model_design``, summed by ``linear_score``.
-
-    With ``back_transform`` the ln-scale predictions go back to raw counts
-    through ``back_transform_array``, which requires a log-transformed
-    response.
-    """
+def model_predict(model: LinearModel, ds: Dataset) -> np.ndarray:
+    """The model's prediction for every row of ``ds``, on the model scale:
+    its ``model_design``, summed by ``linear_score``."""
     design = model_design(model, ds)
     terms = ((t.coefficient, design[:, j]) for j, t in enumerate(model.terms, start=1))
-    total = linear_score(model.intercept, terms, ds.row_count)
-    if back_transform:
-        return back_transform_array(total, model.response_transform)
-    return total
+    return linear_score(model.intercept, terms, ds.row_count)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._errors import ConfigError, DataError
-from .dataset import Dataset, VariableSpec, listwise_complete
+from .dataset import Dataset, VariableSpec, complete_rows, listwise_complete
 from .numerics import f_cdf, studentized_range_sf, t_cdf
 from .transform import rank_average
 
@@ -283,17 +283,24 @@ def apply_category_merge(
     return _relabeled(ds, new, relabel)
 
 
-def drop_empty_categories(ds: Dataset) -> tuple[Dataset, dict[str, list[str]]]:
+def drop_empty_categories(
+    ds: Dataset, fitted: Sequence[str] = ()
+) -> tuple[Dataset, dict[str, list[str]]]:
     """Drop every category that no row holds, from each categorical
     variable that keeps at least 2 categories, and recode its column.  A
+    variable among ``fitted`` counts only the rows complete over all of
+    ``fitted``, the rows a fit on them uses; its other rows are incomplete
+    already, and the cells of a category it drops become missing.  A
     variable left with fewer keeps its categories, as a constant column
     does.  Returns the dataset and the dropped labels by variable."""
+    complete = complete_rows(ds, fitted)
     dropped = {}
     for spec in ds.schema:
         if not spec.is_categorical:
             continue
         codes = ds.columns[spec.name]
-        counts = np.bincount(codes[codes >= 0], minlength=len(spec.categories))
+        held = complete if spec.name in fitted else codes >= 0
+        counts = np.bincount(codes[held], minlength=len(spec.categories))
         kept = tuple(label for label, n in zip(spec.categories, counts) if n)
         if 2 <= len(kept) < len(spec.categories):
             ds = _relabeled(ds, _with_categories(spec, kept), {k: k for k in kept})

@@ -659,14 +659,14 @@ def _split_row(label, model, trained, data, indices, plan):
     from defectcast.recalibration import recalibrated_predict
     from defectcast.regression import model_predict
 
-    back = plan.response_transform != "none"
+    t = plan.response_transform
     test = data.take(indices)
-    actuals = raw_counts(test.columns[plan.response], plan.response_transform)
+    actuals = raw_counts(test.columns[plan.response], t)
     include_pred = len(indices) >= plan.min_test_for_pred
     scores = []
     for preds in (
-        model_predict(model, test, back_transform=back),
-        recalibrated_predict(model, trained, test, back_transform=back),
+        raw_counts(model_predict(model, test), t),
+        raw_counts(recalibrated_predict(model, trained, test), t),
     ):
         error = mmre(actuals, preds)
         pred = (

@@ -25,6 +25,7 @@ from defectcast.evaluation import (
     pred_at,
     quantification_from_labels,
     random_split_experiment,
+    raw_counts,
     resubstitution_experiment,
 )
 from defectcast.numerics import RandomStream
@@ -149,12 +150,39 @@ class TestMetrics:
             predictions = actuals * rng.uniform(0.2, 1.8, n)
             predictions[::7] = actuals[::7]  # exact hits count at threshold 0
             predictions[3::11] = 1.25 * actuals[3::11]  # errors at or next to 0.25
-            got = evaluation._metrics(actuals, predictions, thresholds, True)
+            got = evaluation._metrics(actuals, predictions, thresholds)
             assert got.mmre.hex() == mmre(actuals, predictions).hex()
             want = {m: pred_at(actuals, predictions, m).hex() for m in thresholds}
             assert {m: v.hex() for m, v in got.pred.items()} == want
             assert got.n == n
-        assert evaluation._metrics(actuals, predictions, thresholds, False).pred == {}
+        assert evaluation._metrics(actuals, predictions, ()).pred == {}
+
+
+class TestRawCounts:
+    @pytest.mark.parametrize("transform", ["ln", "ln1p"])
+    def test_raw_counts_equals_element_loop(self, transform):
+        rng = np.random.default_rng(21)
+        values = np.concatenate(
+            [rng.normal(0.0, 4.0, 5000), [0.0, -0.0, 1e-300, -1e-17, 709.0, -745.5]]
+        )
+        fn = {"ln": math.exp, "ln1p": math.expm1}[transform]
+        loop = np.array([fn(v) for v in values.tolist()])
+        got = raw_counts(values, transform)
+        assert got.dtype == loop.dtype and got.shape == loop.shape
+        assert (got == loop).all()
+        assert got.tobytes() == loop.tobytes()  # -0.0 keeps its sign
+
+    def test_raw_counts_edges(self):
+        empty = raw_counts(np.array([]), "ln")
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        values = np.array([1.5, -0.0])
+        assert raw_counts(values, "none") is values
+        with pytest.raises(DataError, match="back-transform undefined"):
+            raw_counts(np.array([]), "sqrt")
+        for transform in ("ln", "ln1p"):
+            # the first value that overflows is named, not the largest
+            with pytest.raises(NumericalError, match=r"model-scale value 710\.0 "):
+                raw_counts(np.array([1.0, 710.0, 2e6, 711.0]), transform)
 
 
 class TestFoldPlan:

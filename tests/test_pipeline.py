@@ -1246,6 +1246,22 @@ class TestEmptiedCategory:
         schema = json.loads((out / "prepared.schema.json").read_text())["schema"]
         assert next(s for s in schema if s["name"] == "vaf")["categories"] == kept
 
+    def test_category_with_only_incomplete_rows_is_dropped(self, tmp_path):
+        # catreg fits on the rows complete over every candidate: without the
+        # six 1.35 rows that have efforts, the one left lacks efforts, so
+        # prepare drops 1.35 and empties that row's cell
+        header, *lines = _PROJECT_LINES
+        rows = [line for line in lines if not (line.endswith(",1.35") and line.split(",")[2])]
+        assert len(rows) == 44
+        data = tmp_path / "incomplete.csv"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        path = _fixture_csv_config(tmp_path, data)
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["data_preparation"]["dropped_categories"] == {"vaf": ["1.35"]}
+        assert list(report["regression"]["selected_model"]["codings"]["vaf"]) == _VAF_LABELS[:-1]
+
     def test_nothing_dropped_writes_no_key(self, tmp_path):
         report = run_pipeline(
             load_config(_fixture_csv_config(tmp_path), out_override=str(tmp_path / "out"))
@@ -1254,6 +1270,32 @@ class TestEmptiedCategory:
 
 
 _PROJECT_LINES = (FIXTURES / "projects.csv").read_text(encoding="utf-8").splitlines()
+
+
+def test_overflowing_prediction_fails_the_evaluate_step(tmp_path, capsys):
+    # one x far outside the rest: the fold that holds it extrapolates to
+    # about 2e6 on the ln scale, which has no finite count
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, 40)
+    defects = np.exp(1.0 + 2.0 * x + rng.normal(0.0, 0.1, 40))
+    x[0], defects[0] = 1e6, 10.0
+    data = tmp_path / "extrapolated.csv"
+    data.write_text(
+        "defects,x\n" + "".join(f"{d!r},{v!r}\n" for d, v in zip(defects.tolist(), x.tolist()))
+    )
+    config = {
+        "data": {"path": str(data)},
+        "schema": [{"name": "defects", "role": "response", "transform": "ln"}, {"name": "x"}],
+        "regression": {"response": "defects", "candidates": ["x"], "stepwise": False},
+        "tree": {"enabled": False},
+        "recalibration": {"enabled": False},
+        "evaluation": {"k_values": [4]},
+        "seed": 20260822,
+    }
+    path = write_config(tmp_path, config)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "step 'evaluate': back-transform overflows: model-scale value 2138435." in err
 
 
 @settings(max_examples=40, deadline=None)

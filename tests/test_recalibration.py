@@ -8,6 +8,7 @@ import pytest
 
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec
+from defectcast.evaluation import raw_counts
 from defectcast.numerics import solve_least_squares
 from defectcast.recalibration import (
     Nfa,
@@ -419,7 +420,7 @@ class TestRecalibratedPredict:
         lnmodel = ols_fit(ds, "y", ["x", "vaf"], {"vaf": quant}, response_transform="ln")
         table = rows_table([{"x": 0.5, "vaf": "1.00"}], ds.schema)
         lin = recalibrated_predict(lnmodel, nfas, table)
-        raw = recalibrated_predict(lnmodel, nfas, table, back_transform=True)
+        raw = raw_counts(lin, lnmodel.response_transform)
         assert raw[0] == pytest.approx(math.exp(lin[0]), rel=1e-12)
 
     def test_missing_unit_raises(self):
@@ -503,9 +504,10 @@ class TestBatchPredict:
             )
         ]
         numeric = rows_table(numbers, numeric_schema("y", "x", "kind", "vaf"))
+        transform = model.response_transform if back else "none"
         for table, table_rows in ((ds, rows), (numeric, numbers)):
-            base = model_predict(model, table, back_transform=back)
-            recal = recalibrated_predict(model, trained, table, back_transform=back)
+            base = raw_counts(model_predict(model, table), transform)
+            recal = raw_counts(recalibrated_predict(model, trained, table), transform)
             for i, row in enumerate(table_rows):
                 want = oracles.one_row_prediction(model, row, back_transform=back)
                 want_recal = oracles.one_row_prediction(
@@ -513,9 +515,9 @@ class TestBatchPredict:
                 )
                 assert base[i] == want and recal[i] == want_recal
                 one_row = table.take([i])
-                assert model_predict(model, one_row, back_transform=back)[0] == want
-                assert want_recal == recalibrated_predict(
-                    model, trained, one_row, back_transform=back
+                assert raw_counts(model_predict(model, one_row), transform)[0] == want
+                assert want_recal == raw_counts(
+                    recalibrated_predict(model, trained, one_row), transform
                 )[0]
             assert not np.array_equal(base, recal)
 
@@ -530,11 +532,11 @@ class TestBatchPredict:
         want = oracles.one_row_prediction(model, {}, back_transform=back)
         assert want == (math.exp(1.25) if back else 1.25)
         _, _, _, ds = _mixed_setup("ln")
+        transform = model.response_transform if back else "none"
         for table in (ds.take([0]), ds):
-            assert model_predict(model, table, back_transform=back).tolist() == [want] * table.row_count
-            assert recalibrated_predict(model, [], table, back_transform=back).tolist() == (
-                [want] * table.row_count
-            )
+            want_all = [want] * table.row_count
+            assert raw_counts(model_predict(model, table), transform).tolist() == want_all
+            assert raw_counts(recalibrated_predict(model, [], table), transform).tolist() == want_all
 
     def test_untrained_units_equal_baseline(self):
         model, _, _, ds = _mixed_setup("ln")

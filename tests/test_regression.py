@@ -10,13 +10,8 @@ import scipy.stats
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec, load_csv, sample_sd
 from defectcast.numerics import solve_least_squares, t_cdf
-from defectcast.regression import (
-    back_transform_array,
-    catreg_fit,
-    model_predict,
-    ols_fit,
-    stepwise_fit,
-)
+from defectcast.evaluation import raw_counts
+from defectcast.regression import catreg_fit, model_predict, ols_fit, stepwise_fit
 
 import oracles
 
@@ -299,7 +294,7 @@ class TestModelPredict:
         model = self._model()
         table = rows_table([{"size": 1.3, "kind": "base"}], KIND_SCHEMA)
         lin = model_predict(model, table)
-        raw = model_predict(model, table, back_transform=True)
+        raw = raw_counts(lin, model.response_transform)
         assert raw[0] == pytest.approx(math.exp(lin[0]), rel=1e-12)
 
     def test_numeric_value_bypasses_coding(self):
@@ -330,38 +325,6 @@ class TestModelPredict:
         rows = [{"size": 1.0, "kind": "base"}, {"size": 1.0, "kind": "base", variable: missing}]
         with pytest.raises(DataError, match=f"missing value in .* variable '{variable}'"):
             model_predict(self._model(), rows_table(rows, KIND_SCHEMA))
-
-    @pytest.mark.parametrize("transform", ["ln", "ln1p"])
-    def test_back_transform_array_equals_element_loop(self, transform):
-        rng = np.random.default_rng(21)
-        values = np.concatenate(
-            [rng.normal(0.0, 4.0, 5000), [0.0, -0.0, 1e-300, -1e-17, 709.0, -745.5]]
-        )
-        fn = {"ln": math.exp, "ln1p": math.expm1}[transform]
-        loop = np.array([fn(v) for v in values.tolist()])
-        got = back_transform_array(values, transform)
-        assert got.dtype == loop.dtype and got.shape == loop.shape
-        assert (got == loop).all()
-        assert got.tobytes() == loop.tobytes()  # -0.0 keeps its sign
-
-    def test_back_transform_array_edges(self):
-        empty = back_transform_array(np.array([]), "ln")
-        assert empty.dtype == np.float64 and empty.shape == (0,)
-        with pytest.raises(DataError, match="back-transform undefined"):
-            back_transform_array(np.array([]), "none")
-        for transform in ("ln", "ln1p"):
-            with pytest.raises(OverflowError):
-                back_transform_array(np.array([1.0, 710.0]), transform)
-
-    def test_back_transform_needs_log_response(self):
-        rng = np.random.default_rng(33)
-        x = rng.normal(size=12)
-        y = x + rng.normal(0, 0.1, 12)
-        ds = make_dataset({"y": y.tolist(), "x1": x.tolist()}, numeric_schema("y", "x1"))
-        model = ols_fit(ds, "y", ["x1"])  # response_transform 'none'
-        table = rows_table([{"x1": 0.5}], numeric_schema("y", "x1"))
-        with pytest.raises(DataError, match="back-transform"):
-            model_predict(model, table, back_transform=True)
 
 
 class TestStepwise:

@@ -357,6 +357,19 @@ class TestDropEmptyCategories:
         assert dropped == {"v": ["b", "d"]}
         assert (out.spec("v").kind, out.spec("v").categories) == ("binary", ("a", "c"))
 
+    def test_fitted_variable_counts_only_complete_rows(self):
+        # 'b' is held only by rows whose response is missing, so a fit over
+        # y and v never sees it: it goes, and its cells become missing
+        ds = self._dataset(["a", "b", "c", "d", "b"])
+        y = ds.columns["y"].copy()
+        y[[1, 4]] = np.nan
+        ds = Dataset(ds.schema, {"y": y, "v": ds.columns["v"]})
+        assert drop_empty_categories(ds)[1] == {}
+        out, dropped = drop_empty_categories(ds, ("y", "v"))
+        assert dropped == {"v": ["b"]}
+        assert out.spec("v").categories == ("a", "c", "d")
+        assert out.labels("v") == ["a", None, "c", "d", None]
+
     @pytest.mark.parametrize("labels", [["a", "b", "c", "d", "a"], ["b", "b", None], []])
     def test_all_present_or_fewer_than_two_left_unchanged(self, labels):
         ds = self._dataset(labels)
