@@ -1,7 +1,7 @@
 """Batch pipeline: configuration, stages, and report assembly.
 
 A JSON config drives six stages (prepare, screen, tree, fit, recalibrate,
-evaluate) plus a `synth` stage that persists generated data.  Within one
+evaluate) plus a `synth` stage that reports on generated data.  Within one
 `run_pipeline` call the stages hand their artifacts over in memory: the
 source data, the prepared data and the fitted model go from the stage that
 made them to the stages that use them, and `report.json` is written once at
@@ -9,11 +9,12 @@ the end.
 
 Files are outputs, never inputs.  A standalone `run_stage` call recomputes
 in memory, from the config and its data, whatever the earlier stages would
-have handed it.  It then merges its sections into `report.json`, keeping the
-sections already there when that file records the current config hash
-(`provenance.config_hash`), so running the stages one after another
-composes to exactly the monolithic run.  `report.json` is the only file a
-run reads back.
+have handed it: a generated source is regenerated from its seed, never
+read back or written out.  It then merges its sections into `report.json`,
+keeping the sections already there when that file records the current
+config hash (`provenance.config_hash`), so running the stages one after
+another composes to exactly the monolithic run.  `report.json` is the only
+file a run reads back.
 
 Every output file is written atomically (temp + rename) and depends only
 on (config bytes, data bytes, seed): no timestamps, no environment leaks.
@@ -170,10 +171,11 @@ def load_config(
 ) -> PipelineConfig:
     """Parse, schema-validate, and semantically check a config file.
 
-    Command-line overrides are folded in before hashing, so the provenance
-    hash always reflects the configuration that actually ran.  The output
-    directory resolves as: --out flag, then DEFECTCAST_OUT, then the config
-    value, then "out".
+    Command-line overrides are folded in before validation and hashing, so
+    an override is checked like a file value and the provenance hash always
+    reflects the configuration that actually ran.  The output directory
+    resolves as: --out flag, then DEFECTCAST_OUT, then the config value,
+    then "out".
     """
     path = Path(path)
     if not path.is_file():
@@ -182,14 +184,6 @@ def load_config(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
-
-    import jsonschema
-
-    try:
-        jsonschema.validate(raw, _schema_document())
-    except jsonschema.ValidationError as err:
-        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise ConfigError(f"config schema violation at {where}: {err.message}") from None
 
     if data_override is not None:
         raw = {**raw, "data": {"path": str(data_override)}}
@@ -200,6 +194,14 @@ def load_config(
         raw = {**raw, "output_dir": str(out_override)}
     elif env_out:
         raw = {**raw, "output_dir": env_out}
+
+    import jsonschema
+
+    try:
+        jsonschema.validate(raw, _schema_document())
+    except jsonschema.ValidationError as err:
+        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
+        raise ConfigError(f"config schema violation at {where}: {err.message}") from None
 
     data = raw["data"]
     has_path = "path" in data
@@ -227,6 +229,8 @@ def load_config(
     regression = raw["regression"]
     response = regression.get("response", "defects")
     candidates = tuple(regression["candidates"])
+    if response in candidates:
+        raise ConfigError(f"the response {response!r} is listed among the candidates")
     for name in (response, *candidates):
         if name not in source:
             raise ConfigError(f"config references unknown variable {name!r}")
@@ -378,13 +382,16 @@ def _write_json(path: Path, payload) -> dict:
 
 def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
     """The JSON document at ``path`` if a run of this same config wrote it:
-    its ``provenance.config_hash`` is the current config's.  Else None."""
+    an object whose ``provenance.config_hash`` is the current config's.
+    Else None, also for a file that is not JSON or holds no such object."""
     if not path.is_file():
         return None
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("provenance", {}).get("config_hash") != cfg.config_hash():
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        written = doc["provenance"]["config_hash"]
+    except (ValueError, LookupError, TypeError):
         return None
-    return doc
+    return doc if written == cfg.config_hash() else None
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +431,6 @@ class _Run:
     @property
     def out_dir(self) -> Path:
         return Path(self.cfg.output_dir)
-
-
-def _write_table(run: _Run, name: str, ds: Dataset) -> None:
-    """``<name>.csv`` plus its ``<name>.schema.json`` sidecar, which holds
-    the schema and the provenance for readers of the CSV.  The old sidecar
-    is removed first, so a sidecar never vouches for a CSV another run
-    wrote."""
-    sidecar = run.out_dir / f"{name}.schema.json"
-    sidecar.unlink(missing_ok=True)
-    _atomic_write(run.out_dir / f"{name}.csv", lambda handle: serialize_csv(ds, handle))
-    _write_json(
-        sidecar,
-        {
-            "provenance": run.cfg.provenance(),
-            "schema": [asdict(s) for s in ds.schema],
-        },
-    )
 
 
 def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
@@ -533,7 +523,6 @@ def _stage_synth(run: _Run) -> dict:
     if cfg.synthetic is None:
         raise ConfigError("stage 'synth' needs a data.synthetic section")
     ds = _source_dataset(run)
-    _write_table(run, "synthetic", ds)
     meta = ds.metadata["generator"]
     return {
         "synthetic_data": {
@@ -549,7 +538,15 @@ def _stage_synth(run: _Run) -> dict:
 def _stage_prepare(run: _Run) -> dict:
     cfg = run.cfg
     source, filtered, dropped, prepared, applied = _prepare_in_memory(run)
-    _write_table(run, "prepared", prepared)
+    # the sidecar holds the schema and the provenance for readers of the
+    # CSV; the old one goes first, so it never vouches for another run's CSV
+    sidecar = run.out_dir / "prepared.schema.json"
+    sidecar.unlink(missing_ok=True)
+    _atomic_write(run.out_dir / "prepared.csv", lambda handle: serialize_csv(prepared, handle))
+    _write_json(
+        sidecar,
+        {"provenance": cfg.provenance(), "schema": [asdict(s) for s in prepared.schema]},
+    )
 
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
     qq_raw = qq_normal(filtered.columns[cfg.response])

@@ -219,6 +219,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="ghost"):
             load_config(write_config(tmp_path, config))
 
+    def test_response_among_the_candidates_rejected(self, tmp_path, capsys):
+        # the response as its own predictor fitted R^2 1 and MMRE 0
+        config = json.loads((FIXTURES / "csv_config.json").read_text(encoding="utf-8"))
+        config["data"]["path"] = str(FIXTURES / "projects.csv")
+        config["regression"]["candidates"].append("defects")
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "defectcast: the response 'defects' is listed among the candidates\n"
+        )
+        assert not out.exists()
+
+    def test_duplicate_candidates_rejected(self, tmp_path):
+        # a candidate listed twice made the design rank deficient at 'fit'
+        config = small_config()
+        config["regression"]["candidates"].append("fp")
+        with pytest.raises(
+            ConfigError,
+            match=r"^config schema violation at regression/candidates: .*'fp'\] has non-unique",
+        ):
+            load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     def test_scaling_must_target_candidates(self, tmp_path):
         config = small_config()
         config["regression"]["scaling"] = {"defects": "nominal"}
@@ -251,6 +275,20 @@ class TestConfig:
         other = load_config(path, seed_override=7)
         assert other.seed == 7
         assert base.config_hash() != other.config_hash()
+
+    def test_seed_override_checked_like_a_file_value(self, tmp_path):
+        path = write_config(tmp_path, small_config())
+        with pytest.raises(ConfigError, match="^config schema violation at seed: -3 is less"):
+            load_config(path, seed_override=-3)
+
+    def test_out_override_checked_like_a_file_value(self, tmp_path, monkeypatch):
+        # an empty --out wrote every output into the working directory
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, small_config())
+        with pytest.raises(ConfigError, match="^config schema violation at output_dir: "):
+            load_config(path, out_override="")
+        assert main(["--config", str(path), "--out", ""]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_hash_ignores_output_dir(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -360,7 +398,7 @@ class TestConfig:
     )
     def test_category_and_kind_faults_fail_at_load(self, tmp_path, key, entries, message):
         # the prepare stage rejects these too, but only after synth has
-        # written its files; the generator's schema is known at load
+        # run; the generator's schema is known at load
         config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
         config[key] = entries
         path = write_config(tmp_path, config)
@@ -437,10 +475,12 @@ class TestPipelineRun:
             "tree.txt",
             "prepared.csv",
             "prepared.schema.json",
-            "synthetic.csv",
-            "synthetic.schema.json",
         ):
             assert (out / name).is_file(), name
+        # the config and seed determine the generated rows; prepared.csv
+        # holds them, so the source is never written as well
+        for name in ("synthetic.csv", "synthetic.schema.json"):
+            assert not (out / name).exists(), name
         on_disk = json.loads((out / "report.json").read_text())
         assert set(on_disk) == EXPECTED_SECTIONS
 
@@ -1096,7 +1136,7 @@ class TestArtifactHandoff:
         for section in STAGE_SECTIONS["screen"]:
             assert staged[section] == mono[section], section
 
-    def test_synthetic_csv_of_another_seed_regenerated(self, tmp_path):
+    def test_stage_after_synth_of_another_seed_regenerates_its_source(self, tmp_path):
         path = write_config(tmp_path, small_config())
         mixed = str(tmp_path / "mixed")
         run_stage("synth", load_config(path, out_override=mixed, seed_override=1))
@@ -1108,6 +1148,31 @@ class TestArtifactHandoff:
         )
         for section in STAGE_SECTIONS["prepare"]:
             assert staged[section] == mono[section], section
+
+    def test_whole_synthetic_run_writes_one_table_of_its_rows(self, tmp_path, monkeypatch):
+        writes = _counting(monkeypatch, "serialize_csv")
+        run_pipeline(load_small(tmp_path))
+        names = [Path(args[1].name).name.partition(".csv.")[0] for args in writes]
+        assert names == ["prepared", "qq"]
+
+    def test_synth_stage_writes_only_the_report(self, tmp_path):
+        report = run_stage("synth", load_small(tmp_path))
+        assert sorted(report) == ["provenance", "synthetic_data"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize(
+        "text", ['{"provenance": {"config_h', "[1, 2]", '{"provenance": [1]}'],
+        ids=["truncated", "array", "provenance-not-an-object"],
+    )
+    def test_report_that_is_not_a_report_is_started_anew(self, tmp_path, text):
+        # such a file records no config hash, so it is not this config's report
+        cfg = load_small(tmp_path)
+        path = tmp_path / "out" / "report.json"
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        report = run_stage("prepare", cfg)
+        assert sorted(report) == ["data_preparation", "normality", "provenance"]
+        assert json.loads(path.read_text(encoding="utf-8")) == report
 
     def test_nan_raises_and_writes_nothing(self, tmp_path):
         with pytest.raises(NumericalError, match="report.json"):
