@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "VariableSpec",
     "Dataset",
     "FilterRule",
-    "SummaryReport",
     "load_csv",
     "csv_header",
     "serialize_csv",
@@ -114,18 +113,10 @@ class Dataset:
     ``columns[name]`` is float64 for numeric variables and int32 category
     codes for categorical/binary ones; NaN or code -1 marks a missing cell,
     and ``missing(name)`` derives the mask from that marker.  Arrays are
-    frozen after construction.  ``metadata`` carries optional provenance
-    (for example from the synthetic generator) and is excluded from
-    equality.
+    frozen after construction.
     """
 
-    def __init__(
-        self,
-        schema: Sequence[VariableSpec],
-        columns: dict[str, np.ndarray],
-        *,
-        metadata: dict | None = None,
-    ):
+    def __init__(self, schema: Sequence[VariableSpec], columns: dict[str, np.ndarray]):
         self.schema = _check_schema(schema)
         self._by_name = {s.name: s for s in self.schema}
         if set(columns) != set(self._by_name):
@@ -140,7 +131,6 @@ class Dataset:
             col = np.asarray(columns[spec.name], dtype=dtype).copy()
             col.flags.writeable = False
             self.columns[spec.name] = col
-        self.metadata = metadata
 
     def spec(self, name: str) -> VariableSpec:
         try:
@@ -195,7 +185,7 @@ class Dataset:
         """Row subset (or reorder) preserving schema and category order."""
         idx = np.asarray(indices, dtype=np.int64)
         cols = {name: arr[idx] for name, arr in self.columns.items()}
-        return Dataset(self.schema, cols, metadata=self.metadata)
+        return Dataset(self.schema, cols)
 
     def select(self, names: Sequence[str]) -> "Dataset":
         """Column subset in schema order; an unknown name raises DataError."""
@@ -204,7 +194,7 @@ class Dataset:
         wanted = set(names)
         schema = [s for s in self.schema if s.name in wanted]
         cols = {s.name: self.columns[s.name] for s in schema}
-        return Dataset(schema, cols, metadata=self.metadata)
+        return Dataset(schema, cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -478,20 +468,6 @@ class FilterRule:
     low: float | None = None
     high: float | None = None
 
-    @classmethod
-    def in_set(cls, variable: str, labels: Iterable[str]) -> "FilterRule":
-        return cls("in_set", variable, labels=tuple(labels))
-
-    @classmethod
-    def non_missing(cls, variable: str) -> "FilterRule":
-        return cls("non_missing", variable)
-
-    @classmethod
-    def value_range(
-        cls, variable: str, low: float | None = None, high: float | None = None
-    ) -> "FilterRule":
-        return cls("range", variable, low=low, high=high)
-
     def __post_init__(self):
         if self.kind not in ("in_set", "non_missing", "range"):
             raise ConfigError(f"unknown filter kind {self.kind!r}")
@@ -574,15 +550,6 @@ def listwise_complete(ds: Dataset, variables: Sequence[str]) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummaryReport:
-    row_count: int
-    variables: dict[str, dict] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"row_count": self.row_count, "variables": self.variables}
-
-
 def sample_sd(values: np.ndarray) -> float:
     """Sample standard deviation (n - 1 divisor); 0.0 when n < 2."""
     v = np.asarray(values, dtype=float)
@@ -591,8 +558,10 @@ def sample_sd(values: np.ndarray) -> float:
     return float(np.sqrt(np.sum((v - v.mean()) ** 2) / (v.size - 1)))
 
 
-def summarize(ds: Dataset) -> SummaryReport:
-    """Per-variable descriptive statistics (sample sd) or frequency tables."""
+def summarize(ds: Dataset) -> dict:
+    """The report's summary section: ``{"row_count": ..., "variables":
+    ...}``, each variable with descriptive statistics (sample sd) or a
+    frequency table."""
     out: dict[str, dict] = {}
     for spec in ds.schema:
         present = ~ds.missing(spec.name)
@@ -618,4 +587,4 @@ def summarize(ds: Dataset) -> SummaryReport:
                 for i, label in enumerate(spec.categories)
             }
         out[spec.name] = entry
-    return SummaryReport(row_count=ds.row_count, variables=out)
+    return {"row_count": ds.row_count, "variables": out}

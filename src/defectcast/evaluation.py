@@ -31,7 +31,7 @@ log scale plus normal noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
 from .recalibration import Routes, fit_consequents, routes_for, score, units_for
 from .regression import design_columns, ols_coefficients, response_values
-from .screening import spearman
 from .transform import apply_schema_transforms, compute_vaf
 
 __all__ = [
@@ -587,8 +586,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     """Deterministic synthetic project data; see the module docstring.
 
     Substreams of the master seed drive each column, so adding a column
-    never disturbs the others.  Metadata records the generator parameters
-    and the achieved rank correlations.
+    never disturbs the others.
     """
     n = config.n
     master = RandomStream(seed)
@@ -638,22 +636,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     defects = np.exp(ln_defects)
 
     values = (defects, fp, efforts, team, dev_codes, level_idx, *ratings_table[level_idx].T)
-    columns = dict(zip(SYNTHETIC_COLUMNS, values))
-    achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
-    achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
-    metadata = {
-        "generator": {
-            "seed": seed,
-            "config": asdict(config),
-            "achieved_spearman_fp_efforts": achieved_efforts,
-            "achieved_spearman_fp_team": achieved_team,
-            "dev_type_counts": {
-                lab: int((dev_codes == i).sum())
-                for i, lab in enumerate(DEV_TYPE_LABELS)
-            },
-        }
-    }
-    return Dataset(synthetic_schema(config), columns, metadata=metadata)
+    return Dataset(synthetic_schema(config), dict(zip(SYNTHETIC_COLUMNS, values)))
 
 
 def quantification_from_labels(ds: Dataset, variable: str) -> dict[str, float]:

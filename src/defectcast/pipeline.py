@@ -11,15 +11,18 @@ Files are outputs, never inputs.  A standalone `run_stage` call recomputes
 in memory, from the config and its data, whatever the earlier stages would
 have handed it: a generated source is regenerated from its seed, never
 read back or written out.  It then merges its sections into `report.json`,
-keeping the sections already there when that file records the current
-config hash (`provenance.config_hash`), so running the stages one after
-another composes to exactly the monolithic run.  `report.json` is the only
-file a run reads back.
+keeping the sections already there when that file records the same
+provenance, so running the stages one after another composes to exactly
+the monolithic run.  `report.json` is the only file a run reads back.  A
+run that starts a new report first removes every file a run writes
+(`OUTPUT_FILES`) from its directory, so no file of an earlier run stays
+beside it, and a stage writes its files only once it has succeeded.
 
 Every output file is written atomically (temp + rename) and depends only
 on (config bytes, data bytes, seed): no timestamps, no environment leaks.
 Reports carry a provenance block with the tool version, a hash of the
-effective config, and the master seed.
+effective config, the master seed and the data source, with a CSV
+source's sha256.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import importlib.resources
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +75,7 @@ from .regression import (
     stepwise_fit,
 )
 from .screening import (
-    apply_category_merge, drop_empty_categories, merge_categories, screen_dataset,
+    apply_category_merge, drop_empty_categories, merge_categories, screen_dataset, spearman,
 )
 from .transform import apply_schema_transforms, qq_normal
 
@@ -96,6 +100,12 @@ STAGE_SECTIONS = {
     "recalibrate": ("recalibration",),
     "evaluate": ("resubstitution", "cross_validation", "random_splits"),
 }
+
+# every file a run writes into its output directory
+OUTPUT_FILES = (
+    "report.json", "prepared.csv", "prepared.schema.json", "qq.csv", "tree.txt",
+    "model.json", "recalibration.json",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +151,30 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def provenance(self) -> dict:
-        source = (
-            {"kind": "csv", "path": self.data_path}
-            if self.data_path is not None
-            else {"kind": "synthetic", "n": self.synthetic.n}
-        )
+        """Tool version, config hash, seed and data source.  A CSV source
+        records the sha256 of the file's bytes as this call reads them; a
+        generated one needs no digest, as the config and the tool version
+        fix it."""
+        if self.data_path is None:
+            source = {"kind": "synthetic", "n": self.synthetic.n}
+        else:
+            data = _data_file(self.data_path).read_bytes()
+            source = {
+                "kind": "csv", "path": self.data_path, "sha256": hashlib.sha256(data).hexdigest(),
+            }
         return {
             "tool_version": __version__,
             "config_hash": self.config_hash(),
             "seed": self.seed,
             "data_source": source,
         }
+
+
+def _data_file(data_path: str) -> Path:
+    path = Path(data_path)
+    if not path.is_file():
+        raise DataError(f"data file not found: {path}")
+    return path
 
 
 def _schema_document() -> dict:
@@ -363,35 +386,40 @@ def _atomic_write(path: Path, write) -> None:
         raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda handle: handle.write(text))
-
-
-def _write_plain_json(path: Path, doc: dict) -> None:
-    """Indented JSON of a document that ``_jsonable`` already made plain."""
-    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+def _json_writer(doc: dict):
+    """Writer of the indented JSON of a document that ``_jsonable`` already
+    made plain."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return lambda handle: handle.write(text)
 
 
 def _write_json(path: Path, payload) -> dict:
     """Sorted-key, indented JSON; returns the document as written.  A NaN or
     infinity raises NumericalError before anything is written."""
     doc = _jsonable(payload, path.name)
-    _write_plain_json(path, doc)
+    _atomic_write(path, _json_writer(doc))
     return doc
 
 
-def _read_current(path: Path, cfg: PipelineConfig) -> dict | None:
-    """The JSON document at ``path`` if a run of this same config wrote it:
-    an object whose ``provenance.config_hash`` is the current config's.
-    Else None, also for a file that is not JSON or holds no such object."""
+def _clear_outputs(out_dir: Path) -> None:
+    """Remove every file a run writes from ``out_dir``, and nothing else."""
+    for name in OUTPUT_FILES:
+        (out_dir / name).unlink(missing_ok=True)
+
+
+def _read_current(path: Path, provenance: dict) -> dict | None:
+    """The JSON document at ``path`` if a run of this same provenance wrote
+    it: an object whose ``provenance`` equals ``provenance``, so the same
+    config, seed, tool version and data bytes.  Else None, also for a file
+    that is not JSON or holds no such object."""
     if not path.is_file():
         return None
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-        written = doc["provenance"]["config_hash"]
+        written = doc["provenance"]
     except (ValueError, LookupError, TypeError):
         return None
-    return doc if written == cfg.config_hash() else None
+    return doc if written == provenance else None
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +455,31 @@ class _Run:
     prepared: Dataset | None = None
     fit: _Fit | None = None
     report: dict = field(default_factory=dict)
+    # the current stage's files by name, each a writer of a text handle;
+    # run_stage writes them once the stage's sections are plain
+    files: dict = field(default_factory=dict)
 
     @property
     def out_dir(self) -> Path:
         return Path(self.cfg.output_dir)
+
+    @cached_property
+    def provenance(self) -> dict:
+        """The config's provenance, taken once per run."""
+        return self.cfg.provenance()
+
+    def add_json(self, name: str, payload) -> dict:
+        """Queue ``payload`` as the JSON file ``name``; returns the document
+        as it will be written (see ``_jsonable``)."""
+        doc = _jsonable(payload, name)
+        self.files[name] = _json_writer(doc)
+        return doc
+
+    def write_files(self) -> None:
+        """Write the queued files, each atomically, and empty the queue."""
+        for name, write in self.files.items():
+            _atomic_write(self.out_dir / name, write)
+        self.files.clear()
 
 
 def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
@@ -453,9 +502,7 @@ def _source_dataset(run: _Run) -> Dataset:
         return run.source
     cfg = run.cfg
     if cfg.data_path is not None:
-        path = Path(cfg.data_path)
-        if not path.is_file():
-            raise DataError(f"data file not found: {path}")
+        path = _data_file(cfg.data_path)
         _check_header(path, cfg.schema)
         run.source = load_csv(path, cfg.schema)
     else:
@@ -518,19 +565,29 @@ def _initial_codings(
 # ---------------------------------------------------------------------------
 
 
+def _rho(x, y) -> float | None:
+    """Spearman's rho, or None where it is undefined: fewer than 3 rows or
+    a column without rank variance."""
+    try:
+        return spearman(x, y).rho
+    except DataError:
+        return None
+
+
 def _stage_synth(run: _Run) -> dict:
     cfg = run.cfg
     if cfg.synthetic is None:
         raise ConfigError("stage 'synth' needs a data.synthetic section")
     ds = _source_dataset(run)
-    meta = ds.metadata["generator"]
+    fp, dev_type = ds.columns["fp"], ds.spec("dev_type")
+    counts = np.bincount(ds.columns["dev_type"], minlength=len(dev_type.categories))
     return {
         "synthetic_data": {
             "rows": ds.row_count,
-            "seed": meta["seed"],
-            "achieved_spearman_fp_efforts": meta["achieved_spearman_fp_efforts"],
-            "achieved_spearman_fp_team": meta["achieved_spearman_fp_team"],
-            "dev_type_counts": meta["dev_type_counts"],
+            "seed": cfg.seed,
+            "achieved_spearman_fp_efforts": _rho(fp, ds.columns["efforts"]),
+            "achieved_spearman_fp_team": _rho(fp, ds.columns["max_team_size"]),
+            "dev_type_counts": dict(zip(dev_type.categories, counts.tolist())),
         }
     }
 
@@ -538,14 +595,11 @@ def _stage_synth(run: _Run) -> dict:
 def _stage_prepare(run: _Run) -> dict:
     cfg = run.cfg
     source, filtered, dropped, prepared, applied = _prepare_in_memory(run)
-    # the sidecar holds the schema and the provenance for readers of the
-    # CSV; the old one goes first, so it never vouches for another run's CSV
-    sidecar = run.out_dir / "prepared.schema.json"
-    sidecar.unlink(missing_ok=True)
-    _atomic_write(run.out_dir / "prepared.csv", lambda handle: serialize_csv(prepared, handle))
-    _write_json(
-        sidecar,
-        {"provenance": cfg.provenance(), "schema": [asdict(s) for s in prepared.schema]},
+    # the sidecar holds the schema and the provenance for readers of the CSV
+    run.files["prepared.csv"] = lambda handle: serialize_csv(prepared, handle)
+    run.add_json(
+        "prepared.schema.json",
+        {"provenance": run.provenance, "schema": [asdict(s) for s in prepared.schema]},
     )
 
     complete = listwise_complete(prepared, [cfg.response, *cfg.candidates])
@@ -555,7 +609,7 @@ def _stage_prepare(run: _Run) -> dict:
         [VariableSpec(name, "predictor", "numeric") for name in ("theoretical", "ordered")],
         {"theoretical": qq_model.theoretical, "ordered": qq_model.ordered},
     )
-    _atomic_write(run.out_dir / "qq.csv", lambda handle: serialize_csv(qq, handle))
+    run.files["qq.csv"] = lambda handle: serialize_csv(qq, handle)
 
     sections = {
         "data_preparation": {
@@ -568,7 +622,7 @@ def _stage_prepare(run: _Run) -> dict:
                 for v, pairs in cfg.merges
             ],
             "applied_transforms": applied,
-            "summary": summarize(prepared).to_dict(),
+            "summary": summarize(prepared),
         },
         "normality": {
             "response": cfg.response,
@@ -623,7 +677,7 @@ def _stage_tree(run: _Run) -> dict:
         response_transform=_response_transform(run),
     )
     text = tree.to_text()
-    _atomic_write_text(run.out_dir / "tree.txt", text)
+    run.files["tree.txt"] = lambda handle: handle.write(text)
     return {
         "model_tree": {
             "enabled": True,
@@ -705,10 +759,10 @@ def _fit_models(run: _Run) -> _Fit:
 def _stage_fit(run: _Run) -> dict:
     fit = _fit_models(run)
     source = "catreg" if run.cfg.scaling else "initial"
-    model_doc = _write_json(
-        run.out_dir / "model.json",
+    model_doc = run.add_json(
+        "model.json",
         {
-            "provenance": run.cfg.provenance(),
+            "provenance": run.provenance,
             "model": fit.selected.to_dict(),
             "full_model": fit.full.to_dict(),
             "quantifications": {
@@ -761,10 +815,7 @@ def _stage_recalibrate(run: _Run) -> dict:
     before, after = _resubstitution_mmre(selected, trained, fit_rows)
 
     unit_payload = [u.to_dict() for u in trained]
-    _write_json(
-        run.out_dir / "recalibration.json",
-        {"provenance": cfg.provenance(), "units": unit_payload},
-    )
+    run.add_json("recalibration.json", {"provenance": run.provenance, "units": unit_payload})
     return {
         "recalibration": {
             "enabled": True,
@@ -835,12 +886,14 @@ def run_stage(stage: str, cfg: PipelineConfig, _run: _Run | None = None) -> dict
 
     Called on its own, the stage recomputes in memory what earlier stages
     would have handed it, merges its sections into ``report.json`` (into
-    the sections already there if that file records the current config
-    hash, else into a new report) and returns the report.  ``run_pipeline``
-    passes its ``_Run`` instead: the stage takes earlier artifacts from it
-    in memory and adds its sections to the run's report, which is returned
-    unwritten.  Either way a section that JSON cannot hold fails the stage
-    before it enters the report.
+    the sections already there if that file records the same provenance,
+    else into a new report, after removing every file of
+    ``OUTPUT_FILES``) and returns the report.  ``run_pipeline`` passes its
+    ``_Run`` instead: the stage takes earlier artifacts from it in memory
+    and adds its sections to the run's report, which is returned unwritten.
+    Either way the stage's files are written, and its sections enter the
+    report, only once every section is plain: a section that JSON cannot
+    hold fails the stage, and a failed stage writes nothing.
     """
     if stage not in STAGES:
         raise ConfigError(
@@ -852,21 +905,29 @@ def run_stage(stage: str, cfg: PipelineConfig, _run: _Run | None = None) -> dict
         sections = _jsonable(_STAGE_FUNCS[stage](run), "report.json")
     except DefectcastError as err:
         raise type(err)(f"step {stage!r}: {err}") from None
-    if _run is None:
-        path = run.out_dir / "report.json"
-        earlier = _read_current(path, cfg) or {}
-        return _write_json(path, {**earlier, "provenance": cfg.provenance(), **sections})
-    run.report.update(sections)
-    return run.report
+    if _run is not None:
+        run.write_files()
+        run.report.update(sections)
+        return run.report
+    path = run.out_dir / "report.json"
+    earlier = _read_current(path, run.provenance)
+    if earlier is None:
+        _clear_outputs(run.out_dir)
+    run.write_files()
+    return _write_json(path, {**(earlier or {}), "provenance": run.provenance, **sections})
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every applicable stage in order, handing artifacts over in
     memory, then write ``report.json`` once; returns the report.
 
-    A failed stage still leaves a report of the stages before it, so
-    ``report.json`` never shows an earlier run in place of this one."""
-    run = _Run(cfg, report={"provenance": _jsonable(cfg.provenance(), "report.json")})
+    The run first removes every file of ``OUTPUT_FILES`` from its output
+    directory.  A failed stage still leaves a report of the stages before
+    it, beside their files only, so no file shows an earlier run in place
+    of this one."""
+    run = _Run(cfg)
+    _clear_outputs(run.out_dir)
+    run.report["provenance"] = _jsonable(run.provenance, "report.json")
     try:
         for stage in STAGES:
             if stage != "synth" or cfg.synthetic is not None:
@@ -875,7 +936,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         # run_stage made every section plain, so only the top-level keys
         # are left to sort
         report = dict(sorted(run.report.items()))
-        _write_plain_json(run.out_dir / "report.json", report)
+        _atomic_write(run.out_dir / "report.json", _json_writer(report))
     return report
 
 

@@ -254,7 +254,7 @@ def _relabeled(ds: Dataset, new: VariableSpec, relabel: dict[str, str]) -> Datas
     schema = tuple(new if s.name == new.name else s for s in ds.schema)
     columns = dict(ds.columns)
     columns[new.name] = np.array(recode + [-1], dtype=np.int32)[ds.columns[new.name]]
-    return Dataset(schema, columns, metadata=ds.metadata)
+    return Dataset(schema, columns)
 
 
 def merge_categories(

@@ -103,8 +103,7 @@ def apply_schema_transforms(ds: Dataset) -> tuple[Dataset, dict[str, str]]:
             new_schema.append(replace(spec, transform="none"))
         else:
             new_schema.append(spec)
-    out = Dataset(new_schema, columns, metadata=ds.metadata)
-    return out, applied
+    return Dataset(new_schema, columns), applied
 
 
 @dataclass(frozen=True)

@@ -759,13 +759,10 @@ def resubstitution_by_split(ds, plan):
 def generate_synthetic_by_rows(config, seed: int):
     """The synthetic generator with its labels, ratings and adjustment
     factors built row by row: the reference ``evaluation.generate_synthetic``
-    must match in data, metadata and CSV bytes."""
-    from dataclasses import asdict
-
+    must match in data and CSV bytes."""
     from defectcast.dataset import Dataset, VariableSpec
     from defectcast.evaluation import DEV_TYPE_LABELS, _rank_to_pearson, _ratings_for_sum
     from defectcast.numerics import RandomStream
-    from defectcast.screening import spearman
     from defectcast.transform import compute_vaf
 
     n = config.n
@@ -850,19 +847,4 @@ def generate_synthetic_by_rows(config, seed: int):
         name = f"gsc_{j + 1:02d}"
         schema.append(VariableSpec(name, "excluded", "numeric"))
         columns[name] = np.array([row[j] for row in ratings_rows], dtype=float)
-
-    achieved_efforts = spearman(ln_fp, ln_eff).rho if n >= 3 else None
-    achieved_team = spearman(ln_fp, team).rho if n >= 3 else None
-    metadata = {
-        "generator": {
-            "seed": seed,
-            "config": asdict(config),
-            "achieved_spearman_fp_efforts": achieved_efforts,
-            "achieved_spearman_fp_team": achieved_team,
-            "dev_type_counts": {
-                lab: int((dev_codes == i).sum())
-                for i, lab in enumerate(DEV_TYPE_LABELS)
-            },
-        }
-    }
-    return Dataset(schema, columns, metadata=metadata)
+    return Dataset(schema, columns)

@@ -335,15 +335,15 @@ class TestSchemaValidation:
 class TestFilters:
     def test_in_set(self):
         ds = _load()
-        out = apply_filters(ds, [FilterRule.in_set("dev_type", ["Enhancement"])])
+        out = apply_filters(ds, [FilterRule("in_set", "dev_type", labels=("Enhancement",))])
         assert out.row_count == 2
         assert set(out.labels("dev_type")) == {"Enhancement"}
 
     def test_conjunction(self):
         ds = _load()
         rules = [
-            FilterRule.in_set("quality", ["A"]),
-            FilterRule.non_missing("defects"),
+            FilterRule("in_set", "quality", labels=("A",)),
+            FilterRule("non_missing", "defects"),
         ]
         out = apply_filters(ds, rules)
         assert out.row_count == 2
@@ -352,27 +352,27 @@ class TestFilters:
 
     def test_range_excludes_missing(self):
         ds = _load()
-        out = apply_filters(ds, [FilterRule.value_range("fp", low=50.0)])
+        out = apply_filters(ds, [FilterRule("range", "fp", low=50.0)])
         assert out.row_count == 3
 
     def test_idempotent(self):
         ds = _load()
-        rules = [FilterRule.in_set("quality", ["A", "B"]), FilterRule.non_missing("fp")]
+        rules = [FilterRule("in_set", "quality", labels=("A", "B")), FilterRule("non_missing", "fp")]
         once = apply_filters(ds, rules)
         twice = apply_filters(once, rules)
         assert once == twice
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ConfigError, match="unknown variable"):
-            apply_filters(_load(), [FilterRule.non_missing("nope")])
+            apply_filters(_load(), [FilterRule("non_missing", "nope")])
 
     def test_unknown_category_rejected(self):
         with pytest.raises(ConfigError, match="unknown categories"):
-            apply_filters(_load(), [FilterRule.in_set("quality", ["C"])])
+            apply_filters(_load(), [FilterRule("in_set", "quality", labels=("C",))])
 
     def test_preserves_category_order(self):
         ds = _load()
-        out = apply_filters(ds, [FilterRule.in_set("dev_type", ["Re-development"])])
+        out = apply_filters(ds, [FilterRule("in_set", "dev_type", labels=("Re-development",))])
         assert out.spec("dev_type").categories == ds.spec("dev_type").categories
 
 
@@ -388,13 +388,6 @@ class TestMissingMarker:
         assert listwise_complete(ds, ["v", "k"]).row_count == 1
         with pytest.raises(DataError, match="unknown variable 'nope'"):
             ds.missing("nope")
-
-    def test_metadata_only_by_keyword(self):
-        schema = [VariableSpec("v", "predictor", "numeric")]
-        columns = {"v": np.array([1.0])}
-        with pytest.raises(TypeError):
-            Dataset(schema, columns, {"v": np.array([False])})
-        assert Dataset(schema, columns, metadata={"a": 1}).metadata == {"a": 1}
 
 
 class TestSelect:
@@ -442,8 +435,7 @@ class TestListwise:
 class TestSummaries:
     def test_numeric_summary_uses_sample_sd(self):
         ds = _load()
-        report = summarize(ds)
-        entry = report.variables["fp"]
+        entry = summarize(ds)["variables"]["fp"]
         vals = np.array([100.0, 18.0, 250.0, 510.0])
         assert entry["n"] == 4
         assert entry["n_missing"] == 1
@@ -451,8 +443,7 @@ class TestSummaries:
         assert abs(entry["sd"] - vals.std(ddof=1)) < 1e-12
 
     def test_frequencies(self):
-        report = summarize(_load())
-        assert report.variables["dev_type"]["frequencies"] == {
+        assert summarize(_load())["variables"]["dev_type"]["frequencies"] == {
             "Enhancement": 2,
             "New Development": 2,
             "Re-development": 1,
@@ -461,7 +452,7 @@ class TestSummaries:
     def test_json_ready(self):
         import json
 
-        json.dumps(summarize(_load()).to_dict())
+        json.dumps(summarize(_load()))
 
 
 @settings(max_examples=30, deadline=None)

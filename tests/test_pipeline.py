@@ -1,6 +1,7 @@
 """Config loading, stage orchestration, CLI exit codes, report invariants."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -35,7 +36,7 @@ from defectcast.pipeline import (
 )
 from defectcast.regression import stepwise_fit
 from defectcast.numerics import t_cdf
-from defectcast.screening import group_table, screen_dataset
+from defectcast.screening import group_table, screen_dataset, spearman
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REPO_FIXTURE = FIXTURES / "synthetic_config.json"
@@ -693,10 +694,12 @@ class TestPipelineRun:
         mixed = tmp_path / "mixed"
         for stage in ("synth", "prepare", "fit"):
             run_stage(stage, load_config(path_b, out_override=str(mixed)))
+        fitted_b = json.loads((mixed / "model.json").read_text())["model"]
         code = main(["--config", str(path_c), "--out", str(mixed), "--stage", "evaluate"])
         assert code == 0
+        # C's evaluate starts a new report, which removes B's files
+        assert not (mixed / "model.json").exists()
         mono = run_pipeline(load_config(path_c, out_override=str(tmp_path / "mono")))
-        fitted_b = json.loads((mixed / "model.json").read_text())["model"]
         assert fitted_b["terms"] != mono["regression"]["selected_model"]["terms"]
         staged = json.loads((mixed / "report.json").read_text())
         for section in STAGE_SECTIONS["evaluate"]:
@@ -1201,6 +1204,108 @@ class TestArtifactHandoff:
         assert sorted(report) == sorted(
             ["provenance", *(s for stage in earlier for s in STAGE_SECTIONS[stage])]
         )
+
+
+class TestSynthSection:
+    @pytest.mark.parametrize("n", [64, 2000])
+    @pytest.mark.parametrize("seed", [20260822, 31415926])
+    def test_measured_from_the_generated_table(self, tmp_path, n, seed):
+        cfg = load_small(tmp_path, data={"synthetic": {"n": n, "noise_sd": 0.5}}, seed=seed)
+        section = run_stage("synth", cfg)["synthetic_data"]
+        ds = generate_synthetic(cfg.synthetic, cfg.seed)
+        # ranks of the log-scale columns, as the generator draws them
+        ln_fp = np.log(ds.columns["fp"])
+        labels = ds.labels("dev_type")
+        assert section == {
+            "rows": n,
+            "seed": seed,
+            "achieved_spearman_fp_efforts": spearman(ln_fp, np.log(ds.columns["efforts"])).rho,
+            "achieved_spearman_fp_team": spearman(ln_fp, ds.columns["max_team_size"]).rho,
+            "dev_type_counts": {label: labels.count(label) for label in sorted(set(labels))},
+        }
+
+    def test_constant_team_column_reports_null(self, tmp_path, capsys):
+        # a generated column without rank variance used to fail every stage
+        # that regenerates the source, though no stage but synth measures it
+        config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
+        config["data"]["synthetic"]["team_ln_sd"] = 1e-6
+        config["regression"]["candidates"].remove("max_team_size")
+        path = write_config(tmp_path, config)
+        assert main(["--config", str(path), "--out", str(tmp_path / "whole")]) == 0
+        report = json.loads((tmp_path / "whole" / "report.json").read_text())
+        assert report["synthetic_data"]["achieved_spearman_fp_team"] is None
+        assert report["synthetic_data"]["achieved_spearman_fp_efforts"] is not None
+        argv = ["--config", str(path), "--out", str(tmp_path / "staged"), "--stage", "fit"]
+        assert main(argv) == 0
+
+
+class TestOutputDirectory:
+    """A run that starts a new report leaves no file of an earlier run."""
+
+    def test_whole_run_removes_files_of_an_earlier_run(self, tmp_path):
+        config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
+        out = tmp_path / "out"
+        run_pipeline(load_config(write_config(tmp_path, config, "a.json"), out_override=str(out)))
+        assert (out / "tree.txt").is_file() and (out / "recalibration.json").is_file()
+        config["tree"]["enabled"] = False
+        config["recalibration"]["enabled"] = False
+        run_pipeline(load_config(write_config(tmp_path, config, "b.json"), out_override=str(out)))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "model.json", "prepared.csv", "prepared.schema.json", "qq.csv", "report.json",
+        ]
+
+    def test_failed_run_leaves_only_the_files_of_its_finished_stages(self, tmp_path):
+        run_pipeline(load_small(tmp_path))
+        cfg = load_small(tmp_path, data={"synthetic": {"n": 6, "noise_sd": 0.5}})
+        with pytest.raises(DataError, match="^step 'fit'"):
+            run_pipeline(cfg)
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "prepared.csv", "prepared.schema.json", "qq.csv", "report.json", "tree.txt",
+        ]
+        sidecar = json.loads((out / "prepared.schema.json").read_text())
+        assert sidecar["provenance"] == cfg.provenance()
+
+    def test_stage_starting_a_new_report_removes_earlier_files(self, tmp_path):
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        argv = ["--config", str(path), "--out", str(out), "--stage", "prepare", "--seed", "7"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "prepared.csv", "prepared.schema.json", "qq.csv", "report.json",
+        ]
+        # the next stage of the same run keeps them
+        assert main(argv[:-3] + ["tree", "--seed", "7"]) == 0
+        assert (out / "prepared.csv").is_file() and (out / "tree.txt").is_file()
+
+    def test_other_files_left_alone(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        run_pipeline(load_small(tmp_path))
+        run_stage("prepare", load_small(tmp_path, seed=7))
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+
+    def test_stage_on_changed_data_starts_a_new_report(self, tmp_path):
+        # the config is unchanged, so only the data digest tells that the
+        # fit stage reads other rows than the prepare stage did
+        data = tmp_path / "projects.csv"
+        lines = (FIXTURES / "projects.csv").read_text(encoding="utf-8").splitlines(True)
+        data.write_text("".join(lines), encoding="utf-8")
+        cfg = load_config(_fixture_csv_config(tmp_path, data), out_override=str(tmp_path / "out"))
+        run_stage("prepare", cfg)
+        data.write_text("".join(lines[:30]), encoding="utf-8")
+        report = run_stage("fit", cfg)
+        assert sorted(report) == sorted(["provenance", *STAGE_SECTIONS["fit"]])
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert report["provenance"]["data_source"]["sha256"] == digest
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert model["provenance"] == report["provenance"]
+        assert not (tmp_path / "out" / "prepared.csv").exists()
+
+    def test_synthetic_source_has_no_digest(self, tmp_path):
+        assert load_small(tmp_path).provenance()["data_source"] == {"kind": "synthetic", "n": 64}
 
 
 _FILTERS = [
