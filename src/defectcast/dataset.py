@@ -232,7 +232,8 @@ def load_csv(source, schema: Sequence[VariableSpec]) -> Dataset:
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return _load_table(csv.reader(handle), specs)
     if isinstance(source, bytes):
-        return _load_table(csv.reader(io.StringIO(source.decode("utf-8"), newline="")), specs)
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
+        return _load_table(csv.reader(text), specs)
     return _load_table(csv.reader(source), specs)
 
 

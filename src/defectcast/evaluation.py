@@ -9,16 +9,12 @@ that fits and evaluates on all rows, clearly labeled).  A protocol only
 checks its arguments and builds its splits.  Every protocol is a pure
 function of (data, plan, seed): reports are byte-identical across runs.
 
-The loop encodes the prepared table once: the design matrix with its
-intercept column, the response on the model and count scales, and each
-categorical predictor's firing strengths under its identity-started unit.
-None of these depend on the split.  A split then only gathers rows of
-those arrays: it solves plain OLS coefficients (no inference), fits the
-consequents, and scores its test rows through ``recalibration.score``, the
-arithmetic ``recalibration.recalibrated_predict`` runs on a whole table.
-Rows are gathered before any product, so each split computes on the same
-arrays a table of its own rows would have given, and the report bytes
-match.
+The loop encodes the prepared table once: the design matrix, the response
+on the model and count scales, and each categorical column's anchor codes.
+A split then only gathers rows of those arrays: it solves plain OLS
+coefficients (no inference), fits the consequents, and scores its test
+rows with and without them.  Rows are gathered before any product, so
+the report bytes match those of each split's own table.
 
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic
@@ -38,7 +34,7 @@ import numpy as np
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
-from .recalibration import Routes, fit_consequents, routes_for, score, units_for
+from .recalibration import coded_columns, fit_consequents, score, units_for
 from .regression import design_columns, ols_coefficients, response_values
 from .transform import apply_schema_transforms, compute_vaf
 
@@ -62,7 +58,6 @@ __all__ = [
     "generate_synthetic",
     "synthetic_schema",
     "quantification_from_labels",
-    "perturb_quantification",
 ]
 
 
@@ -327,22 +322,25 @@ def _prepare_data(ds: Dataset, plan: ModelingPlan) -> Dataset:
 class _Encoded:
     """What no split changes, for every row of a prepared table: the design
     (a column of ones, then each predictor on the model scale), the
-    response on the model scale and on the count scale, and a route per
-    categorical predictor through its identity-started unit."""
+    response on the model scale and on the count scale, and each
+    categorical column's anchor codes and identity consequents."""
 
     design: np.ndarray
     y: np.ndarray
     actuals: np.ndarray
-    routes: Routes
+    codes: dict[int, np.ndarray]
+    anchors: dict[int, np.ndarray]
 
 
 def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
     design, codings = design_columns(data, plan.predictors, plan.codings)
+    codes, anchors = coded_columns(design, plan.predictors, codings, units_for(codings))
     return _Encoded(
         design=design,
         y=response_values(data, plan.response),
         actuals=raw_counts(data.columns[plan.response], plan.response_transform),
-        routes=routes_for(design, plan.predictors, codings, units_for(codings)),
+        codes=codes,
+        anchors=anchors,
     )
 
 
@@ -366,22 +364,19 @@ def _split_row(
     product sees the arrays a per-split table would have produced; a 2-d
     array is gathered with ``take``, the same rows as indexing without its
     dispatch."""
-    routes = enc.routes
-    consequents = [q for _, q in routes.values()]
+    consequents = enc.anchors
     train_design, train_y = enc.design.take(train, axis=0), enc.y[train]
     try:
         coef = fixed if fixed is not None else _coefficients(train_design, train_y, plan)
         if plan.recalibrate:
-            train_routes = {j: (s.take(train, axis=0), q) for j, (s, q) in routes.items()}
-            consequents = fit_consequents(coef, train_design, train_y, train_routes)
+            train_codes = {j: c[train] for j, c in enc.codes.items()}
+            consequents = fit_consequents(coef, train_design, train_y, train_codes, consequents)
     except (DataError, NumericalError) as err:
         raise DataError(f"{context}: {err}") from None
     design = enc.design.take(test, axis=0)
-    test_routes = {
-        j: (s.take(test, axis=0), q) for (j, (s, _)), q in zip(routes.items(), consequents)
-    }
+    test_codes = {j: c[test] for j, c in enc.codes.items()}
     base_preds = raw_counts(score(coef, design), plan.response_transform)
-    recal_preds = raw_counts(score(coef, design, test_routes), plan.response_transform)
+    recal_preds = raw_counts(score(coef, design, test_codes, consequents), plan.response_transform)
     actuals = enc.actuals[test]
     _check_actuals(actuals)
     include_pred = len(test) >= plan.min_test_for_pred
@@ -654,22 +649,3 @@ def quantification_from_labels(ds: Dataset, variable: str) -> dict[str, float]:
                 f"category {label!r} of {variable!r} is not a numeric label"
             ) from None
     return mapping
-
-
-def perturb_quantification(
-    mapping: dict[str, float], max_shift: float, seed: int
-) -> dict[str, float]:
-    """``mapping`` with independent uniform shifts in [-max_shift,
-    max_shift] per category.
-
-    Labels are shifted in sorted order so the result depends only on the
-    mapping contents and the seed.
-    """
-    if max_shift < 0:
-        raise ConfigError(f"max_shift must be nonnegative, got {max_shift}")
-    labels = sorted(mapping)
-    shifts = (2.0 * RandomStream(seed).uniforms(len(labels)) - 1.0) * max_shift
-    return {
-        label: mapping[label] + float(shift)
-        for label, shift in zip(labels, shifts)
-    }

@@ -50,6 +50,7 @@ __all__ = [
     "solve_least_squares",
     "min_norm_least_squares",
     "unscaled_covariance",
+    "dot",
     "t_cdf",
     "f_cdf",
     "studentized_range_sf",
@@ -95,8 +96,8 @@ class RandomStream:
 
     Uniform doubles take the top 53 bits of a raw output, giving values in
     [0, 1).  Normal deviates use the Box-Muller transform (two uniforms per
-    pair, no cached spare).  Bounded integers use floor(u * bound), whose
-    bias is below bound * 2**-53 and irrelevant at the bounds used here.
+    pair, no cached spare).  A permutation's swap indices use floor(u *
+    bound), whose bias is below bound * 2**-53 and irrelevant here.
     """
 
     def __init__(self, seed: int):
@@ -108,10 +109,6 @@ class RandomStream:
     @property
     def seed(self) -> int:
         return self._seed
-
-    @property
-    def draws_consumed(self) -> int:
-        return self._count
 
     def _raw(self, n: int) -> np.ndarray:
         z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
@@ -135,9 +132,6 @@ class RandomStream:
         u *= 2.0**-53
         return u
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via Box-Muller."""
         if n < 0:
@@ -152,13 +146,6 @@ class RandomStream:
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
         return out[:n]
-
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform on {0, ..., bound - 1}."""
-        if bound <= 0:
-            raise NumericalError("integer bound must be positive")
-        draws = np.floor(self.uniforms(n) * bound).astype(np.int64)
-        return np.minimum(draws, bound - 1)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
@@ -184,6 +171,25 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 # least squares
 # ---------------------------------------------------------------------------
+
+# ``dot`` sums a longer product over consecutive chunks of this many elements
+_DOT_CHUNK = 8192
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``float(x @ y)`` of two 1-d arrays, with the same bits under any BLAS
+    thread count.  OpenBLAS splits a ``ddot`` of more than about 10,000
+    elements over its threads, whose partial sums then add up in another
+    order (Demmel and Nguyen, *Fast Reproducible Floating-Point Summation*,
+    ARITH 2013).  So up to ``_DOT_CHUNK`` elements this is ``x @ y``, and
+    a longer product is the sum, in order, of ``x @ y`` over consecutive
+    chunks of that size."""
+    if x.shape[0] <= _DOT_CHUNK:
+        return float(x @ y)
+    total = 0.0
+    for i in range(0, x.shape[0], _DOT_CHUNK):
+        total += float(x[i : i + _DOT_CHUNK] @ y[i : i + _DOT_CHUNK])
+    return total
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
     coef = np.empty(p)
     coef[piv] = b_perm
     residual = y - x @ coef
-    return LeastSquaresSolution(coef, float(residual @ residual), rank, r, piv)
+    return LeastSquaresSolution(coef, dot(residual, residual), rank, r, piv)
 
 
 def min_norm_least_squares(design, target) -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -150,18 +151,17 @@ class PipelineConfig:
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def provenance(self) -> dict:
+    def provenance(self, sha256: str | None = None) -> dict:
         """Tool version, config hash, seed and data source.  A CSV source
-        records the sha256 of the file's bytes as this call reads them; a
-        generated one needs no digest, as the config and the tool version
-        fix it."""
+        records ``sha256``, the digest of its file's bytes as a run read
+        them (of a read here if not given); a generated one needs no
+        digest, as the config and the tool version fix it."""
         if self.data_path is None:
             source = {"kind": "synthetic", "n": self.synthetic.n}
         else:
-            data = _data_file(self.data_path).read_bytes()
-            source = {
-                "kind": "csv", "path": self.data_path, "sha256": hashlib.sha256(data).hexdigest(),
-            }
+            if sha256 is None:
+                sha256 = hashlib.sha256(_data_file(self.data_path).read_bytes()).hexdigest()
+            source = {"kind": "csv", "path": self.data_path, "sha256": sha256}
         return {
             "tool_version": __version__,
             "config_hash": self.config_hash(),
@@ -458,6 +458,9 @@ class _Run:
     # the current stage's files by name, each a writer of a text handle;
     # run_stage writes them once the stage's sections are plain
     files: dict = field(default_factory=dict)
+    # a CSV source's digest, and its bytes from their one read to their parse
+    data_sha256: str | None = None
+    data: bytes | None = None
 
     @property
     def out_dir(self) -> Path:
@@ -466,7 +469,17 @@ class _Run:
     @cached_property
     def provenance(self) -> dict:
         """The config's provenance, taken once per run."""
-        return self.cfg.provenance()
+        if self.cfg.data_path is not None:
+            self.read_data()
+        return self.cfg.provenance(self.data_sha256)
+
+    def read_data(self) -> None:
+        """Read a CSV source's bytes once per run, and hash them as read, so
+        the provenance names the bytes that the header check and
+        ``load_csv`` parse."""
+        if self.data_sha256 is None:
+            self.data = _data_file(self.cfg.data_path).read_bytes()
+            self.data_sha256 = hashlib.sha256(self.data).hexdigest()
 
     def add_json(self, name: str, payload) -> dict:
         """Queue ``payload`` as the JSON file ``name``; returns the document
@@ -482,14 +495,14 @@ class _Run:
         self.files.clear()
 
 
-def _check_header(path: str | Path, schema: tuple[VariableSpec, ...]) -> None:
+def _check_header(run: _Run) -> None:
     # config-vs-data mismatch is a configuration fault, reported before load
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        header = csv_header(csv.reader(handle))
+    text = io.TextIOWrapper(io.BytesIO(run.data), encoding="utf-8", newline="")
+    header = csv_header(csv.reader(text))
     if header is None:
-        raise DataError(f"data file {path} has no header row")
+        raise DataError(f"data file {Path(run.cfg.data_path)} has no header row")
     present = set(header)
-    for spec in schema:
+    for spec in run.cfg.schema:
         if spec.name not in present:
             raise ConfigError(
                 f"config references column {spec.name!r} "
@@ -502,9 +515,10 @@ def _source_dataset(run: _Run) -> Dataset:
         return run.source
     cfg = run.cfg
     if cfg.data_path is not None:
-        path = _data_file(cfg.data_path)
-        _check_header(path, cfg.schema)
-        run.source = load_csv(path, cfg.schema)
+        run.read_data()
+        _check_header(run)
+        run.source = load_csv(run.data, cfg.schema)
+        run.data = None  # parsed; only its digest is needed from here
     else:
         run.source = generate_synthetic(cfg.synthetic, cfg.seed)
     return run.source

@@ -1,46 +1,32 @@
 """Neuro-fuzzy recalibration of categorical quantifications.
 
-Each categorical model variable gets one single-input recalibration unit:
-triangular memberships anchored at the variable's distinct quantification
-values, normalized firing strengths, and one constant consequent per
-anchor.  Consequents start as the anchors themselves, so an untrained unit
-is the identity map on anchor values and recalibrated predictions coincide
-with plain model predictions.
+Each categorical model variable gets one unit: triangular memberships
+anchored at the variable's distinct quantification values, and one
+constant consequent per anchor.  Every input is a label, whose value sits
+on one anchor, where that membership is 1 and every other is exactly 0.
+So a unit is a lookup from label to its anchor's consequent, a zero-order
+Sugeno system (Jang 1993); a value on no anchor raises DataError.
+Consequents start as the anchors, so an untrained unit is the identity.
 
-Training minimizes the mean squared error of the model-scale predictions
-over the consequents; membership (premise) parameters stay frozen.  With
-frozen premises the prediction is linear in the consequents, so training
-is one exact linear least-squares solve: the minimum-norm correction from
-the identity start, which is where gradient descent from that start would
-converge.
-
-Prediction and training each run in two steps: ``regression.model_design``
-turns a table into a design matrix and ``routes_for`` adds each
-categorical term's firing strengths; ``score`` and ``fit_consequents`` do
-the arithmetic on those arrays.  ``recalibrated_predict`` scores every row
-of a table with units, as ``regression.model_predict`` does without them;
-both sum through ``regression.linear_score`` and return the model scale,
-which ``evaluation.raw_counts`` takes to counts.  Resampling experiments
-encode their table once and hand row subsets of the arrays to ``score``
-and ``fit_consequents`` directly.
-
-``fit_consequents`` returns the consequents alone, since a resampling
-split reads nothing else.  ``train_recalibration`` runs the same solve and
-is the one place a ``TrainingTrace`` is built.  A unit is written out
-through ``Nfa.to_dict``; nothing parses one back.
+Training re-estimates the category values with the model's coefficients
+fixed: the prediction is linear in the consequents, so it is one exact
+least-squares solve.  ``coded_columns`` turns a design into each coded
+column's anchor codes; scoring and training work on those arrays, for
+whole tables here and for the resampling splits of ``evaluation``.  A
+unit is written out through ``Nfa.to_dict``; nothing parses one back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
-from .numerics import min_norm_least_squares
+from .numerics import dot, min_norm_least_squares
 from .regression import LinearModel, linear_score, model_design, response_values
 
 __all__ = [
@@ -84,22 +70,10 @@ class Nfa:
             raise ConfigError(f"widths of {self.variable!r} must be positive")
 
     def with_consequents(self, consequents) -> "Nfa":
-        return Nfa(
-            variable=self.variable,
-            input_anchors=self.input_anchors,
-            widths=self.widths,
-            consequents=tuple(float(q) for q in consequents),
-            trained=True,
-        )
+        return replace(self, consequents=tuple(float(q) for q in consequents), trained=True)
 
     def to_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "input_anchors": list(self.input_anchors),
-            "widths": list(self.widths),
-            "consequents": list(self.consequents),
-            "trained": self.trained,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -116,7 +90,9 @@ class TrainingTrace:
 
 
 def firing_strengths(nfa: Nfa, values) -> np.ndarray:
-    """Normalized membership degrees, one row per input value.
+    """Normalized membership degrees, one row per input value: the fuzzy
+    definition of a unit.  At its anchors they are the one-hot of the
+    anchor, which is what the lookup of ``coded_columns`` stands for.
 
     Rows sum to 1.  Inputs where every triangular membership is zero (deep
     between widely separated anchors, or beyond the outer anchors) fall
@@ -153,75 +129,74 @@ def units_for(codings: dict[str, dict[str, float]]) -> list[Nfa]:
     return units
 
 
-# A route sends one design column through a unit: it maps the column's
-# index to the unit's firing strengths on the design's rows and the
-# consequents that weigh them.
-Routes = dict[int, tuple[np.ndarray, np.ndarray]]
+def _anchor_codes(nfa: Nfa, values: np.ndarray) -> np.ndarray:
+    """Each value's anchor index; a value on no anchor raises DataError."""
+    anchors = np.array(nfa.input_anchors)
+    codes = np.minimum(np.searchsorted(anchors, values), anchors.size - 1)
+    off = anchors[codes] != values
+    if off.any():
+        raise DataError(
+            f"value {float(values[off][0])!r} of {nfa.variable!r} is on no anchor "
+            f"of its recalibration unit"
+        )
+    return codes
 
 
-def routes_for(
+def coded_columns(
     design: np.ndarray,
     variables: Sequence[str],
     codings: dict[str, dict[str, float]],
     units: list[Nfa],
-) -> Routes:
-    """A route for each coded variable's design column (``variables[j]``
-    in column ``j + 1``), in column order, through the unit of its
-    variable."""
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The anchor codes of each coded variable's design column
+    (``variables[j]`` in column ``j + 1``) under the unit of its variable,
+    and that unit's consequents, each keyed by column, in column order."""
     by_var = {nfa.variable: nfa for nfa in units}
-    routes: Routes = {}
+    codes, consequents = {}, {}
     for j, variable in enumerate(variables, start=1):
         if variable not in codings:
             continue
         nfa = by_var.get(variable)
         if nfa is None:
             raise DataError(f"missing recalibration unit for categorical term {variable!r}")
-        routes[j] = (firing_strengths(nfa, design[:, j]), np.array(nfa.consequents))
-    return routes
+        codes[j] = _anchor_codes(nfa, design[:, j])
+        consequents[j] = np.array(nfa.consequents)
+    return codes, consequents
 
 
-def score(coefficients, design: np.ndarray, routes: Routes | None = None) -> np.ndarray:
+def score(coefficients, design: np.ndarray, codes=None, consequents=None) -> np.ndarray:
     """The ``linear_score`` of an encoded design: ``coefficients[0]``, then
-    each term's coefficient times its column, in column order.  A routed
-    column is replaced by its unit's output, the ``linear_score`` of the
-    firing strengths with the consequents as coefficients: summed in anchor
-    order one column at a time, so a row's score depends on that row
-    alone."""
-    routes = routes or {}
-
-    def column(j: int) -> np.ndarray:
-        route = routes.get(j)
-        if route is None:
-            return design[:, j]
-        strengths, consequents = route
-        return linear_score(0.0, zip(consequents, strengths.T), design.shape[0])
-
-    terms = ((coefficients[j], column(j)) for j in range(1, design.shape[1]))
-    return linear_score(coefficients[0], terms, design.shape[0])
+    each term's coefficient times its column, in column order.  A coded
+    column is replaced by its unit's output, the consequent at each row's
+    anchor code."""
+    codes = codes or {}
+    columns = (
+        consequents[j][codes[j]] if j in codes else design[:, j]
+        for j in range(1, design.shape[1])
+    )
+    return linear_score(coefficients[0], zip(coefficients[1:], columns), design.shape[0])
 
 
 class _ConsequentFit:
-    """One least-squares solve for the consequents of ``routes`` on an
-    encoded design.  The prediction is ``base + a @ q``: ``base`` is the
-    intercept plus every unrouted term, and ``a`` holds each routed term's
-    coefficient times its firing strengths, in route order.  ``q`` is the
-    solution from the routes' consequents ``q0``; ``solves`` is 0 when
+    """One least-squares solve for the consequents of the coded columns of
+    an encoded design.  The prediction is ``base + a @ q``: ``base`` is the
+    intercept plus every uncoded term, and ``a`` holds each coded term's
+    coefficient times the one-hot of its codes, in column order.  ``q`` is
+    the solution from the starting consequents ``q0``; ``solves`` is 0 when
     ``q0`` is already optimal, else 1."""
 
-    def __init__(self, coefficients, design: np.ndarray, y: np.ndarray, routes: Routes):
+    def __init__(self, coefficients, design, y, codes, consequents):
         n = design.shape[0]
         if n == 0:
             raise DataError("no complete rows to train on")
-        unrouted = (
-            (coefficients[j], design[:, j])
-            for j in range(1, design.shape[1])
-            if j not in routes
+        uncoded = (
+            (coefficients[j], design[:, j]) for j in range(1, design.shape[1]) if j not in codes
         )
-        base = linear_score(coefficients[0], unrouted, n)
-        blocks = [coefficients[j] * strengths for j, (strengths, _) in routes.items()]
-        self.base, self.y, self.routes = base, y, routes
+        self.base = linear_score(coefficients[0], uncoded, n)
+        self.y, self.starts = y, consequents
+        blocks = [coefficients[j] * np.eye(q.size)[codes[j]] for j, q in consequents.items()]
         self.a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-        q0 = np.concatenate([q for _, q in routes.values()]) if routes else np.zeros(0)
+        q0 = np.concatenate(list(consequents.values())) if consequents else np.zeros(0)
         self.r0 = self.residual(q0)
         self.gradient_norm0 = self.gradient_norm(self.r0)
         # a NaN gradient also solves, so non-finite inputs raise NumericalError
@@ -235,23 +210,18 @@ class _ConsequentFit:
         g = (2.0 / r.size) * (self.a.T @ r)
         return math.sqrt(g @ g)
 
-    def consequents(self) -> list[np.ndarray]:
-        """``q`` cut into each route's consequents, in route order."""
-        out, pos = [], 0
-        for _, start in self.routes.values():
-            out.append(self.q[pos : pos + start.size])
-            pos += start.size
-        return out
+    def consequents(self) -> dict[int, np.ndarray]:
+        """``q`` cut into each coded column's consequents."""
+        ends = np.cumsum([start.size for start in self.starts.values()])
+        return dict(zip(self.starts, np.split(self.q, ends[:-1])))
 
 
-def fit_consequents(
-    coefficients, design: np.ndarray, y: np.ndarray, routes: Routes
-) -> list[np.ndarray]:
-    """The arithmetic of ``train_recalibration`` on an encoded design:
-    least-squares consequents of every route, in route order, from the
-    routes' consequents as the start.  It returns the consequents only;
+def fit_consequents(coefficients, design, y, codes, consequents) -> dict[int, np.ndarray]:
+    """The arithmetic of ``train_recalibration`` on an encoded design and
+    its ``coded_columns``: least-squares consequents of every coded column
+    from ``consequents`` as the start.  It returns the consequents only;
     ``train_recalibration`` alone builds a training record."""
-    return _ConsequentFit(coefficients, design, y, routes).consequents()
+    return _ConsequentFit(coefficients, design, y, codes, consequents).consequents()
 
 
 def _coefficients(model: LinearModel) -> list[float]:
@@ -263,21 +233,19 @@ def train_recalibration(
     nfas: list[Nfa],
     ds: Dataset,
 ) -> tuple[list[Nfa], TrainingTrace]:
-    """Least-squares consequents of every unit, solved exactly: the
-    ``model_design`` of the complete rows with the fit-time codings and its
-    routes, then the solve of ``fit_consequents``, returned with its
-    ``TrainingTrace``.
+    """Least-squares consequents of every unit, solved exactly on the
+    complete rows of ``ds`` by ``fit_consequents``'s solve, returned with
+    its ``TrainingTrace``.
 
-    The prediction for a row is the model's linear form with each
-    categorical term's value routed through its unit.  Premises are
-    frozen, so it is ``base + A @ q`` with ``A = [B_v * S_v ...]``: each
-    categorical term's coefficient times its firing strengths, in term
-    order.  This is the consequent step of ANFIS hybrid learning (Jang
-    1993).  The solution is the minimum-norm correction from the identity
-    start ``q0``, the point gradient descent from ``q0`` converges to:
-    every step moves along the row space of ``A``, so consequents the data
-    cannot identify (a constant shift across units, an anchor no row
-    fires) keep their starting values.
+    The prediction is ``base + A @ q`` with ``A = [B_v * onehot(codes_v)
+    ...]``: each categorical term's coefficient times the one-hot of its
+    rows' anchor codes, in term order, so each category's value is
+    re-estimated with the other coefficients fixed.  This is the consequent
+    step of ANFIS hybrid learning (Jang 1993).  The solution is the
+    minimum-norm correction from the identity start ``q0``, the point
+    gradient descent from ``q0`` converges to: consequents the data cannot
+    identify (a constant shift across units, a category with no rows) keep
+    their starting values.
     """
     by_var = {nfa.variable: nfa for nfa in nfas}
     cat_terms = [t.variable for t in model.terms if t.variable in model.codings]
@@ -291,29 +259,30 @@ def train_recalibration(
     data = listwise_complete(ds, [model.response, *model.variables])
     y = response_values(data, model.response)
     design = model_design(model, data)
-    routes = routes_for(design, model.variables, model.codings, nfas)
-    fit = _ConsequentFit(_coefficients(model), design, y, routes)
+    codes, starts = coded_columns(design, model.variables, model.codings, nfas)
+    fit = _ConsequentFit(_coefficients(model), design, y, codes, starts)
     r0, r = fit.r0, fit.residual(fit.q)
     trace = TrainingTrace(
         epochs=fit.solves,
-        mse_path=(float(r0 @ r0) / y.size, float(r @ r) / y.size),
+        mse_path=(dot(r0, r0) / y.size, dot(r, r) / y.size),
         initial_gradient_norm=fit.gradient_norm0,
         converged=True,
         final_gradient_norm=fit.gradient_norm(r),
     )
-    trained = [by_var[v].with_consequents(q) for v, q in zip(cat_terms, fit.consequents())]
-    return trained, trace
+    consequents = fit.consequents().values()
+    return [by_var[v].with_consequents(q) for v, q in zip(cat_terms, consequents)], trace
 
 
 def recalibrated_predict(model: LinearModel, units: list[Nfa], ds: Dataset) -> np.ndarray:
     """The model's prediction for every row of ``ds``, on the model scale,
-    with each categorical term's value routed through its unit: the
-    ``model_design`` and its routes, summed by ``score``.
+    with each label's value replaced by its unit's consequent: the
+    ``model_design``, its ``coded_columns`` and their ``score``.
 
     Untrained units change nothing, so with them this equals
     ``regression.model_predict``.  Labels are valued by the model's
-    fit-time codings.
+    fit-time codings; a numeric input of a categorical term must be one of
+    its unit's anchors.
     """
     design = model_design(model, ds)
-    routes = routes_for(design, model.variables, model.codings, units)
-    return score(_coefficients(model), design, routes)
+    codes, consequents = coded_columns(design, model.variables, model.codings, units)
+    return score(_coefficients(model), design, codes, consequents)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._errors import ConfigError, ConvergenceError, DataError, NumericalError
 from .dataset import Dataset, listwise_complete, sample_sd
-from .numerics import LeastSquaresSolution, solve_least_squares, t_cdf, unscaled_covariance
+from .numerics import LeastSquaresSolution, dot, solve_least_squares, t_cdf, unscaled_covariance
 
 __all__ = [
     "ModelTerm",
@@ -521,7 +521,7 @@ def catreg_fit(
             col = _standardize(means[codes[name]])
             if col is None:
                 continue  # no usable signal this pass; keep previous values
-            new_b = float(col @ working) / n  # population-variance-1 column
+            new_b = dot(col, working) / n  # population-variance-1 column
             residual = working - new_b * col
             z[name] = col
             coef[cat_positions[name]] = new_b

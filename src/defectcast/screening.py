@@ -18,7 +18,7 @@ import numpy as np
 
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, VariableSpec, complete_rows, listwise_complete
-from .numerics import f_cdf, studentized_range_sf, t_cdf
+from .numerics import dot, f_cdf, studentized_range_sf, t_cdf
 from .transform import rank_average
 
 __all__ = [
@@ -65,10 +65,10 @@ def spearman(x, y) -> SpearmanResult:
     ry = rank_average(yv)
     sx = rx - rx.mean()
     sy = ry - ry.mean()
-    denom = math.sqrt(float(sx @ sx) * float(sy @ sy))
+    denom = math.sqrt(dot(sx, sx) * dot(sy, sy))
     if denom == 0.0:
         raise DataError("spearman undefined: a ranked column has zero variance")
-    rho = float(sx @ sy) / denom
+    rho = dot(sx, sy) / denom
     rho = max(-1.0, min(1.0, rho))
     if abs(rho) == 1.0:
         p = 0.0

@@ -7,7 +7,8 @@ with plain loops for the screening statistics.  The per-split evaluation
 path (``cross_validate_by_split`` and its siblings) is the exception: it
 is the package's earlier route, a table, an ``ols_fit`` and a
 ``train_recalibration`` per split, kept as the reference the encoded
-protocols must equal.
+protocols must equal.  ``perturb_quantification`` is no oracle: it makes
+shifted codings for tests from the package's ``RandomStream``.
 """
 
 from __future__ import annotations
@@ -479,6 +480,40 @@ def nfa_eval(nfa, value: float) -> float:
     total = 0.0
     for s, q in zip(firing_strengths(nfa, [value])[0].tolist(), nfa.consequents):
         total += s * q
+    return total
+
+
+def perturb_quantification(
+    mapping: dict[str, float], max_shift: float, seed: int
+) -> dict[str, float]:
+    """``mapping`` with independent uniform shifts in [-max_shift,
+    max_shift] per category.
+
+    Labels are shifted in sorted order so the result depends only on the
+    mapping contents and the seed.
+    """
+    from defectcast._errors import ConfigError
+    from defectcast.numerics import RandomStream
+
+    if max_shift < 0:
+        raise ConfigError(f"max_shift must be nonnegative, got {max_shift}")
+    labels = sorted(mapping)
+    shifts = (2.0 * RandomStream(seed).uniforms(len(labels)) - 1.0) * max_shift
+    return {
+        label: mapping[label] + float(shift)
+        for label, shift in zip(labels, shifts)
+    }
+
+
+def unit_outputs_by_strengths(nfa, values) -> np.ndarray:
+    """One unit's outputs on n input values as its firing strengths weigh
+    its consequents, added to 0.0 one anchor at a time in anchor order:
+    the n-row fuzzy form whose bits the anchor lookup keeps."""
+    from defectcast.recalibration import firing_strengths
+
+    total = np.zeros(len(values))
+    for q, strengths in zip(nfa.consequents, firing_strengths(nfa, values).T):
+        total = total + q * strengths
     return total
 
 

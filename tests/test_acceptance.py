@@ -27,7 +27,6 @@ from defectcast.evaluation import (
     generate_synthetic,
     kfold_plan,
     mmre,
-    perturb_quantification,
     pred_at,
     quantification_from_labels,
 )
@@ -211,7 +210,7 @@ def test_05_recalibration_improvement_pattern():
     improvements = []
     for seed in range(20):
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.3), seed=seed)
-        shifted = perturb_quantification(
+        shifted = oracles.perturb_quantification(
             quantification_from_labels(ds, "vaf"), 0.1, seed + 500
         )
         plan = ModelingPlan(

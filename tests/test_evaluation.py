@@ -21,7 +21,6 @@ from defectcast.evaluation import (
     generate_synthetic,
     kfold_plan,
     mmre,
-    perturb_quantification,
     pred_at,
     quantification_from_labels,
     random_split_experiment,
@@ -380,8 +379,8 @@ class TestQuantificationHelpers:
     def test_perturbation_bounded_and_deterministic(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)
         quant = quantification_from_labels(ds, "vaf")
-        shifted = perturb_quantification(quant, 0.2, seed=77)
-        again = perturb_quantification(quant, 0.2, seed=77)
+        shifted = oracles.perturb_quantification(quant, 0.2, seed=77)
+        again = oracles.perturb_quantification(quant, 0.2, seed=77)
         assert shifted == again
         for label in quant:
             assert abs(shifted[label] - quant[label]) <= 0.2
@@ -390,13 +389,13 @@ class TestQuantificationHelpers:
     def test_zero_shift_is_identity(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)
         quant = quantification_from_labels(ds, "vaf")
-        assert perturb_quantification(quant, 0.0, seed=1) == quant
+        assert oracles.perturb_quantification(quant, 0.0, seed=1) == quant
 
     def test_rejects_negative_shift(self):
         ds = generate_synthetic(GeneratorConfig(n=30), seed=4)
         quant = quantification_from_labels(ds, "vaf")
         with pytest.raises(ConfigError):
-            perturb_quantification(quant, -0.1, seed=1)
+            oracles.perturb_quantification(quant, -0.1, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ class TestCrossValidate:
         improvements = []
         for seed in range(20):
             ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=seed)
-            vq = perturb_quantification(
+            vq = oracles.perturb_quantification(
                 quantification_from_labels(ds, "vaf"), 0.25, seed + 1000
             )
             report = cross_validate(ds, standard_plan(ds, vaf_quant=vq), k=8, seed=seed + 7)
@@ -573,7 +572,7 @@ class TestRandomSplit:
     def test_encodes_once_and_takes_no_rows_per_repetition(self, monkeypatch, repetitions):
         """The table is encoded once per experiment, and the repetitions
         gather rows of its arrays: no ``Dataset.take``, and no firing
-        strengths beyond the encoder's one call per unit."""
+        strengths at all, as a unit is a lookup on anchor codes."""
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
         plan = standard_plan(ds)
         calls = {"encode": 0, "take": 0, "firing_strengths": 0}
@@ -593,7 +592,7 @@ class TestRandomSplit:
             counted("firing_strengths", recalibration.firing_strengths),
         )
         random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
-        assert calls == {"encode": 1, "take": 0, "firing_strengths": 2}
+        assert calls == {"encode": 1, "take": 0, "firing_strengths": 0}
 
     def test_unknown_plan_variable_named(self):
         ds = generate_synthetic(GeneratorConfig(n=20), seed=1)

@@ -59,12 +59,6 @@ class TestRandomStream:
         z = RandomStream(3).normals(7)
         assert z.shape == (7,)
 
-    def test_integers_in_bounds(self):
-        draws = RandomStream(9).integers(10_000, 7)
-        assert draws.min() >= 0
-        assert draws.max() <= 6
-        assert set(np.unique(draws)) == set(range(7))
-
     def test_permutation_is_permutation(self):
         perm = RandomStream(13).permutation(64)
         assert sorted(perm) == list(range(64))
@@ -83,7 +77,8 @@ class TestRandomStream:
                     want = oracles.permutation_by_swap_loop(reference, n)
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
-                    assert ours.draws_consumed == reference.draws_consumed
+                    # both took the same number of draws
+                    assert ours.uniforms(1) == reference.uniforms(1)
 
     def test_split_streams_are_distinct(self):
         parent = RandomStream(77)
@@ -92,7 +87,7 @@ class TestRandomStream:
             for j in range(i + 1, 4):
                 assert not np.array_equal(childs[i], childs[j])
         # splitting does not consume parent draws
-        assert parent.draws_consumed == 0
+        assert parent.uniforms(1) == RandomStream(77).uniforms(1)
         assert not np.array_equal(parent.uniforms(50), childs[0])
 
     def test_split_reproducible(self):
@@ -474,3 +469,20 @@ class TestStudentizedRangeTail:
             assert studentized_range_cdf(q, 4, 30) == 1.0 - studentized_range_sf(q, 4, 30)
         with pytest.raises(NumericalError, match="studentized_range_cdf got NaN"):
             studentized_range_cdf(math.nan, 3, 10)
+
+
+class TestDot:
+    def test_bits_of_matmul_up_to_the_chunk(self):
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 7, 1000, numerics._DOT_CHUNK - 1, numerics._DOT_CHUNK):
+            x, y = rng.normal(size=n), rng.normal(size=n) * 1e3
+            assert numerics.dot(x, y).hex() == float(x @ y).hex()
+
+    def test_longer_product_sums_chunks_in_order(self):
+        rng = np.random.default_rng(9)
+        n = 3 * numerics._DOT_CHUNK + 5
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        want = 0.0
+        for i in range(0, n, numerics._DOT_CHUNK):
+            want += float(x[i : i + numerics._DOT_CHUNK] @ y[i : i + numerics._DOT_CHUNK])
+        assert numerics.dot(x, y).hex() == want.hex()

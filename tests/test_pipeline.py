@@ -5,6 +5,9 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -518,6 +521,24 @@ class TestPipelineRun:
             tmp_path / "b" / "report.json"
         ).read_bytes()
 
+    def test_report_independent_of_blas_thread_count(self, tmp_path):
+        # at 12,000 rows OpenBLAS splits a dot product over its threads; one
+        # and two threads must still write the same report
+        config = json.loads(REPO_FIXTURE.read_text(encoding="utf-8"))
+        config["data"]["synthetic"]["n"] = 12_000
+        path = write_config(tmp_path, config)
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(pipeline.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            argv = ["--config", str(path), "--out", str(tmp_path / threads)]
+            subprocess.run(
+                [sys.executable, "-m", "defectcast.cli", *argv],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True, capture_output=True,
+            )
+        assert (tmp_path / "1" / "report.json").read_bytes() == (
+            tmp_path / "2" / "report.json"
+        ).read_bytes()
+
     def test_tukey_p_values_within_two_group_bounds(self, tmp_path):
         # every pair's q recomputed from the prepared data: P(Q_k > q) lies
         # between the two-group tail 2 * t_cdf(-q / sqrt(2), df) and C(k, 2)
@@ -994,8 +1015,9 @@ class TestArtifactHandoff:
             reads.clear()
             run_stage(stage, cfg)
             data_files = [] if source == "synthetic" else ["proj.csv"]
-            assert [Path(args[0]).name for args in loads] == data_files, stage
+            assert len(loads) == len(data_files), stage
             assert sorted(set(reads)) == sorted(["report.json", *data_files]), stage
+            assert reads.count("proj.csv") == len(data_files), stage
 
     def test_synthetic_run_parses_no_csv(self, tmp_path, monkeypatch):
         loads = _counting(monkeypatch, "load_csv")
@@ -1005,8 +1027,20 @@ class TestArtifactHandoff:
     def test_csv_run_parses_its_data_file_once(self, tmp_path, monkeypatch):
         cfg = _csv_cfg(tmp_path)
         loads = _counting(monkeypatch, "load_csv")
+        reads = _recording_reads(monkeypatch)
         run_pipeline(cfg)
-        assert [Path(args[0]).name for args in loads] == ["proj.csv"]
+        assert len(loads) == 1
+        assert reads.count("proj.csv") == 1
+
+    @pytest.mark.parametrize("stage", [None, "fit"])
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, stage):
+        cfg = _csv_cfg(tmp_path)
+        loads = _counting(monkeypatch, "load_csv")
+        report = run_pipeline(cfg) if stage is None else run_stage(stage, cfg)
+        [(parsed, _)] = loads
+        digest = report["provenance"]["data_source"]["sha256"]
+        assert digest == hashlib.sha256(parsed).hexdigest()
+        assert digest == hashlib.sha256((tmp_path / "proj.csv").read_bytes()).hexdigest()
 
     def test_report_written_once_per_run(self, tmp_path, monkeypatch):
         writes = _counting(monkeypatch, "_atomic_write")

@@ -1,13 +1,16 @@
-"""Recalibration units: firing strengths, gradients, convex training."""
+"""Recalibration units: firing strengths, anchor lookups, gradients, convex training."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defectcast import recalibration
 from defectcast._errors import ConfigError, DataError, NumericalError
-from defectcast.dataset import VariableSpec
+from defectcast.dataset import Dataset, VariableSpec
 from defectcast.evaluation import raw_counts
 from defectcast.numerics import solve_least_squares
 from defectcast.recalibration import (
@@ -18,7 +21,7 @@ from defectcast.recalibration import (
     train_recalibration,
     units_for,
 )
-from defectcast.regression import model_predict, ols_fit
+from defectcast.regression import LinearModel, ModelTerm, model_design, model_predict, ols_fit
 
 import oracles
 from test_regression import make_dataset, numeric_schema, rows_table
@@ -485,8 +488,9 @@ class TestBatchPredict:
     @pytest.mark.parametrize("back", [False, True])
     def test_equals_one_row_wrappers_exactly(self, transform, back):
         # each row's prediction equals the plain-float oracle, on the whole
-        # table and on a one-row table of its own, at labels and between
-        # and beyond the anchors: a row's score depends on that row alone
+        # table and on a one-row table of its own: a row's score depends on
+        # that row alone.  Numbers between and beyond the anchors score
+        # through the model, and a unit rejects them
         model, _, trained, ds = _mixed_setup(transform)
         assert [u.variable for u in trained] == ["kind", "vaf"]
         assert any(u.consequents != u.input_anchors for u in trained)
@@ -507,19 +511,23 @@ class TestBatchPredict:
         transform = model.response_transform if back else "none"
         for table, table_rows in ((ds, rows), (numeric, numbers)):
             base = raw_counts(model_predict(model, table), transform)
-            recal = raw_counts(recalibrated_predict(model, trained, table), transform)
             for i, row in enumerate(table_rows):
                 want = oracles.one_row_prediction(model, row, back_transform=back)
-                want_recal = oracles.one_row_prediction(
-                    model, row, nfas=trained, back_transform=back
-                )
-                assert base[i] == want and recal[i] == want_recal
+                assert base[i] == want
                 one_row = table.take([i])
                 assert raw_counts(model_predict(model, one_row), transform)[0] == want
-                assert want_recal == raw_counts(
-                    recalibrated_predict(model, trained, one_row), transform
-                )[0]
-            assert not np.array_equal(base, recal)
+        recal = raw_counts(recalibrated_predict(model, trained, ds), transform)
+        for i, row in enumerate(rows):
+            want_recal = oracles.one_row_prediction(
+                model, row, nfas=trained, back_transform=back
+            )
+            assert recal[i] == want_recal
+            assert want_recal == raw_counts(
+                recalibrated_predict(model, trained, ds.take([i])), transform
+            )[0]
+        assert not np.array_equal(raw_counts(model_predict(model, ds), transform), recal)
+        with pytest.raises(DataError, match="of 'kind' is on no anchor"):
+            recalibrated_predict(model, trained, numeric)
 
     @pytest.mark.parametrize("back", [False, True])
     def test_intercept_only_model(self, back):
@@ -588,3 +596,95 @@ class TestBatchPredict:
             model_predict(model, holed)
         with pytest.raises(DataError, match="^missing value in categorical variable 'vaf'$"):
             holed.encode("vaf", quants["vaf"])
+
+
+# category values away from zero, so no gap between two anchors is subnormal
+_VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+_REALS = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _coded_case(draw):
+    """A hand-built model with a numeric term and two coded terms, trained
+    units with random consequents, and a table of labels.  Each coding
+    draws its labels' values from a pool of one to k distinct values, so
+    labels share values and a coding may have a lone anchor; coefficients
+    take either sign."""
+    codings, columns, specs = {}, {}, [VariableSpec("y", "response", "numeric")]
+    n = draw(st.integers(1, 20))
+    columns["y"] = np.zeros(n)
+    specs.append(VariableSpec("x", "predictor", "numeric"))
+    columns["x"] = np.array(draw(st.lists(_REALS, min_size=n, max_size=n)))
+    for name in ("g", "h"):
+        k = draw(st.integers(2, 5))
+        pool = draw(st.lists(_VALUES, min_size=1, max_size=k, unique=True))
+        labels = tuple(f"{name}{i}" for i in range(k))
+        codings[name] = {label: draw(st.sampled_from(pool)) for label in labels}
+        specs.append(VariableSpec(name, "predictor", "categorical", categories=labels))
+        columns[name] = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    model = LinearModel(
+        response="y", response_transform="ln", intercept=draw(_REALS), intercept_p=0.0,
+        terms=tuple(
+            ModelTerm(v, draw(st.floats(-10.0, 10.0)), 0.0, 0.0, 0.0, 0.0) for v in ("x", "g", "h")
+        ),
+        r_squared=0.0, n=n, codings=codings,
+    )
+    units = [
+        u.with_consequents(draw(st.lists(_REALS, min_size=len(u.input_anchors),
+                                         max_size=len(u.input_anchors))))
+        for u in units_for(codings)
+    ]
+    return model, units, Dataset(specs, columns)
+
+
+class TestAnchorLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_coded_case())
+    def test_lookup_equals_fuzzy_unit(self, case):
+        model, units, ds = case
+        design = model_design(model, ds)
+        codes, consequents = recalibration.coded_columns(
+            design, model.variables, model.codings, units
+        )
+        for (j, c), unit in zip(codes.items(), units):
+            values = np.array(list(model.codings[unit.variable].values()))
+            lookup = np.array(unit.consequents)[recalibration._anchor_codes(unit, values)]
+            assert lookup.tolist() == [oracles.nfa_eval(unit, v) for v in values]
+            assert np.array_equal(
+                consequents[j][c], oracles.unit_outputs_by_strengths(unit, design[:, j])
+            )
+        # the training design, here against the x column as a target: each
+        # coefficient times the one-hot of the codes has the bits of that
+        # coefficient times the firing strengths
+        coefficients = [model.intercept, *(t.coefficient for t in model.terms)]
+        fit = recalibration._ConsequentFit(coefficients, design, design[:, 1], codes, consequents)
+        blocks = [
+            coefficients[j] * recalibration.firing_strengths(u, design[:, j])
+            for j, u in zip(codes, units)
+        ]
+        assert np.array_equal(fit.a, np.hstack(blocks))
+        predicted = recalibrated_predict(model, units, ds)
+        for i in range(ds.row_count):
+            row = {"x": float(ds.columns["x"][i])}
+            row.update({v: ds.spec(v).categories[ds.columns[v][i]] for v in ("g", "h")})
+            assert predicted[i] == oracles.one_row_prediction(model, row, nfas=units)
+
+    def test_numeric_input_off_the_anchors_raises(self):
+        model, nfas, ds, _ = _training_setup()
+        on = rows_table([{"x": 0.0, "vaf": 1.00}], numeric_schema("y", "x", "vaf"))
+        assert recalibrated_predict(model, nfas, on)[0] == model_predict(model, on)[0]
+        off = rows_table([{"x": 0.0, "vaf": 1.00}, {"x": 0.0, "vaf": 0.9}],
+                         numeric_schema("y", "x", "vaf"))
+        with pytest.raises(DataError, match="^value 0.9 of 'vaf' is on no anchor"):
+            recalibrated_predict(model, nfas, off)
+
+    def test_unit_missing_a_coding_value_raises(self):
+        # a hand-built unit without the anchor of label '1.00'
+        model, nfas, ds, _ = _training_setup()
+        unit = Nfa("vaf", (0.65, 1.35), (0.35, 0.35), (0.6, 1.4))
+        for call in (
+            lambda: recalibrated_predict(model, [unit], ds),
+            lambda: train_recalibration(model, [unit], ds),
+        ):
+            with pytest.raises(DataError, match="^value 1.0 of 'vaf' is on no anchor"):
+                call()
