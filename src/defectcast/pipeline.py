@@ -153,14 +153,12 @@ class PipelineConfig:
 
     def provenance(self, sha256: str | None = None) -> dict:
         """Tool version, config hash, seed and data source.  A CSV source
-        records ``sha256``, the digest of its file's bytes as a run read
-        them (of a read here if not given); a generated one needs no
-        digest, as the config and the tool version fix it."""
+        records ``sha256``, the digest of its file's bytes as its run read
+        them (``_Run.read_data``); a generated one needs no digest, as the
+        config and the tool version fix it."""
         if self.data_path is None:
             source = {"kind": "synthetic", "n": self.synthetic.n}
         else:
-            if sha256 is None:
-                sha256 = hashlib.sha256(_data_file(self.data_path).read_bytes()).hexdigest()
             source = {"kind": "csv", "path": self.data_path, "sha256": sha256}
         return {
             "tool_version": __version__,

@@ -86,9 +86,11 @@ class TestRandomStream:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(childs[i], childs[j])
-        # splitting does not consume parent draws
-        assert parent.uniforms(1) == RandomStream(77).uniforms(1)
-        assert not np.array_equal(parent.uniforms(50), childs[0])
+        # splitting does not consume parent draws, and a child's stream is
+        # not the parent's
+        got = parent.uniforms(51)
+        assert np.array_equal(got, RandomStream(77).uniforms(51))
+        assert not np.array_equal(got[:50], childs[0])
 
     def test_split_reproducible(self):
         a = RandomStream(4242).split(3).uniforms(10)

@@ -826,7 +826,8 @@ class TestPipelineRun:
         cfg = load_config(path, out_override=str(tmp_path / "out"))
         run_stage("prepare", cfg)
         sidecar = json.loads((tmp_path / "out" / "prepared.schema.json").read_text())
-        assert sidecar["provenance"] == cfg.provenance()
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert sidecar["provenance"] == cfg.provenance(digest)
         dev = next(e for e in sidecar["schema"] if e["name"] == "dev_type")
         assert dev["kind"] == "binary"
         assert dev["categories"] == [

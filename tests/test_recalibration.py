@@ -61,6 +61,14 @@ class TestInitNfa:
         a = units_for({"g": {"x": 2.0, "y": -1.0, "z": 0.5}})[0]
         assert a.input_anchors == (-1.0, 0.5, 2.0)
 
+    @pytest.mark.xfail(
+        raises=ConfigError, strict=True,
+        reason="half a 5e-324 gap rounds to a zero width, which Nfa rejects",
+    )
+    def test_subnormal_gap_is_a_valid_coding(self):
+        nfa = units_for({"v": {"a": 0.0, "b": 5e-324}})[0]
+        assert nfa.input_anchors == (0.0, 5e-324)
+
     def test_invalid_unit_parameters(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
             Nfa("v", (1.0, 1.0), (0.5, 0.5), (1.0, 1.0))
@@ -599,6 +607,9 @@ class TestBatchPredict:
 
 
 # category values away from zero, so no gap between two anchors is subnormal
+# coding values stay 1e-3 or more away from zero, so that no gap between
+# two of them is subnormal: units_for still rejects such a coding (see
+# TestInitNfa.test_subnormal_gap_is_a_valid_coding)
 _VALUES = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 _REALS = st.floats(-1e3, 1e3)
 
