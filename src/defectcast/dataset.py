@@ -39,6 +39,7 @@ __all__ = [
     "FilterRule",
     "load_csv",
     "csv_header",
+    "utf8_fault",
     "serialize_csv",
     "apply_filters",
     "complete_rows",
@@ -225,16 +226,33 @@ def load_csv(source, schema: Sequence[VariableSpec]) -> Dataset:
     category's code depends on row order.  Columns present in the file but
     absent from the schema are ignored, and a leading byte-order mark is
     dropped from the header.  The first fault in row order raises
-    DataError, within a row the first in schema order.
+    DataError, within a row the first in schema order.  A file that is not
+    UTF-8 raises DataError naming it (see ``utf8_fault``); bytes that are
+    not raise UnicodeDecodeError, for the caller that knows their name.
     """
     specs = _check_schema(schema)
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _load_table(csv.reader(handle), specs)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                return _load_table(csv.reader(handle), specs)
+        except UnicodeDecodeError:
+            raise utf8_fault(Path(source).read_bytes(), f"data file {source}") from None
     if isinstance(source, bytes):
         text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
         return _load_table(csv.reader(text), specs)
     return _load_table(csv.reader(source), specs)
+
+
+def utf8_fault(data: bytes, name: str) -> DataError:
+    """The DataError of CSV bytes that do not decode as UTF-8, naming
+    ``name`` and the offset of the first byte that fails.  A streaming
+    decoder counts its offsets from the start of its chunk, so the offset
+    comes from decoding ``data`` whole."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return DataError(f"{name} is not valid UTF-8: {err.reason} at byte {err.start}")
+    return DataError(f"{name} is not valid UTF-8")
 
 
 def csv_header(reader) -> list[str] | None:

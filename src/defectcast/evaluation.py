@@ -11,10 +11,18 @@ function of (data, plan, seed): reports are byte-identical across runs.
 
 The loop encodes the prepared table once: the design matrix, the response
 on the model and count scales, and each categorical column's anchor codes.
-A split then only gathers rows of those arrays: it solves plain OLS
-coefficients (no inference), fits the consequents, and scores its test
-rows with and without them.  Rows are gathered before any product, so
-the report bytes match those of each split's own table.
+It then walks the splits in blocks: runs of consecutive splits with the
+same train and test sizes, each cut to at most ``_BLOCK_CELLS`` gathered
+training-design cells.  Random splits all have one size, and k-fold sizes
+never grow from fold to fold, so the blocks keep split order.  A block
+gathers its rows once into stacked arrays.  Only the two least-squares
+solves run split by split, in split order: the plain OLS coefficients (no
+inference) and the consequent solve of ``ConsequentFit``.  Its other
+arithmetic, the scoring of the test rows with and without the units, the
+counts, the actuals check and the metrics run once per block.  Rows are
+gathered before any product, elementwise arithmetic does not depend on
+the stacking, and each LAPACK call sees the matrix a lone split would
+pass, so the report bytes match those of each split's own table.
 
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic
@@ -34,7 +42,7 @@ import numpy as np
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
-from .recalibration import coded_columns, fit_consequents, score, units_for
+from .recalibration import ConsequentFit, coded_columns, score, units_for
 from .regression import design_columns, ols_coefficients, response_values
 from .transform import apply_schema_transforms, compute_vaf
 
@@ -66,11 +74,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _actuals_fault(actuals: np.ndarray) -> tuple[int, DataError] | None:
+    """The first row of stacked actuals (S x n) on which relative errors
+    are undefined, with its fault, or None."""
+    if actuals.shape[-1] == 0:
+        return 0, DataError("metric inputs are empty")
+    bad = np.flatnonzero(actuals <= 0)
+    if bad.size:
+        row = int(bad[0]) // actuals.shape[-1]
+        return row, DataError("nonpositive actual value; relative error is undefined")
+    return None
+
+
 def _check_actuals(actuals: np.ndarray) -> None:
-    if actuals.size == 0:
-        raise DataError("metric inputs are empty")
-    if np.count_nonzero(actuals <= 0):
-        raise DataError("nonpositive actual value; relative error is undefined")
+    fault = _actuals_fault(actuals[None])
+    if fault is not None:
+        raise fault[1]
 
 
 def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +110,7 @@ def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
 def mmre(actuals, predictions) -> float:
     """Mean magnitude of relative error over raw counts."""
     a, p = _check_metric_inputs(actuals, predictions)
-    return _metrics(a, p, ()).mmre
+    return float(_metrics(a, p, ()).mmre)
 
 
 def pred_at(actuals, predictions, m: float) -> float:
@@ -99,26 +118,30 @@ def pred_at(actuals, predictions, m: float) -> float:
     if m < 0:
         raise ConfigError(f"threshold must be nonnegative, got {m}")
     a, p = _check_metric_inputs(actuals, predictions)
-    return _metrics(a, p, (m,)).pred[m]
+    return float(_metrics(a, p, (m,)).pred[m])
 
 
 @dataclass(frozen=True)
 class EvalMetrics:
-    mmre: float
-    pred: dict[float, float]
+    """MMRE and Pred at each threshold over ``n`` rows; for stacked rows,
+    arrays over the leading axes."""
+
+    mmre: float | np.ndarray
+    pred: dict[float, float | np.ndarray]
     n: int
 
 
 def _metrics(actuals: np.ndarray, predictions: np.ndarray, thresholds) -> EvalMetrics:
     """``mmre`` and ``pred_at`` at each threshold, from one relative-error
-    vector, on float arrays of one shape whose actuals ``_check_actuals``
-    has passed.  ``np.add.reduce(errors) / n`` is the sum and division
-    ``np.mean`` runs, without its dispatch, and a hit count over ``n`` is
-    the correctly rounded mean of the hits."""
+    array, along the last axis of float arrays that broadcast, whose
+    actuals ``_actuals_fault`` has passed.  ``np.add.reduce(errors,
+    axis=-1) / n`` is the sum and division ``np.mean`` runs on each row,
+    without its dispatch, and a hit count over ``n`` is the correctly
+    rounded mean of the hits."""
     errors = np.abs(actuals - predictions) / actuals
-    n = errors.size
-    pred = {m: float(np.count_nonzero(errors <= m) / n) for m in thresholds}
-    return EvalMetrics(mmre=float(np.add.reduce(errors) / n), pred=pred, n=n)
+    n = errors.shape[-1]
+    pred = {m: np.add.reduce(errors <= m, axis=-1, dtype=np.intp) / n for m in thresholds}
+    return EvalMetrics(mmre=np.add.reduce(errors, axis=-1) / n, pred=pred, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +279,8 @@ def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
     they are.  ``math.exp``/``math.expm1`` per element on Python floats,
     not ``np.exp``: the two differ in the last bit on a few percent of
     inputs.  A count beyond the float range raises NumericalError naming
-    the first model-scale value that overflows."""
+    the first model-scale value that overflows, and carrying its index as
+    ``index``."""
     if transform == "none":
         return values
     if transform == "ln":
@@ -271,10 +295,12 @@ def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
         return np.fromiter(map(fn, rest), float, count=len(cells))
     except OverflowError:
         # map stops on the value that overflowed, the last one taken from rest
-        first = cells[len(cells) - sum(1 for _ in rest) - 1]
-        raise NumericalError(
-            f"back-transform overflows: model-scale value {first!r} has no finite count"
-        ) from None
+        index = len(cells) - sum(1 for _ in rest) - 1
+        err = NumericalError(
+            f"back-transform overflows: model-scale value {cells[index]!r} has no finite count"
+        )
+        err.index = index
+        raise err from None
 
 
 def _averages(rows: list[ExperimentRow]) -> ExperimentRow:
@@ -344,54 +370,113 @@ def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
     )
 
 
+# the most gathered training-design cells (splits x rows x columns) that one
+# block of splits holds
+_BLOCK_CELLS = 1 << 14
+
+
 def _coefficients(design: np.ndarray, y: np.ndarray, plan: ModelingPlan) -> np.ndarray:
     sol, _ = ols_coefficients(design, y, plan.predictors, plan.response)
     return sol.coefficients
 
 
-def _split_row(
-    label: str,
-    context: str,
-    enc: _Encoded,
-    plan: ModelingPlan,
-    train: np.ndarray,
-    test: np.ndarray,
-    fixed: np.ndarray | None,
-) -> ExperimentRow:
-    """Fit on the ``train`` rows (unless ``fixed`` coefficients are given),
-    recalibrate on them, and score the ``test`` rows with and without the
-    units.  Each array is gathered by row before any arithmetic, so every
-    product sees the arrays a per-split table would have produced; a 2-d
-    array is gathered with ``take``, the same rows as indexing without its
-    dispatch."""
-    consequents = enc.anchors
-    train_design, train_y = enc.design.take(train, axis=0), enc.y[train]
-    try:
-        coef = fixed if fixed is not None else _coefficients(train_design, train_y, plan)
-        if plan.recalibrate:
-            train_codes = {j: c[train] for j, c in enc.codes.items()}
-            consequents = fit_consequents(coef, train_design, train_y, train_codes, consequents)
-    except (DataError, NumericalError) as err:
-        raise DataError(f"{context}: {err}") from None
+def _blocks(splits, columns: int):
+    """``splits`` in runs of consecutive splits with equal train and test
+    sizes, each run cut to at most ``_BLOCK_CELLS`` training-design cells
+    of ``columns`` columns (one split at the least)."""
+    block, size = [], None
+    for split in splits:
+        if block and (
+            (len(split[2]), len(split[3])) != size
+            or (len(block) + 1) * size[0] * columns > _BLOCK_CELLS
+        ):
+            yield block
+            block = []
+        block.append(split)
+        size = (len(split[2]), len(split[3]))
+    if block:
+        yield block
+
+
+def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
+    """Append the report rows of a block of splits to ``rows``, up to the
+    first faulty split, and return that split's fault (None if there is
+    none).
+
+    Each split fits OLS on its train rows (unless ``fixed`` coefficients
+    are given), recalibrates on them, and scores its test rows with and
+    without the units; a fit or consequent fault carries the split's
+    context.  Fault order is split order, and within a split: fit,
+    consequent fit, count overflow, then actuals.  Solving stops at the
+    first fit or consequent fault; the splits before it are still scored,
+    as one of them may fault first."""
+    contexts = [split[1] for split in block]
+    train = np.array([split[2] for split in block])
+    train_design, train_y = enc.design.take(train, axis=0), enc.y.take(train)
+    limit, fault = len(block), None
+    if fixed is None:
+        coef = np.empty((limit, enc.design.shape[1]))
+        for s in range(limit):
+            try:
+                coef[s] = _coefficients(train_design[s], train_y[s], plan)
+            except (DataError, NumericalError) as err:
+                limit, fault = s, DataError(f"{contexts[s]}: {err}")
+                break
+    else:
+        coef = np.broadcast_to(fixed, (limit, fixed.size))
+    if plan.recalibrate and limit:
+        s = 0
+        try:
+            fit = ConsequentFit(
+                coef[:limit], train_design[:limit], train_y[:limit],
+                {j: c.take(train[:limit]) for j, c in enc.codes.items()}, enc.anchors,
+            )
+            for s in range(limit):
+                fit.solve(s)
+        except (DataError, NumericalError) as err:
+            limit, fault = s, DataError(f"{contexts[s]}: {err}")
+    if not limit:
+        return fault
+
+    coef = coef[:limit]
+    test = np.array([split[3] for split in block[:limit]])
     design = enc.design.take(test, axis=0)
-    test_codes = {j: c[test] for j, c in enc.codes.items()}
-    base_preds = raw_counts(score(coef, design), plan.response_transform)
-    recal_preds = raw_counts(score(coef, design, test_codes, consequents), plan.response_transform)
-    actuals = enc.actuals[test]
-    _check_actuals(actuals)
-    include_pred = len(test) >= plan.min_test_for_pred
-    thresholds = plan.pred_thresholds if include_pred else ()
-    base = _metrics(actuals, base_preds, thresholds)
-    recal = _metrics(actuals, recal_preds, thresholds)
-    return ExperimentRow(
-        label=label,
-        n_test=len(test),
-        baseline_mmre=base.mmre,
-        recalibrated_mmre=recal.mmre,
-        improvement_pct=_improvement(base.mmre, recal.mmre),
-        baseline_pred=base.pred if include_pred else None,
-        recalibrated_pred=recal.pred if include_pred else None,
+    codes = {j: c.take(test) for j, c in enc.codes.items()}
+    consequents = enc.anchors
+    if plan.recalibrate and codes:
+        consequents, codes = fit.lookup(codes)
+    # base then recalibrated scores of each split, so counts overflow in split order
+    scores = np.stack((score(coef, design), score(coef, design, codes, consequents)), axis=1)
+    t = test.shape[1]
+    try:
+        counts = raw_counts(scores.reshape(-1), plan.response_transform)
+    except NumericalError as err:
+        limit, fault = err.index // (2 * t), err
+        counts = raw_counts(scores[:limit].reshape(-1), plan.response_transform)
+    actuals = enc.actuals.take(test[:limit])
+    bad = _actuals_fault(actuals)
+    if bad is not None:
+        limit, fault = bad
+    include_pred = t >= plan.min_test_for_pred
+    metrics = _metrics(
+        actuals[:limit, None, :],
+        counts[: limit * 2 * t].reshape(limit, 2, t),
+        plan.pred_thresholds if include_pred else (),
     )
+    mmres = metrics.mmre.tolist()
+    preds = {m: p.tolist() for m, p in metrics.pred.items()}
+    for s in range(limit):
+        base, recal = mmres[s]
+        rows.append(ExperimentRow(
+            label=block[s][0],
+            n_test=t,
+            baseline_mmre=base,
+            recalibrated_mmre=recal,
+            improvement_pct=_improvement(base, recal),
+            baseline_pred={m: p[s][0] for m, p in preds.items()} if include_pred else None,
+            recalibrated_pred={m: p[s][1] for m, p in preds.items()} if include_pred else None,
+        ))
+    return fault
 
 
 def _experiment(
@@ -399,13 +484,15 @@ def _experiment(
 ) -> ExperimentReport:
     """The protocols' one loop: encode the prepared table once, fit OLS on
     every row once unless each split refits, then one report row per
-    ``(label, context, train rows, test rows)`` in ``splits``."""
+    ``(label, context, train rows, test rows)`` in ``splits``, block by
+    block (see ``_block_rows``)."""
     enc = _encode(data, plan)
     fixed = None if refit else _coefficients(enc.design, enc.y, plan)
-    rows = [
-        _split_row(label, context, enc, plan, train, test, fixed)
-        for label, context, train, test in splits
-    ]
+    rows = []
+    for block in _blocks(splits, enc.design.shape[1]):
+        fault = _block_rows(block, enc, plan, fixed, rows)
+        if fault is not None:
+            raise fault
     return ExperimentReport(
         protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
     )
@@ -444,12 +531,13 @@ def random_split_experiment(
         raise DataError(
             f"train_fraction {train_fraction} leaves no usable split of {n} rows"
         )
-    master = RandomStream(seed)
-    splits = []
-    for r in range(repetitions):
-        perm = master.split(r).permutation(n)
-        splits.append((f"rep {r + 1}", f"repetition {r + 1}",
-                       np.sort(perm[:train_size]), np.sort(perm[train_size:])))
+    rows = RandomStream(seed).split_permutations(repetitions, n)
+    trains, tests = rows[:, :train_size], rows[:, train_size:]
+    trains.sort()
+    tests.sort()
+    splits = [
+        (f"rep {r + 1}", f"repetition {r + 1}", trains[r], tests[r]) for r in range(repetitions)
+    ]
     parameters = {
         "train_fraction": train_fraction, "train_size": train_size,
         "repetitions": repetitions, "seed": seed, "n": n,

@@ -110,26 +110,12 @@ class RandomStream:
     def seed(self) -> int:
         return self._seed
 
-    def _raw(self, n: int) -> np.ndarray:
-        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        z *= _U_WEYL
-        z += np.uint64(self._seed)
-        z ^= z >> _U30
-        z *= _U_MIX1
-        z ^= z >> _U27
-        z *= _U_MIX2
-        z ^= z >> _U31
-        return z
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
         if n < 0:
             raise NumericalError("draw count must be nonnegative")
-        z = self._raw(n)
-        z >>= _U11
-        u = z.astype(np.float64)
-        u *= 2.0**-53
+        u = _uniforms(np.uint64(self._seed), self._count, n)
+        self._count += n
         return u
 
     def normals(self, n: int) -> np.ndarray:
@@ -151,14 +137,20 @@ class RandomStream:
         """Fisher-Yates permutation of range(n)."""
         if n < 2:
             return np.arange(n)
-        # one uniform per swap position, consumed high index first
-        scaled = self.uniforms(n - 1)
-        scaled *= np.arange(n, 1, -1)
-        swaps = np.minimum(scaled.astype(np.int64), np.arange(n - 1, 0, -1))
-        perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.fromiter(perm, np.int_, n)
+        return np.fromiter(_shuffled(_swap_indices(self.uniforms(n - 1)).tolist()), np.int_, n)
+
+    def split_permutations(self, count: int, n: int) -> np.ndarray:
+        """``split(i).permutation(n)`` for i = 0 .. count - 1, one per row.
+        The uniforms of every child stream are drawn in one array, then
+        the swap loop runs one row at a time."""
+        if n < 2:
+            return np.tile(np.arange(n), (count, 1))
+        seeds = np.array([self.split(i).seed for i in range(count)], dtype=np.uint64)
+        swaps = _swap_indices(_uniforms(seeds[:, None], 0, n - 1))
+        out = np.empty((count, n), dtype=np.int_)
+        for row, row_swaps in zip(out, swaps):
+            row[:] = _shuffled(row_swaps.tolist())
+        return out
 
     def split(self, index: int) -> "RandomStream":
         """Independent child stream for the given nonnegative index."""
@@ -166,6 +158,44 @@ class RandomStream:
             raise NumericalError("split index must be nonnegative")
         child = _mix64((self._seed + (index + 1) * _SPLIT) & _MASK64)
         return RandomStream(child)
+
+
+def _uniforms(seed, start: int, n: int) -> np.ndarray:
+    """Raw outputs ``start + 1 .. start + n`` of the streams of a uint64
+    ``seed`` (a scalar, or a column of seeds for one row each) as uniform
+    doubles: the top 53 bits of each, times 2**-53."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= _U_WEYL
+    z = z + seed
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
+    z >>= _U11
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _swap_indices(uniforms: np.ndarray) -> np.ndarray:
+    """Fisher-Yates swap indices from the n - 1 uniforms along the last
+    axis, one per swap position, consumed high index first: index
+    ``floor(u * (i + 1))`` for position i = n - 1 .. 1, at most i.  The
+    uniforms are scaled in place."""
+    n = uniforms.shape[-1] + 1
+    uniforms *= np.arange(n, 1, -1)
+    swaps = uniforms.astype(np.int64)
+    return np.minimum(swaps, np.arange(n - 1, 0, -1), out=swaps)
+
+
+def _shuffled(swaps: list[int]) -> list[int]:
+    """range(n) shuffled by the swap loop on the n - 1 ``_swap_indices``."""
+    n = len(swaps) + 1
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), swaps):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +236,25 @@ class LeastSquaresSolution:
 _EPS = float(np.finfo(float).eps)
 
 
+# how many (routine, argument shapes) keys keep their LAPACK workspace size
+_WORKSPACE_SHAPES = 256
+
+
+@lru_cache(maxsize=_WORKSPACE_SHAPES)
+def _workspace(routine, shapes: tuple[tuple[int, ...], ...]) -> int:
+    """The ``lwork`` that a ``lwork=-1`` query of ``routine`` returns for
+    array arguments of these shapes.  LAPACK sizes a workspace from the
+    dimensions alone, so one query serves every call of those shapes."""
+    query = routine(*(np.zeros(shape) for shape in shapes), lwork=-1)
+    return int(query[-2][0])
+
+
 def _lapack(routine, name: str, *args, **kwargs):
     """``routine``'s outputs before ``work`` and ``info``, run with the
-    workspace size a ``lwork=-1`` query returns.  A negative ``info`` (an
-    illegal argument) raises ValueError."""
-    query = routine(*args, lwork=-1, **kwargs)
-    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    workspace size a query returns for the shapes of ``args``.  A negative
+    ``info`` (an illegal argument) raises ValueError."""
+    lwork = _workspace(routine, tuple(arg.shape for arg in args))
+    out = routine(*args, lwork=lwork, **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal value in {-out[-1]}th argument of internal {name}")
     return out[:-2]

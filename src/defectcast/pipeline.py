@@ -51,6 +51,7 @@ from .dataset import (
     load_csv,
     serialize_csv,
     summarize,
+    utf8_fault,
 )
 from .evaluation import (
     GeneratorConfig,
@@ -514,8 +515,11 @@ def _source_dataset(run: _Run) -> Dataset:
     cfg = run.cfg
     if cfg.data_path is not None:
         run.read_data()
-        _check_header(run)
-        run.source = load_csv(run.data, cfg.schema)
+        try:
+            _check_header(run)
+            run.source = load_csv(run.data, cfg.schema)
+        except UnicodeDecodeError:
+            raise utf8_fault(run.data, f"data file {Path(cfg.data_path)}") from None
         run.data = None  # parsed; only its digest is needed from here
     else:
         run.source = generate_synthetic(cfg.synthetic, cfg.seed)

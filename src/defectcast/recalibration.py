@@ -11,14 +11,15 @@ Consequents start as the anchors, so an untrained unit is the identity.
 Training re-estimates the category values with the model's coefficients
 fixed: the prediction is linear in the consequents, so it is one exact
 least-squares solve.  ``coded_columns`` turns a design into each coded
-column's anchor codes; scoring and training work on those arrays, for
-whole tables here and for the resampling splits of ``evaluation``.  A
-unit is written out through ``Nfa.to_dict``; nothing parses one back.
+column's anchor codes; scoring and training work on those arrays.
+``ConsequentFit`` is the one training arithmetic, on stacked blocks of
+fits: ``evaluation`` passes a block of resampling splits, and
+``train_recalibration`` a block of one.  A unit is written out through
+``Nfa.to_dict``; nothing parses one back.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -168,64 +169,88 @@ def score(coefficients, design: np.ndarray, codes=None, consequents=None) -> np.
     """The ``linear_score`` of an encoded design: ``coefficients[0]``, then
     each term's coefficient times its column, in column order.  A coded
     column is replaced by its unit's output, the consequent at each row's
-    anchor code."""
+    anchor code.  Stacked fits score alike: coefficients S x p and design
+    S x n x p, with codes S x n into each coded column's consequents of
+    all S fits end to end, each fit's codes moved onto its own."""
     codes = codes or {}
     columns = (
-        consequents[j][codes[j]] if j in codes else design[:, j]
-        for j in range(1, design.shape[1])
+        consequents[j].take(codes[j]) if j in codes else design[..., j]
+        for j in range(1, design.shape[-1])
     )
-    return linear_score(coefficients[0], zip(coefficients[1:], columns), design.shape[0])
+    terms = ((coefficients[..., j, None], column) for j, column in enumerate(columns, start=1))
+    return linear_score(coefficients[..., :1], terms, design.shape[:-1])
 
 
-class _ConsequentFit:
-    """One least-squares solve for the consequents of the coded columns of
-    an encoded design.  The prediction is ``base + a @ q``: ``base`` is the
-    intercept plus every uncoded term, and ``a`` holds each coded term's
-    coefficient times the one-hot of its codes, in column order.  ``q`` is
-    the solution from the starting consequents ``q0``; ``solves`` is 0 when
-    ``q0`` is already optimal, else 1."""
+class ConsequentFit:
+    """The least-squares consequents of the coded columns of a block of S
+    encoded designs, stacked: coefficients S x p, design S x n x p,
+    response S x n and codes S x n per coded column.  Each fit's
+    prediction is ``base + a @ q``: ``base`` is the intercept plus every
+    uncoded term, and ``a`` holds each coded term's coefficient times the
+    one-hot of its codes, in column order.  Every fit starts from the same
+    consequents ``q0``.  All of this is built for the block at once;
+    ``solve`` runs one fit's least-squares solve, each on the matrix a
+    lone fit would pass."""
 
     def __init__(self, coefficients, design, y, codes, consequents):
-        n = design.shape[0]
+        splits, n = y.shape
         if n == 0:
             raise DataError("no complete rows to train on")
         uncoded = (
-            (coefficients[j], design[:, j]) for j in range(1, design.shape[1]) if j not in codes
+            (coefficients[:, j, None], design[..., j])
+            for j in range(1, design.shape[-1])
+            if j not in codes
         )
-        self.base = linear_score(coefficients[0], uncoded, n)
-        self.y, self.starts = y, consequents
-        blocks = [coefficients[j] * np.eye(q.size)[codes[j]] for j, q in consequents.items()]
-        self.a = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
-        q0 = np.concatenate(list(consequents.values())) if consequents else np.zeros(0)
-        self.r0 = self.residual(q0)
-        self.gradient_norm0 = self.gradient_norm(self.r0)
+        self.base = linear_score(coefficients[:, :1], uncoded, y.shape)
+        self.y = y
+        # each coded column's slice of q, in column order
+        ends = np.cumsum([0, *(q.size for q in consequents.values())]).tolist()
+        self.slices = {j: slice(lo, hi) for j, lo, hi in zip(consequents, ends, ends[1:])}
+        self.a = np.empty((splits, n, ends[-1]))
+        for j, cut in self.slices.items():
+            onehot = np.eye(cut.stop - cut.start).take(codes[j], axis=0)
+            np.multiply(coefficients[:, j, None, None], onehot, out=self.a[..., cut])
+        q0 = np.concatenate([np.zeros(0), *consequents.values()])
+        self.q = np.tile(q0, (splits, 1))
+        self.r0 = self.base + self.a @ q0 - y
+        self.gradient_norm0 = self.gradient_norms(self.r0)
+
+    def solve(self, s: int) -> int:
+        """Fit ``s``'s minimum-norm correction of ``q0``: the number of
+        solves, 0 when ``q0`` is already optimal, else 1."""
         # a NaN gradient also solves, so non-finite inputs raise NumericalError
-        self.solves = 0 if self.gradient_norm0 < 1e-10 else 1
-        self.q = q0 + min_norm_least_squares(self.a, -self.r0) if self.solves else q0
+        if self.gradient_norm0[s] < 1e-10:
+            return 0
+        self.q[s] += min_norm_least_squares(self.a[s], -self.r0[s])
+        return 1
 
-    def residual(self, params: np.ndarray) -> np.ndarray:
-        return self.base + self.a @ params - self.y
+    def residuals(self) -> np.ndarray:
+        """Each fit's residual at its current consequents."""
+        return self.base + (self.a @ self.q[..., None])[..., 0] - self.y
 
-    def gradient_norm(self, r: np.ndarray) -> float:
-        g = (2.0 / r.size) * (self.a.T @ r)
-        return math.sqrt(g @ g)
+    def gradient_norms(self, r: np.ndarray) -> np.ndarray:
+        """The norm of each fit's MSE gradient at residuals ``r``."""
+        g = (2.0 / r.shape[1]) * (self.a.transpose(0, 2, 1) @ r[..., None])
+        return np.sqrt((g.transpose(0, 2, 1) @ g)[:, 0, 0])
 
     def consequents(self) -> dict[int, np.ndarray]:
-        """``q`` cut into each coded column's consequents."""
-        ends = np.cumsum([start.size for start in self.starts.values()])
-        return dict(zip(self.starts, np.split(self.q, ends[:-1])))
+        """``q`` cut into each coded column's consequents, S x K each."""
+        return {j: self.q[:, cut] for j, cut in self.slices.items()}
+
+    def lookup(self, codes: dict[int, np.ndarray]):
+        """The consequents and codes that ``score`` reads for the first
+        fits of the block, one row of ``codes`` (S' x n each) per fit:
+        ``q`` of every fit end to end, and each fit's codes moved onto
+        its own part of it."""
+        fits = next(iter(codes.values())).shape[0]
+        rows = self.q.shape[1] * np.arange(fits)[:, None]
+        flat = self.q.reshape(-1)
+        moved = {j: codes[j] + (rows + cut.start) for j, cut in self.slices.items()}
+        return dict.fromkeys(moved, flat), moved
 
 
-def fit_consequents(coefficients, design, y, codes, consequents) -> dict[int, np.ndarray]:
-    """The arithmetic of ``train_recalibration`` on an encoded design and
-    its ``coded_columns``: least-squares consequents of every coded column
-    from ``consequents`` as the start.  It returns the consequents only;
-    ``train_recalibration`` alone builds a training record."""
-    return _ConsequentFit(coefficients, design, y, codes, consequents).consequents()
-
-
-def _coefficients(model: LinearModel) -> list[float]:
-    return [model.intercept, *(t.coefficient for t in model.terms)]
+def _coefficients(model: LinearModel) -> np.ndarray:
+    return np.array([model.intercept, *(t.coefficient for t in model.terms)])
 
 
 def train_recalibration(
@@ -234,8 +259,8 @@ def train_recalibration(
     ds: Dataset,
 ) -> tuple[list[Nfa], TrainingTrace]:
     """Least-squares consequents of every unit, solved exactly on the
-    complete rows of ``ds`` by ``fit_consequents``'s solve, returned with
-    its ``TrainingTrace``.
+    complete rows of ``ds`` by ``ConsequentFit`` as a block of one fit,
+    returned with its ``TrainingTrace``.
 
     The prediction is ``base + A @ q`` with ``A = [B_v * onehot(codes_v)
     ...]``: each categorical term's coefficient times the one-hot of its
@@ -260,17 +285,21 @@ def train_recalibration(
     y = response_values(data, model.response)
     design = model_design(model, data)
     codes, starts = coded_columns(design, model.variables, model.codings, nfas)
-    fit = _ConsequentFit(_coefficients(model), design, y, codes, starts)
-    r0, r = fit.r0, fit.residual(fit.q)
+    fit = ConsequentFit(
+        _coefficients(model)[None], design[None], y[None],
+        {j: c[None] for j, c in codes.items()}, starts,
+    )
+    solves = fit.solve(0)
+    r0, r = fit.r0[0], fit.residuals()
     trace = TrainingTrace(
-        epochs=fit.solves,
-        mse_path=(dot(r0, r0) / y.size, dot(r, r) / y.size),
-        initial_gradient_norm=fit.gradient_norm0,
+        epochs=solves,
+        mse_path=(dot(r0, r0) / y.size, dot(r[0], r[0]) / y.size),
+        initial_gradient_norm=float(fit.gradient_norm0[0]),
         converged=True,
-        final_gradient_norm=fit.gradient_norm(r),
+        final_gradient_norm=float(fit.gradient_norms(r)[0]),
     )
     consequents = fit.consequents().values()
-    return [by_var[v].with_consequents(q) for v, q in zip(cat_terms, consequents)], trace
+    return [by_var[v].with_consequents(q[0]) for v, q in zip(cat_terms, consequents)], trace
 
 
 def recalibrated_predict(model: LinearModel, units: list[Nfa], ds: Dataset) -> np.ndarray:

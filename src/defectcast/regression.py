@@ -561,10 +561,11 @@ def model_design(model: LinearModel, ds: Dataset) -> np.ndarray:
     return design
 
 
-def linear_score(intercept: float, terms, rows: int) -> np.ndarray:
+def linear_score(intercept, terms, rows) -> np.ndarray:
     """The linear predictor on ``rows`` rows: ``intercept``, then each
     ``(coefficient, column)`` of ``terms`` added in order.  Every
-    prediction is summed here."""
+    prediction is summed here.  ``rows`` may be a shape, for stacked fits
+    whose intercepts and coefficients broadcast against their columns."""
     total = np.full(rows, intercept)
     for coefficient, column in terms:
         total = total + coefficient * column

@@ -154,6 +154,16 @@ def pivoted_qr_by_scipy(design: np.ndarray):
     return q, r, piv, int(np.count_nonzero(diag > tol))
 
 
+def lapack_by_query(routine, name: str, *args, **kwargs):
+    """``numerics._lapack`` with a ``lwork=-1`` workspace query before
+    every call: the path that the cached workspace size replaced."""
+    query = routine(*args, lwork=-1, **kwargs)
+    out = routine(*args, lwork=int(query[-2][0]), **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal value in {-out[-1]}th argument of internal {name}")
+    return out[:-2]
+
+
 def least_squares_by_scipy(design: np.ndarray, target: np.ndarray):
     """Coefficients and RSS of a full-rank fit, solved on the scipy.linalg
     factor with ``solve_triangular``."""

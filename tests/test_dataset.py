@@ -19,6 +19,7 @@ from defectcast.dataset import (
     load_csv,
     serialize_csv,
     summarize,
+    utf8_fault,
 )
 
 from oracles import load_csv_by_rows, serialize_csv_by_rows
@@ -157,6 +158,31 @@ class TestLoadCsv:
         serialize_csv(ds, buffer)
         again = load_csv(io.StringIO(buffer.getvalue()), schema)
         assert np.array_equal(again.columns["v"], ds.columns["v"])
+
+
+class TestNotUtf8:
+    def test_file_named_with_the_offset_of_the_first_bad_byte(self, tmp_path):
+        # past the first chunk a streaming decoder reads, whose offsets
+        # count from the start of that chunk
+        header, rows = CSV_TEXT.split("\n", 1)
+        raw = (header + "\n" + rows * 2000).encode("utf-8") + b"\xc3("
+        path = tmp_path / "latin.csv"
+        path.write_bytes(raw)
+        for source in (path, str(path)):
+            with pytest.raises(DataError) as err:
+                load_csv(source, SCHEMA)
+            assert str(err.value) == (
+                f"data file {source} is not valid UTF-8: "
+                f"invalid continuation byte at byte {len(raw) - 2}"
+            )
+
+    def test_bytes_leave_the_name_to_the_caller(self):
+        raw = CSV_TEXT.encode("utf-8") + b"\xff"
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(raw, SCHEMA)
+        assert str(utf8_fault(raw, "upload")) == (
+            f"upload is not valid UTF-8: invalid start byte at byte {len(raw) - 1}"
+        )
 
 
 class TestByteOrderMark:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from defectcast import evaluation, recalibration
+from defectcast import evaluation, recalibration, regression
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import Dataset, VariableSpec, serialize_csv
 from defectcast.evaluation import (
@@ -820,3 +820,108 @@ class TestEncodedEvaluationMatchesPerSplitPath:
         got = outcome(cross_validate, ds, plan, 3, 0)
         assert got == outcome(oracles.cross_validate_by_split, ds, plan, 3, 0)
         assert got == ("DataError", expected)
+
+
+# ---------------------------------------------------------------------------
+# the block loop
+# ---------------------------------------------------------------------------
+
+
+def _recording_blocks(monkeypatch):
+    """Record the number of splits in each block ``_experiment`` runs."""
+    sizes = []
+    original = evaluation._block_rows
+
+    def wrapper(block, *args):
+        sizes.append(len(block))
+        return original(block, *args)
+
+    monkeypatch.setattr(evaluation, "_block_rows", wrapper)
+    return sizes
+
+
+class TestBlockLoop:
+    """Runs of equal-sized splits are scored as stacked blocks; each case
+    equals the per-split path in ``oracles``."""
+
+    def test_kfold_with_two_fold_sizes(self, monkeypatch):
+        # 23 rows in 4 folds: test folds of 6, 6, 6 and 5 rows
+        n, k, seed = 23, 4, 5
+        ds = mixed_dataset(n, 3, "ln")
+        sizes = _recording_blocks(monkeypatch)
+        for refit in (True, False):
+            plan = mixed_plan(("x", "b", "c"), "ln", refit_regression=refit)
+            got = outcome(cross_validate, ds, plan, k, seed)
+            assert isinstance(got, dict)
+            assert got == outcome(oracles.cross_validate_by_split, ds, plan, k, seed)
+        assert sizes == [3, 1, 3, 1]
+
+    def test_more_splits_than_one_block_holds(self, monkeypatch):
+        ds = mixed_dataset(30, 6, "ln")
+        # 21 training rows of an intercept, x and c: three splits a block
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 3 * 21 * 3)
+        sizes = _recording_blocks(monkeypatch)
+        for recalibrate in (True, False):
+            plan = mixed_plan(("x", "c"), "ln", recalibrate=recalibrate)
+            args = (ds, plan, 0.7, 10, 11)
+            got = outcome(random_split_experiment, *args)
+            assert isinstance(got, dict)
+            assert got == outcome(oracles.random_split_by_split, *args)
+        assert sizes == [3, 3, 3, 1] * 2
+
+    @pytest.mark.parametrize("overflowing, collinear", [(0, 1), (1, 0)])
+    def test_first_faulty_split_of_a_block_raises(self, monkeypatch, overflowing, collinear):
+        """One repetition's count overflows and the other's fit is
+        collinear, in one block: the earlier repetition's fault is raised."""
+        n, fraction, seed = 24, 0.75, 3
+        master = RandomStream(seed)
+        tests = [master.split(r).permutation(n)[18:].tolist() for r in range(2)]
+        # 'b' is 'yes' only on rows that the collinear repetition tests and
+        # the other trains on, so only the collinear one trains on a
+        # constant 'b'
+        yes = [i for i in tests[collinear] if i not in tests[overflowing]][:2]
+        ds = mixed_dataset(n, 1, "ln", b_yes=yes)
+        x = ds.columns["x"].copy()
+        x[tests[overflowing][0]] = 1e6  # a prediction of about 5e5 on the ln scale
+        ds = Dataset(ds.schema, {**ds.columns, "x": x})
+        sizes = _recording_blocks(monkeypatch)
+        plan = mixed_plan(("x", "b", "c"), "ln")
+        args = (ds, plan, fraction, 2, seed)
+        got = outcome(random_split_experiment, *args)
+        assert sizes == [2]
+        assert got == outcome(oracles.random_split_by_split, *args)
+        if overflowing == 0:
+            assert got[0] == "NumericalError"
+            assert got[1].startswith("back-transform overflows: model-scale value ")
+        else:
+            assert got == (
+                "DataError",
+                "repetition 1: collinear design: 'b' is linearly dependent on the other terms",
+            )
+
+    def test_counts_and_solves_do_not_grow_per_split(self, monkeypatch):
+        """Counts are made once per block, and one OLS solve runs per
+        split."""
+        ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
+        plan = standard_plan(ds)
+        calls = {"raw_counts": 0, "solve_least_squares": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(evaluation, "raw_counts")
+        counted(regression, "solve_least_squares")
+        per_repetitions = {}
+        for repetitions in (5, 50):
+            calls.update(raw_counts=0, solve_least_squares=0)
+            random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
+            per_repetitions[repetitions] = dict(calls)
+        assert per_repetitions[5]["raw_counts"] == per_repetitions[50]["raw_counts"]
+        assert per_repetitions[5]["solve_least_squares"] == 5
+        assert per_repetitions[50]["solve_least_squares"] == 50

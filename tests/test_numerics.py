@@ -80,6 +80,16 @@ class TestRandomStream:
                     # both took the same number of draws
                     assert ours.uniforms(1) == reference.uniforms(1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 500])
+    def test_split_permutations_are_the_childrens(self, n):
+        for seed in (0, 13, 20260822, 2**64 - 1):
+            for count in (0, 1, 7):
+                got = RandomStream(seed).split_permutations(count, n)
+                assert got.shape == (count, n) and got.dtype == np.int_
+                for i, row in enumerate(got):
+                    want = oracles.permutation_by_swap_loop(RandomStream(seed).split(i), n)
+                    np.testing.assert_array_equal(row, want)
+
     def test_split_streams_are_distinct(self):
         parent = RandomStream(77)
         childs = [parent.split(i).uniforms(50) for i in range(4)]
@@ -259,6 +269,69 @@ def test_lapack_route_matches_scipy_wrappers_bit_for_bit(case):
     assert _same_bits(sol.coefficients, coef)
     assert sol.residual_sum_squares == rss
     assert _same_bits(unscaled_covariance(sol), oracles.unscaled_covariance_by_refactoring(x))
+
+
+@st.composite
+def _workspace_cases(draw):
+    """A tall, wide, 1 x 1 or rank-deficient design of up to 60 rows and 8
+    columns, with a target."""
+    kind = draw(st.sampled_from(["tall", "wide", "1x1", "rank deficient"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "1x1":
+        m = n = 1
+    elif kind == "wide":
+        m = draw(st.integers(1, 7))
+        n = draw(st.integers(m + 1, 8))
+    else:
+        n = draw(st.integers(1, 8))
+        m = draw(st.integers(n, 60))
+    x = rng.normal(size=(m, n))
+    if kind == "rank deficient" and n >= 2:
+        x[:, -1] = x[:, 0] * rng.choice([1.0, -2.5])
+    return x, rng.normal(size=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_workspace_cases())
+def test_cached_workspace_gives_the_query_path_bits(case):
+    """One workspace query per routine and argument shapes gives every
+    factor and solution of a query before each call, to the last bit."""
+    from unittest import mock
+
+    x, y = case
+
+    def solutions():
+        outs = list(numerics._pivoted_qr(x))
+        outs.append(min_norm_least_squares(x, y))
+        try:
+            outs.append(solve_least_squares(x, y).coefficients)
+        except NumericalError as err:
+            outs.append(str(err))
+        return outs
+
+    # twice, so the second takes the workspace sizes of the first
+    got, again = solutions(), solutions()
+    with mock.patch.object(numerics, "_lapack", oracles.lapack_by_query):
+        want = solutions()
+    for g, a, w in zip(got, again, want):
+        if isinstance(w, str):
+            assert g == a == w
+        else:
+            assert _same_bits(g, w) and _same_bits(a, w)
+
+
+def test_workspace_query_runs_once_per_shape():
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["lwork"])
+        return numerics._dgeqp3(*args, **kwargs)
+
+    for shape in [(5, 3), (5, 3), (7, 3), (5, 3)]:
+        numerics._lapack(counted, "geqp3", np.ones(shape))
+    # a query (lwork=-1) for each of the two shapes, then the four calls
+    assert calls.count(-1) == 2
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize(

@@ -927,6 +927,24 @@ class TestCli:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [8, 8000])
+    @pytest.mark.parametrize("stage", [None, "prepare"])
+    def test_csv_not_utf8_exit_two_names_file_and_byte(self, tmp_path, capsys, rows, stage):
+        # a byte 0xff after the rows: the header check decodes the first
+        # chunk of the file and load_csv the rest, and either way the
+        # offset counts from the start of the file
+        body = CSV_TEXT.split("\n", 1)[1] * (rows // 8)
+        raw = (CSV_TEXT.split("\n", 1)[0] + "\n" + body).encode("utf-8") + b"x\xff"
+        data = tmp_path / "proj.csv"
+        data.write_bytes(raw)
+        path = write_config(tmp_path, csv_config(data))
+        args = ["--config", str(path), "--out", str(tmp_path / "out")]
+        code = main(args + (["--stage", stage] if stage else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data file {data} is not valid UTF-8" in err
+        assert f"at byte {len(raw) - 1}" in err
+
     def test_csv_pipeline_end_to_end(self, tmp_path, capsys):
         data = tmp_path / "proj.csv"
         data.write_text(CSV_TEXT, encoding="utf-8")

@@ -664,16 +664,19 @@ class TestAnchorLookup:
             assert np.array_equal(
                 consequents[j][c], oracles.unit_outputs_by_strengths(unit, design[:, j])
             )
-        # the training design, here against the x column as a target: each
-        # coefficient times the one-hot of the codes has the bits of that
-        # coefficient times the firing strengths
-        coefficients = [model.intercept, *(t.coefficient for t in model.terms)]
-        fit = recalibration._ConsequentFit(coefficients, design, design[:, 1], codes, consequents)
+        # the training design of a block of one fit, here against the x
+        # column as a target: each coefficient times the one-hot of the
+        # codes has the bits of that coefficient times the firing strengths
+        coefficients = np.array([model.intercept, *(t.coefficient for t in model.terms)])
+        fit = recalibration.ConsequentFit(
+            coefficients[None], design[None], design[None, :, 1],
+            {j: c[None] for j, c in codes.items()}, consequents,
+        )
         blocks = [
             coefficients[j] * recalibration.firing_strengths(u, design[:, j])
             for j, u in zip(codes, units)
         ]
-        assert np.array_equal(fit.a, np.hstack(blocks))
+        assert np.array_equal(fit.a[0], np.hstack(blocks))
         predicted = recalibrated_predict(model, units, ds)
         for i in range(ds.row_count):
             row = {"x": float(ds.columns["x"][i])}
