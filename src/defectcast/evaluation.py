@@ -17,12 +17,13 @@ training-design cells.  Random splits all have one size, and k-fold sizes
 never grow from fold to fold, so the blocks keep split order.  A block
 gathers its rows once into stacked arrays.  Only the two least-squares
 solves run split by split, in split order: the plain OLS coefficients (no
-inference) and the consequent solve of ``ConsequentFit``.  Its other
-arithmetic, the scoring of the test rows with and without the units, the
-counts, the actuals check and the metrics run once per block.  Rows are
-gathered before any product, elementwise arithmetic does not depend on
-the stacking, and each LAPACK call sees the matrix a lone split would
-pass, so the report bytes match those of each split's own table.
+inference) and the consequent solve of ``ConsequentFit``.  One
+``linear_score`` call scores the test designs with and without the units'
+outputs, and the counts, the actuals check and the metrics run once per
+block too.  Rows are gathered before any product, elementwise arithmetic
+does not depend on the stacking, and each LAPACK call sees the matrix a
+lone split would pass, so the report bytes match those of each split's
+own table.
 
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic
@@ -42,8 +43,8 @@ import numpy as np
 from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, VariableSpec, listwise_complete
 from .numerics import RandomStream
-from .recalibration import ConsequentFit, coded_columns, score, units_for
-from .regression import design_columns, ols_coefficients, response_values
+from .recalibration import ConsequentFit, coded_columns, units_for, with_unit_outputs
+from .regression import design_columns, linear_score, ols_coefficients, response_values
 from .transform import apply_schema_transforms, compute_vaf
 
 __all__ = [
@@ -438,15 +439,16 @@ def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
     if not limit:
         return fault
 
-    coef = coef[:limit]
     test = np.array([split[3] for split in block[:limit]])
     design = enc.design.take(test, axis=0)
-    codes = {j: c.take(test) for j, c in enc.codes.items()}
-    consequents = enc.anchors
-    if plan.recalibrate and codes:
-        consequents, codes = fit.lookup(codes)
+    # the identity consequents are the anchors, which equal the design values
+    recal = design
+    if plan.recalibrate and enc.codes:
+        codes = {j: c.take(test) for j, c in enc.codes.items()}
+        consequents = {j: q[:limit] for j, q in fit.consequents().items()}
+        recal = with_unit_outputs(design, codes, consequents)
     # base then recalibrated scores of each split, so counts overflow in split order
-    scores = np.stack((score(coef, design), score(coef, design, codes, consequents)), axis=1)
+    scores = linear_score(coef[:limit, None], np.stack((design, recal), axis=1))
     t = test.shape[1]
     try:
         counts = raw_counts(scores.reshape(-1), plan.response_transform)

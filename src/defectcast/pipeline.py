@@ -461,6 +461,13 @@ class _Run:
     data_sha256: str | None = None
     data: bytes | None = None
 
+    def __post_init__(self):
+        # a run that cannot write stops before it removes or writes anything
+        out = self.out_dir
+        path = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not path.is_dir():
+            raise ConfigError(f"output path {str(path)!r} is not a directory")
+
     @property
     def out_dir(self) -> Path:
         return Path(self.cfg.output_dir)

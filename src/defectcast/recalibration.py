@@ -11,11 +11,14 @@ Consequents start as the anchors, so an untrained unit is the identity.
 Training re-estimates the category values with the model's coefficients
 fixed: the prediction is linear in the consequents, so it is one exact
 least-squares solve.  ``coded_columns`` turns a design into each coded
-column's anchor codes; scoring and training work on those arrays.
+column's anchor codes; training works on those arrays.
 ``ConsequentFit`` is the one training arithmetic, on stacked blocks of
 fits: ``evaluation`` passes a block of resampling splits, and
-``train_recalibration`` a block of one.  A unit is written out through
-``Nfa.to_dict``; nothing parses one back.
+``train_recalibration`` a block of one.  Units have no scoring of their
+own: ``with_unit_outputs`` writes their outputs over the coded columns of
+a copy of the design, which ``regression.linear_score`` then scores like
+any other.  A unit is written out through ``Nfa.to_dict``; nothing parses
+one back.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
 from .numerics import dot, min_norm_least_squares
-from .regression import LinearModel, linear_score, model_design, response_values
+from .regression import (
+    LinearModel, linear_score, model_coefficients, model_design, response_values,
+)
 
 __all__ = [
     "Nfa",
@@ -165,20 +170,15 @@ def coded_columns(
     return codes, consequents
 
 
-def score(coefficients, design: np.ndarray, codes=None, consequents=None) -> np.ndarray:
-    """The ``linear_score`` of an encoded design: ``coefficients[0]``, then
-    each term's coefficient times its column, in column order.  A coded
-    column is replaced by its unit's output, the consequent at each row's
-    anchor code.  Stacked fits score alike: coefficients S x p and design
-    S x n x p, with codes S x n into each coded column's consequents of
-    all S fits end to end, each fit's codes moved onto its own."""
-    codes = codes or {}
-    columns = (
-        consequents[j].take(codes[j]) if j in codes else design[..., j]
-        for j in range(1, design.shape[-1])
-    )
-    terms = ((coefficients[..., j, None], column) for j, column in enumerate(columns, start=1))
-    return linear_score(coefficients[..., :1], terms, design.shape[:-1])
+def with_unit_outputs(design: np.ndarray, codes, consequents) -> np.ndarray:
+    """A copy of ``design`` whose coded columns hold their units' outputs:
+    in column ``j``, the consequent of ``consequents[j]`` at each row's
+    code of ``codes[j]``.  Stacked fits work alike: design S x n x p,
+    codes S x n and consequents S x K, each fit reading its own."""
+    out = design.copy()
+    for j, c in codes.items():
+        out[..., j] = np.take_along_axis(consequents[j], c, axis=-1)
+    return out
 
 
 class ConsequentFit:
@@ -190,18 +190,15 @@ class ConsequentFit:
     one-hot of its codes, in column order.  Every fit starts from the same
     consequents ``q0``.  All of this is built for the block at once;
     ``solve`` runs one fit's least-squares solve, each on the matrix a
-    lone fit would pass."""
+    lone fit would pass, and ``consequents`` hands each fit's consequents
+    to ``with_unit_outputs``."""
 
     def __init__(self, coefficients, design, y, codes, consequents):
         splits, n = y.shape
         if n == 0:
             raise DataError("no complete rows to train on")
-        uncoded = (
-            (coefficients[:, j, None], design[..., j])
-            for j in range(1, design.shape[-1])
-            if j not in codes
-        )
-        self.base = linear_score(coefficients[:, :1], uncoded, y.shape)
+        keep = [j for j in range(design.shape[-1]) if j not in codes]
+        self.base = linear_score(coefficients[:, keep], design[..., keep])
         self.y = y
         # each coded column's slice of q, in column order
         ends = np.cumsum([0, *(q.size for q in consequents.values())]).tolist()
@@ -237,21 +234,6 @@ class ConsequentFit:
         """``q`` cut into each coded column's consequents, S x K each."""
         return {j: self.q[:, cut] for j, cut in self.slices.items()}
 
-    def lookup(self, codes: dict[int, np.ndarray]):
-        """The consequents and codes that ``score`` reads for the first
-        fits of the block, one row of ``codes`` (S' x n each) per fit:
-        ``q`` of every fit end to end, and each fit's codes moved onto
-        its own part of it."""
-        fits = next(iter(codes.values())).shape[0]
-        rows = self.q.shape[1] * np.arange(fits)[:, None]
-        flat = self.q.reshape(-1)
-        moved = {j: codes[j] + (rows + cut.start) for j, cut in self.slices.items()}
-        return dict.fromkeys(moved, flat), moved
-
-
-def _coefficients(model: LinearModel) -> np.ndarray:
-    return np.array([model.intercept, *(t.coefficient for t in model.terms)])
-
 
 def train_recalibration(
     model: LinearModel,
@@ -286,7 +268,7 @@ def train_recalibration(
     design = model_design(model, data)
     codes, starts = coded_columns(design, model.variables, model.codings, nfas)
     fit = ConsequentFit(
-        _coefficients(model)[None], design[None], y[None],
+        model_coefficients(model)[None], design[None], y[None],
         {j: c[None] for j, c in codes.items()}, starts,
     )
     solves = fit.solve(0)
@@ -305,7 +287,8 @@ def train_recalibration(
 def recalibrated_predict(model: LinearModel, units: list[Nfa], ds: Dataset) -> np.ndarray:
     """The model's prediction for every row of ``ds``, on the model scale,
     with each label's value replaced by its unit's consequent: the
-    ``model_design``, its ``coded_columns`` and their ``score``.
+    ``linear_score`` of the ``model_design`` with its ``coded_columns``
+    written over by ``with_unit_outputs``.
 
     Untrained units change nothing, so with them this equals
     ``regression.model_predict``.  Labels are valued by the model's
@@ -314,4 +297,4 @@ def recalibrated_predict(model: LinearModel, units: list[Nfa], ds: Dataset) -> n
     """
     design = model_design(model, ds)
     codes, consequents = coded_columns(design, model.variables, model.codings, units)
-    return score(_coefficients(model), design, codes, consequents)
+    return linear_score(model_coefficients(model), with_unit_outputs(design, codes, consequents))

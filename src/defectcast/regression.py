@@ -9,11 +9,12 @@ of the quantifications until R^2 stops improving; ordinal variables are
 projected monotone by pool-adjacent-violators inside each pass.
 
 A fitted ``LinearModel`` records each categorical term's label to number
-mapping in ``codings``, and scoring reads no other: ``model_predict`` sums
-a model's ``model_design`` through ``linear_score``, the one loop that sums
-a linear predictor, on whole tables; ``recalibration`` scores through the
-same two.  Predictions stay on the model scale (the response as fitted);
-``evaluation.raw_counts`` is the one way from there to counts.
+mapping in ``codings``, and scoring reads no other.  ``linear_score`` is
+the one predictor, for one fit or a stack of them: ``model_predict`` is
+the ``linear_score`` of a model's ``model_design``, and ``recalibration``
+and ``evaluation`` score through it too.  Predictions stay on the model
+scale (the response as fitted); ``evaluation.raw_counts`` is the one way
+from there to counts.
 """
 
 from __future__ import annotations
@@ -561,20 +562,24 @@ def model_design(model: LinearModel, ds: Dataset) -> np.ndarray:
     return design
 
 
-def linear_score(intercept, terms, rows) -> np.ndarray:
-    """The linear predictor on ``rows`` rows: ``intercept``, then each
-    ``(coefficient, column)`` of ``terms`` added in order.  Every
-    prediction is summed here.  ``rows`` may be a shape, for stacked fits
-    whose intercepts and coefficients broadcast against their columns."""
-    total = np.full(rows, intercept)
-    for coefficient, column in terms:
-        total = total + coefficient * column
+def model_coefficients(model: LinearModel) -> np.ndarray:
+    """The model's coefficient vector: the intercept, then each term's
+    coefficient, in the order of its ``model_design`` columns."""
+    return np.array([model.intercept, *(t.coefficient for t in model.terms)])
+
+
+def linear_score(coefficients: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """The linear predictor of each row of ``design``: ``coefficients[0]``,
+    then each term's coefficient times its column added in column order.
+    Every prediction is summed here.  Stacked fits score alike:
+    coefficients ``... x p`` and design ``... x n x p``."""
+    total = np.full(design.shape[:-1], coefficients[..., :1])
+    for j in range(1, design.shape[-1]):
+        total = total + coefficients[..., j, None] * design[..., j]
     return total
 
 
 def model_predict(model: LinearModel, ds: Dataset) -> np.ndarray:
     """The model's prediction for every row of ``ds``, on the model scale:
-    its ``model_design``, summed by ``linear_score``."""
-    design = model_design(model, ds)
-    terms = ((t.coefficient, design[:, j]) for j, t in enumerate(model.terms, start=1))
-    return linear_score(model.intercept, terms, ds.row_count)
+    the ``linear_score`` of its ``model_design``."""
+    return linear_score(model_coefficients(model), model_design(model, ds))

@@ -900,11 +900,11 @@ class TestBlockLoop:
             )
 
     def test_counts_and_solves_do_not_grow_per_split(self, monkeypatch):
-        """Counts are made once per block, and one OLS solve runs per
-        split."""
+        """Counts are made and scores summed once per block, and one OLS
+        solve runs per split."""
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
         plan = standard_plan(ds)
-        calls = {"raw_counts": 0, "solve_least_squares": 0}
+        calls = {"raw_counts": 0, "solve_least_squares": 0, "linear_score": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -917,11 +917,15 @@ class TestBlockLoop:
 
         counted(evaluation, "raw_counts")
         counted(regression, "solve_least_squares")
+        # every binding of regression.linear_score that the loop reaches
+        counted(evaluation, "linear_score")
+        counted(recalibration, "linear_score")
         per_repetitions = {}
         for repetitions in (5, 50):
-            calls.update(raw_counts=0, solve_least_squares=0)
+            calls.update(dict.fromkeys(calls, 0))
             random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
             per_repetitions[repetitions] = dict(calls)
         assert per_repetitions[5]["raw_counts"] == per_repetitions[50]["raw_counts"]
+        assert per_repetitions[5]["linear_score"] == per_repetitions[50]["linear_score"] > 0
         assert per_repetitions[5]["solve_least_squares"] == 5
         assert per_repetitions[50]["solve_least_squares"] == 50

@@ -1332,6 +1332,22 @@ class TestOutputDirectory:
         assert main(argv[:-3] + ["tree", "--seed", "7"]) == 0
         assert (out / "prepared.csv").is_file() and (out / "tree.txt").is_file()
 
+    @pytest.mark.parametrize("stage", [None, "prepare"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, stage, below):
+        # --out naming a file, or a directory under one, once raised
+        # NotADirectoryError (whole run) or FileExistsError (a stage)
+        path = write_config(tmp_path, small_config())
+        blocker = tmp_path / "afile"
+        blocker.write_text("mine", encoding="utf-8")
+        out = blocker / "sub" if below else blocker
+        argv = ["--config", str(path), "--out", str(out)]
+        assert main(argv + (["--stage", stage] if stage else [])) == 1
+        assert capsys.readouterr().err == (
+            f"defectcast: output path {str(blocker)!r} is not a directory\n"
+        )
+        assert blocker.read_text(encoding="utf-8") == "mine"
+
     def test_other_files_left_alone(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

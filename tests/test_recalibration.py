@@ -21,7 +21,9 @@ from defectcast.recalibration import (
     train_recalibration,
     units_for,
 )
-from defectcast.regression import LinearModel, ModelTerm, model_design, model_predict, ols_fit
+from defectcast.regression import (
+    LinearModel, ModelTerm, linear_score, model_design, model_predict, ols_fit,
+)
 
 import oracles
 from test_regression import make_dataset, numeric_schema, rows_table
@@ -682,6 +684,29 @@ class TestAnchorLookup:
             row = {"x": float(ds.columns["x"][i])}
             row.update({v: ds.spec(v).categories[ds.columns[v][i]] for v in ("g", "h")})
             assert predicted[i] == oracles.one_row_prediction(model, row, nfas=units)
+        # a block of three fits with their own consequents and row orders,
+        # stacked: each fit's scores have the bits of its lone prediction
+        fits = [
+            units,
+            [u.with_consequents(u.consequents[::-1]) for u in units],
+            [u.with_consequents(np.array(u.consequents) * 0.5 - 1.0) for u in units],
+        ]
+        orders = np.array([
+            np.arange(ds.row_count), np.arange(ds.row_count)[::-1],
+            np.roll(np.arange(ds.row_count), 1),
+        ])
+        stacked = {
+            j: np.array([fit_units[i].consequents for fit_units in fits])
+            for i, j in enumerate(codes)
+        }
+        scores = linear_score(
+            np.tile(coefficients, (len(fits), 1)),
+            recalibration.with_unit_outputs(
+                design.take(orders, axis=0), {j: c.take(orders) for j, c in codes.items()}, stacked
+            ),
+        )
+        for fit_units, order, got in zip(fits, orders, scores):
+            assert np.array_equal(got, recalibrated_predict(model, fit_units, ds).take(order))
 
     def test_numeric_input_off_the_anchors_raises(self):
         model, nfas, ds, _ = _training_setup()
