@@ -15,9 +15,10 @@ It then walks the splits in blocks: runs of consecutive splits with the
 same train and test sizes, each cut to at most ``_BLOCK_CELLS`` gathered
 training-design cells.  Random splits all have one size, and k-fold sizes
 never grow from fold to fold, so the blocks keep split order.  A block
-gathers its rows once into stacked arrays.  Only the two least-squares
-solves run split by split, in split order: the plain OLS coefficients (no
-inference) and the consequent solve of ``ConsequentFit``.  One
+gathers its rows once into stacked arrays.  The two least-squares solves,
+the plain OLS coefficients (no inference) and the consequent solve of
+``ConsequentFit``, each run once per block on the stacked designs; the
+solvers in ``numerics`` still factor each split's matrix on its own.  One
 ``linear_score`` call scores the test designs with and without the units'
 outputs, and the counts, the actuals check and the metrics run once per
 block too.  Rows are gathered before any product, elementwise arithmetic
@@ -399,6 +400,18 @@ def _blocks(splits, columns: int):
         yield block
 
 
+def _solved(solve, count: int, contexts):
+    """``solve(count)`` for the first ``count`` splits of a block, with
+    ``count`` and no fault.  When split ``i`` of them faults first, it is
+    ``solve(i)`` (None for i = 0) with ``i`` and that fault in the split's
+    context instead: the splits before a fault are still scored."""
+    try:
+        return solve(count), count, None
+    except (DataError, NumericalError) as err:
+        index = getattr(err, "index", 0)
+        return (solve(index) if index else None), index, DataError(f"{contexts[index]}: {err}")
+
+
 def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
     """Append the report rows of a block of splits to ``rows``, up to the
     first faulty split, and return that split's fault (None if there is
@@ -407,35 +420,35 @@ def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
     Each split fits OLS on its train rows (unless ``fixed`` coefficients
     are given), recalibrates on them, and scores its test rows with and
     without the units; a fit or consequent fault carries the split's
-    context.  Fault order is split order, and within a split: fit,
-    consequent fit, count overflow, then actuals.  Solving stops at the
-    first fit or consequent fault; the splits before it are still scored,
-    as one of them may fault first."""
+    context.  Each solve runs for the block in one stacked call.  Fault
+    order is split order, and within a split: fit, consequent fit, count
+    overflow, then actuals.  A fit or consequent fault re-solves the splits
+    before it, which are still scored, as one of them may fault first."""
     contexts = [split[1] for split in block]
     train = np.array([split[2] for split in block])
     train_design, train_y = enc.design.take(train, axis=0), enc.y.take(train)
     limit, fault = len(block), None
     if fixed is None:
-        coef = np.empty((limit, enc.design.shape[1]))
-        for s in range(limit):
-            try:
-                coef[s] = _coefficients(train_design[s], train_y[s], plan)
-            except (DataError, NumericalError) as err:
-                limit, fault = s, DataError(f"{contexts[s]}: {err}")
-                break
+        coef, limit, fault = _solved(
+            lambda count: _coefficients(train_design[:count], train_y[:count], plan),
+            limit, contexts,
+        )
     else:
         coef = np.broadcast_to(fixed, (limit, fixed.size))
     if plan.recalibrate and limit:
-        s = 0
-        try:
+        train_codes = {j: c.take(train) for j, c in enc.codes.items()}
+
+        def recalibrated(count: int) -> ConsequentFit:
             fit = ConsequentFit(
-                coef[:limit], train_design[:limit], train_y[:limit],
-                {j: c.take(train[:limit]) for j, c in enc.codes.items()}, enc.anchors,
+                coef[:count], train_design[:count], train_y[:count],
+                {j: c[:count] for j, c in train_codes.items()}, enc.anchors,
             )
-            for s in range(limit):
-                fit.solve(s)
-        except (DataError, NumericalError) as err:
-            limit, fault = s, DataError(f"{contexts[s]}: {err}")
+            fit.solve()
+            return fit
+
+        # a consequent fault comes before any fit fault, which lies past limit
+        fit, limit, consequent_fault = _solved(recalibrated, limit, contexts)
+        fault = consequent_fault or fault
     if not limit:
         return fault
 

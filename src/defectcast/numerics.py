@@ -12,6 +12,17 @@ and Bischof (SIAM J. Sci. Comput. 19(5), 1998).  Both solvers run one shared
 input check: a 2-d design, a 1-d target with one entry per design row, and
 finite values, else NumericalError.
 
+Both solvers also take a stack of S designs (S x n x p) and targets
+(S x n), and a 2-d call is a stack of one through the same body.  A stack
+runs the checks and the workspace lookups once, and takes the triangles,
+diagonals, rank cutoffs and pivots of all its factors at once.  Each
+matrix keeps its own ``dgeqp3``/``dorgqr``/``dtrtrs`` calls, and every
+product over its n rows (``Q[:, :rank].T @ y``, ``z @ w``, the residual)
+stays a 2-d product of that one matrix.  So each LAPACK and BLAS call sees
+the operands a lone solve would pass, and a stacked solution has the bits
+of its matrix solved alone.  A stack raises the fault of its first faulty
+matrix, with that matrix's stack index in ``index``.
+
 The t and F CDFs are scipy.special's ``stdtr`` and ``fdtr``, the Cephes
 routines (Moshier, *Methods and Programs for Mathematical Functions*, 1989).
 Callers form a p-value as a tail through them -- ``2 * t_cdf(-|t|, df)`` and
@@ -224,10 +235,13 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
-    """A full-rank fit and its factor: ``design[:, piv] = Q @ r``."""
+    """A full-rank fit and its factor: ``design[:, piv] = Q @ r``.  The fit
+    of a stack of S designs has a leading axis of S on every field but
+    ``rank``: coefficients S x p, one residual sum of squares per design,
+    and each design's ``r`` and ``piv``."""
 
     coefficients: np.ndarray
-    residual_sum_squares: float
+    residual_sum_squares: float | np.ndarray
     rank: int
     r: np.ndarray
     piv: np.ndarray
@@ -249,40 +263,59 @@ def _workspace(routine, shapes: tuple[tuple[int, ...], ...]) -> int:
     return int(query[-2][0])
 
 
-def _lapack(routine, name: str, *args, **kwargs):
-    """``routine``'s outputs before ``work`` and ``info``, run with the
-    workspace size a query returns for the shapes of ``args``.  A negative
-    ``info`` (an illegal argument) raises ValueError."""
-    lwork = _workspace(routine, tuple(arg.shape for arg in args))
+def _lapack(routine, name: str, lwork: int, *args, **kwargs):
+    """``routine``'s outputs before ``work`` and ``info``, run with a
+    workspace of ``lwork``.  A negative ``info`` (an illegal argument)
+    raises ValueError."""
     out = routine(*args, lwork=lwork, **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal value in {-out[-1]}th argument of internal {name}")
     return out[:-2]
 
 
-def _pivoted_qr(design: np.ndarray):
-    """Economic column-pivoted QR, ``design[:, piv] = q @ r`` with 0-based
-    ``piv``, and the numerical rank.  A size-0 design gets empty factors
+@lru_cache(maxsize=_WORKSPACE_SHAPES)
+def _below_diagonal(k: int, p: int) -> np.ndarray:
+    """The read-only k x p mask of the entries below the diagonal."""
+    mask = np.tri(k, p, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _pivoted_qr(designs: np.ndarray):
+    """Economic column-pivoted QR of each design of a stack (S x n x p),
+    ``designs[s][:, piv[s]] = q[s] @ r[s]`` with 0-based ``piv``, and each
+    design's numerical rank.  ``q`` holds each design's n x k factor as
+    LAPACK returns it, k = min(n, p); ``r`` is S x k x p, ``piv`` S x p
+    and ``rank`` a list of S ints.  Size-0 designs get empty factors
     without a LAPACK call.
 
-    ``r`` has ``np.triu``'s bytes and C order: ``_solve_upper`` picks its
-    ``dtrtrs`` arguments by memory order."""
-    n, p = design.shape
+    Each design gets its own ``dgeqp3`` and ``dorgqr`` calls; the
+    triangles, the diagonals and the rank cutoff are taken for the whole
+    stack.  Each ``r[s]`` has ``np.triu``'s bytes and C order:
+    ``_solve_upper`` picks its ``dtrtrs`` arguments by memory order."""
+    stack, n, p = designs.shape
     k = min(n, p)
-    if design.size == 0:
-        q, r, piv = np.empty((n, k)), np.empty((k, p)), np.arange(p, dtype=np.int32)
-    else:
-        qr, piv, tau = _lapack(_dgeqp3, "geqp3", design)
-        piv -= 1
+    if not (stack and k):
+        q = [np.empty((n, k)) for _ in range(stack)]
+        piv = np.tile(np.arange(p, dtype=np.int32), (stack, 1))
+        return q, np.empty((stack, k, p)), piv, [0] * stack
+    # the designs share their shapes, so each routine's workspace size
+    # comes from one lookup
+    geqp3 = _workspace(_dgeqp3, ((n, p),))
+    orgqr = _workspace(_dorgqr, ((n, k), (k,)))
+    r = np.empty((stack, k, p))
+    piv = np.empty((stack, p), dtype=np.int32)
+    q = []
+    for s, design in enumerate(designs):
+        qr, piv[s], tau = _lapack(_dgeqp3, "geqp3", geqp3, design)
         # r is copied out before dorgqr overwrites qr with q
-        r = qr[:k].copy()
-        for i in range(1, k):
-            r[i, :i] = 0.0
-        (q,) = _lapack(_dorgqr, "gorgqr/gungqr", qr[:, :k], tau, overwrite_a=1)
-    diag = abs(r.diagonal())
-    tol = max(n, p) * _EPS * diag[0] if k else 0.0
-    rank = int(np.count_nonzero(diag > tol))
-    return q, r, piv, rank
+        r[s] = qr[:k]
+        q.append(_lapack(_dorgqr, "gorgqr/gungqr", orgqr, qr[:, :k], tau, overwrite_a=1)[0])
+    piv -= 1
+    np.copyto(r, 0.0, where=_below_diagonal(k, p))
+    diag = abs(r.diagonal(0, 1, 2))
+    rank = np.add.reduce(diag > max(n, p) * _EPS * diag[:, :1], axis=1)
+    return q, r, piv, rank.tolist()
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -302,65 +335,102 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _checked_inputs(design, target) -> tuple[np.ndarray, np.ndarray]:
-    """Both solvers' input check: a finite 2-d float design and a finite
-    1-d float target with one entry per design row, else NumericalError."""
+def _fault(message: str, index: int = 0) -> NumericalError:
+    """A solver's NumericalError about the design of this stack index."""
+    err = NumericalError(message)
+    err.index = index
+    return err
+
+
+def _checked_inputs(design, target) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Both solvers' input check: a 2-d float design and a 1-d float target
+    with one entry per design row, or stacks of S of them (S x n x p and
+    S x n), else NumericalError.  Returns the stacks, one design being a
+    stack of one, whether it was one, and how many leading designs have
+    only finite values in design and target."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
-    if x.ndim != 2 or y.ndim != 1:
-        raise NumericalError("design must be 2-d and target 1-d")
-    if y.shape[0] != x.shape[0]:
-        raise NumericalError("design and target row counts differ")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NumericalError("non-finite values in least-squares inputs")
-    return x, y
+    single = x.ndim == 2 and y.ndim == 1
+    if single:
+        x, y = x[None], y[None]
+    if x.ndim != 3 or y.ndim != 2:
+        raise _fault("design must be 2-d and target 1-d, or stacks of them")
+    if y.shape != x.shape[:2]:
+        raise _fault("design and target row counts differ")
+    if np.isfinite(x).all() and np.isfinite(y).all():
+        return x, y, single, len(x)
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    return x, y, single, int(finite.argmin())
 
 
 def solve_least_squares(design, target) -> LeastSquaresSolution:
-    """Minimum-RSS coefficients for ``design @ b ~ target``.
+    """Minimum-RSS coefficients for ``design @ b ~ target``, or for each
+    design and target of a stack.
 
     Solved through a column-pivoted QR factorization, never through the
     normal equations.  A design whose numerical rank falls below its column
-    count raises NumericalError naming the first dependent column.
+    count raises NumericalError naming the first dependent column.  Every
+    fault carries the stack index of its design in ``index``; a stack
+    raises the fault of its first faulty design.
     """
-    x, y = _checked_inputs(design, target)
-    n, p = x.shape
-    if n < p:
-        raise NumericalError(f"under-determined system: {n} rows for {p} columns")
-
-    q, r, piv, rank = _pivoted_qr(x)
-    if rank < p:
-        err = NumericalError(
-            f"design is rank deficient (rank {rank} of {p}): "
-            f"column {piv[rank]} is linearly dependent on the others"
+    x, y, single, finite = _checked_inputs(design, target)
+    stack, n, p = x.shape
+    # a design's faults come in this order: non-finite values, too few
+    # rows, rank.  The designs share one shape, so too few rows is the
+    # first design's fault unless its values are not finite
+    if n < p and finite:
+        raise _fault(f"under-determined system: {n} rows for {p} columns")
+    q, r, piv, rank = _pivoted_qr(x[:finite])
+    deficient = [s for s, kept in enumerate(rank) if kept < p]
+    if deficient:
+        s = deficient[0]
+        column = int(piv[s, rank[s]])
+        err = _fault(
+            f"design is rank deficient (rank {rank[s]} of {p}): "
+            f"column {column} is linearly dependent on the others",
+            s,
         )
-        err.column = int(piv[rank])
+        err.column = column
         raise err
-    b_perm = _solve_upper(r, q.T @ y)
-    coef = np.empty(p)
-    coef[piv] = b_perm
-    residual = y - x @ coef
-    return LeastSquaresSolution(coef, dot(residual, residual), rank, r, piv)
+    if finite < stack:
+        raise _fault("non-finite values in least-squares inputs", finite)
+    coef, rss = np.empty((stack, p)), np.empty(stack)
+    for s, (qs, rs, order, xs, ys) in enumerate(zip(q, r, piv, x, y)):
+        coef[s, order] = _solve_upper(rs, qs.T @ ys)
+        residual = ys - xs @ coef[s]
+        rss[s] = dot(residual, residual)
+    if single:
+        return LeastSquaresSolution(coef[0], float(rss[0]), p, r[0], piv[0])
+    return LeastSquaresSolution(coef, rss, p, r, piv)
 
 
 def min_norm_least_squares(design, target) -> np.ndarray:
-    """The minimum-norm minimizer of ``||design @ b - target||``, any rank.
+    """The minimum-norm minimizer of ``||design @ b - target||``, any rank,
+    or of each design and target of a stack.
 
     Numerical rank comes from the same column-pivoted QR and cutoff as
     ``solve_least_squares``.  The kept rows of R are factored once more (a
     complete orthogonal decomposition), so directions the data leave
-    undetermined get exactly zero weight instead of rounding noise.
+    undetermined get exactly zero weight instead of rounding noise.  The
+    designs of a stack that share a rank share that second factorization
+    call.  A stack raises the fault of its first non-finite design, with
+    its index in ``index``.
     """
-    x, y = _checked_inputs(design, target)
+    x, y, single, finite = _checked_inputs(design, target)
+    if finite < len(x):
+        raise _fault("non-finite values in least-squares inputs", finite)
     q, r, piv, rank = _pivoted_qr(x)
-    # x[:, piv] = q @ r, so the least-squares solutions u solve
-    # r[:rank] @ u = q[:, :rank].T @ y; with r[:rank].T[:, piv2] = z @ t the
-    # smallest is u = z @ w where t.T @ w = (q[:, :rank].T @ y)[piv2]
-    z, t, piv2, _ = _pivoted_qr(r[:rank].T)
-    w = _solve_upper(t, (q[:, :rank].T @ y)[piv2], trans=1)
-    coef = np.empty(x.shape[1])
-    coef[piv] = z @ w
-    return coef
+    coef = np.empty(x.shape[::2])
+    for kept in sorted(set(rank)):
+        group = [s for s, each in enumerate(rank) if each == kept]
+        # x[:, piv] = q @ r, so the least-squares solutions u solve
+        # r[:kept] @ u = q[:, :kept].T @ y; with r[:kept].T[:, piv2] = z @ t
+        # the smallest is u = z @ w where t.T @ w = (q[:, :kept].T @ y)[piv2]
+        z, t, piv2, _ = _pivoted_qr(r[group, :kept].transpose(0, 2, 1))
+        for s, zs, ts, order in zip(group, z, t, piv2):
+            w = _solve_upper(ts, (q[s][:, :kept].T @ y[s])[order], trans=1)
+            coef[s, piv[s]] = zs @ w
+    return coef[0] if single else coef
 
 
 def unscaled_covariance(solution: LeastSquaresSolution) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._errors import ConfigError, DataError
+from ._errors import ConfigError, DataError, NumericalError
 from .dataset import Dataset, listwise_complete
 from .numerics import dot, min_norm_least_squares
 from .regression import (
@@ -188,10 +188,10 @@ class ConsequentFit:
     prediction is ``base + a @ q``: ``base`` is the intercept plus every
     uncoded term, and ``a`` holds each coded term's coefficient times the
     one-hot of its codes, in column order.  Every fit starts from the same
-    consequents ``q0``.  All of this is built for the block at once;
-    ``solve`` runs one fit's least-squares solve, each on the matrix a
-    lone fit would pass, and ``consequents`` hands each fit's consequents
-    to ``with_unit_outputs``."""
+    consequents ``q0``.  All of this is built for the block at once, and
+    ``solve`` runs the block's least-squares solves in one stacked call,
+    each on the matrix a lone fit would pass; ``consequents`` hands each
+    fit's consequents to ``with_unit_outputs``."""
 
     def __init__(self, coefficients, design, y, codes, consequents):
         splits, n = y.shape
@@ -212,14 +212,26 @@ class ConsequentFit:
         self.r0 = self.base + self.a @ q0 - y
         self.gradient_norm0 = self.gradient_norms(self.r0)
 
-    def solve(self, s: int) -> int:
-        """Fit ``s``'s minimum-norm correction of ``q0``: the number of
-        solves, 0 when ``q0`` is already optimal, else 1."""
+    def solve(self) -> int:
+        """Each fit's minimum-norm correction of ``q0``, solved for the
+        block in one ``min_norm_least_squares`` call; a fit whose ``q0`` is
+        already optimal keeps it.  The number of fits solved.  A fault is
+        the first faulty fit's, with that fit's index in ``index``."""
         # a NaN gradient also solves, so non-finite inputs raise NumericalError
-        if self.gradient_norm0[s] < 1e-10:
+        need = np.flatnonzero(~(self.gradient_norm0 < 1e-10))
+        if not need.size:
             return 0
-        self.q[s] += min_norm_least_squares(self.a[s], -self.r0[s])
-        return 1
+        # the whole block, the usual case, goes without a gathered copy
+        if need.size == len(self.q):
+            a, r0 = self.a, self.r0
+        else:
+            a, r0 = self.a[need], self.r0[need]
+        try:
+            self.q[need] += min_norm_least_squares(a, -r0)
+        except NumericalError as err:
+            err.index = int(need[err.index])
+            raise
+        return need.size
 
     def residuals(self) -> np.ndarray:
         """Each fit's residual at its current consequents."""
@@ -271,7 +283,7 @@ def train_recalibration(
         model_coefficients(model)[None], design[None], y[None],
         {j: c[None] for j, c in codes.items()}, starts,
     )
-    solves = fit.solve(0)
+    solves = fit.solve()
     r0, r = fit.r0[0], fit.residuals()
     trace = TrainingTrace(
         epochs=solves,

@@ -164,45 +164,56 @@ def response_values(ds: Dataset, response: str) -> np.ndarray:
     return ds.columns[response].astype(float)
 
 
-def _total_sum_squares(y: np.ndarray) -> float:
-    """Sum of squared deviations of float64 ``y`` from its mean.  The sums
-    are the ones ``np.mean`` and ``ndarray.sum`` run, so the bits equal
-    ``((y - y.mean()) ** 2).sum()`` without that form's dispatch."""
-    d = y - np.add.reduce(y) / y.shape[0]
-    return float(np.add.reduce(d * d))
+def _total_sum_squares(y: np.ndarray) -> float | np.ndarray:
+    """Sum of squared deviations of float64 ``y`` from its mean, or of each
+    row of a stack ``y``.  The sums are the ones ``np.mean`` and
+    ``ndarray.sum`` run, so the bits equal ``((y - y.mean()) ** 2).sum()``
+    without that form's dispatch; a row of a stack sums as it would
+    alone."""
+    d = y - (np.add.reduce(y, axis=-1) / y.shape[-1])[..., None]
+    tss = np.add.reduce(d * d, axis=-1)
+    return float(tss) if y.ndim == 1 else tss
 
 
 def ols_coefficients(
     design: np.ndarray, y: np.ndarray, predictors: Sequence[str], response: str
-) -> tuple[LeastSquaresSolution, float]:
+) -> tuple[LeastSquaresSolution, float | np.ndarray]:
     """The solve of ``ols_fit`` without its inference: least-squares
     coefficients of a ``design_columns`` design and the total sum of
-    squares of ``y``.
+    squares of ``y``, or of each fit of a stack (designs S x n x p and
+    responses S x n) in one ``solve_least_squares`` call.
 
     Raises DataError for too few rows or a response without variance, and
-    NumericalError naming the first collinear predictor.
+    NumericalError naming the first collinear predictor.  A stack raises
+    the first faulty fit's fault, with that fit's index in ``index``; a
+    fit's solve fault comes before its response's lack of variance.
     """
-    n, columns = design.shape
+    n, columns = design.shape[-2:]
     p = columns - 1
     if n <= p + 1:
         raise DataError(
             f"OLS needs more than {p + 1} complete rows for {p} predictors, got {n}"
         )
+    tss = _total_sum_squares(y)
+    constant = np.flatnonzero(np.reshape(tss, -1) == 0.0)
     try:
         sol = solve_least_squares(design, y)
     except NumericalError as err:
-        col = getattr(err, "column", None)
-        if col is not None:
+        # a fault past an earlier fit's constant response gives way to it below
+        if not constant.size or err.index <= constant[0]:
+            col = getattr(err, "column", None)
+            if col is None:
+                raise
             name = "intercept" if col == 0 else predictors[col - 1]
             named = NumericalError(
                 f"collinear design: {name!r} is linearly dependent on the other terms"
             )
-            named.variable = name
+            named.variable, named.index = name, err.index
             raise named from None
-        raise
-    tss = _total_sum_squares(y)
-    if tss == 0.0:
-        raise DataError(f"response {response!r} has zero variance on the fit rows")
+    if constant.size:
+        err = DataError(f"response {response!r} has zero variance on the fit rows")
+        err.index = int(constant[0])
+        raise err
     return sol, tss
 
 

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the package's own numerical routes:
 exact rational arithmetic for least squares, direct density integration for
 the CDFs, Monte Carlo for the studentized range, textbook formulas computed
-with plain loops for the screening statistics.  The per-split evaluation
-path (``cross_validate_by_split`` and its siblings) is the exception: it
-is the package's earlier route, a table, an ``ols_fit`` and a
-``train_recalibration`` per split, kept as the reference the encoded
-protocols must equal.  ``perturb_quantification`` is no oracle: it makes
+with plain loops for the screening statistics.  Two package routes are the
+exceptions, kept as references that the current code must equal: the
+per-split evaluation path (``cross_validate_by_split`` and its siblings),
+a table, an ``ols_fit`` and a ``train_recalibration`` per split, and the
+per-matrix least-squares solvers that the stacked ones replaced
+(``solve_least_squares_per_matrix`` and its siblings).
+``perturb_quantification`` is no oracle: it makes
 shifted codings for tests from the package's ``RandomStream``.
 """
 
@@ -154,14 +156,98 @@ def pivoted_qr_by_scipy(design: np.ndarray):
     return q, r, piv, int(np.count_nonzero(diag > tol))
 
 
-def lapack_by_query(routine, name: str, *args, **kwargs):
+def lapack_by_query(routine, name: str, lwork, *args, **kwargs):
     """``numerics._lapack`` with a ``lwork=-1`` workspace query before
-    every call: the path that the cached workspace size replaced."""
+    every call in place of the given ``lwork``: the path that the cached
+    workspace size replaced."""
     query = routine(*args, lwork=-1, **kwargs)
     out = routine(*args, lwork=int(query[-2][0]), **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal value in {-out[-1]}th argument of internal {name}")
     return out[:-2]
+
+
+# The per-matrix least-squares solvers that the stacked ones in ``numerics``
+# replaced, as they were: one design and target per call, and their own
+# LAPACK calls (``numerics._solve_upper`` still solves one triangle).  The
+# stacked solvers must equal them bit for bit, matrix by matrix, and raise
+# the first faulty matrix's fault.
+
+
+def pivoted_qr_per_matrix(design: np.ndarray):
+    """Economic column-pivoted QR of one design, ``design[:, piv] = q @ r``
+    with 0-based ``piv``, a C-ordered ``r`` and the numerical rank."""
+    from scipy.linalg.lapack import dgeqp3, dorgqr
+
+    n, p = design.shape
+    k = min(n, p)
+    if design.size == 0:
+        q, r, piv = np.empty((n, k)), np.empty((k, p)), np.arange(p, dtype=np.int32)
+    else:
+        qr, piv, tau = lapack_by_query(dgeqp3, "geqp3", None, design)
+        piv -= 1
+        # r is copied out before dorgqr overwrites qr with q
+        r = qr[:k].copy()
+        for i in range(1, k):
+            r[i, :i] = 0.0
+        (q,) = lapack_by_query(dorgqr, "gorgqr/gungqr", None, qr[:, :k], tau, overwrite_a=1)
+    diag = abs(r.diagonal())
+    tol = max(n, p) * np.finfo(float).eps * diag[0] if k else 0.0
+    return q, r, piv, int(np.count_nonzero(diag > tol))
+
+
+def _checked_per_matrix(design, target) -> tuple[np.ndarray, np.ndarray]:
+    from defectcast._errors import NumericalError
+
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if x.ndim != 2 or y.ndim != 1:
+        raise NumericalError("design must be 2-d and target 1-d")
+    if y.shape[0] != x.shape[0]:
+        raise NumericalError("design and target row counts differ")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("non-finite values in least-squares inputs")
+    return x, y
+
+
+def solve_least_squares_per_matrix(design, target):
+    """One design's full-rank least-squares fit as a
+    ``LeastSquaresSolution``, or the NumericalError of its first fault
+    (a rank deficit names its column in ``column``)."""
+    from defectcast._errors import NumericalError
+    from defectcast.numerics import LeastSquaresSolution, _solve_upper, dot
+
+    x, y = _checked_per_matrix(design, target)
+    n, p = x.shape
+    if n < p:
+        raise NumericalError(f"under-determined system: {n} rows for {p} columns")
+    q, r, piv, rank = pivoted_qr_per_matrix(x)
+    if rank < p:
+        err = NumericalError(
+            f"design is rank deficient (rank {rank} of {p}): "
+            f"column {piv[rank]} is linearly dependent on the others"
+        )
+        err.column = int(piv[rank])
+        raise err
+    b_perm = _solve_upper(r, q.T @ y)
+    coef = np.empty(p)
+    coef[piv] = b_perm
+    residual = y - x @ coef
+    return LeastSquaresSolution(coef, dot(residual, residual), rank, r, piv)
+
+
+def min_norm_least_squares_per_matrix(design, target) -> np.ndarray:
+    """One design's minimum-norm least-squares solution by a complete
+    orthogonal decomposition, any rank."""
+    from defectcast.numerics import _solve_upper
+
+    x, y = _checked_per_matrix(design, target)
+    q, r, piv, rank = pivoted_qr_per_matrix(x)
+    z, t, piv2, _ = pivoted_qr_per_matrix(r[:rank].T)
+    w = _solve_upper(t, (q[:, :rank].T @ y)[piv2], trans=1)
+    coef = np.empty(x.shape[1])
+    coef[piv] = z @ w
+    return coef
 
 
 def least_squares_by_scipy(design: np.ndarray, target: np.ndarray):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from defectcast import evaluation, recalibration, regression
+from defectcast import evaluation, numerics, recalibration, regression
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import Dataset, VariableSpec, serialize_csv
 from defectcast.evaluation import (
@@ -900,32 +900,49 @@ class TestBlockLoop:
             )
 
     def test_counts_and_solves_do_not_grow_per_split(self, monkeypatch):
-        """Counts are made and scores summed once per block, and one OLS
-        solve runs per split."""
+        """Counts are made, scores summed and each least-squares solver
+        called once per block, while every split still gets its own
+        factorizations: one ``dgeqp3`` for its OLS fit and two for its
+        minimum-norm consequent solve."""
         ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
         plan = standard_plan(ds)
-        calls = {"raw_counts": 0, "solve_least_squares": 0, "linear_score": 0}
+        calls = dict.fromkeys(
+            ("raw_counts", "solve_least_squares", "min_norm_least_squares", "linear_score",
+             "dgeqp3"),
+            0,
+        )
 
-        def counted(module, name):
+        def counted(module, name, key=None):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                # a workspace query (lwork=-1) is no factorization
+                if kwargs.get("lwork") != -1:
+                    calls[key or name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
         counted(evaluation, "raw_counts")
         counted(regression, "solve_least_squares")
+        counted(recalibration, "min_norm_least_squares")
         # every binding of regression.linear_score that the loop reaches
         counted(evaluation, "linear_score")
         counted(recalibration, "linear_score")
+        counted(numerics, "_dgeqp3", "dgeqp3")
+        sizes = _recording_blocks(monkeypatch)
         per_repetitions = {}
         for repetitions in (5, 50):
             calls.update(dict.fromkeys(calls, 0))
+            sizes.clear()
             random_split_experiment(ds, plan, 0.8, repetitions=repetitions, seed=4)
-            per_repetitions[repetitions] = dict(calls)
-        assert per_repetitions[5]["raw_counts"] == per_repetitions[50]["raw_counts"]
-        assert per_repetitions[5]["linear_score"] == per_repetitions[50]["linear_score"] > 0
-        assert per_repetitions[5]["solve_least_squares"] == 5
-        assert per_repetitions[50]["solve_least_squares"] == 50
+            per_repetitions[repetitions] = dict(calls, blocks=len(sizes))
+        few, many = per_repetitions[5], per_repetitions[50]
+        assert few["raw_counts"] == many["raw_counts"]
+        assert few["linear_score"] == many["linear_score"] > 0
+        # 51 training rows of 4 columns: all 50 repetitions fit one block
+        assert few["blocks"] == many["blocks"] == 1
+        for solver in ("solve_least_squares", "min_norm_least_squares"):
+            assert few[solver] == many[solver] == 1
+        assert few["dgeqp3"] == 3 * 5
+        assert many["dgeqp3"] == 3 * 50

@@ -250,13 +250,14 @@ def test_lapack_route_matches_scipy_wrappers_bit_for_bit(case):
     ``_solve_upper`` picks its ``dtrtrs`` arguments by memory order."""
     x, y = case
     want = oracles.pivoted_qr_by_scipy(x)
-    got = numerics._pivoted_qr(x)
-    for g, w in zip(got[:3], want[:3]):
+    q, r, piv, ranks = numerics._pivoted_qr(x[None])
+    got = q[0], r[0], piv[0]
+    for g, w in zip(got, want[:3]):
         assert _same_bits(g, w)
     assert got[1].flags.c_contiguous
     assert got[1].strides == want[1].strides
     rank = want[3]
-    assert got[3] == rank
+    assert ranks == [rank]
     # min_norm_least_squares also factors the transposed view r[:rank].T
     assert _same_bits(min_norm_least_squares(x, y), oracles.min_norm_least_squares_by_scipy(x, y))
     m, n = x.shape
@@ -301,7 +302,7 @@ def test_cached_workspace_gives_the_query_path_bits(case):
     x, y = case
 
     def solutions():
-        outs = list(numerics._pivoted_qr(x))
+        outs = list(numerics._pivoted_qr(x[None]))
         outs.append(min_norm_least_squares(x, y))
         try:
             outs.append(solve_least_squares(x, y).coefficients)
@@ -321,17 +322,133 @@ def test_cached_workspace_gives_the_query_path_bits(case):
 
 
 def test_workspace_query_runs_once_per_shape():
-    calls = []
+    from unittest import mock
+
+    calls, dgeqp3 = [], numerics._dgeqp3
 
     def counted(*args, **kwargs):
         calls.append(kwargs["lwork"])
-        return numerics._dgeqp3(*args, **kwargs)
+        return dgeqp3(*args, **kwargs)
 
-    for shape in [(5, 3), (5, 3), (7, 3), (5, 3)]:
-        numerics._lapack(counted, "geqp3", np.ones(shape))
-    # a query (lwork=-1) for each of the two shapes, then the four calls
+    with mock.patch.object(numerics, "_dgeqp3", counted):
+        for shape in [(5, 3), (5, 3), (7, 3), (5, 3)]:
+            numerics._pivoted_qr(np.ones((2, *shape)))
+    # a query (lwork=-1) for each of the two shapes, then two calls for
+    # each of the four stacks
     assert calls.count(-1) == 2
-    assert len(calls) == 6
+    assert len(calls) == 10
+
+
+# the kinds of matrix in a stack: "full" is the usual one, "collinear" and
+# "integer" (small integers, often with tied or empty columns) vary the
+# rank, "non-finite" holds one NaN or infinity in the design or the target
+_STACK_KINDS = ["full"] * 6 + ["collinear", "collinear", "integer", "integer", "zero", "non-finite"]
+
+
+def _stack_case(n, p, kinds, seed):
+    """A stack of one n x p design and one target per entry of ``kinds``."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(len(kinds), n, p)), rng.normal(size=(len(kinds), n))
+    for xs, ys, kind in zip(x, y, kinds):
+        if kind == "collinear" and p >= 2:
+            for j in rng.choice(np.arange(1, p), size=rng.integers(1, p), replace=False):
+                xs[:, j] = xs[:, rng.integers(0, j)] * rng.choice([1.0, -2.5])
+        elif kind == "integer":
+            xs[:] = rng.integers(-1, 2, size=(n, p))
+        elif kind == "zero":
+            xs[:] = 0.0
+        elif kind == "non-finite" and n * p:
+            where = xs if rng.integers(0, 2) else ys
+            where.flat[rng.integers(0, where.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return x, y
+
+
+@st.composite
+def _stacks(draw):
+    """A stack of 1 to 40 designs of one shape, tall, square, wide, 1 x 1
+    or without rows, each of its own kind (see ``_STACK_KINDS``), with
+    their targets."""
+    shape = draw(st.sampled_from(["tall", "square", "wide", "1x1", "no rows"]))
+    if shape == "1x1":
+        n = p = 1
+    elif shape == "no rows":
+        n, p = 0, draw(st.integers(0, 5))
+    elif shape == "square":
+        n = p = draw(st.integers(1, 8))
+    elif shape == "wide":
+        n = draw(st.integers(1, 7))
+        p = draw(st.integers(n + 1, 8))
+    else:
+        p = draw(st.integers(1, 8))
+        n = draw(st.integers(p + 1, 60))
+    kinds = draw(st.lists(st.sampled_from(_STACK_KINDS), min_size=1, max_size=40))
+    return _stack_case(n, p, kinds, draw(st.integers(0, 2**32 - 1)))
+
+
+def _per_matrix(solver, x, y):
+    """``solver`` on each matrix of a stack, in order, up to the first
+    fault: the solutions before it, and its (index, message, column)."""
+    solutions = []
+    for s, (xs, ys) in enumerate(zip(x, y)):
+        try:
+            solutions.append(solver(xs, ys))
+        except NumericalError as err:
+            return solutions, (s, str(err), getattr(err, "column", None))
+    return solutions, None
+
+
+def _raises(solver, x, y, fault):
+    with pytest.raises(NumericalError) as info:
+        solver(x, y)
+    assert (info.value.index, str(info.value), getattr(info.value, "column", None)) == fault
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+@example(_stack_case(9, 4, ["full", "collinear", "integer", "zero", "full"], 1)).via(
+    "mixed ranks"
+)
+@example(_stack_case(9, 4, ["full", "full", "collinear", "non-finite"], 2)).via(
+    "a collinear matrix at a later index"
+)
+@example(_stack_case(9, 4, ["full", "integer", "non-finite", "collinear"], 3)).via(
+    "a non-finite matrix at a later index"
+)
+@example(_stack_case(3, 5, ["full", "collinear", "full"], 4)).via("wide")
+@example(_stack_case(1, 1, ["full", "zero", "full"], 5)).via("1 x 1")
+@example(_stack_case(0, 3, ["full", "full"], 6)).via("no rows")
+def test_stacked_solvers_equal_the_per_matrix_oracles(case):
+    """Each matrix of a stack gets the bits of its own per-matrix solve, at
+    any mix of ranks, and a stack raises its first faulty matrix's fault
+    with that matrix's index: a non-finite value, too few rows, or (for the
+    full-rank solver) a rank deficit, which names its column.  A 2-d call
+    is a stack of one and returns what the per-matrix solver returns."""
+    x, y = case
+    want, fault = _per_matrix(oracles.min_norm_least_squares_per_matrix, x, y)
+    if fault:
+        _raises(min_norm_least_squares, x, y, fault)
+    else:
+        assert _same_bits(min_norm_least_squares(x, y), np.array(want).reshape(x.shape[::2]))
+    for xs, ys, w in zip(x, y, want):
+        assert _same_bits(min_norm_least_squares(xs, ys), w)
+
+    want, fault = _per_matrix(oracles.solve_least_squares_per_matrix, x, y)
+    if fault:
+        _raises(solve_least_squares, x, y, fault)
+        s = fault[0]
+        _raises(solve_least_squares, x[s], y[s], (0, *fault[1:]))
+    else:
+        sol = solve_least_squares(x, y)
+        for name in ("coefficients", "residual_sum_squares", "r", "piv"):
+            stacked = np.array([getattr(w, name) for w in want])
+            assert _same_bits(getattr(sol, name), stacked.reshape(getattr(sol, name).shape))
+        assert sol.rank == x.shape[2]
+    for xs, ys, w in zip(x, y, want):
+        sol = solve_least_squares(xs, ys)
+        assert type(sol.residual_sum_squares) is float and type(sol.rank) is int
+        assert sol.residual_sum_squares == w.residual_sum_squares and sol.rank == w.rank
+        for name in ("coefficients", "r", "piv"):
+            assert _same_bits(getattr(sol, name), getattr(w, name))
 
 
 @pytest.mark.parametrize(

@@ -404,6 +404,73 @@ class TestExactSolve:
             train_recalibration(model, units_for(model.codings), ds)
 
 
+@st.composite
+def _consequent_blocks(draw):
+    """A block of 1 to 40 fits of an intercept, a numeric column and a
+    coded column with four anchors, on 12 rows each.  Each fit has its own
+    coefficients, codes (a category may have no rows) and response:
+    "noisy" fits need a solve, "optimal" ones sit within rounding of their
+    starting consequents (a gradient norm below 1e-10, but a residual that
+    is not exactly 0), "flat" ones have a zero coded coefficient (rank 0),
+    and "non-finite" ones a NaN response."""
+    kinds = draw(st.lists(
+        st.sampled_from(["noisy"] * 4 + ["optimal", "optimal", "flat", "non-finite"]),
+        min_size=1, max_size=40,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    splits, n = len(kinds), 12
+    anchors = np.array([0.5, 0.9, 1.0, 1.4])
+    codes = rng.integers(0, draw(st.integers(1, 4)), size=(splits, n))
+    design = np.stack(
+        [np.ones((splits, n)), rng.normal(size=(splits, n)), anchors[codes]], axis=-1
+    )
+    coefficients = rng.normal(size=(splits, 3))
+    y = linear_score(coefficients, design) + rng.normal(size=(splits, n))
+    for s, kind in enumerate(kinds):
+        if kind == "optimal":
+            y[s] = linear_score(coefficients[s], design[s]) + 1e-13 * rng.normal(size=n)
+        elif kind == "flat":
+            coefficients[s, 2] = 0.0
+        elif kind == "non-finite":
+            y[s, rng.integers(0, n)] = np.nan
+    return coefficients, design, y, {2: codes}, {2: anchors}
+
+
+class TestConsequentBlock:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_consequent_blocks())
+    def test_block_solve_equals_each_lone_fit(self, case):
+        """A block's one stacked solve gives each fit the bits of its lone
+        fit solved by the per-matrix solver; a fit whose gradient norm is
+        below 1e-10 keeps its starting consequents exactly and is not
+        counted; a non-finite fit raises with its index in the block."""
+        coefficients, design, y, codes, anchors = case
+        want, solved, fault = [], 0, None
+        for s in range(len(y)):
+            lone = recalibration.ConsequentFit(
+                coefficients[s : s + 1], design[s : s + 1], y[s : s + 1],
+                {j: c[s : s + 1] for j, c in codes.items()}, anchors,
+            )
+            if lone.gradient_norm0[0] < 1e-10:
+                want.append(lone.q[0])
+                continue
+            try:
+                step = oracles.min_norm_least_squares_per_matrix(lone.a[0], -lone.r0[0])
+            except NumericalError as err:
+                fault = (s, str(err))
+                break
+            want.append(lone.q[0] + step)
+            solved += 1
+        fit = recalibration.ConsequentFit(coefficients, design, y, codes, anchors)
+        if fault:
+            with pytest.raises(NumericalError) as info:
+                fit.solve()
+            assert (info.value.index, str(info.value)) == fault
+            return
+        assert fit.solve() == solved
+        assert np.array(want).tobytes() == fit.q.tobytes()
+
+
 class TestRecalibratedPredict:
     def test_untrained_equals_model_predict(self):
         model, nfas, ds, quant = _training_setup(seed=29)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from defectcast import regression
 from defectcast._errors import ConfigError, DataError, NumericalError
 from defectcast.dataset import VariableSpec, load_csv, sample_sd
 from defectcast.numerics import solve_least_squares, t_cdf
@@ -251,6 +252,42 @@ class TestOlsFit:
         )
         with pytest.raises(DataError, match="zero variance"):
             ols_fit(ds, "y", ["x1"])
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ["fit", "constant", "collinear"],
+            ["fit", "collinear", "constant"],
+            ["fit", "both", "constant"],
+            ["constant", "fit", "fit"],
+            ["fit", "fit", "fit"],
+        ],
+    )
+    def test_stacked_fits_raise_the_first_fits_fault(self, kinds):
+        """A stack of fits raises the fault that the first faulty fit
+        raises alone, with that fit's index; a fit with a collinear design
+        and a constant response raises the collinearity, as it does alone."""
+        rng = np.random.default_rng(4)
+        design = np.stack([np.ones((3, 9)), rng.normal(size=(3, 9)), rng.normal(size=(3, 9))], -1)
+        y = rng.normal(size=(3, 9))
+        for s, kind in enumerate(kinds):
+            if kind in ("collinear", "both"):
+                design[s, :, 2] = 2.0 * design[s, :, 1]
+            if kind in ("constant", "both"):
+                y[s] = 1.5
+        args = (["x1", "x2"], "y")
+        lone = []
+        for s in range(3):
+            try:
+                lone.append(regression.ols_coefficients(design[s], y[s], *args))
+            except (DataError, NumericalError) as err:
+                with pytest.raises(type(err)) as info:
+                    regression.ols_coefficients(design, y, *args)
+                assert (str(info.value), info.value.index) == (str(err), s)
+                return
+        sol, tss = regression.ols_coefficients(design, y, *args)
+        assert sol.coefficients.tobytes() == np.array([f[0].coefficients for f in lone]).tobytes()
+        assert tss.tolist() == [f[1] for f in lone]
 
     def test_listwise_rows_dropped(self):
         text = "y,x1\n1.0,2.0\n2.0,\n3.0,4.0\n,5.0\n4.0,6.0\n5.0,8.0\n"
