@@ -8,6 +8,7 @@ cross-validation, repeated random splits, and resubstitution (one split
 that fits and evaluates on all rows, clearly labeled).  A protocol only
 checks its arguments and builds its splits.  Every protocol is a pure
 function of (data, plan, seed): reports are byte-identical across runs.
+Folds and random splits are drawn as uniform keys, not by a shuffle.
 
 The loop encodes the prepared table once: the design matrix, the response
 on the model and count scales, and each categorical column's anchor codes.
@@ -16,8 +17,8 @@ same train and test sizes, each cut to at most ``_BLOCK_CELLS`` gathered
 training-design cells.  Random splits all have one size, and k-fold sizes
 never grow from fold to fold, so the blocks keep split order.  A block
 gathers its rows once into stacked arrays.  The two least-squares solves,
-the plain OLS coefficients (no inference) and the consequent solve of
-``ConsequentFit``, each run once per block on the stacked designs; the
+the plain OLS coefficients (no inference) and ``ConsequentFit``'s solve on
+category cells, each run once per block on the stacked designs; the
 solvers in ``numerics`` still factor each split's matrix on its own.  One
 ``linear_score`` call scores the test designs with and without the units'
 outputs, and the counts, the actuals check and the metrics run once per
@@ -153,7 +154,7 @@ def _metrics(actuals: np.ndarray, predictions: np.ndarray, thresholds) -> EvalMe
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Seeded shuffle + round-robin fold assignment; sizes differ by <= 1."""
+    """Seeded key order + round-robin fold assignment; sizes differ by <= 1."""
 
     n: int
     k: int
@@ -172,13 +173,13 @@ class FoldPlan:
 
 
 def kfold_plan(n: int, k: int, seed: int) -> FoldPlan:
+    """Fold i mod k for the i-th row in the stable argsort of n uniform keys."""
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
     if k > n:
         raise ConfigError(f"cannot split {n} rows into {k} folds")
-    perm = RandomStream(seed).permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    assignment[perm] = np.arange(n) % k
+    assignment[np.argsort(RandomStream(seed).uniforms(n), kind="stable")] = np.arange(n) % k
     return FoldPlan(n=n, k=k, seed=seed, assignment=assignment)
 
 
@@ -372,8 +373,8 @@ def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
     )
 
 
-# the most gathered training-design cells (splits x rows x columns) that one
-# block of splits holds
+# the most gathered OLS training-design cells (splits x rows x columns) that one
+# block holds: it bounds only those S x n x p designs, as cell designs do not grow
 _BLOCK_CELLS = 1 << 14
 
 
@@ -516,7 +517,7 @@ def _experiment(
 def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> ExperimentReport:
     """Per fold: fit on the training folds, recalibrate on the same
     training folds, evaluate baseline and recalibrated models on the
-    held-out fold.  All randomness comes from the fold shuffle; fold work
+    held-out fold.  All randomness comes from the fold keys; fold work
     itself is deterministic, so any execution order yields the same report.
     """
     data = _prepare_data(ds, plan)
@@ -534,7 +535,9 @@ def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> Experi
 def random_split_experiment(
     ds: Dataset, plan: ModelingPlan, train_fraction: float, repetitions: int, seed: int
 ) -> ExperimentReport:
-    """Repeated seeded train/test splits; train size rounds half up."""
+    """Repeated seeded train/test splits; train size m rounds half up.
+    Repetition r trains on the rows of the m smallest uniform keys of child
+    stream r, a uniform m-subset (Knuth, *TAOCP* Vol. 2, section 3.4.2)."""
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if repetitions < 1:
@@ -546,10 +549,7 @@ def random_split_experiment(
         raise DataError(
             f"train_fraction {train_fraction} leaves no usable split of {n} rows"
         )
-    rows = RandomStream(seed).split_permutations(repetitions, n)
-    trains, tests = rows[:, :train_size], rows[:, train_size:]
-    trains.sort()
-    tests.sort()
+    trains, tests = RandomStream(seed).split_subsets(repetitions, n, train_size)
     splits = [
         (f"rep {r + 1}", f"repetition {r + 1}", trains[r], tests[r]) for r in range(repetitions)
     ]

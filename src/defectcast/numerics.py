@@ -107,8 +107,9 @@ class RandomStream:
 
     Uniform doubles take the top 53 bits of a raw output, giving values in
     [0, 1).  Normal deviates use the Box-Muller transform (two uniforms per
-    pair, no cached spare).  A permutation's swap indices use floor(u *
-    bound), whose bias is below bound * 2**-53 and irrelevant here.
+    pair, no cached spare).  Random subsets and orders are drawn as keys:
+    the smallest m of n uniforms index a uniform random m-subset, their
+    argsort a uniform random order (Knuth, *TAOCP* Vol. 2, section 3.4.2).
     """
 
     def __init__(self, seed: int):
@@ -144,24 +145,15 @@ class RandomStream:
         out[1::2] = radius * np.sin(angle)
         return out[:n]
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        if n < 2:
-            return np.arange(n)
-        return np.fromiter(_shuffled(_swap_indices(self.uniforms(n - 1)).tolist()), np.int_, n)
-
-    def split_permutations(self, count: int, n: int) -> np.ndarray:
-        """``split(i).permutation(n)`` for i = 0 .. count - 1, one per row.
-        The uniforms of every child stream are drawn in one array, then
-        the swap loop runs one row at a time."""
-        if n < 2:
-            return np.tile(np.arange(n), (count, 1))
+    def split_subsets(self, count: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i: the indices of the m smallest of ``split(i).uniforms(n)``
+        (0 < m <= n; exactly m even where keys tie) and of the others, sorted."""
         seeds = np.array([self.split(i).seed for i in range(count)], dtype=np.uint64)
-        swaps = _swap_indices(_uniforms(seeds[:, None], 0, n - 1))
-        out = np.empty((count, n), dtype=np.int_)
-        for row, row_swaps in zip(out, swaps):
-            row[:] = _shuffled(row_swaps.tolist())
-        return out
+        rows = np.argpartition(_uniforms(seeds[:, None], 0, n), m - 1)
+        small, rest = rows[:, :m], rows[:, m:]
+        small.sort()
+        rest.sort()
+        return small, rest
 
     def split(self, index: int) -> "RandomStream":
         """Independent child stream for the given nonnegative index."""
@@ -187,26 +179,6 @@ def _uniforms(seed, start: int, n: int) -> np.ndarray:
     u = z.astype(np.float64)
     u *= 2.0**-53
     return u
-
-
-def _swap_indices(uniforms: np.ndarray) -> np.ndarray:
-    """Fisher-Yates swap indices from the n - 1 uniforms along the last
-    axis, one per swap position, consumed high index first: index
-    ``floor(u * (i + 1))`` for position i = n - 1 .. 1, at most i.  The
-    uniforms are scaled in place."""
-    n = uniforms.shape[-1] + 1
-    uniforms *= np.arange(n, 1, -1)
-    swaps = uniforms.astype(np.int64)
-    return np.minimum(swaps, np.arange(n - 1, 0, -1), out=swaps)
-
-
-def _shuffled(swaps: list[int]) -> list[int]:
-    """range(n) shuffled by the swap loop on the n - 1 ``_swap_indices``."""
-    n = len(swaps) + 1
-    perm = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), swaps):
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
 
 
 # ---------------------------------------------------------------------------

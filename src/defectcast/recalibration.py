@@ -13,16 +13,17 @@ fixed: the prediction is linear in the consequents, so it is one exact
 least-squares solve.  ``coded_columns`` turns a design into each coded
 column's anchor codes; training works on those arrays.
 ``ConsequentFit`` is the one training arithmetic, on stacked blocks of
-fits: ``evaluation`` passes a block of resampling splits, and
-``train_recalibration`` a block of one.  Units have no scoring of their
-own: ``with_unit_outputs`` writes their outputs over the coded columns of
-a copy of the design, which ``regression.linear_score`` then scores like
-any other.  A unit is written out through ``Nfa.to_dict``; nothing parses
-one back.
+fits, solved on category cells: ``evaluation`` passes a block of
+resampling splits, and ``train_recalibration`` a block of one.  Units
+have no scoring of their own: ``with_unit_outputs`` writes their outputs
+over the coded columns of a copy of the design, which
+``regression.linear_score`` then scores like any other.  A unit is
+written out through ``Nfa.to_dict``; nothing parses one back.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -184,14 +185,18 @@ def with_unit_outputs(design: np.ndarray, codes, consequents) -> np.ndarray:
 class ConsequentFit:
     """The least-squares consequents of the coded columns of a block of S
     encoded designs, stacked: coefficients S x p, design S x n x p,
-    response S x n and codes S x n per coded column.  Each fit's
-    prediction is ``base + a @ q``: ``base`` is the intercept plus every
-    uncoded term, and ``a`` holds each coded term's coefficient times the
-    one-hot of its codes, in column order.  Every fit starts from the same
-    consequents ``q0``.  All of this is built for the block at once, and
-    ``solve`` runs the block's least-squares solves in one stacked call,
-    each on the matrix a lone fit would pass; ``consequents`` hands each
-    fit's consequents to ``with_unit_outputs``."""
+    response S x n and codes S x n per coded column, all fits starting
+    from consequents ``q0``.  A row's prediction is ``base`` (intercept and
+    uncoded terms) plus ``a @ q``, ``a`` each coded coefficient times the
+    one-hot of the row's code.  Rows with equal codes share ``a``, so the
+    consequent step of ANFIS (Jang, IEEE SMC 23(3), 1993) is solved on
+    category cells, every combination of anchors in mixed radix (each row
+    its own cell where they outnumber the rows): ``a`` is S x C x K, and
+    ``system`` weights each cell by the root of its row count, which keeps
+    the normal equations and so the minimum-norm solution.  Cells do not
+    depend on the other fits of a block, so each fit's matrix is a lone
+    fit's.  ``solve`` runs the block in one stacked call; ``consequents``
+    hands each fit's consequents to ``with_unit_outputs``."""
 
     def __init__(self, coefficients, design, y, codes, consequents):
         splits, n = y.shape
@@ -201,16 +206,41 @@ class ConsequentFit:
         self.base = linear_score(coefficients[:, keep], design[..., keep])
         self.y = y
         # each coded column's slice of q, in column order
-        ends = np.cumsum([0, *(q.size for q in consequents.values())]).tolist()
+        sizes = [q.size for q in consequents.values()]
+        ends = np.cumsum([0, *sizes]).tolist()
         self.slices = {j: slice(lo, hi) for j, lo, hi in zip(consequents, ends, ends[1:])}
-        self.a = np.empty((splits, n, ends[-1]))
+        cells, self.cell = math.prod(sizes), np.zeros((splits, n), dtype=np.intp)
+        if cells <= n:
+            cell_codes, stride = {}, cells
+            for j, size in zip(self.slices, sizes):
+                stride //= size
+                self.cell += codes[j] * stride
+                cell_codes[j] = np.arange(cells) // stride % size
+        else:
+            cells, cell_codes = n, codes
+            self.cell += np.arange(n)
+        self.a = np.empty((splits, cells, ends[-1]))
         for j, cut in self.slices.items():
-            onehot = np.eye(cut.stop - cut.start).take(codes[j], axis=0)
+            onehot = np.eye(cut.stop - cut.start).take(cell_codes[j], axis=0)
             np.multiply(coefficients[:, j, None, None], onehot, out=self.a[..., cut])
+        # fit s numbers its cells from s * cells on, so one bincount spans the block
+        self.cell += cells * np.arange(splits)[:, None]
+        self.counts = np.bincount(self.cell.ravel(), minlength=splits * cells).reshape(splits, -1)
         q0 = np.concatenate([np.zeros(0), *consequents.values()])
         self.q = np.tile(q0, (splits, 1))
-        self.r0 = self.base + self.a @ q0 - y
+        self.r0 = self.residuals()
         self.gradient_norm0 = self.gradient_norms(self.r0)
+
+    def _cell_sums(self, r: np.ndarray) -> np.ndarray:
+        """Each fit's sum of the residuals ``r`` over each cell, S x C."""
+        return np.bincount(self.cell.ravel(), r.ravel(), self.counts.size).reshape(len(r), -1)
+
+    def system(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each fit's cell rows times the roots of their counts, and minus
+        each cell's residual sum at ``q0`` over that root (0 if empty)."""
+        root = np.sqrt(self.counts)
+        target = np.divide(-self._cell_sums(self.r0), root, out=np.zeros_like(root), where=root > 0)
+        return self.a * root[..., None], target
 
     def solve(self) -> int:
         """Each fit's minimum-norm correction of ``q0``, solved for the
@@ -221,25 +251,23 @@ class ConsequentFit:
         need = np.flatnonzero(~(self.gradient_norm0 < 1e-10))
         if not need.size:
             return 0
-        # the whole block, the usual case, goes without a gathered copy
-        if need.size == len(self.q):
-            a, r0 = self.a, self.r0
-        else:
-            a, r0 = self.a[need], self.r0[need]
+        a, b = self.system()
+        if need.size < len(self.q):
+            a, b = a[need], b[need]
         try:
-            self.q[need] += min_norm_least_squares(a, -r0)
+            self.q[need] += min_norm_least_squares(a, b)
         except NumericalError as err:
             err.index = int(need[err.index])
             raise
         return need.size
 
     def residuals(self) -> np.ndarray:
-        """Each fit's residual at its current consequents."""
-        return self.base + (self.a @ self.q[..., None])[..., 0] - self.y
+        """Each fit's residual on each row at its current consequents."""
+        return self.base + (self.a @ self.q[..., None]).take(self.cell) - self.y
 
     def gradient_norms(self, r: np.ndarray) -> np.ndarray:
         """The norm of each fit's MSE gradient at residuals ``r``."""
-        g = (2.0 / r.shape[1]) * (self.a.transpose(0, 2, 1) @ r[..., None])
+        g = (2.0 / r.shape[1]) * (self.a.transpose(0, 2, 1) @ self._cell_sums(r)[..., None])
         return np.sqrt((g.transpose(0, 2, 1) @ g)[:, 0, 0])
 
     def consequents(self) -> dict[int, np.ndarray]:
@@ -260,11 +288,11 @@ def train_recalibration(
     ...]``: each categorical term's coefficient times the one-hot of its
     rows' anchor codes, in term order, so each category's value is
     re-estimated with the other coefficients fixed.  This is the consequent
-    step of ANFIS hybrid learning (Jang 1993).  The solution is the
-    minimum-norm correction from the identity start ``q0``, the point
-    gradient descent from ``q0`` converges to: consequents the data cannot
-    identify (a constant shift across units, a category with no rows) keep
-    their starting values.
+    step of ANFIS hybrid learning (Jang 1993), solved on category cells.
+    The solution is the minimum-norm correction from the identity start
+    ``q0``, the point gradient descent from ``q0`` converges to:
+    consequents the data cannot identify (a constant shift across units, a
+    category with no rows) keep their starting values.
     """
     by_var = {nfa.variable: nfa for nfa in nfas}
     cat_terms = [t.variable for t in model.terms if t.variable in model.codings]

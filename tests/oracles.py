@@ -8,7 +8,8 @@ exceptions, kept as references that the current code must equal: the
 per-split evaluation path (``cross_validate_by_split`` and its siblings),
 a table, an ``ols_fit`` and a ``train_recalibration`` per split, and the
 per-matrix least-squares solvers that the stacked ones replaced
-(``solve_least_squares_per_matrix`` and its siblings).
+(``solve_least_squares_per_matrix`` and its siblings), with the n-row
+consequent solve that the cell solve replaced (``consequents_by_rows``).
 ``perturb_quantification`` is no oracle: it makes
 shifted codings for tests from the package's ``RandomStream``.
 """
@@ -364,6 +365,32 @@ def finite_difference_gradient(loss, params: np.ndarray, step: float = 1e-6) -> 
     return grad
 
 
+def consequents_by_rows(coefficients, design, y, codes, consequents) -> np.ndarray:
+    """Each fit's least-squares consequents solved on its n-row design, the
+    form that ``recalibration.ConsequentFit`` compresses to category cells:
+    arguments as that class takes them, a stack of S fits.  Row i of fit
+    s's design is each coded column's coefficient times the one-hot of the
+    row's code, in column order; the target is minus the residual at the
+    starting consequents.  A fit whose gradient norm there is below 1e-10
+    keeps its start; the others add the per-matrix minimum-norm solution.
+    Returns the S x K consequents."""
+    from defectcast.regression import linear_score
+
+    keep = [j for j in range(design.shape[-1]) if j not in codes]
+    q0 = np.concatenate([np.zeros(0), *consequents.values()])
+    out = np.tile(q0, (len(y), 1))
+    for s in range(len(y)):
+        a = np.concatenate([
+            np.zeros((y.shape[1], 0)),
+            *(coefficients[s, j] * np.eye(q.size)[codes[j][s]] for j, q in consequents.items()),
+        ], axis=1)
+        r0 = linear_score(coefficients[s, keep], design[s][:, keep]) + a @ q0 - y[s]
+        gradient = (2.0 / y.shape[1]) * (a.T @ r0)
+        if not math.sqrt(gradient @ gradient) < 1e-10:
+            out[s] += min_norm_least_squares_per_matrix(a, -r0)
+    return out
+
+
 def min_norm_consequents(design: np.ndarray, target: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Least-squares consequents nearest to ``start``: start plus the
     pseudoinverse solution for the residual target, the limit of gradient
@@ -540,18 +567,14 @@ def model_tree_by_mask_loop(
     )
 
 
-def permutation_by_swap_loop(stream, n: int) -> np.ndarray:
-    """Fisher-Yates on an array, one swap index computed per step: the
-    reference ``RandomStream.permutation`` must match, draw for draw."""
-    perm = np.arange(n)
-    if n < 2:
-        return perm
-    # one uniform per swap position, consumed high index first
-    u = stream.uniforms(n - 1)
-    for pos, i in enumerate(range(n - 1, 0, -1)):
-        j = min(int(u[pos] * (i + 1)), i)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+def split_rows_by_sorted_keys(seed: int, repetition: int, n: int, m: int):
+    """A random split's train and test rows by a full sort: the stable
+    argsort of the n uniform keys of ``RandomStream(seed).split(repetition)``,
+    cut after its first m rows, each half in row order."""
+    from defectcast.numerics import RandomStream
+
+    order = np.argsort(RandomStream(seed).split(repetition).uniforms(n), kind="stable")
+    return np.sort(order[:m]), np.sort(order[m:])
 
 
 def unscaled_covariance_by_refactoring(design: np.ndarray) -> np.ndarray:
@@ -855,17 +878,15 @@ def cross_validate_by_split(ds, plan, k, seed):
 
 def random_split_by_split(ds, plan, train_fraction, repetitions, seed):
     from defectcast.evaluation import _prepare_data
-    from defectcast.numerics import RandomStream
 
     data = _prepare_data(ds, plan)
     n = data.row_count
     train_size = math.floor(train_fraction * n + 0.5)
-    master = RandomStream(seed)
-    splits = []
-    for r in range(repetitions):
-        perm = master.split(r).permutation(n)
-        splits.append((f"rep {r + 1}", f"repetition {r + 1}",
-                       np.sort(perm[:train_size]), np.sort(perm[train_size:])))
+    splits = [
+        (f"rep {r + 1}", f"repetition {r + 1}",
+         *split_rows_by_sorted_keys(seed, r, n, train_size))
+        for r in range(repetitions)
+    ]
     parameters = {
         "train_fraction": train_fraction, "train_size": train_size,
         "repetitions": repetitions, "seed": seed, "n": n,

@@ -211,6 +211,14 @@ class TestFoldPlan:
         c = kfold_plan(50, 7, seed=124)
         assert not np.array_equal(a.assignment, c.assignment)
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (23, 4), (64, 8), (500, 7)])
+    def test_folds_deal_the_stable_argsort_of_the_keys(self, n, k):
+        for seed in (0, 13, 20260822, 2**64 - 1):
+            order = np.argsort(RandomStream(seed).uniforms(n), kind="stable")
+            want = np.empty(n, dtype=np.int64)
+            want[order] = np.arange(n) % k
+            assert np.array_equal(kfold_plan(n, k, seed).assignment, want)
+
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
             kfold_plan(10, 1, seed=0)
@@ -223,6 +231,46 @@ class TestFoldPlan:
             plan.fold(2)
         with pytest.raises(ConfigError):
             plan.train(-1)
+
+
+class TestRandomSplitRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        sizes=st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        repetitions=st.integers(1, 12),
+    )
+    def test_draw_is_a_sorted_subset_and_its_complement(self, seed, sizes, repetitions):
+        """Each repetition trains on m distinct rows of [0, n) in increasing
+        order and tests on the others, also in order; the rows are those of
+        the m smallest of its child stream's n keys, the same for the same
+        seed, and a repetition's rows do not depend on how many there are."""
+        n, m = sizes
+        trains, tests = RandomStream(seed).split_subsets(repetitions, n, m)
+        assert trains.shape == (repetitions, m) and tests.shape == (repetitions, n - m)
+        for r, (train, test) in enumerate(zip(trains, tests)):
+            assert (np.diff(train) > 0).all() and (np.diff(test) > 0).all()
+            assert 0 <= train[0] and train[-1] < n
+            assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+            want_train, want_test = oracles.split_rows_by_sorted_keys(seed, r, n, m)
+            assert np.array_equal(train, want_train) and np.array_equal(test, want_test)
+        again = RandomStream(seed).split_subsets(repetitions, n, m)
+        assert all(np.array_equal(a, b) for a, b in zip(again, (trains, tests)))
+        more = RandomStream(seed).split_subsets(repetitions + 5, n, m)
+        assert np.array_equal(more[0][:repetitions], trains)
+        assert np.array_equal(more[1][:repetitions], tests)
+        first = RandomStream(seed).split_subsets(1, n, m)
+        assert np.array_equal(first[0][0], trains[0])
+
+    def test_tied_keys_still_give_m_rows(self, monkeypatch):
+        # every key equal: argpartition still cuts exactly m rows
+        monkeypatch.setattr(
+            numerics, "_uniforms", lambda seed, start, n: np.full((len(seed), n), 0.5)
+        )
+        trains, tests = RandomStream(3).split_subsets(4, 10, 6)
+        assert trains.shape == (4, 6) and tests.shape == (4, 4)
+        for train, test in zip(trains, tests):
+            assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(10))
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +822,7 @@ class TestEncodedEvaluationMatchesPerSplitPath:
 
     def test_collinear_repetition_named(self):
         n, fraction, seed = 24, 0.75, 3
-        perm = RandomStream(seed).split(0).permutation(n)
-        test_rows = perm[math.floor(fraction * n + 0.5):]
+        _, test_rows = oracles.split_rows_by_sorted_keys(seed, 0, n, math.floor(fraction * n + 0.5))
         # 'b' is 'yes' only on repetition 1's test rows, so its training
         # column is constant and collinear with the intercept
         ds = mixed_dataset(n, 1, "ln", b_yes=test_rows[:2])
@@ -874,8 +921,7 @@ class TestBlockLoop:
         """One repetition's count overflows and the other's fit is
         collinear, in one block: the earlier repetition's fault is raised."""
         n, fraction, seed = 24, 0.75, 3
-        master = RandomStream(seed)
-        tests = [master.split(r).permutation(n)[18:].tolist() for r in range(2)]
+        tests = [oracles.split_rows_by_sorted_keys(seed, r, n, 18)[1].tolist() for r in range(2)]
         # 'b' is 'yes' only on rows that the collinear repetition tests and
         # the other trains on, so only the collinear one trains on a
         # constant 'b'

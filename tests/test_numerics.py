@@ -59,36 +59,20 @@ class TestRandomStream:
         z = RandomStream(3).normals(7)
         assert z.shape == (7,)
 
-    def test_permutation_is_permutation(self):
-        perm = RandomStream(13).permutation(64)
-        assert sorted(perm) == list(range(64))
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 500])
-    def test_permutation_matches_swap_loop(self, n):
-        for seed in (0, 13, 20260822, 2**64 - 1):
-            for child in (None, 0, 7):
-                def stream():
-                    root = RandomStream(seed)
-                    return root if child is None else root.split(child)
-
-                ours, reference = stream(), stream()
-                for _ in range(2):  # the second call starts mid-stream
-                    got = ours.permutation(n)
-                    want = oracles.permutation_by_swap_loop(reference, n)
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
-                    # both took the same number of draws
-                    assert ours.uniforms(1) == reference.uniforms(1)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 500])
-    def test_split_permutations_are_the_childrens(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 500])
+    def test_split_subsets_are_the_childrens_smallest_keys(self, n):
         for seed in (0, 13, 20260822, 2**64 - 1):
             for count in (0, 1, 7):
-                got = RandomStream(seed).split_permutations(count, n)
-                assert got.shape == (count, n) and got.dtype == np.int_
-                for i, row in enumerate(got):
-                    want = oracles.permutation_by_swap_loop(RandomStream(seed).split(i), n)
-                    np.testing.assert_array_equal(row, want)
+                for m in sorted({1, (n + 1) // 2, n}):
+                    root = RandomStream(seed)
+                    small, rest = root.split_subsets(count, n, m)
+                    assert small.shape == (count, m) and rest.shape == (count, n - m)
+                    for i in range(count):
+                        want = oracles.split_rows_by_sorted_keys(seed, i, n, m)
+                        assert np.array_equal(small[i], want[0])
+                        assert np.array_equal(rest[i], want[1])
+                    # the parent's own stream is not consumed
+                    assert root.uniforms(3).tobytes() == RandomStream(seed).uniforms(3).tobytes()
 
     def test_split_streams_are_distinct(self):
         parent = RandomStream(77)

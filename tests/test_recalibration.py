@@ -436,7 +436,58 @@ def _consequent_blocks(draw):
     return coefficients, design, y, {2: codes}, {2: anchors}
 
 
+@st.composite
+def _cell_blocks(draw):
+    """A block of 1 to 12 fits of an intercept, a numeric column and one to
+    three coded columns of one to five anchors each, on 1 to 40 rows.  Some
+    cells of the cross have no rows; a coded column may miss one of its
+    categories in a fit ("absent"), repeat another coded column's codes
+    ("crossed", a rank-deficient cross) or hold one code ("constant").
+    Three columns of five anchors have more cells than rows, so each row
+    is a cell of its own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    splits, n = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    design = [np.ones((splits, n)), rng.normal(size=(splits, n))]
+    codes, anchors = {}, {}
+    for j, size in enumerate(sizes, start=2):
+        kind = draw(st.sampled_from(["random", "random", "absent", "crossed", "constant"]))
+        c = rng.integers(0, size, size=(splits, n))
+        if kind == "absent":
+            gone = draw(st.integers(0, size - 1))
+            c[c == gone] = (gone + 1) % size
+        elif kind == "crossed" and j > 2:
+            c = codes[j - 1] % size
+        elif kind == "constant":
+            c[:] = draw(st.integers(0, size - 1))
+        anchors[j] = np.cumsum(rng.uniform(0.2, 1.0, size))
+        codes[j] = c
+        design.append(anchors[j][c])
+    design = np.stack(design, axis=-1)
+    signs = rng.choice([-1.0, 1.0], size=(splits, design.shape[-1]))
+    coefficients = signs * rng.uniform(0.5, 2.0, size=(splits, design.shape[-1]))
+    y = linear_score(coefficients, design) + rng.normal(size=(splits, n))
+    return coefficients, design, y, codes, anchors
+
+
 class TestConsequentBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cell_blocks())
+    def test_cell_solve_equals_the_row_solve(self, case):
+        """The minimum-norm consequents solved on category cells equal those
+        solved on each fit's n-row design within 1e-12 relative to the
+        largest consequent: the two designs share their row space."""
+        coefficients, design, y, codes, anchors = case
+        fit = recalibration.ConsequentFit(coefficients, design, y, codes, anchors)
+        cells, target = fit.system()
+        assert np.isfinite(cells).all() and np.isfinite(target).all()
+        assert (target[fit.counts == 0] == 0.0).all()
+        assert (cells[fit.counts == 0] == 0.0).all()
+        fit.solve()
+        want = oracles.consequents_by_rows(coefficients, design, y, codes, anchors)
+        scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+        assert (np.abs(fit.q - want) <= 1e-12 * scale).all()
+
     @settings(max_examples=100, deadline=None)
     @given(case=_consequent_blocks())
     def test_block_solve_equals_each_lone_fit(self, case):
@@ -454,8 +505,9 @@ class TestConsequentBlock:
             if lone.gradient_norm0[0] < 1e-10:
                 want.append(lone.q[0])
                 continue
+            cells, target = lone.system()
             try:
-                step = oracles.min_norm_least_squares_per_matrix(lone.a[0], -lone.r0[0])
+                step = oracles.min_norm_least_squares_per_matrix(cells[0], target[0])
             except NumericalError as err:
                 fault = (s, str(err))
                 break
@@ -734,8 +786,9 @@ class TestAnchorLookup:
                 consequents[j][c], oracles.unit_outputs_by_strengths(unit, design[:, j])
             )
         # the training design of a block of one fit, here against the x
-        # column as a target: each coefficient times the one-hot of the
-        # codes has the bits of that coefficient times the firing strengths
+        # column as a target: each row's cell row, each coefficient times
+        # the one-hot of the codes, has the bits of that coefficient times
+        # the firing strengths
         coefficients = np.array([model.intercept, *(t.coefficient for t in model.terms)])
         fit = recalibration.ConsequentFit(
             coefficients[None], design[None], design[None, :, 1],
@@ -745,7 +798,7 @@ class TestAnchorLookup:
             coefficients[j] * recalibration.firing_strengths(u, design[:, j])
             for j, u in zip(codes, units)
         ]
-        assert np.array_equal(fit.a[0], np.hstack(blocks))
+        assert np.array_equal(fit.a[0][fit.cell[0]], np.hstack(blocks))
         predicted = recalibrated_predict(model, units, ds)
         for i in range(ds.row_count):
             row = {"x": float(ds.columns["x"][i])}
