@@ -567,6 +567,19 @@ def model_tree_by_mask_loop(
     )
 
 
+def order_by_swap_loop(keys) -> np.ndarray:
+    """The rows of ``keys`` from the smallest key up, by a selection swap
+    loop: step j swaps the smallest of rows j .. n - 1 (the lowest row
+    index among equal keys) into place j.  The stable argsort, one
+    comparison at a time."""
+    keys = list(keys)
+    order = list(range(len(keys)))
+    for j in range(len(order)):
+        best = min(range(j, len(order)), key=lambda i: (keys[order[i]], order[i]))
+        order[j], order[best] = order[best], order[j]
+    return np.array(order, dtype=np.int_)
+
+
 def split_rows_by_sorted_keys(seed: int, repetition: int, n: int, m: int):
     """A random split's train and test rows by a full sort: the stable
     argsort of the n uniform keys of ``RandomStream(seed).split(repetition)``,

@@ -60,7 +60,29 @@ class TestRandomStream:
         assert z.shape == (7,)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 500])
-    def test_split_subsets_are_the_childrens_smallest_keys(self, n):
+    def test_permutation_matches_swap_loop(self, n):
+        # A split's training rows at train size m are the first m rows of one
+        # key order per child stream, so the draws at m = 1 .. n are nested
+        # and each adds exactly one row: the next row of that order.
+        children = (0, 7)
+        for seed in (0, 13, 20260822, 2**64 - 1):
+            root = RandomStream(seed)
+            orders = np.empty((max(children) + 1, n), dtype=np.int_)
+            seen = np.zeros((max(children) + 1, n), dtype=bool)
+            for m in range(1, n + 1):
+                small, _ = root.split_subsets(max(children) + 1, n, m)
+                assert small.dtype == np.int_
+                for i in children:
+                    new = small[i][~seen[i][small[i]]]
+                    assert new.shape == (1,)
+                    orders[i, m - 1] = new[0]
+                    seen[i, new[0]] = True
+            for i in children:
+                want = oracles.order_by_swap_loop(RandomStream(seed).split(i).uniforms(n))
+                np.testing.assert_array_equal(orders[i], want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 500])
+    def test_split_permutations_are_the_childrens(self, n):
         for seed in (0, 13, 20260822, 2**64 - 1):
             for count in (0, 1, 7):
                 for m in sorted({1, (n + 1) // 2, n}):
