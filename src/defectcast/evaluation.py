@@ -106,6 +106,9 @@ def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"actuals and predictions differ in length ({a.size} vs {p.size})"
         )
+    for name, values in (("actual", a), ("prediction", p)):
+        if not np.isfinite(values).all():
+            raise DataError(f"non-finite {name} value; relative error is undefined")
     _check_actuals(a)
     return a, p
 
@@ -118,7 +121,7 @@ def mmre(actuals, predictions) -> float:
 
 def pred_at(actuals, predictions, m: float) -> float:
     """Fraction of rows whose relative error is at most m."""
-    if m < 0:
+    if not m >= 0:  # NaN too
         raise ConfigError(f"threshold must be nonnegative, got {m}")
     a, p = _check_metric_inputs(actuals, predictions)
     return float(_metrics(a, p, (m,)).pred[m])
@@ -216,7 +219,7 @@ class ModelingPlan:
         object.__setattr__(self, "predictors", tuple(self.predictors))
         object.__setattr__(self, "pred_thresholds", tuple(self.pred_thresholds))
         for m in self.pred_thresholds:
-            if m < 0:
+            if not m >= 0:  # NaN too
                 raise ConfigError(f"threshold must be nonnegative, got {m}")
         if self.min_test_for_pred < 1:
             raise ConfigError("min_test_for_pred must be at least 1")

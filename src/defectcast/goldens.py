@@ -132,14 +132,14 @@ def _expected_pipeline_smoke(inputs: dict) -> dict:
         cfg = load_config(cfg_path, out_override=str(Path(tmp) / "out"))
         report = run_pipeline(cfg)
     model = report["regression"]["selected_model"]
-    recal = report["recalibration"]["resubstitution_mmre"]
+    resub = report["resubstitution"]["averages"]
     return {
         "sections": sorted(report),
         "rows_complete": report["data_preparation"]["rows_complete"],
         "selected_variables": [t["variable"] for t in model["terms"]],
         "r_squared": model["r_squared"],
-        "recalibration_baseline_mmre": recal["baseline"],
-        "recalibration_recalibrated_mmre": recal["recalibrated"],
+        "resubstitution_baseline_mmre": resub["baseline_mmre"],
+        "resubstitution_recalibrated_mmre": resub["recalibrated_mmre"],
         "cv_baseline_mmre": report["cross_validation"][0]["averages"]["baseline_mmre"],
         "split_baseline_mmre": report["random_splits"][0]["averages"]["baseline_mmre"],
     }

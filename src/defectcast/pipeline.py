@@ -1,11 +1,13 @@
 """Batch pipeline: configuration, stages, and report assembly.
 
 A JSON config drives six stages (prepare, screen, tree, fit, recalibrate,
-evaluate) plus a `synth` stage that reports on generated data.  Within one
-`run_pipeline` call the stages hand their artifacts over in memory: the
-source data, the prepared data and the fitted model go from the stage that
-made them to the stages that use them, and `report.json` is written once at
-the end.
+evaluate) plus a `synth` stage that reports on generated data.  Recalibrate
+only trains the selected model's units; evaluate does all the scoring, and
+its `resubstitution` section is the report's one resubstitution MMRE pair.
+Within one `run_pipeline` call the stages hand their artifacts over in
+memory: the source data, the prepared data and the fitted model go from the
+stage that made them to the stages that use them, and `report.json` is
+written once at the end.
 
 Files are outputs, never inputs.  A standalone `run_stage` call recomputes
 in memory, from the config and its data, whatever the earlier stages would
@@ -32,6 +34,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -57,22 +60,18 @@ from .evaluation import (
     GeneratorConfig,
     ModelingPlan,
     ReferenceCoefficients,
-    _improvement,
     cross_validate,
     generate_synthetic,
-    mmre,
     quantification_from_labels,
     random_split_experiment,
-    raw_counts,
     resubstitution_experiment,
     synthetic_schema,
 )
 from .modeltree import fit_model_tree
-from .recalibration import recalibrated_predict, train_recalibration, units_for
+from .recalibration import train_recalibration, units_for
 from .regression import (
     LinearModel,
     catreg_fit,
-    model_predict,
     ols_fit,
     stepwise_fit,
 )
@@ -185,6 +184,16 @@ def _schema_document() -> dict:
     return json.loads(text)
 
 
+def _finite_number(text: str) -> float:
+    # json.loads takes NaN and +-Infinity, which JSON does not define, and
+    # reads a number beyond the float range as infinity; the schema's
+    # bounds let NaN through, as NaN fails every comparison
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config is not valid JSON: non-finite number {text}")
+    return value
+
+
 def load_config(
     path: str | Path,
     data_override: str | None = None,
@@ -203,7 +212,11 @@ def load_config(
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_constant=_finite_number,
+            parse_float=_finite_number,
+        )
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from None
 
@@ -810,33 +823,18 @@ def _load_fitted(run: _Run) -> LinearModel:
     return (run.fit or _fit_models(run)).selected
 
 
-def _resubstitution_mmre(model: LinearModel, units, data: Dataset):
-    transform = model.response_transform
-    actual = raw_counts(data.columns[model.response], transform)
-    base = raw_counts(model_predict(model, data), transform)
-    recal = raw_counts(recalibrated_predict(model, units, data), transform)
-    return mmre(actual, base), mmre(actual, recal)
-
-
 def _stage_recalibrate(run: _Run) -> dict:
-    """Train units for the selected model and report its resubstitution MMRE.
-
-    This stays apart from evaluate's ``resubstitution_experiment`` on
-    purpose.  Here the scored model is the fit stage's selected model, fit
-    on rows complete over every candidate; evaluate refits plain OLS on
-    rows complete over the selected predictors only.  The two agree to the
-    bit when those row sets match, and differ when stepwise drops a
-    candidate that has empty cells.
-    """
+    """Train units for the selected model on its complete rows, write them
+    to ``recalibration.json`` and report their training record.  Scoring
+    them is evaluate's job: its ``resubstitution`` section is the report's
+    one resubstitution MMRE pair."""
     cfg = run.cfg
     if not cfg.recalibrate_enabled:
         return {"recalibration": {"enabled": False}}
-    data = _prepared_dataset(run)
     selected = _load_fitted(run)
-    fit_rows = listwise_complete(data, [selected.response, *selected.variables])
-    trained, trace = train_recalibration(selected, units_for(selected.codings), fit_rows)
-    before, after = _resubstitution_mmre(selected, trained, fit_rows)
-
+    trained, trace = train_recalibration(
+        selected, units_for(selected.codings), _prepared_dataset(run)
+    )
     unit_payload = [u.to_dict() for u in trained]
     run.add_json("recalibration.json", {"provenance": run.provenance, "units": unit_payload})
     return {
@@ -847,11 +845,6 @@ def _stage_recalibrate(run: _Run) -> dict:
                 "initial_gradient_norm": trace.initial_gradient_norm,
                 "initial_mse": trace.mse_path[0],
                 "final_mse": trace.mse_path[-1],
-            },
-            "resubstitution_mmre": {
-                "baseline": before,
-                "recalibrated": after,
-                "improvement_pct": _improvement(before, after),
             },
         }
     }
@@ -1012,12 +1005,12 @@ def render_summary(report: dict) -> str:
             f"model: intercept {model['intercept']:+.4f}, {terms}  "
             f"(R^2 {model['r_squared']:.4f}, n {model['n']})"
         )
-    recal = report.get("recalibration")
-    if recal and recal.get("enabled"):
-        res = recal["resubstitution_mmre"]
+    resub = report.get("resubstitution")
+    if resub:
+        avg = resub["averages"]
         lines.append(
-            f"recalibration: MMRE {res['baseline']:.4f} -> "
-            f"{res['recalibrated']:.4f} ({res['improvement_pct']:+.2f}%)"
+            f"resubstitution: MMRE {avg['baseline_mmre']:.4f} -> "
+            f"{avg['recalibrated_mmre']:.4f} ({avg['improvement_pct']:+.2f}%)"
         )
     for entry in report.get("cross_validation", []):
         avg = entry["averages"]

@@ -124,6 +124,27 @@ class TestMetrics:
         with pytest.raises(ConfigError):
             pred_at(FIXTURE_ACTUALS, FIXTURE_PREDICTIONS, -0.1)
 
+    def test_pred_rejects_nan_threshold(self):
+        # NaN fails every comparison, so `m < 0` let it through
+        with pytest.raises(ConfigError, match="threshold must be nonnegative"):
+            pred_at(FIXTURE_ACTUALS, FIXTURE_PREDICTIONS, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["actual", "prediction"])
+    def test_metrics_reject_non_finite_input(self, side, bad):
+        # NaN passes the `<= 0` check on actuals, and an infinite value
+        # gives an infinite or NaN relative error; both used to come back
+        # as the metric
+        actuals, predictions = [10.0, 20.0, 30.0], [11.0, 19.0, 30.0]
+        if side == "actual":
+            actuals[1] = bad
+        else:
+            predictions[1] = bad
+        for metric in (lambda: mmre(actuals, predictions),
+                       lambda: pred_at(actuals, predictions, 0.25)):
+            with pytest.raises(DataError, match=f"non-finite {side} value"):
+                metric()
+
     def test_pred_monotone_in_threshold(self):
         stream = RandomStream(11)
         actuals = np.exp(stream.split(0).normals(200)) + 1.0
@@ -691,6 +712,10 @@ class TestPlanValidation:
     def test_rejects_bad_pred_minimum(self):
         with pytest.raises(ConfigError):
             ModelingPlan(response="y", predictors=("x",), min_test_for_pred=0)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ConfigError, match="threshold must be nonnegative, got nan"):
+            ModelingPlan(response="y", predictors=("x",), pred_thresholds=(0.25, math.nan))
 
 
 class TestColumnarScoring:

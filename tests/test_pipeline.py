@@ -156,6 +156,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "section, key, literal",
+        [
+            ("evaluation", "pred_thresholds", "[NaN]"),
+            ("screening", "alpha", "NaN"),
+            ("regression", "p_enter", "NaN"),
+            ("data", "noise_sd", "Infinity"),
+            ("data", "noise_sd", "-Infinity"),
+            ("data", "noise_sd", "1e999"),
+        ],
+        ids=["pred_thresholds", "alpha", "p_enter", "noise_sd", "minus-noise_sd", "big-noise_sd"],
+    )
+    def test_rejects_non_finite_numbers(self, tmp_path, section, key, literal):
+        # json.loads takes NaN and Infinity and reads 1e999 as infinity, and
+        # NaN passes the schema's bounds: these used to run, write files and
+        # fail late, or not at all
+        config = small_config()
+        target = config["data"]["synthetic"] if section == "data" else config[section]
+        target[key] = "@"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"@"', literal), encoding="utf-8")
+        number = literal.strip("[]")
+        with pytest.raises(ConfigError, match=f"non-finite number {number}$"):
+            load_config(path, out_override=str(tmp_path / "out"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -644,20 +671,10 @@ class TestPipelineRun:
             tmp_path / "staged" / "model.json"
         ).read_bytes()
 
-    def test_recalibration_resubstitution_matches_evaluate(self, tmp_path):
-        report = run_pipeline(load_config(REPO_FIXTURE, out_override=str(tmp_path / "out")))
-        recal = report["recalibration"]["resubstitution_mmre"]
-        resub = report["resubstitution"]["averages"]
-        assert recal["baseline"] == resub["baseline_mmre"]
-        assert recal["recalibrated"] == resub["recalibrated_mmre"]
-        assert recal["improvement_pct"] == resub["improvement_pct"]
-
-    def test_recalibration_resubstitution_differs_when_stepwise_drops_holed_candidate(
-        self, tmp_path
-    ):
+    def test_resubstitution_keeps_rows_a_dropped_candidate_holes(self, tmp_path):
         # the selected model is fit on the 102 rows complete over every
-        # candidate; evaluate refits it on the 120 rows complete over the
-        # selected predictors, so the two resubstitution MMREs part
+        # candidate; the report's one resubstitution refits it on the 120
+        # rows complete over the selected predictors
         rng = np.random.default_rng(120)
         empty = set(rng.choice(120, 18, replace=False).tolist())
         lines = ["defects,fp,dev_type,noise"]
@@ -678,14 +695,18 @@ class TestPipelineRun:
         assert report["stepwise"]["included"] == ["fp", "dev_type"]
         assert report["regression"]["selected_model"]["n"] == 102
         assert report["resubstitution"]["parameters"]["n"] == 120
-        recal = report["recalibration"]["resubstitution_mmre"]["baseline"]
-        resub = report["resubstitution"]["averages"]["baseline_mmre"]
-        assert recal == pytest.approx(0.278623, abs=1e-6)
-        assert resub == pytest.approx(0.280808, abs=1e-6)
+        resub = report["resubstitution"]["averages"]
+        assert resub["baseline_mmre"] == pytest.approx(0.280808, abs=1e-6)
+        assert "resubstitution_mmre" not in report["recalibration"]
+        assert (
+            f"resubstitution: MMRE {resub['baseline_mmre']:.4f} -> "
+            f"{resub['recalibrated_mmre']:.4f}"
+        ) in render_summary(report)
 
     def test_zero_count_under_ln1p_is_a_data_error(self, tmp_path):
         # ln1p admits zero counts, but relative error against a zero actual
-        # is undefined; recalibrate used to report Infinity/NaN here
+        # is undefined, so scoring fails; ln1p(0) = 0 is a valid training
+        # target, so the units still train
         rng = np.random.default_rng(120)
         lines = ["defects,fp,dev_type"]
         for i in range(120):
@@ -698,10 +719,14 @@ class TestPipelineRun:
         data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = csv_config(data)
         config["schema"][0]["transform"] = "ln1p"
-        cfg = load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
-        with pytest.raises(DataError, match="^step 'recalibrate': nonpositive actual value"):
+        path = write_config(tmp_path, config)
+        cfg = load_config(path, out_override=str(tmp_path / "out"))
+        with pytest.raises(DataError, match="^step 'evaluate': nonpositive actual value"):
             run_pipeline(cfg)
-        assert not (tmp_path / "out" / "recalibration.json").exists()
+        assert "resubstitution" not in json.loads((tmp_path / "out" / "report.json").read_text())
+        staged = tmp_path / "staged"
+        assert main(["--config", str(path), "--out", str(staged), "--stage", "recalibrate"]) == 0
+        assert (staged / "recalibration.json").exists()
 
     def test_csv_with_byte_order_mark_and_crlf_line_ends(self, tmp_path):
         # Excel's "CSV UTF-8" export: a leading U+FEFF, which the header
@@ -873,8 +898,8 @@ class TestSummary:
         text = render_summary(report)
         model = report["regression"]["selected_model"]
         assert f"R^2 {model['r_squared']:.4f}" in text
-        resub = report["recalibration"]["resubstitution_mmre"]
-        assert f"MMRE {resub['baseline']:.4f}" in text
+        resub = report["resubstitution"]["averages"]
+        assert f"resubstitution: MMRE {resub['baseline_mmre']:.4f}" in text
         cv = report["cross_validation"][0]["averages"]
         assert f"MMRE {cv['baseline_mmre']:.4f}" in text
         norm = report["normality"]
@@ -885,7 +910,7 @@ class TestSummary:
         # recalibration trains by one exact solve, not by epochs
         report = run_pipeline(load_small(tmp_path))
         text = render_summary(report)
-        assert "recalibration: MMRE" in text
+        assert "resubstitution: MMRE" in text
         assert "epoch" not in text
         # an exact solve either returns or raises, so a solve count and an
         # always-true flag would say nothing, and the gradient it leaves is
@@ -893,6 +918,35 @@ class TestSummary:
         assert sorted(report["recalibration"]["training"]) == [
             "final_mse", "initial_gradient_norm", "initial_mse",
         ]
+
+
+    def test_csv_fixture_has_one_resubstitution_pair(self, tmp_path):
+        # recalibrate trains and reports its training only; the summary's
+        # resubstitution line reads evaluate's section, the one path
+        cfg = load_config(
+            FIXTURES / "csv_config.json",
+            data_override=str(FIXTURES / "projects.csv"),
+            out_override=str(tmp_path / "out"),
+        )
+        report = run_pipeline(cfg)
+        assert sorted(report["recalibration"]) == ["enabled", "training", "units"]
+        avg = report["resubstitution"]["averages"]
+        line = (
+            f"resubstitution: MMRE {avg['baseline_mmre']:.4f} -> "
+            f"{avg['recalibrated_mmre']:.4f} ({avg['improvement_pct']:+.2f}%)"
+        )
+        assert line == "resubstitution: MMRE 0.3350 -> 0.3325 (+0.76%)"
+        assert line in render_summary(report).splitlines()
+
+    def test_summary_resubstitution_line_without_recalibration(self, tmp_path):
+        report = run_pipeline(load_small(tmp_path, recalibration={"enabled": False}))
+        avg = report["resubstitution"]["averages"]
+        assert avg["baseline_mmre"] == avg["recalibrated_mmre"]
+        text = render_summary(report)
+        assert (
+            f"resubstitution: MMRE {avg['baseline_mmre']:.4f} -> "
+            f"{avg['baseline_mmre']:.4f} (+0.00%)"
+        ) in text
 
 
 class TestCli:
