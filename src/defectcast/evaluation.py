@@ -25,7 +25,9 @@ outputs, and the counts, the actuals check and the metrics run once per
 block too.  Rows are gathered before any product, elementwise arithmetic
 does not depend on the stacking, and each LAPACK call sees the matrix a
 lone split would pass, so the report bytes match those of each split's
-own table.
+own table.  Faults are ordered in one place: a block of several splits that
+raises runs again one split at a time, in split order, so the run raises
+the fault of the first faulty split.
 
 The generator emits a project dataset with the shape this package models:
 size in function points with log-normal spread, 14 system-characteristic
@@ -77,22 +79,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _actuals_fault(actuals: np.ndarray) -> tuple[int, DataError] | None:
-    """The first row of stacked actuals (S x n) on which relative errors
-    are undefined, with its fault, or None."""
-    if actuals.shape[-1] == 0:
-        return 0, DataError("metric inputs are empty")
-    bad = np.flatnonzero(actuals <= 0)
-    if bad.size:
-        row = int(bad[0]) // actuals.shape[-1]
-        return row, DataError("nonpositive actual value; relative error is undefined")
-    return None
-
-
 def _check_actuals(actuals: np.ndarray) -> None:
-    fault = _actuals_fault(actuals[None])
-    if fault is not None:
-        raise fault[1]
+    """Raise DataError unless relative errors are defined on ``actuals``,
+    one array of any shape."""
+    if actuals.size == 0:
+        raise DataError("metric inputs are empty")
+    if (actuals <= 0).any():
+        raise DataError("nonpositive actual value; relative error is undefined")
 
 
 def _check_metric_inputs(actuals, predictions) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +133,7 @@ class EvalMetrics:
 def _metrics(actuals: np.ndarray, predictions: np.ndarray, thresholds) -> EvalMetrics:
     """``mmre`` and ``pred_at`` at each threshold, from one relative-error
     array, along the last axis of float arrays that broadcast, whose
-    actuals ``_actuals_fault`` has passed.  ``np.add.reduce(errors,
+    actuals ``_check_actuals`` has passed.  ``np.add.reduce(errors,
     axis=-1) / n`` is the sum and division ``np.mean`` runs on each row,
     without its dispatch, and a hit count over ``n`` is the correctly
     rounded mean of the hits."""
@@ -285,8 +278,7 @@ def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
     they are.  ``math.exp``/``math.expm1`` per element on Python floats,
     not ``np.exp``: the two differ in the last bit on a few percent of
     inputs.  A count beyond the float range raises NumericalError naming
-    the first model-scale value that overflows, and carrying its index as
-    ``index``."""
+    the first model-scale value that overflows."""
     if transform == "none":
         return values
     if transform == "ln":
@@ -301,12 +293,10 @@ def raw_counts(values: np.ndarray, transform: str) -> np.ndarray:
         return np.fromiter(map(fn, rest), float, count=len(cells))
     except OverflowError:
         # map stops on the value that overflowed, the last one taken from rest
-        index = len(cells) - sum(1 for _ in rest) - 1
-        err = NumericalError(
-            f"back-transform overflows: model-scale value {cells[index]!r} has no finite count"
-        )
-        err.index = index
-        raise err from None
+        value = cells[len(cells) - sum(1 for _ in rest) - 1]
+        raise NumericalError(
+            f"back-transform overflows: model-scale value {value!r} has no finite count"
+        ) from None
 
 
 def _averages(rows: list[ExperimentRow]) -> ExperimentRow:
@@ -404,90 +394,58 @@ def _blocks(splits, columns: int):
         yield block
 
 
-def _solved(solve, count: int, contexts):
-    """``solve(count)`` for the first ``count`` splits of a block, with
-    ``count`` and no fault.  When split ``i`` of them faults first, it is
-    ``solve(i)`` (None for i = 0) with ``i`` and that fault in the split's
-    context instead: the splits before a fault are still scored."""
-    try:
-        return solve(count), count, None
-    except (DataError, NumericalError) as err:
-        index = getattr(err, "index", 0)
-        return (solve(index) if index else None), index, DataError(f"{contexts[index]}: {err}")
-
-
-def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
-    """Append the report rows of a block of splits to ``rows``, up to the
-    first faulty split, and return that split's fault (None if there is
-    none).
+def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list) -> None:
+    """Append the report rows of a block of splits to ``rows``, once the
+    whole block has passed its checks.
 
     Each split fits OLS on its train rows (unless ``fixed`` coefficients
     are given), recalibrates on them, and scores its test rows with and
-    without the units; a fit or consequent fault carries the split's
-    context.  Each solve runs for the block in one stacked call.  Fault
-    order is split order, and within a split: fit, consequent fit, count
-    overflow, then actuals.  A fit or consequent fault re-solves the splits
-    before it, which are still scored, as one of them may fault first."""
-    contexts = [split[1] for split in block]
+    without the units.  Each solve runs for the block in one stacked call,
+    so a block raises when any of its splits faults: a fit or consequent
+    fault in the context of the block's first split, then a count overflow,
+    then a nonpositive actual.  ``_experiment`` replays a faulty block
+    split by split, which orders its faults."""
     train = np.array([split[2] for split in block])
     train_design, train_y = enc.design.take(train, axis=0), enc.y.take(train)
-    limit, fault = len(block), None
-    if fixed is None:
-        coef, limit, fault = _solved(
-            lambda count: _coefficients(train_design[:count], train_y[:count], plan),
-            limit, contexts,
-        )
-    else:
-        coef = np.broadcast_to(fixed, (limit, fixed.size))
-    if plan.recalibrate and limit:
-        train_codes = {j: c.take(train) for j, c in enc.codes.items()}
-
-        def recalibrated(count: int) -> ConsequentFit:
+    try:
+        if fixed is None:
+            coef = _coefficients(train_design, train_y, plan)
+        else:
+            coef = np.broadcast_to(fixed, (len(block), fixed.size))
+        if plan.recalibrate:
             fit = ConsequentFit(
-                coef[:count], train_design[:count], train_y[:count],
-                {j: c[:count] for j, c in train_codes.items()}, enc.anchors,
+                coef, train_design, train_y,
+                {j: c.take(train) for j, c in enc.codes.items()}, enc.anchors,
             )
             fit.solve()
-            return fit
+    except (DataError, NumericalError) as err:
+        raise DataError(f"{block[0][1]}: {err}") from None
 
-        # a consequent fault comes before any fit fault, which lies past limit
-        fit, limit, consequent_fault = _solved(recalibrated, limit, contexts)
-        fault = consequent_fault or fault
-    if not limit:
-        return fault
-
-    test = np.array([split[3] for split in block[:limit]])
+    test = np.array([split[3] for split in block])
     design = enc.design.take(test, axis=0)
     # the identity consequents are the anchors, which equal the design values
     recal = design
     if plan.recalibrate and enc.codes:
         codes = {j: c.take(test) for j, c in enc.codes.items()}
-        consequents = {j: q[:limit] for j, q in fit.consequents().items()}
-        recal = with_unit_outputs(design, codes, consequents)
-    # base then recalibrated scores of each split, so counts overflow in split order
-    scores = linear_score(coef[:limit, None], np.stack((design, recal), axis=1))
+        recal = with_unit_outputs(design, codes, fit.consequents())
+    # base then recalibrated scores of each split
+    scores = linear_score(coef[:, None], np.stack((design, recal), axis=1))
+    counts = raw_counts(scores.reshape(-1), plan.response_transform)
+    actuals = enc.actuals.take(test)
+    _check_actuals(actuals)
     t = test.shape[1]
-    try:
-        counts = raw_counts(scores.reshape(-1), plan.response_transform)
-    except NumericalError as err:
-        limit, fault = err.index // (2 * t), err
-        counts = raw_counts(scores[:limit].reshape(-1), plan.response_transform)
-    actuals = enc.actuals.take(test[:limit])
-    bad = _actuals_fault(actuals)
-    if bad is not None:
-        limit, fault = bad
     include_pred = t >= plan.min_test_for_pred
     metrics = _metrics(
-        actuals[:limit, None, :],
-        counts[: limit * 2 * t].reshape(limit, 2, t),
+        actuals[:, None, :],
+        counts.reshape(len(block), 2, t),
         plan.pred_thresholds if include_pred else (),
     )
     mmres = metrics.mmre.tolist()
     preds = {m: p.tolist() for m, p in metrics.pred.items()}
-    for s in range(limit):
+    for s, split in enumerate(block):
         base, recal = mmres[s]
         rows.append(ExperimentRow(
-            label=block[s][0],
+            label=split[0],
             n_test=t,
             baseline_mmre=base,
             recalibrated_mmre=recal,
@@ -495,7 +453,6 @@ def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list):
             baseline_pred={m: p[s][0] for m, p in preds.items()} if include_pred else None,
             recalibrated_pred={m: p[s][1] for m, p in preds.items()} if include_pred else None,
         ))
-    return fault
 
 
 def _experiment(
@@ -504,14 +461,20 @@ def _experiment(
     """The protocols' one loop: encode the prepared table once, fit OLS on
     every row once unless each split refits, then one report row per
     ``(label, context, train rows, test rows)`` in ``splits``, block by
-    block (see ``_block_rows``)."""
+    block (see ``_block_rows``).  A block of several splits that faults
+    runs again as blocks of one, in split order, so the fault raised is
+    the one that scoring the splits one at a time raises first."""
     enc = _encode(data, plan)
     fixed = None if refit else _coefficients(enc.design, enc.y, plan)
     rows = []
     for block in _blocks(splits, enc.design.shape[1]):
-        fault = _block_rows(block, enc, plan, fixed, rows)
-        if fault is not None:
-            raise fault
+        try:
+            _block_rows(block, enc, plan, fixed, rows)
+        except (DataError, NumericalError):
+            if len(block) == 1:
+                raise
+            for split in block:
+                _block_rows([split], enc, plan, fixed, rows)
     return ExperimentReport(
         protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
     )

@@ -20,8 +20,9 @@ matrix keeps its own ``dgeqp3``/``dorgqr``/``dtrtrs`` calls, and every
 product over its n rows (``Q[:, :rank].T @ y``, ``z @ w``, the residual)
 stays a 2-d product of that one matrix.  So each LAPACK and BLAS call sees
 the operands a lone solve would pass, and a stacked solution has the bits
-of its matrix solved alone.  A stack raises the fault of its first faulty
-matrix, with that matrix's stack index in ``index``.
+of its matrix solved alone.  A stack raises a fault when any of its
+matrices faults; the resampling loop, not the solvers, orders faults by
+split.
 
 The t and F CDFs are scipy.special's ``stdtr`` and ``fdtr``, the Cephes
 routines (Moshier, *Methods and Programs for Mathematical Functions*, 1989).
@@ -307,32 +308,23 @@ def _solve_upper(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     return x
 
 
-def _fault(message: str, index: int = 0) -> NumericalError:
-    """A solver's NumericalError about the design of this stack index."""
-    err = NumericalError(message)
-    err.index = index
-    return err
-
-
-def _checked_inputs(design, target) -> tuple[np.ndarray, np.ndarray, bool, int]:
+def _checked_inputs(design, target) -> tuple[np.ndarray, np.ndarray, bool]:
     """Both solvers' input check: a 2-d float design and a 1-d float target
     with one entry per design row, or stacks of S of them (S x n x p and
-    S x n), else NumericalError.  Returns the stacks, one design being a
-    stack of one, whether it was one, and how many leading designs have
-    only finite values in design and target."""
+    S x n), with finite values only, else NumericalError.  Returns the
+    stacks, one design being a stack of one, and whether it was one."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
     single = x.ndim == 2 and y.ndim == 1
     if single:
         x, y = x[None], y[None]
     if x.ndim != 3 or y.ndim != 2:
-        raise _fault("design must be 2-d and target 1-d, or stacks of them")
+        raise NumericalError("design must be 2-d and target 1-d, or stacks of them")
     if y.shape != x.shape[:2]:
-        raise _fault("design and target row counts differ")
-    if np.isfinite(x).all() and np.isfinite(y).all():
-        return x, y, single, len(x)
-    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
-    return x, y, single, int(finite.argmin())
+        raise NumericalError("design and target row counts differ")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("non-finite values in least-squares inputs")
+    return x, y, single
 
 
 def solve_least_squares(design, target) -> LeastSquaresSolution:
@@ -340,32 +332,26 @@ def solve_least_squares(design, target) -> LeastSquaresSolution:
     design and target of a stack.
 
     Solved through a column-pivoted QR factorization, never through the
-    normal equations.  A design whose numerical rank falls below its column
-    count raises NumericalError naming the first dependent column.  Every
-    fault carries the stack index of its design in ``index``; a stack
-    raises the fault of its first faulty design.
+    normal equations.  A design's faults come in this order: non-finite
+    values, too few rows, then a numerical rank below its column count,
+    which raises NumericalError naming the first dependent column in
+    ``column``.  A stack raises such a fault when any design has one.
     """
-    x, y, single, finite = _checked_inputs(design, target)
+    x, y, single = _checked_inputs(design, target)
     stack, n, p = x.shape
-    # a design's faults come in this order: non-finite values, too few
-    # rows, rank.  The designs share one shape, so too few rows is the
-    # first design's fault unless its values are not finite
-    if n < p and finite:
-        raise _fault(f"under-determined system: {n} rows for {p} columns")
-    q, r, piv, rank = _pivoted_qr(x[:finite])
+    if n < p:
+        raise NumericalError(f"under-determined system: {n} rows for {p} columns")
+    q, r, piv, rank = _pivoted_qr(x)
     deficient = [s for s, kept in enumerate(rank) if kept < p]
     if deficient:
         s = deficient[0]
         column = int(piv[s, rank[s]])
-        err = _fault(
+        err = NumericalError(
             f"design is rank deficient (rank {rank[s]} of {p}): "
-            f"column {column} is linearly dependent on the others",
-            s,
+            f"column {column} is linearly dependent on the others"
         )
         err.column = column
         raise err
-    if finite < stack:
-        raise _fault("non-finite values in least-squares inputs", finite)
     coef, rss = np.empty((stack, p)), np.empty(stack)
     for s, (qs, rs, order, xs, ys) in enumerate(zip(q, r, piv, x, y)):
         coef[s, order] = _solve_upper(rs, qs.T @ ys)
@@ -385,12 +371,9 @@ def min_norm_least_squares(design, target) -> np.ndarray:
     complete orthogonal decomposition), so directions the data leave
     undetermined get exactly zero weight instead of rounding noise.  The
     designs of a stack that share a rank share that second factorization
-    call.  A stack raises the fault of its first non-finite design, with
-    its index in ``index``.
+    call.  A stack with a non-finite value raises NumericalError.
     """
-    x, y, single, finite = _checked_inputs(design, target)
-    if finite < len(x):
-        raise _fault("non-finite values in least-squares inputs", finite)
+    x, y, single = _checked_inputs(design, target)
     q, r, piv, rank = _pivoted_qr(x)
     coef = np.empty(x.shape[::2])
     for kept in sorted(set(rank)):

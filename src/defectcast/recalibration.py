@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._errors import ConfigError, DataError, NumericalError
+from ._errors import ConfigError, DataError
 from .dataset import Dataset, listwise_complete
 from .numerics import dot, min_norm_least_squares
 from .regression import (
@@ -245,8 +245,7 @@ class ConsequentFit:
     def solve(self) -> int:
         """Each fit's minimum-norm correction of ``q0``, solved for the
         block in one ``min_norm_least_squares`` call; a fit whose ``q0`` is
-        already optimal keeps it.  The number of fits solved.  A fault is
-        the first faulty fit's, with that fit's index in ``index``."""
+        already optimal keeps it.  The number of fits solved."""
         # a NaN gradient also solves, so non-finite inputs raise NumericalError
         need = np.flatnonzero(~(self.gradient_norm0 < 1e-10))
         if not need.size:
@@ -254,11 +253,7 @@ class ConsequentFit:
         a, b = self.system()
         if need.size < len(self.q):
             a, b = a[need], b[need]
-        try:
-            self.q[need] += min_norm_least_squares(a, b)
-        except NumericalError as err:
-            err.index = int(need[err.index])
-            raise
+        self.q[need] += min_norm_least_squares(a, b)
         return need.size
 
     def residuals(self) -> np.ndarray:

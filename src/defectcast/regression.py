@@ -184,9 +184,9 @@ def ols_coefficients(
     responses S x n) in one ``solve_least_squares`` call.
 
     Raises DataError for too few rows or a response without variance, and
-    NumericalError naming the first collinear predictor.  A stack raises
-    the first faulty fit's fault, with that fit's index in ``index``; a
-    fit's solve fault comes before its response's lack of variance.
+    NumericalError naming the first collinear predictor in ``variable``.
+    A fit's solve fault comes before its response's lack of variance; a
+    stack raises a fault when any of its fits has one.
     """
     n, columns = design.shape[-2:]
     p = columns - 1
@@ -195,25 +195,20 @@ def ols_coefficients(
             f"OLS needs more than {p + 1} complete rows for {p} predictors, got {n}"
         )
     tss = _total_sum_squares(y)
-    constant = np.flatnonzero(np.reshape(tss, -1) == 0.0)
     try:
         sol = solve_least_squares(design, y)
     except NumericalError as err:
-        # a fault past an earlier fit's constant response gives way to it below
-        if not constant.size or err.index <= constant[0]:
-            col = getattr(err, "column", None)
-            if col is None:
-                raise
-            name = "intercept" if col == 0 else predictors[col - 1]
-            named = NumericalError(
-                f"collinear design: {name!r} is linearly dependent on the other terms"
-            )
-            named.variable, named.index = name, err.index
-            raise named from None
-    if constant.size:
-        err = DataError(f"response {response!r} has zero variance on the fit rows")
-        err.index = int(constant[0])
-        raise err
+        col = getattr(err, "column", None)
+        if col is None:
+            raise
+        name = "intercept" if col == 0 else predictors[col - 1]
+        named = NumericalError(
+            f"collinear design: {name!r} is linearly dependent on the other terms"
+        )
+        named.variable = name
+        raise named from None
+    if np.any(tss == 0.0):
+        raise DataError(f"response {response!r} has zero variance on the fit rows")
     return sol, tss
 
 

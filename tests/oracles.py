@@ -172,7 +172,7 @@ def lapack_by_query(routine, name: str, lwork, *args, **kwargs):
 # replaced, as they were: one design and target per call, and their own
 # LAPACK calls (``numerics._solve_upper`` still solves one triangle).  The
 # stacked solvers must equal them bit for bit, matrix by matrix, and raise
-# the first faulty matrix's fault.
+# a fault that one of the faulty matrices raises alone.
 
 
 def pivoted_qr_per_matrix(design: np.ndarray):

@@ -944,7 +944,8 @@ class TestBlockLoop:
     @pytest.mark.parametrize("overflowing, collinear", [(0, 1), (1, 0)])
     def test_first_faulty_split_of_a_block_raises(self, monkeypatch, overflowing, collinear):
         """One repetition's count overflows and the other's fit is
-        collinear, in one block: the earlier repetition's fault is raised."""
+        collinear, in one block: the block faults, runs again split by
+        split, and the earlier repetition's fault is raised."""
         n, fraction, seed = 24, 0.75, 3
         tests = [oracles.split_rows_by_sorted_keys(seed, r, n, 18)[1].tolist() for r in range(2)]
         # 'b' is 'yes' only on rows that the collinear repetition tests and
@@ -959,7 +960,7 @@ class TestBlockLoop:
         plan = mixed_plan(("x", "b", "c"), "ln")
         args = (ds, plan, fraction, 2, seed)
         got = outcome(random_split_experiment, *args)
-        assert sizes == [2]
+        assert sizes == [2, 1]
         assert got == outcome(oracles.random_split_by_split, *args)
         if overflowing == 0:
             assert got[0] == "NumericalError"
@@ -969,6 +970,27 @@ class TestBlockLoop:
                 "DataError",
                 "repetition 1: collinear design: 'b' is linearly dependent on the other terms",
             )
+
+    def test_actuals_fault_before_a_later_fit_fault(self, monkeypatch):
+        """Repetition 1 tests the only zero response, an actuals fault, and
+        repetition 2 trains on a constant 'b', a fit fault, in a block of
+        three: the block raises the fit fault, and its replay split by split
+        raises repetition 1's actuals fault, as scoring each split alone
+        does."""
+        n, fraction, seed = 24, 0.75, 3
+        tests = [oracles.split_rows_by_sorted_keys(seed, r, n, 18)[1].tolist() for r in range(3)]
+        zero = next(i for i in tests[0] if i not in tests[1])
+        yes = [i for i in tests[1] if i not in tests[0]][:2]
+        ds = mixed_dataset(n, 1, "none", b_yes=yes)
+        y = ds.columns["y"].copy()
+        y[zero] = 0.0
+        ds = Dataset(ds.schema, {**ds.columns, "y": y})
+        sizes = _recording_blocks(monkeypatch)
+        args = (ds, mixed_plan(("x", "b", "c"), "none"), fraction, 3, seed)
+        got = outcome(random_split_experiment, *args)
+        assert sizes == [3, 1]
+        assert got == outcome(oracles.random_split_by_split, *args)
+        assert got == ("DataError", "nonpositive actual value; relative error is undefined")
 
     def test_counts_and_solves_do_not_grow_per_split(self, monkeypatch):
         """Counts are made, scores summed and each least-squares solver

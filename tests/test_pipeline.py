@@ -274,6 +274,24 @@ class TestConfig:
             load_config(write_config(tmp_path, config), out_override=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, values",
+        [("k_values", [4, 4]), ("train_fractions", [0.7, 0.7]), ("pred_thresholds", [0.25, 0.25])],
+    )
+    def test_repeated_evaluation_values_rejected(self, tmp_path, key, values):
+        # a repeated k or train fraction ran its protocol twice and reported
+        # it twice, and a repeated threshold ran to exit 0
+        config = small_config()
+        config["evaluation"][key] = values
+        path = write_config(tmp_path, config)
+        with pytest.raises(
+            ConfigError,
+            match=rf"^config schema violation at evaluation/{key}: .* has non-unique elements$",
+        ):
+            load_config(path, out_override=str(tmp_path / "out"))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_scaling_must_target_candidates(self, tmp_path):
         config = small_config()
         config["regression"]["scaling"] = {"defects": "nominal"}
