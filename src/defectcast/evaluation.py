@@ -190,9 +190,8 @@ class ModelingPlan:
 
     Every fit is plain OLS on all of ``predictors``: selection happens
     before the plan is made (the pipeline passes the stepwise-selected
-    variables).  ``refit_regression`` controls whether each fold refits
-    the regression (True) or reuses one model fit on all rows with only
-    the recalibration retrained per fold (False).  ``codings`` maps each
+    variables), and every split refits it on its own training rows; no
+    split reuses coefficients fit on rows it tests.  ``codings`` maps each
     categorical predictor's labels to values, as a model's ``codings``
     do; a binary predictor left out is coded 0/1.
     """
@@ -204,7 +203,6 @@ class ModelingPlan:
     recalibrate: bool = True
     pred_thresholds: tuple[float, ...] = (0.25,)
     min_test_for_pred: int = 10
-    refit_regression: bool = True
 
     def __post_init__(self):
         if not self.predictors:
@@ -371,11 +369,6 @@ def _encode(data: Dataset, plan: ModelingPlan) -> _Encoded:
 _BLOCK_CELLS = 1 << 14
 
 
-def _coefficients(design: np.ndarray, y: np.ndarray, plan: ModelingPlan) -> np.ndarray:
-    sol, _ = ols_coefficients(design, y, plan.predictors, plan.response)
-    return sol.coefficients
-
-
 def _blocks(splits, columns: int):
     """``splits`` in runs of consecutive splits with equal train and test
     sizes, each run cut to at most ``_BLOCK_CELLS`` training-design cells
@@ -394,24 +387,22 @@ def _blocks(splits, columns: int):
         yield block
 
 
-def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list) -> None:
+def _block_rows(block, enc: _Encoded, plan: ModelingPlan, rows: list) -> None:
     """Append the report rows of a block of splits to ``rows``, once the
     whole block has passed its checks.
 
-    Each split fits OLS on its train rows (unless ``fixed`` coefficients
-    are given), recalibrates on them, and scores its test rows with and
-    without the units.  Each solve runs for the block in one stacked call,
-    so a block raises when any of its splits faults: a fit or consequent
-    fault in the context of the block's first split, then a count overflow,
-    then a nonpositive actual.  ``_experiment`` replays a faulty block
-    split by split, which orders its faults."""
+    Each split fits OLS on its train rows, recalibrates on them, and scores
+    its test rows with and without the units.  Each solve runs for the
+    block in one stacked call, so a block raises when any of its splits
+    faults: a fit or consequent fault in the context of the block's first
+    split, then a count overflow, then a nonpositive actual.
+    ``_experiment`` replays a faulty block split by split, which orders
+    its faults."""
     train = np.array([split[2] for split in block])
     train_design, train_y = enc.design.take(train, axis=0), enc.y.take(train)
     try:
-        if fixed is None:
-            coef = _coefficients(train_design, train_y, plan)
-        else:
-            coef = np.broadcast_to(fixed, (len(block), fixed.size))
+        sol, _ = ols_coefficients(train_design, train_y, plan.predictors, plan.response)
+        coef = sol.coefficients
         if plan.recalibrate:
             fit = ConsequentFit(
                 coef, train_design, train_y,
@@ -456,25 +447,24 @@ def _block_rows(block, enc: _Encoded, plan: ModelingPlan, fixed, rows: list) -> 
 
 
 def _experiment(
-    protocol: str, parameters: dict, data: Dataset, plan: ModelingPlan, splits, refit: bool
+    protocol: str, parameters: dict, data: Dataset, plan: ModelingPlan, splits
 ) -> ExperimentReport:
-    """The protocols' one loop: encode the prepared table once, fit OLS on
-    every row once unless each split refits, then one report row per
-    ``(label, context, train rows, test rows)`` in ``splits``, block by
-    block (see ``_block_rows``).  A block of several splits that faults
+    """The protocols' one loop: encode the prepared table once, then one
+    report row per ``(label, context, train rows, test rows)`` in
+    ``splits``, block by block; each split fits its own OLS on its train
+    rows (see ``_block_rows``).  A block of several splits that faults
     runs again as blocks of one, in split order, so the fault raised is
     the one that scoring the splits one at a time raises first."""
     enc = _encode(data, plan)
-    fixed = None if refit else _coefficients(enc.design, enc.y, plan)
     rows = []
     for block in _blocks(splits, enc.design.shape[1]):
         try:
-            _block_rows(block, enc, plan, fixed, rows)
+            _block_rows(block, enc, plan, rows)
         except (DataError, NumericalError):
             if len(block) == 1:
                 raise
             for split in block:
-                _block_rows([split], enc, plan, fixed, rows)
+                _block_rows([split], enc, plan, rows)
     return ExperimentReport(
         protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
     )
@@ -491,11 +481,8 @@ def cross_validate(ds: Dataset, plan: ModelingPlan, k: int, seed: int) -> Experi
     splits = [
         (f"fold {i + 1}", f"fold {i + 1}", folds.train(i), folds.fold(i)) for i in range(k)
     ]
-    parameters = {"k": k, "seed": seed, "n": data.row_count,
-                  "refit_regression": plan.refit_regression}
-    return _experiment(
-        "cross_validation", parameters, data, plan, splits, plan.refit_regression
-    )
+    parameters = {"k": k, "seed": seed, "n": data.row_count}
+    return _experiment("cross_validation", parameters, data, plan, splits)
 
 
 def random_split_experiment(
@@ -522,11 +509,8 @@ def random_split_experiment(
     parameters = {
         "train_fraction": train_fraction, "train_size": train_size,
         "repetitions": repetitions, "seed": seed, "n": n,
-        "refit_regression": plan.refit_regression,
     }
-    return _experiment(
-        "random_split", parameters, data, plan, splits, plan.refit_regression
-    )
+    return _experiment("random_split", parameters, data, plan, splits)
 
 
 def resubstitution_experiment(ds: Dataset, plan: ModelingPlan) -> ExperimentReport:
@@ -535,7 +519,7 @@ def resubstitution_experiment(ds: Dataset, plan: ModelingPlan) -> ExperimentRepo
     every = np.arange(data.row_count)
     return _experiment(
         "resubstitution", {"n": data.row_count}, data, plan,
-        [("all data", "all data", every, every)], True,
+        [("all data", "all data", every, every)],
     )
 
 

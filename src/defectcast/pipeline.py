@@ -141,7 +141,6 @@ class PipelineConfig:
     repetitions: int
     pred_thresholds: tuple[float, ...]
     min_test_for_pred: int
-    refit_regression: bool
     seed: int
     output_dir: str
 
@@ -230,13 +229,16 @@ def load_config(
     elif env_out:
         raw = {**raw, "output_dir": env_out}
 
-    import jsonschema
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
 
-    try:
-        jsonschema.validate(raw, _schema_document())
-    except jsonschema.ValidationError as err:
+    # the packaged schema is checked by the tests, not on every load; the
+    # error is the one jsonschema.validate would pick
+    doc = _schema_document()
+    err = best_match(validator_for(doc)(doc).iter_errors(raw))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise ConfigError(f"config schema violation at {where}: {err.message}") from None
+        raise ConfigError(f"config schema violation at {where}: {err.message}")
 
     data = raw["data"]
     has_path = "path" in data
@@ -355,7 +357,6 @@ def load_config(
         repetitions=evaluation.get("repetitions", 10),
         pred_thresholds=tuple(evaluation.get("pred_thresholds", (0.25,))),
         min_test_for_pred=evaluation.get("min_test_for_pred", 10),
-        refit_regression=evaluation.get("refit_regression", True),
         seed=raw.get("seed", 0),
         output_dir=raw.get("output_dir", "out"),
     )
@@ -861,7 +862,6 @@ def _evaluation_plan(cfg: PipelineConfig, selected: LinearModel) -> ModelingPlan
         recalibrate=cfg.recalibrate_enabled,
         pred_thresholds=cfg.pred_thresholds,
         min_test_for_pred=cfg.min_test_for_pred,
-        refit_regression=cfg.refit_regression,
     )
 
 

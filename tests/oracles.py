@@ -801,14 +801,14 @@ def load_csv_by_rows(source, schema):
     return Dataset(final_specs, columns)
 
 
-def _split_fit(plan, train_ds, context, fixed):
+def _split_fit(plan, train_ds, context):
     """One split's fit and recalibration on its own table of rows."""
     from defectcast._errors import DataError, NumericalError
     from defectcast.recalibration import train_recalibration, units_for
     from defectcast.regression import ols_fit
 
     try:
-        model = fixed if fixed is not None else ols_fit(
+        model = ols_fit(
             train_ds, plan.response, plan.predictors, plan.codings,
             plan.response_transform,
         )
@@ -854,20 +854,15 @@ def _split_row(label, model, trained, data, indices, plan):
     )
 
 
-def _report_by_split(protocol, parameters, data, plan, splits, refit):
+def _report_by_split(protocol, parameters, data, plan, splits):
     """The protocols' shared loop, one ``Dataset.take`` per train and test
-    row set, one ``ols_fit`` per refit and one ``train_recalibration`` per
-    split: the per-split path the encoded evaluation must match."""
+    row set, one ``ols_fit`` and one ``train_recalibration`` per split: the
+    per-split path the encoded evaluation must match."""
     from defectcast.evaluation import ExperimentReport, _averages
-    from defectcast.regression import ols_fit
 
-    fixed = None if refit else ols_fit(
-        data, plan.response, plan.predictors, plan.codings,
-        plan.response_transform,
-    )
     rows = []
     for label, context, train, test in splits:
-        model, trained = _split_fit(plan, data.take(train), context, fixed)
+        model, trained = _split_fit(plan, data.take(train), context)
         rows.append(_split_row(label, model, trained, data, test, plan))
     return ExperimentReport(
         protocol=protocol, parameters=parameters, rows=tuple(rows), averages=_averages(rows)
@@ -882,11 +877,8 @@ def cross_validate_by_split(ds, plan, k, seed):
     splits = [
         (f"fold {i + 1}", f"fold {i + 1}", folds.train(i), folds.fold(i)) for i in range(k)
     ]
-    parameters = {"k": k, "seed": seed, "n": data.row_count,
-                  "refit_regression": plan.refit_regression}
-    return _report_by_split(
-        "cross_validation", parameters, data, plan, splits, plan.refit_regression
-    )
+    parameters = {"k": k, "seed": seed, "n": data.row_count}
+    return _report_by_split("cross_validation", parameters, data, plan, splits)
 
 
 def random_split_by_split(ds, plan, train_fraction, repetitions, seed):
@@ -903,11 +895,8 @@ def random_split_by_split(ds, plan, train_fraction, repetitions, seed):
     parameters = {
         "train_fraction": train_fraction, "train_size": train_size,
         "repetitions": repetitions, "seed": seed, "n": n,
-        "refit_regression": plan.refit_regression,
     }
-    return _report_by_split(
-        "random_split", parameters, data, plan, splits, plan.refit_regression
-    )
+    return _report_by_split("random_split", parameters, data, plan, splits)
 
 
 def resubstitution_by_split(ds, plan):
@@ -917,7 +906,7 @@ def resubstitution_by_split(ds, plan):
     every = np.arange(data.row_count)
     return _report_by_split(
         "resubstitution", {"n": data.row_count}, data, plan,
-        [("all data", "all data", every, every)], True,
+        [("all data", "all data", every, every)],
     )
 
 

@@ -567,16 +567,6 @@ class TestCrossValidate:
         with pytest.raises(DataError, match=r"fold 1:"):
             cross_validate(ds, standard_plan(ds), k=3, seed=0)
 
-    def test_fixed_regression_mode_runs_and_is_labeled(self):
-        ds = generate_synthetic(GeneratorConfig(n=64, noise_sd=0.5), seed=13)
-        fixed = cross_validate(
-            ds, standard_plan(ds, refit_regression=False), k=8, seed=2
-        )
-        refit = cross_validate(ds, standard_plan(ds), k=8, seed=2)
-        assert fixed.parameters["refit_regression"] is False
-        assert refit.parameters["refit_regression"] is True
-        assert fixed.to_dict() != refit.to_dict()
-
     def test_transform_mismatch_rejected(self):
         ds = generate_synthetic(GeneratorConfig(n=64), seed=1)
         with pytest.raises(ConfigError, match="transform"):
@@ -816,7 +806,6 @@ class TestEncodedEvaluationMatchesPerSplitPath:
         ),
         c_values=st.sampled_from(QUANTIFICATIONS_OF_C),
         quantify_b=st.booleans(),
-        refit=st.booleans(),
         recalibrate=st.booleans(),
         min_test=st.sampled_from([1, 5, 100]),
         k=st.integers(2, 5),
@@ -825,13 +814,13 @@ class TestEncodedEvaluationMatchesPerSplitPath:
         seed=st.integers(0, 1000),
     )
     def test_reports_equal_per_split_path(
-        self, n, data_seed, transform, predictors, c_values, quantify_b, refit,
+        self, n, data_seed, transform, predictors, c_values, quantify_b,
         recalibrate, min_test, k, train_fraction, repetitions, seed,
     ):
         ds = mixed_dataset(n, data_seed, transform)
         plan = mixed_plan(
             predictors, transform, c_values, quantify_b,
-            refit_regression=refit, recalibrate=recalibrate,
+            recalibrate=recalibrate,
             pred_thresholds=(0.25, 0.5), min_test_for_pred=min_test,
         )
         assert outcome(cross_validate, ds, plan, k, seed) == outcome(
@@ -851,17 +840,15 @@ class TestEncodedEvaluationMatchesPerSplitPath:
         # 'b' is 'yes' only on repetition 1's test rows, so its training
         # column is constant and collinear with the intercept
         ds = mixed_dataset(n, 1, "ln", b_yes=test_rows[:2])
-        for refit in (True, False):
-            plan = mixed_plan(("x", "b"), "ln", refit_regression=refit)
-            args = (ds, plan, fraction, 3, seed)
-            got = outcome(random_split_experiment, *args)
-            assert got == outcome(oracles.random_split_by_split, *args)
-            if refit:
-                assert got == (
-                    "DataError",
-                    "repetition 1: collinear design: 'b' is linearly dependent "
-                    "on the other terms",
-                )
+        plan = mixed_plan(("x", "b"), "ln")
+        args = (ds, plan, fraction, 3, seed)
+        got = outcome(random_split_experiment, *args)
+        assert got == outcome(oracles.random_split_by_split, *args)
+        assert got == (
+            "DataError",
+            "repetition 1: collinear design: 'b' is linearly dependent "
+            "on the other terms",
+        )
 
     def test_collinear_fold_named(self):
         n, k, seed = 24, 4, 8
@@ -921,12 +908,11 @@ class TestBlockLoop:
         n, k, seed = 23, 4, 5
         ds = mixed_dataset(n, 3, "ln")
         sizes = _recording_blocks(monkeypatch)
-        for refit in (True, False):
-            plan = mixed_plan(("x", "b", "c"), "ln", refit_regression=refit)
-            got = outcome(cross_validate, ds, plan, k, seed)
-            assert isinstance(got, dict)
-            assert got == outcome(oracles.cross_validate_by_split, ds, plan, k, seed)
-        assert sizes == [3, 1, 3, 1]
+        plan = mixed_plan(("x", "b", "c"), "ln")
+        got = outcome(cross_validate, ds, plan, k, seed)
+        assert isinstance(got, dict)
+        assert got == outcome(oracles.cross_validate_by_split, ds, plan, k, seed)
+        assert sizes == [3, 1]
 
     def test_more_splits_than_one_block_holds(self, monkeypatch):
         ds = mixed_dataset(30, 6, "ln")

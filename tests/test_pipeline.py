@@ -292,6 +292,33 @@ class TestConfig:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_refit_regression_key_rejected(self, tmp_path, capsys, value):
+        # the fixed-model protocol is gone: every split refits its own OLS,
+        # so a config that still names the switch is an unknown key
+        config = small_config()
+        config["evaluation"]["refit_regression"] = value
+        path = write_config(tmp_path, config)
+        with pytest.raises(
+            ConfigError,
+            match=r"^config schema violation at evaluation: .*'refit_regression'",
+        ):
+            load_config(path, out_override=str(tmp_path / "out"))
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert "refit_regression" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_packaged_schema_is_a_valid_schema(self):
+        # load_config validates against the packaged schema without checking
+        # the schema itself, so a broken schema must fail here
+        from jsonschema.validators import validator_for
+
+        doc = pipeline._schema_document()
+        validator_for(doc).check_schema(doc)
+
     def test_scaling_must_target_candidates(self, tmp_path):
         config = small_config()
         config["regression"]["scaling"] = {"defects": "nominal"}
@@ -485,7 +512,6 @@ class TestConfig:
         assert cfg.p_remove == default(stepwise_fit, "p_remove")
         assert cfg.pred_thresholds == plan["pred_thresholds"]
         assert cfg.min_test_for_pred == plan["min_test_for_pred"]
-        assert cfg.refit_regression == plan["refit_regression"]
 
 
 # ---------------------------------------------------------------------------
